@@ -4,12 +4,11 @@
 /// A synthetic contended lock workload (fixed user count, fixed accesses
 /// per transaction, small hot oid space, restart-on-abort with
 /// exponential backoff) driven directly on a `desp::Scheduler` through
-/// each `cc::Protocol` — and through a verbatim embedded copy of the
-/// pre-subsystem wait-die `LockManager` (the PR-7 baseline).  The
-/// scenario *fails* unless the wait_die protocol reproduces the legacy
-/// manager's commit/restart/lock counters exactly, so the "current
-/// behavior is one protocol among peers" refactor claim is enforced on
-/// every run.  Per-protocol wall-clock overhead lands in BENCH_cc.json.
+/// each `cc::Protocol`.  The scenario *fails* unless every transaction
+/// commits and each protocol's cause-attributed abort counters account
+/// for every restart.  Per-protocol wall-clock overhead lands in
+/// BENCH_cc.json.  (The 2PL event stream itself is pinned by golden
+/// outputs in tests/test_cc.cpp.)
 ///
 /// The scenario also asserts the Transaction Manager's pooled in-flight
 /// scheme: a two-phase contended system run must not grow the slot pool

@@ -1259,14 +1259,13 @@ void RegisterMicroBenches() {
   {
     Scenario s;
     s.name = "micro_cc";
-    s.title = "Micro: concurrency-control protocol overhead + wait-die parity";
+    s.title = "Micro: concurrency-control protocol overhead";
     s.description =
         "A synthetic contended lock workload driven through every "
-        "cc::Protocol and through an embedded verbatim copy of the "
-        "pre-subsystem wait-die LockManager; fails unless the wait_die "
-        "protocol reproduces the legacy manager's commit/restart/lock "
-        "counters exactly, and asserts the Transaction Manager's pooled "
-        "in-flight slots stay bounded by concurrency.  Protocol knobs: "
+        "cc::Protocol; fails unless every transaction commits and the "
+        "protocol's abort counters account for every restart, and "
+        "asserts the Transaction Manager's pooled in-flight slots stay "
+        "bounded by concurrency.  Protocol knobs: "
         "--transactions=N transactions per synthetic user, "
         "--replications=N timed trials per protocol.  Model parameters "
         "are not used.";

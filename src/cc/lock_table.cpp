@@ -1,0 +1,366 @@
+#include "cc/lock_table.hpp"
+
+#include <algorithm>
+#include <utility>
+
+#include "obs/spans.hpp"
+
+namespace voodb::cc {
+namespace {
+
+bool Conflicting(LockMode a, LockMode b) {
+  return a == LockMode::kExclusive || b == LockMode::kExclusive;
+}
+
+}  // namespace
+
+const char* ToString(LockMode m) {
+  return m == LockMode::kShared ? "S" : "X";
+}
+
+LockTable::LockTable(desp::Scheduler* scheduler, ProtocolKind kind)
+    : Protocol(scheduler), kind_(kind) {
+  VOODB_CHECK_MSG(kind == ProtocolKind::kNoWait ||
+                      kind == ProtocolKind::kWaitDie ||
+                      kind == ProtocolKind::kDeadlockDetect,
+                  ToString(kind) << " is not a two-phase locking protocol");
+}
+
+void LockTable::Begin(uint64_t txn, uint64_t age) {
+  // Restarted transactions keep their original age, so under wait-die
+  // they eventually become the oldest and cannot die forever.
+  txns_.Begin(txn).age = age;
+  ++stats_.begins;
+}
+
+bool LockTable::HoldsIn(const Entry& entry, uint64_t txn, LockMode mode) {
+  for (const Holder& h : entry.holders) {
+    if (h.txn != txn) continue;
+    return mode == LockMode::kShared || h.mode == LockMode::kExclusive;
+  }
+  return false;
+}
+
+bool LockTable::Holds(uint64_t txn, ocb::Oid oid, LockMode mode) const {
+  const auto entry_it = locks_.find(oid);
+  return entry_it != locks_.end() && HoldsIn(entry_it->second, txn, mode);
+}
+
+size_t LockTable::HeldLocks(uint64_t txn) const {
+  const TxnState* state = txns_.Find(txn);
+  if (state == nullptr) return 0;
+  std::vector<ocb::Oid> held = state->held;
+  std::sort(held.begin(), held.end());
+  return static_cast<size_t>(
+      std::unique(held.begin(), held.end()) - held.begin());
+}
+
+LockTable::Entry& LockTable::EntryFor(ocb::Oid oid) {
+  const auto entry_it = locks_.find(oid);
+  if (entry_it != locks_.end()) return entry_it->second;
+  if (spare_.empty()) return locks_[oid];
+  LockMap::node_type node = std::move(spare_.back());
+  spare_.pop_back();
+  node.key() = oid;
+  return locks_.insert(std::move(node)).position->second;
+}
+
+void LockTable::RetireIfIdle(LockMap::iterator entry_it) {
+  const Entry& entry = entry_it->second;
+  if (entry.holders.empty() && entry.waiters.empty()) {
+    spare_.push_back(locks_.extract(entry_it));
+  }
+}
+
+bool LockTable::Compatible(const Entry& entry, uint64_t txn, LockMode mode) {
+  for (const Holder& h : entry.holders) {
+    if (h.txn == txn) continue;  // own locks never conflict
+    if (Conflicting(mode, h.mode)) return false;
+  }
+  return true;
+}
+
+void LockTable::Grant(Entry& entry, uint64_t txn, LockMode mode) {
+  for (Holder& h : entry.holders) {
+    if (h.txn == txn) {
+      if (mode == LockMode::kExclusive && h.mode == LockMode::kShared) {
+        h.mode = LockMode::kExclusive;  // upgrade in place
+        ++stats_.upgrades;
+      }
+      return;
+    }
+  }
+  entry.holders.push_back(Holder{txn, mode});
+}
+
+void LockTable::Access(uint64_t txn, ocb::Oid oid, bool write, Action granted,
+                       Action aborted) {
+  TxnState& state = txns_.At(txn);
+  const LockMode mode = write ? LockMode::kExclusive : LockMode::kShared;
+  ++stats_.requests;
+  Entry& entry = EntryFor(oid);
+  if (HoldsIn(entry, txn, mode)) {
+    ++stats_.immediate_grants;
+    Fire(std::move(granted));
+    return;
+  }
+  // Holding the object without holding it strongly enough: S -> X.
+  const bool upgrade =
+      std::any_of(entry.holders.begin(), entry.holders.end(),
+                  [txn](const Holder& h) { return h.txn == txn; });
+  if (Compatible(entry, txn, mode) && (upgrade || entry.waiters.empty())) {
+    Grant(entry, txn, mode);
+    state.held.push_back(oid);
+    ++stats_.immediate_grants;
+    stats_.wait_times.Add(0.0);
+    stats_.wait_histogram.Add(0.0);
+    Fire(std::move(granted));
+    // The strengthened hold may newly conflict with older parked waiters.
+    if (upgrade && kind_ == ProtocolKind::kWaitDie) EnforceWaitDie(entry);
+    return;
+  }
+  // The conflict policy: the one place the three protocols differ on a
+  // fresh request.  Fresh requests queue at the back, so every current
+  // waiter is ahead; upgrades jump to the front, but must still be older
+  // than every conflicting parked waiter (they overtake the whole queue).
+  switch (kind_) {
+    case ProtocolKind::kNoWait:
+      ++stats_.aborts_no_wait;
+      NoteAbort(obs::AbortCause::kNoWait);
+      Fire(std::move(aborted));
+      return;
+    case ProtocolKind::kWaitDie:
+      if (!MayWait(entry, txn, mode, entry.waiters.size())) {
+        ++stats_.aborts_wait_die;
+        NoteAbort(obs::AbortCause::kWaitDie);
+        Fire(std::move(aborted));
+        return;
+      }
+      break;
+    default:
+      if (WouldDeadlock(entry, txn, mode, upgrade)) {
+        ++stats_.aborts_deadlock;
+        NoteAbort(obs::AbortCause::kDeadlock);
+        Fire(std::move(aborted));
+        return;
+      }
+      break;
+  }
+  ++stats_.waits;
+  state.waiting = true;
+  state.waiting_on = oid;
+  Waiter waiter{txn,
+                mode,
+                scheduler_->Now(),
+                std::move(granted),
+                std::move(aborted),
+                scheduler_->current_trace()};
+  if (upgrade) {
+    entry.waiters.push_front(std::move(waiter));
+  } else {
+    entry.waiters.push_back(std::move(waiter));
+  }
+}
+
+void LockTable::WakeWaiters(ocb::Oid oid, Entry& entry) {
+  bool granted_any = false;
+  while (!entry.waiters.empty()) {
+    Waiter& head = entry.waiters.front();
+    TxnState* waiter_state = txns_.Find(head.txn);
+    if (waiter_state == nullptr) {
+      entry.waiters.pop_front();  // parked by the transaction releasing now
+      continue;
+    }
+    if (!Compatible(entry, head.txn, head.mode)) break;
+    Grant(entry, head.txn, head.mode);
+    waiter_state->held.push_back(oid);
+    waiter_state->waiting = false;
+    const double waited = scheduler_->Now() - head.enqueued_at;
+    stats_.wait_times.Add(waited);
+    stats_.wait_histogram.Add(waited);
+    {
+      // Wake-ups fire from the releasing transaction's event; restore the
+      // waiter's trace context so downstream work is attributed to it.
+      desp::TraceScope trace(scheduler_, head.trace);
+      Fire(std::move(head.granted));
+    }
+    entry.waiters.pop_front();
+    granted_any = true;
+  }
+  if (granted_any && kind_ == ProtocolKind::kWaitDie) EnforceWaitDie(entry);
+}
+
+void LockTable::Release(uint64_t txn) {
+  TxnState& state = txns_.At(txn);
+  const bool waiting = state.waiting;
+  const ocb::Oid waiting_on = state.waiting_on;
+  releasing_.swap(state.held);  // the slot keeps a cleared buffer
+  // Forget the transaction first: a request it still has parked is stale
+  // from here on and is dropped wherever a queue meets it.
+  txns_.End(txn);
+  std::sort(releasing_.begin(), releasing_.end());
+  releasing_.erase(std::unique(releasing_.begin(), releasing_.end()),
+                   releasing_.end());
+  for (const ocb::Oid oid : releasing_) {
+    const auto entry_it = locks_.find(oid);
+    if (entry_it == locks_.end()) continue;
+    auto& holders = entry_it->second.holders;
+    holders.erase(
+        std::remove_if(holders.begin(), holders.end(),
+                       [txn](const Holder& h) { return h.txn == txn; }),
+        holders.end());
+    WakeWaiters(oid, entry_it->second);
+    RetireIfIdle(entry_it);
+  }
+  releasing_.clear();
+  // A request still parked (the release was decided elsewhere): purge it
+  // and re-evaluate that queue — the purged head may have been the only
+  // thing parking compatible waiters behind it.
+  if (!waiting) return;
+  const auto entry_it = locks_.find(waiting_on);
+  if (entry_it == locks_.end()) return;
+  auto& waiters = entry_it->second.waiters;
+  const size_t before = waiters.size();
+  waiters.erase(
+      std::remove_if(waiters.begin(), waiters.end(),
+                     [txn](const Waiter& w) { return w.txn == txn; }),
+      waiters.end());
+  if (waiters.size() != before) WakeWaiters(waiting_on, entry_it->second);
+  RetireIfIdle(entry_it);
+}
+
+void LockTable::Commit(uint64_t txn) {
+  ++stats_.commits;
+  Release(txn);
+}
+
+void LockTable::Abort(uint64_t txn) { Release(txn); }
+
+// ---------------------------------------------------------------------------
+// wait-die
+// ---------------------------------------------------------------------------
+
+bool LockTable::MayWait(const Entry& entry, uint64_t txn, LockMode mode,
+                        size_t ahead_count) const {
+  const TxnState* requester = txns_.Find(txn);
+  VOODB_CHECK_MSG(requester != nullptr, "unknown transaction " << txn);
+  const uint64_t age = requester->age;
+  for (const Holder& h : entry.holders) {
+    if (h.txn == txn || !Conflicting(mode, h.mode)) continue;
+    const TxnState* holder = txns_.Find(h.txn);
+    VOODB_CHECK_MSG(holder != nullptr, "holder vanished");
+    // The requester may wait only for *younger* holders.
+    if (age >= holder->age) return false;
+  }
+  size_t position = 0;
+  for (const Waiter& w : entry.waiters) {
+    if (position++ >= ahead_count) break;
+    if (w.txn == txn || !Conflicting(mode, w.mode)) continue;
+    const TxnState* ahead = txns_.Find(w.txn);
+    if (ahead == nullptr) continue;  // stale entry
+    if (age >= ahead->age) return false;
+  }
+  return true;
+}
+
+void LockTable::EnforceWaitDie(Entry& entry) {
+  auto& waiters = entry.waiters;
+  size_t position = 0;
+  for (auto it = waiters.begin(); it != waiters.end();) {
+    TxnState* state = txns_.Find(it->txn);
+    if (state == nullptr) {
+      it = waiters.erase(it);
+      continue;
+    }
+    // Each waiter is re-checked against the holders and the waiters
+    // still ahead of it.
+    if (MayWait(entry, it->txn, it->mode, position)) {
+      ++it;
+      ++position;
+      continue;
+    }
+    ++stats_.aborts_wait_die;
+    state->waiting = false;
+    {
+      desp::TraceScope trace(scheduler_, it->trace);
+      NoteAbort(obs::AbortCause::kWaitDie);
+      Fire(std::move(it->aborted));
+    }
+    it = waiters.erase(it);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// deadlock detection
+// ---------------------------------------------------------------------------
+
+bool LockTable::Reaches(uint64_t start, uint64_t origin) {
+  // Iterative DFS over the waits-for graph derived on the fly.  Push
+  // order follows holder-vector then queue order, so the walk is
+  // deterministic.
+  dfs_stack_.clear();
+  dfs_stack_.push_back(start);
+  ++dfs_search_;
+  while (!dfs_stack_.empty()) {
+    const uint64_t txn = dfs_stack_.back();
+    dfs_stack_.pop_back();
+    if (txn == origin) return true;
+    TxnState* state = txns_.Find(txn);
+    if (state == nullptr || state->visit_mark == dfs_search_) continue;
+    state->visit_mark = dfs_search_;
+    if (!state->waiting) continue;
+    const auto entry_it = locks_.find(state->waiting_on);
+    if (entry_it == locks_.end()) continue;
+    const Entry& entry = entry_it->second;
+    LockMode mode = LockMode::kShared;
+    for (const Waiter& w : entry.waiters) {
+      if (w.txn == txn) {
+        mode = w.mode;
+        break;
+      }
+    }
+    for (const Holder& h : entry.holders) {
+      if (h.txn != txn && Conflicting(mode, h.mode)) {
+        dfs_stack_.push_back(h.txn);
+      }
+    }
+    for (const Waiter& w : entry.waiters) {
+      if (w.txn == txn) break;  // only waiters ahead are wait targets
+      if (Conflicting(mode, w.mode)) dfs_stack_.push_back(w.txn);
+    }
+  }
+  return false;
+}
+
+bool LockTable::WouldDeadlock(const Entry& entry, uint64_t txn, LockMode mode,
+                              bool front) {
+  // Parking closes a cycle when one of our prospective wait targets can
+  // reach us.  A front insertion (upgrade) also adds edges *into* us from
+  // every conflicting waiter we overtake, so a path ending at such a
+  // waiter closes one too.
+  auto closes_cycle = [&](uint64_t target) {
+    if (Reaches(target, txn)) return true;
+    if (!front) return false;
+    for (const Waiter& w : entry.waiters) {
+      if (w.txn == txn || !Conflicting(mode, w.mode)) continue;
+      if (target == w.txn || Reaches(target, w.txn)) return true;
+    }
+    return false;
+  };
+  // The wait targets: conflicting holders, plus — for back-of-queue
+  // requests — every conflicting waiter already parked (all ahead of us).
+  for (const Holder& h : entry.holders) {
+    if (h.txn != txn && Conflicting(mode, h.mode) && closes_cycle(h.txn)) {
+      return true;
+    }
+  }
+  if (front) return false;
+  for (const Waiter& w : entry.waiters) {
+    if (w.txn != txn && Conflicting(mode, w.mode) && closes_cycle(w.txn)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace voodb::cc

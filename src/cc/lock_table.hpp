@@ -1,0 +1,155 @@
+/// \file lock_table.hpp
+/// \brief One object-granularity S/X lock table for the three 2PL
+/// protocols: no-wait, wait-die and waits-for cycle detection.
+///
+/// The paper's §5 multi-user extension is strict two-phase locking at
+/// object granularity.  The three 2PL variants share everything except
+/// what happens to a request that cannot be granted right now (DBx1000
+/// drives NO_WAIT, WAIT_DIE and DL_DETECT through one row-lock manager
+/// the same way).  The conflict policy is the protocol kind:
+///
+///  - **no_wait** aborts the requester immediately — no queue at all,
+///    the highest abort rate under contention;
+///  - **wait_die** lets a requester park only when it is older than
+///    every conflicting holder and every conflicting waiter ahead of it,
+///    and re-checks the parked waiters whenever the holder set of an
+///    object grows (EnforceWaitDie) — deterministic, no cycle search;
+///  - **deadlock_detect** parks every conflicting request FIFO and aborts
+///    the requester only when parking it would close a waits-for cycle —
+///    fewer aborts than wait-die, at the cost of the graph walk.
+///
+/// Queue discipline, common to the waiting policies: fresh requests never
+/// overtake parked waiters; S->X upgrades jump to the queue front (or the
+/// classic upgrade deadlock arises).  Wake-ups are FIFO.
+///
+/// The Transaction Manager issues accesses strictly one at a time, so a
+/// transaction is parked on at most one object; the table tracks it, and
+/// releasing a transaction touches only the objects it holds plus that
+/// one queue.
+#pragma once
+
+#include <cstdint>
+#include <deque>
+#include <unordered_map>
+#include <vector>
+
+#include "cc/protocol.hpp"
+
+namespace voodb::cc {
+
+/// Lock compatibility: shared (read) and exclusive (write).
+enum class LockMode : uint8_t { kShared, kExclusive };
+
+const char* ToString(LockMode m);
+
+/// Strict 2PL over an object lock table; `kind` (no_wait, wait_die or
+/// deadlock_detect) selects the conflict policy.
+class LockTable final : public Protocol {
+ public:
+  LockTable(desp::Scheduler* scheduler, ProtocolKind kind);
+
+  ProtocolKind kind() const override { return kind_; }
+  /// `age` orders transactions for wait-die (smaller is older); the
+  /// other policies ignore it.
+  void Begin(uint64_t txn, uint64_t age) override;
+  /// S for reads, X for writes.  Re-requesting a held lock in the same or
+  /// a weaker mode grants immediately; X over a held S is an upgrade.
+  void Access(uint64_t txn, ocb::Oid oid, bool write, Action granted,
+              Action aborted) override;
+  bool ValidateCommit(uint64_t) override { return true; }
+  void Commit(uint64_t txn) override;
+  /// Releases every lock `txn` holds (and any request it still has
+  /// parked), wakes compatible waiters, forgets the transaction.
+  void Abort(uint64_t txn) override;
+  size_t ActiveTransactions() const override { return txns_.active(); }
+
+  /// True when `txn` holds a lock on `oid` in at least `mode`.
+  bool Holds(uint64_t txn, ocb::Oid oid, LockMode mode) const;
+  /// Distinct objects `txn` currently holds locks on.
+  size_t HeldLocks(uint64_t txn) const;
+
+ private:
+  struct Holder {
+    uint64_t txn;
+    LockMode mode;
+  };
+  struct Waiter {
+    uint64_t txn;
+    LockMode mode;
+    double enqueued_at;
+    Action granted;
+    Action aborted;
+    /// Requester's ambient trace context, restored around wake/die fires
+    /// so they are attributed to the waiter, not the releasing event.
+    uint32_t trace;
+  };
+  struct Entry {
+    std::vector<Holder> holders;
+    std::deque<Waiter> waiters;
+  };
+  struct TxnState {
+    uint64_t age = 0;
+    std::vector<ocb::Oid> held;  // may contain duplicates for upgrades
+    bool waiting = false;        // parked on `waiting_on`
+    ocb::Oid waiting_on = 0;
+    /// Cycle-search stamp: search ids strictly increase, so a stale mark
+    /// never matches and needs no reset on recycle.
+    uint64_t visit_mark = 0;
+    void Recycle() {
+      held.clear();
+      waiting = false;
+    }
+  };
+
+  using LockMap = std::unordered_map<ocb::Oid, Entry>;
+
+  /// The entry of `oid`, created on first use.  Idle entries are retired
+  /// as whole map nodes and reused, keeping their queue and holder
+  /// buffers: once the table has reached its peak size, locking an
+  /// object allocates nothing.
+  Entry& EntryFor(ocb::Oid oid);
+  void RetireIfIdle(LockMap::iterator entry_it);
+  static bool HoldsIn(const Entry& entry, uint64_t txn, LockMode mode);
+  /// True when `mode` can be granted on `entry` for `txn` right now.
+  static bool Compatible(const Entry& entry, uint64_t txn, LockMode mode);
+  void Grant(Entry& entry, uint64_t txn, LockMode mode);
+  /// FIFO wake-up: grants the head while it is compatible (several shared
+  /// requests may be granted together).
+  void WakeWaiters(ocb::Oid oid, Entry& entry);
+  void Release(uint64_t txn);
+
+  // --- wait-die ------------------------------------------------------------
+  /// True when `txn` is older than every conflicting holder *and* every
+  /// conflicting waiter among the first `ahead_count` queue entries.
+  /// Queue positions are wait targets too: ignoring them lets cycles form
+  /// through FIFO ordering (an old holder-wait plus a young queue-wait).
+  bool MayWait(const Entry& entry, uint64_t txn, LockMode mode,
+               size_t ahead_count) const;
+  /// Re-enforces the wait-die invariant after the holder set of an object
+  /// grew: every parked waiter that now conflicts with an *older* holder
+  /// or waiter ahead dies.  Without this, a waiter granted from the queue
+  /// can become an older holder in front of younger waiters and an
+  /// old-young wait cycle forms that enqueue-time wait-die cannot see.
+  void EnforceWaitDie(Entry& entry);
+
+  // --- deadlock detection ----------------------------------------------------
+  /// True when parking `txn` on `entry` (at the queue front for upgrades,
+  /// else at the back) would close a waits-for cycle.  Edges are derived
+  /// on the fly: a parked waiter waits on every conflicting holder and
+  /// every conflicting waiter ahead of it.
+  bool WouldDeadlock(const Entry& entry, uint64_t txn, LockMode mode,
+                     bool front);
+  /// DFS helper: true when `start` can reach `origin` through waits-for
+  /// edges.
+  bool Reaches(uint64_t start, uint64_t origin);
+
+  const ProtocolKind kind_;
+  LockMap locks_;
+  std::vector<LockMap::node_type> spare_;  // retired idle entries
+  TxnTable<TxnState> txns_;
+  std::vector<ocb::Oid> releasing_;  // reused by Release
+  std::vector<uint64_t> dfs_stack_;  // reused across cycle searches
+  uint64_t dfs_search_ = 0;          // current search id (visit stamps)
+};
+
+}  // namespace voodb::cc

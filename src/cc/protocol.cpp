@@ -1,8 +1,8 @@
 #include "cc/protocol.hpp"
 
+#include "cc/lock_table.hpp"
 #include "cc/mvcc.hpp"
 #include "cc/occ.hpp"
-#include "cc/two_phase.hpp"
 #include "obs/metrics.hpp"
 #include "obs/spans.hpp"
 
@@ -39,6 +39,7 @@ void Protocol::RegisterMetrics(obs::MetricRegistry& registry) const {
   registry.RegisterCounter("cc.requests", &stats_.requests);
   registry.RegisterCounter("cc.immediate_grants", &stats_.immediate_grants);
   registry.RegisterCounter("cc.waits", &stats_.waits);
+  registry.RegisterCounter("cc.upgrades", &stats_.upgrades);
   registry.RegisterCounter("cc.commits", &stats_.commits);
   registry.RegisterCounter("cc.aborts.no_wait", &stats_.aborts_no_wait);
   registry.RegisterCounter("cc.aborts.wait_die", &stats_.aborts_wait_die);
@@ -58,11 +59,9 @@ std::unique_ptr<Protocol> MakeProtocol(ProtocolKind kind,
                                        desp::Scheduler* scheduler) {
   switch (kind) {
     case ProtocolKind::kNoWait:
-      return std::make_unique<NoWait2pl>(scheduler);
     case ProtocolKind::kWaitDie:
-      return std::make_unique<WaitDie2pl>(scheduler);
     case ProtocolKind::kDeadlockDetect:
-      return std::make_unique<DeadlockDetect2pl>(scheduler);
+      return std::make_unique<LockTable>(scheduler, kind);
     case ProtocolKind::kMvcc:
       return std::make_unique<Mvcc>(scheduler);
     case ProtocolKind::kOcc:

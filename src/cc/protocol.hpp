@@ -2,28 +2,27 @@
 /// \brief The pluggable concurrency-control protocol interface.
 ///
 /// The paper's §5 multi-user extension hardwires one scheme: object-level
-/// 2PL with wait-die (voodb::core::LockManager).  This subsystem makes the
-/// protocol a first-class axis: the Transaction Manager talks to a
-/// `cc::Protocol` — register a transaction attempt, decide each object
-/// access, validate at commit, release on commit/abort — and the concrete
-/// scheme behind it is swept like any other parameter (`cc_protocol`).
+/// 2PL with wait-die.  This subsystem makes the protocol a first-class
+/// axis: the Transaction Manager talks to a `cc::Protocol` — register a
+/// transaction attempt, decide each object access, validate at commit,
+/// release on commit/abort — and the concrete scheme behind it is swept
+/// like any other parameter (`cc_protocol`).
 ///
 /// Five implementations cover the classic protocol families of the
 /// many-core concurrency-control literature (DBx1000 lineage): 2PL
-/// no-wait, 2PL wait-die (wrapping today's LockManager, so the current
-/// behavior is one protocol among peers), 2PL with waits-for cycle
-/// detection, multiversion timestamp ordering with first-committer-wins
-/// writes, and optimistic validate-at-commit with backward validation.
+/// no-wait, 2PL wait-die and 2PL with waits-for cycle detection (one
+/// lock table, three conflict policies: cc::LockTable), multiversion
+/// timestamp ordering with first-committer-wins writes, and optimistic
+/// validate-at-commit with backward validation.
 ///
 /// Determinism contract: a protocol may interact with the run only
-/// through its scheduler (decisions fire as zero-delay scheduled events,
-/// exactly like the LockManager's grants) and must never iterate an
-/// unordered container where the order can leak into event order — the
-/// whole subsystem stays bit-identical at any `sim_threads`.
+/// through its scheduler (decisions fire as zero-delay scheduled events)
+/// and must never iterate an unordered container where the order can leak
+/// into event order — the whole subsystem stays bit-identical at any
+/// `sim_threads`.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -31,6 +30,7 @@
 #include "cc/kind.hpp"
 #include "desp/histogram.hpp"
 #include "desp/scheduler.hpp"
+#include "desp/small_function.hpp"
 #include "desp/stats.hpp"
 #include "ocb/types.hpp"
 #include "util/check.hpp"
@@ -41,10 +41,6 @@ class SpanTracer;
 enum class AbortCause : uint8_t;
 }  // namespace voodb::obs
 
-namespace voodb::core {
-class LockManager;
-}  // namespace voodb::core
-
 namespace voodb::cc {
 
 /// Counters every protocol exposes (`cc.*` in the metric registry).
@@ -54,6 +50,7 @@ struct CcStats {
   uint64_t requests = 0;  ///< access decisions requested
   uint64_t immediate_grants = 0;
   uint64_t waits = 0;  ///< requests that had to park
+  uint64_t upgrades = 0;  ///< 2PL S -> X upgrades granted
   uint64_t commits = 0;
   // --- aborts by cause -----------------------------------------------------
   uint64_t aborts_no_wait = 0;         ///< no-wait conflict aborts
@@ -65,14 +62,13 @@ struct CcStats {
   uint64_t versions_installed = 0;
   uint64_t versions_pruned = 0;
   /// Queueing time per access decision (immediate grants count as 0, so
-  /// percentiles cover every acquisition — LockManager semantics).
+  /// percentiles cover every acquisition).
   desp::Tally wait_times;
   desp::LogHistogram wait_histogram;
   /// Version-chain length sampled at every MVCC read.
   desp::LogHistogram version_chain;
 
-  /// Aborts across every cause (wait-die parity: LockStats counted them
-  /// all as deadlock_aborts).
+  /// Aborts across every cause.
   uint64_t TotalAborts() const {
     return aborts_no_wait + aborts_wait_die + aborts_deadlock +
            aborts_write_conflict + validation_failures;
@@ -82,24 +78,29 @@ struct CcStats {
 /// Pooled per-transaction state: a slab of `State` slots recycled through
 /// a free list, so per-attempt registration reuses the previous attempt's
 /// vector capacities instead of allocating (the kernel's zero-allocation
-/// discipline applied to protocol bookkeeping).  `State::Recycle()` must
-/// clear the slot for reuse while keeping capacity.
+/// discipline applied to protocol bookkeeping).  The free list holds the
+/// retired index nodes themselves (each still naming its slot), so the
+/// id index allocates nothing either once concurrency has peaked.
+/// `State::Recycle()` must clear the slot for reuse while keeping
+/// capacity.
 template <typename State>
 class TxnTable {
  public:
   State& Begin(uint64_t txn) {
-    uint32_t slot;
-    if (!free_.empty()) {
-      slot = free_.back();
-      free_.pop_back();
-    } else {
-      slot = static_cast<uint32_t>(slots_.size());
-      slots_.emplace_back();
+    if (free_.empty()) {
+      const auto slot = static_cast<uint32_t>(slots_.size());
+      const bool inserted = index_.emplace(txn, slot).second;
+      VOODB_CHECK_MSG(inserted, "transaction " << txn << " already active");
+      return slots_.emplace_back();
     }
-    const auto [it, inserted] = index_.emplace(txn, slot);
-    (void)it;
-    VOODB_CHECK_MSG(inserted, "transaction " << txn << " already active");
-    return slots_[slot];
+    Index::node_type node = std::move(free_.back());
+    free_.pop_back();
+    node.key() = txn;
+    auto result = index_.insert(std::move(node));
+    if (!result.inserted) free_.push_back(std::move(result.node));
+    VOODB_CHECK_MSG(result.inserted,
+                    "transaction " << txn << " already active");
+    return slots_[result.position->second];
   }
 
   State* Find(uint64_t txn) {
@@ -123,8 +124,7 @@ class TxnTable {
     VOODB_CHECK_MSG(it != index_.end(),
                     "transaction " << txn << " not active");
     slots_[it->second].Recycle();
-    free_.push_back(it->second);
-    index_.erase(it);
+    free_.push_back(index_.extract(it));
   }
 
   /// Applies `fn(txn_id, state)` to every active transaction.  Iteration
@@ -141,18 +141,20 @@ class TxnTable {
   size_t capacity() const { return slots_.size(); }
 
  private:
-  std::unordered_map<uint64_t, uint32_t> index_;
+  using Index = std::unordered_map<uint64_t, uint32_t>;  // txn -> slot
+
+  Index index_;
   std::vector<State> slots_;
-  std::vector<uint32_t> free_;
+  std::vector<Index::node_type> free_;  // retired nodes, slot kept
 };
 
 /// The protocol interface the Transaction Manager drives.
 class Protocol {
  public:
-  /// Continuation type, matching the LockManager's callback style (the
-  /// scheduler's SmallFunction absorbs it without allocation for small
-  /// captures).
-  using Action = std::function<void()>;
+  /// Continuation type: the scheduler's own action type, so a decision
+  /// (possibly parked in a wait queue first) reaches the event list
+  /// without a heap allocation for the Transaction Manager's captures.
+  using Action = desp::SmallFunction;
 
   explicit Protocol(desp::Scheduler* scheduler);
   virtual ~Protocol();
@@ -193,19 +195,8 @@ class Protocol {
 
   const CcStats& stats() const { return stats_; }
 
-  /// The wait-time distribution feeding PhaseMetrics' lock-wait
-  /// histogram (overridden by the wait-die wrap to expose the
-  /// LockManager's own histogram).
-  virtual const desp::LogHistogram& wait_histogram() const {
-    return stats_.wait_histogram;
-  }
-
-  /// The wrapped LockManager (wait-die only; nullptr otherwise) — keeps
-  /// the pre-subsystem accessor paths alive for tests and diagnostics.
-  virtual const core::LockManager* lock_manager() const { return nullptr; }
-
   /// Registers the `cc.*` counters and histograms with `registry`.
-  virtual void RegisterMetrics(obs::MetricRegistry& registry) const;
+  void RegisterMetrics(obs::MetricRegistry& registry) const;
 
   /// Attaches the span tracer (may be null).  Protocols annotate the
   /// requester's open attempt span with the abort cause at decision time
@@ -216,9 +207,9 @@ class Protocol {
   /// Annotates the ambient trace (the requester's, at decision sites)
   /// with `cause`; no-op without a tracer.
   void NoteAbort(obs::AbortCause cause);
-  /// Fires a decision continuation as a zero-delay event (the
-  /// LockManager's grant idiom — decisions never run inline, so event
-  /// order is independent of the protocol's internal control flow).
+  /// Fires a decision continuation as a zero-delay event (decisions
+  /// never run inline, so event order is independent of the protocol's
+  /// internal control flow).
   void Fire(Action action) { scheduler_->Schedule(0.0, std::move(action)); }
 
   desp::Scheduler* scheduler_;

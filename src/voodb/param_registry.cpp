@@ -563,8 +563,8 @@ ParamRegistry::ParamRegistry() {
   b.System("flush_on_commit", &VoodbConfig::flush_on_commit,
            "force policy: write dirty pages to disk at commit");
   b.System("use_lock_manager", &VoodbConfig::use_lock_manager,
-           "real object-level 2PL with wait-die instead of the fixed "
-           "GETLOCK delay");
+           "real object-level concurrency control (cc_protocol) instead "
+           "of the fixed GETLOCK delay");
   b.System("cc_protocol", &VoodbConfig::cc_protocol,
            "concurrency-control protocol when use_lock_manager is on")
       .Enum({{"no_wait", "nowait"},

@@ -135,7 +135,7 @@ void VoodbSystem::FinishProfile() {
 }
 
 void VoodbSystem::RegisterMetrics() {
-  tm_->RegisterMetrics(metrics_);  // also registers the lock manager
+  tm_->RegisterMetrics(metrics_);  // also registers the cc protocol
   buffering_->RegisterMetrics(metrics_);
   object_manager_->RegisterMetrics(metrics_);
   clustering_->RegisterMetrics(metrics_);
@@ -310,9 +310,7 @@ VoodbSystem::Snapshot VoodbSystem::Take() const {
   s.time = scheduler_->Now();
   s.response_histogram = tm_->response_histogram();
   if (tm_->cc_protocol() != nullptr) {
-    // Under wait_die this reads the wrapped LockManager's histogram —
-    // the pre-subsystem series, unchanged.
-    s.lock_wait_histogram = tm_->cc_protocol()->wait_histogram();
+    s.lock_wait_histogram = tm_->cc_protocol()->stats().wait_histogram;
   }
   s.disk_service_histogram = io_->service_histogram();
   if (tracer_ != nullptr) s.component_histograms = tracer_->components();

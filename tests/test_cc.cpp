@@ -1,16 +1,17 @@
 /// \file test_cc.cpp
 /// \brief Tests for the pluggable concurrency-control subsystem (src/cc):
 /// per-protocol unit semantics, pooled transaction tables, the factory,
-/// and end-to-end VOODB runs under every protocol with determinism.
+/// end-to-end VOODB runs under every protocol with determinism, and
+/// golden outputs pinning the 2PL lock table's event stream.
 #include <gtest/gtest.h>
 
+#include "cc/lock_table.hpp"
 #include "cc/mvcc.hpp"
 #include "cc/occ.hpp"
 #include "cc/protocol.hpp"
-#include "cc/two_phase.hpp"
 #include "desp/random.hpp"
 #include "ocb/workload.hpp"
-#include "voodb/lock_manager.hpp"
+#include "util/check.hpp"
 #include "voodb/system.hpp"
 
 namespace voodb::cc {
@@ -39,19 +40,21 @@ TEST(CcProtocol, KindNames) {
   EXPECT_STREQ(ToString(ProtocolKind::kOcc), "occ");
 }
 
-TEST(CcProtocol, OnlyWaitDieExposesALockManager) {
+TEST(CcProtocol, TwoPhaseKindsShareOneLockTable) {
   desp::Scheduler sched;
   for (const ProtocolKind kind :
        {ProtocolKind::kNoWait, ProtocolKind::kWaitDie,
         ProtocolKind::kDeadlockDetect, ProtocolKind::kMvcc,
         ProtocolKind::kOcc}) {
     const auto protocol = MakeProtocol(kind, &sched);
-    if (kind == ProtocolKind::kWaitDie) {
-      EXPECT_NE(protocol->lock_manager(), nullptr);
-    } else {
-      EXPECT_EQ(protocol->lock_manager(), nullptr);
-    }
+    const bool two_phase = kind == ProtocolKind::kNoWait ||
+                           kind == ProtocolKind::kWaitDie ||
+                           kind == ProtocolKind::kDeadlockDetect;
+    EXPECT_EQ(dynamic_cast<const LockTable*>(protocol.get()) != nullptr,
+              two_phase)
+        << ToString(kind);
   }
+  EXPECT_THROW(LockTable(&sched, ProtocolKind::kMvcc), util::Error);
 }
 
 // --- TxnTable pooling --------------------------------------------------------
@@ -89,7 +92,7 @@ TEST(CcTxnTable, RecycleClearsState) {
 
 TEST(CcNoWait, SharedCompatibleExclusiveAbortsImmediately) {
   desp::Scheduler sched;
-  NoWait2pl cc(&sched);
+  LockTable cc(&sched, ProtocolKind::kNoWait);
   cc.Begin(1, 1);
   cc.Begin(2, 2);
   int granted = 0;
@@ -113,7 +116,7 @@ TEST(CcNoWait, SharedCompatibleExclusiveAbortsImmediately) {
 
 TEST(CcNoWait, ReleaseMakesTheObjectGrantableAgain) {
   desp::Scheduler sched;
-  NoWait2pl cc(&sched);
+  LockTable cc(&sched, ProtocolKind::kNoWait);
   cc.Begin(1, 1);
   cc.Access(1, 10, true, [] {}, [] { FAIL(); });
   sched.Run();
@@ -128,7 +131,7 @@ TEST(CcNoWait, ReleaseMakesTheObjectGrantableAgain) {
 
 TEST(CcNoWait, UpgradeOfOwnSharedLockSucceedsWhenSoleHolder) {
   desp::Scheduler sched;
-  NoWait2pl cc(&sched);
+  LockTable cc(&sched, ProtocolKind::kNoWait);
   cc.Begin(1, 1);
   int granted = 0;
   cc.Access(1, 10, false, [&] { ++granted; }, [] { FAIL(); });
@@ -139,11 +142,11 @@ TEST(CcNoWait, UpgradeOfOwnSharedLockSucceedsWhenSoleHolder) {
   EXPECT_EQ(cc.ActiveTransactions(), 0u);
 }
 
-// --- 2PL wait-die (delegation) ----------------------------------------------
+// --- 2PL wait-die -------------------------------------------------------------
 
 TEST(CcWaitDie, MatchesLockManagerSemantics) {
   desp::Scheduler sched;
-  WaitDie2pl cc(&sched);
+  LockTable cc(&sched, ProtocolKind::kWaitDie);
   cc.Begin(1, 1);  // older
   cc.Begin(2, 2);  // younger
   bool young_granted = false;
@@ -167,16 +170,16 @@ TEST(CcWaitDie, MatchesLockManagerSemantics) {
   EXPECT_TRUE(old_granted);
   cc.Commit(1);
   EXPECT_EQ(cc.ActiveTransactions(), 0u);
-  ASSERT_NE(cc.lock_manager(), nullptr);
-  EXPECT_EQ(cc.lock_manager()->stats().deadlock_aborts, 1u);
-  EXPECT_EQ(cc.lock_manager()->stats().waits, 1u);
+  EXPECT_EQ(cc.stats().aborts_wait_die, 1u);
+  EXPECT_EQ(cc.stats().TotalAborts(), 1u);
+  EXPECT_EQ(cc.stats().waits, 1u);
 }
 
 // --- 2PL deadlock detection --------------------------------------------------
 
 TEST(CcDeadlockDetect, PlainConflictWaitsInsteadOfDying) {
   desp::Scheduler sched;
-  DeadlockDetect2pl cc(&sched);
+  LockTable cc(&sched, ProtocolKind::kDeadlockDetect);
   cc.Begin(1, 1);
   cc.Begin(2, 2);
   cc.Access(1, 10, true, [] {}, [] { FAIL(); });
@@ -197,7 +200,7 @@ TEST(CcDeadlockDetect, PlainConflictWaitsInsteadOfDying) {
 
 TEST(CcDeadlockDetect, TwoTxnCycleAbortsTheClosingRequester) {
   desp::Scheduler sched;
-  DeadlockDetect2pl cc(&sched);
+  LockTable cc(&sched, ProtocolKind::kDeadlockDetect);
   cc.Begin(1, 1);
   cc.Begin(2, 2);
   // T1 holds A, T2 holds B.
@@ -226,7 +229,7 @@ TEST(CcDeadlockDetect, TwoTxnCycleAbortsTheClosingRequester) {
 
 TEST(CcDeadlockDetect, ThreeTxnCycleDetectedThroughTheGraph) {
   desp::Scheduler sched;
-  DeadlockDetect2pl cc(&sched);
+  LockTable cc(&sched, ProtocolKind::kDeadlockDetect);
   for (uint64_t t = 1; t <= 3; ++t) cc.Begin(t, t);
   cc.Access(1, 10, true, [] {}, [] { FAIL(); });
   cc.Access(2, 20, true, [] {}, [] { FAIL(); });
@@ -249,7 +252,7 @@ TEST(CcDeadlockDetect, ThreeTxnCycleDetectedThroughTheGraph) {
 
 TEST(CcDeadlockDetect, UpgradeDeadlockBetweenTwoReaders) {
   desp::Scheduler sched;
-  DeadlockDetect2pl cc(&sched);
+  LockTable cc(&sched, ProtocolKind::kDeadlockDetect);
   cc.Begin(1, 1);
   cc.Begin(2, 2);
   cc.Access(1, 10, false, [] {}, [] { FAIL(); });
@@ -269,6 +272,62 @@ TEST(CcDeadlockDetect, UpgradeDeadlockBetweenTwoReaders) {
   EXPECT_TRUE(t1_x);
   cc.Commit(1);
   EXPECT_EQ(cc.ActiveTransactions(), 0u);
+}
+
+// --- The shared lock table ----------------------------------------------------
+
+TEST(CcLockTable, WakeUpsRunUnderTheWaitersTraceContext) {
+  for (const ProtocolKind kind :
+       {ProtocolKind::kWaitDie, ProtocolKind::kDeadlockDetect}) {
+    desp::Scheduler sched;
+    LockTable cc(&sched, kind);
+    cc.Begin(1, 1);  // the older one waits under either policy
+    cc.Begin(2, 2);
+    cc.Access(2, 10, true, [] {}, [] { FAIL(); });
+    sched.Run();
+    uint32_t woken_under = 0;
+    {
+      desp::TraceScope requester(&sched, 7);
+      cc.Access(1, 10, true, [&] { woken_under = sched.current_trace(); },
+                [] { FAIL(); });
+    }
+    sched.Run();
+    {
+      desp::TraceScope releaser(&sched, 9);
+      cc.Commit(2);
+    }
+    sched.Run();
+    EXPECT_EQ(woken_under, 7u) << ToString(kind);
+    cc.Commit(1);
+  }
+}
+
+TEST(CcLockTable, ReleasingAParkedTransactionDropsItsRequest) {
+  // A transaction released while parked (its abort decided elsewhere)
+  // leaves its queue: its request is never granted, and the waiter
+  // behind it wakes as soon as the holder releases.
+  for (const ProtocolKind kind :
+       {ProtocolKind::kWaitDie, ProtocolKind::kDeadlockDetect}) {
+    desp::Scheduler sched;
+    LockTable cc(&sched, kind);
+    for (uint64_t t = 1; t <= 3; ++t) cc.Begin(t, t);
+    cc.Access(3, 10, true, [] {}, [] { FAIL(); });
+    sched.Run();
+    bool reader_granted = false;
+    bool writer_granted = false;
+    cc.Access(2, 10, false, [&] { reader_granted = true; }, [] { FAIL(); });
+    cc.Access(1, 10, true, [&] { writer_granted = true; }, [] { FAIL(); });
+    sched.Run();
+    EXPECT_EQ(cc.stats().waits, 2u) << ToString(kind);
+    cc.Abort(2);
+    cc.Commit(3);
+    sched.Run();
+    EXPECT_FALSE(reader_granted) << ToString(kind);
+    EXPECT_TRUE(writer_granted) << ToString(kind);
+    EXPECT_TRUE(cc.Holds(1, 10, LockMode::kExclusive)) << ToString(kind);
+    cc.Commit(1);
+    EXPECT_EQ(cc.ActiveTransactions(), 0u) << ToString(kind);
+  }
 }
 
 // --- MVCC --------------------------------------------------------------------
@@ -458,26 +517,21 @@ TEST(CcSystem, EveryProtocolCompletesAContendedRun) {
     EXPECT_EQ(sys.transaction_manager().inflight_pool_live(), 0u)
         << ToString(kind);
     // Restart accounting agrees between the TM and the protocol.
-    if (kind == ProtocolKind::kWaitDie) {
-      ASSERT_NE(protocol->lock_manager(), nullptr);
-      EXPECT_EQ(protocol->lock_manager()->stats().deadlock_aborts,
-                m.transaction_restarts);
-    } else {
-      EXPECT_EQ(protocol->stats().TotalAborts(), m.transaction_restarts)
-          << ToString(kind);
-    }
+    EXPECT_EQ(protocol->stats().TotalAborts(), m.transaction_restarts)
+        << ToString(kind);
   }
 }
 
 TEST(CcSystem, WaitDieIsTheDefaultProtocol) {
   const ocb::ObjectBase base = ocb::ObjectBase::Generate(ContendedWorkload());
   core::VoodbConfig cfg = ProtocolConfig(ProtocolKind::kWaitDie);
+  cfg.cc_protocol = core::VoodbConfig().cc_protocol;
   core::VoodbSystem sys(cfg, &base, nullptr, 13);
   ocb::WorkloadGenerator gen(&base, desp::RandomStream(13));
   sys.RunTransactions(gen, 60);
-  // The pre-subsystem accessor still works: the wrapped LockManager is
-  // reachable through the TM exactly as before the refactor.
-  EXPECT_NE(sys.transaction_manager().lock_manager(), nullptr);
+  const cc::Protocol* protocol = sys.transaction_manager().cc_protocol();
+  ASSERT_NE(protocol, nullptr);
+  EXPECT_EQ(protocol->kind(), ProtocolKind::kWaitDie);
 }
 
 TEST(CcSystem, RunsAreDeterministicPerProtocol) {
@@ -524,7 +578,81 @@ TEST(CcSystem, MetricsExposeCcCounters) {
   ASSERT_EQ(snapshot.counters.count("cc.commits"), 1u);
   EXPECT_GT(snapshot.counters.at("cc.commits"), 0u);
   EXPECT_EQ(snapshot.counters.count("cc.aborts.write_conflict"), 1u);
+  EXPECT_EQ(snapshot.counters.count("cc.upgrades"), 1u);
   EXPECT_EQ(snapshot.histograms.count("cc.version_chain"), 1u);
+}
+
+
+// --- Golden outputs ------------------------------------------------------------
+
+/// Simulated outputs of contended runs under the three 2PL policies,
+/// recorded from the implementation that kept a separate lock table per
+/// policy (wait-die in a standalone lock manager).  The unified table must
+/// reproduce them exactly: any change to grant, wake-up, die or cycle
+/// decisions — or to their event order — moves at least one of them.
+struct TwoPhaseGolden {
+  ProtocolKind kind;
+  uint32_t users;
+  uint64_t seed;
+  uint64_t transactions;
+  uint64_t restarts;
+  double sim_time_ms;
+  uint64_t total_ios;
+  uint64_t requests;
+  uint64_t immediate_grants;
+  uint64_t waits;
+  uint64_t aborts;
+  double lock_wait_sum_ms;
+  uint64_t upgrades;  ///< recorded for wait_die only
+};
+
+constexpr TwoPhaseGolden kTwoPhaseGoldens[] = {
+    {ProtocolKind::kNoWait, 8, 13, 200, 1549, 6340.529979929529, 75, 19689,
+     18140, 0, 1549, 0.0, 0},
+    {ProtocolKind::kNoWait, 8, 29, 200, 1411, 5583.5219398872878, 75, 16492,
+     15081, 0, 1411, 0.0, 0},
+    {ProtocolKind::kWaitDie, 8, 13, 200, 1407, 6231.0277796293403, 75, 19060,
+     17255, 398, 1407, 3779.5335461185191, 176},
+    {ProtocolKind::kWaitDie, 8, 29, 200, 1301, 5723.8328388777309, 75, 16992,
+     15317, 374, 1301, 3509.1257295104288, 167},
+    {ProtocolKind::kDeadlockDetect, 8, 13, 200, 2709, 21560.475000034025, 75,
+     93201, 84449, 6043, 2709, 67318.924016270161, 0},
+    {ProtocolKind::kDeadlockDetect, 8, 29, 200, 3318, 24485.480840012024, 75,
+     107946, 97520, 7108, 3318, 71911.378896331662, 0},
+    {ProtocolKind::kNoWait, 32, 13, 200, 30337, 25108.755730781384, 75,
+     113266, 82929, 0, 30337, 0.0, 0},
+    {ProtocolKind::kWaitDie, 32, 13, 200, 14739, 13881.929340658724, 75,
+     58063, 40630, 2694, 14739, 32722.424954089987, 255},
+    {ProtocolKind::kWaitDie, 32, 29, 200, 13506, 12821.390835492968, 75,
+     53448, 37561, 2381, 13506, 29096.359624935594, 243},
+};
+
+TEST(CcGolden, TwoPhaseRunsReproduceRecordedOutputs) {
+  const ocb::ObjectBase base = ocb::ObjectBase::Generate(ContendedWorkload());
+  for (const TwoPhaseGolden& g : kTwoPhaseGoldens) {
+    core::VoodbConfig cfg = ProtocolConfig(g.kind);
+    cfg.num_users = g.users;
+    cfg.multiprogramming_level = g.users;
+    core::VoodbSystem sys(cfg, &base, nullptr, g.seed);
+    ocb::WorkloadGenerator gen(&base, desp::RandomStream(g.seed));
+    const core::PhaseMetrics m = sys.RunTransactions(gen, g.transactions);
+    const CcStats& stats = sys.transaction_manager().cc_protocol()->stats();
+    const std::string cell = std::string(ToString(g.kind)) + " users=" +
+                             std::to_string(g.users) +
+                             " seed=" + std::to_string(g.seed);
+    EXPECT_EQ(m.transactions, g.transactions) << cell;
+    EXPECT_EQ(m.transaction_restarts, g.restarts) << cell;
+    EXPECT_EQ(m.sim_time_ms, g.sim_time_ms) << cell;
+    EXPECT_EQ(m.total_ios, g.total_ios) << cell;
+    EXPECT_EQ(stats.requests, g.requests) << cell;
+    EXPECT_EQ(stats.immediate_grants, g.immediate_grants) << cell;
+    EXPECT_EQ(stats.waits, g.waits) << cell;
+    EXPECT_EQ(stats.TotalAborts(), g.aborts) << cell;
+    EXPECT_EQ(m.lock_wait_histogram.sum(), g.lock_wait_sum_ms) << cell;
+    if (g.kind == ProtocolKind::kWaitDie) {
+      EXPECT_EQ(stats.upgrades, g.upgrades) << cell;
+    }
+  }
 }
 
 }  // namespace

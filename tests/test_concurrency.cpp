@@ -1,6 +1,6 @@
 /// \file test_concurrency.cpp
-/// \brief End-to-end tests of the lock-manager extension inside the
-/// VOODB system (wait-die restarts, serializable-history invariants).
+/// \brief End-to-end tests of the locking extension inside the VOODB
+/// system (wait-die restarts, termination, latency effects).
 #include <gtest/gtest.h>
 
 #include "desp/random.hpp"
@@ -44,12 +44,12 @@ TEST(Concurrency, ContendedWorkloadCompletesWithRestarts) {
   // Hot-spot write contention with 8 concurrent transactions must
   // produce at least some wait-die aborts.
   EXPECT_GT(m.transaction_restarts, 0u);
-  const LockManager* lm = sys.transaction_manager().lock_manager();
-  ASSERT_NE(lm, nullptr);
-  EXPECT_EQ(lm->stats().deadlock_aborts, m.transaction_restarts);
-  EXPECT_GT(lm->stats().requests, 0u);
+  const cc::Protocol* locks = sys.transaction_manager().cc_protocol();
+  ASSERT_NE(locks, nullptr);
+  EXPECT_EQ(locks->stats().aborts_wait_die, m.transaction_restarts);
+  EXPECT_GT(locks->stats().requests, 0u);
   // All locks were released at the end.
-  EXPECT_EQ(lm->ActiveTransactions(), 0u);
+  EXPECT_EQ(locks->ActiveTransactions(), 0u);
 }
 
 TEST(Concurrency, NoContentionMeansNoRestarts) {
@@ -78,7 +78,7 @@ TEST(Concurrency, LockManagerOffMeansNoLockState) {
   VoodbConfig cfg = ContendedConfig();
   cfg.use_lock_manager = false;
   VoodbSystem sys(cfg, &base, nullptr, 13);
-  EXPECT_EQ(sys.transaction_manager().lock_manager(), nullptr);
+  EXPECT_EQ(sys.transaction_manager().cc_protocol(), nullptr);
   ocb::WorkloadGenerator gen(&base, desp::RandomStream(13));
   EXPECT_EQ(sys.RunTransactions(gen, 60).transaction_restarts, 0u);
 }
