@@ -21,12 +21,9 @@ using voodb::desp::Resource;
 using voodb::desp::Scheduler;
 
 void BM_ScheduleAndRun(benchmark::State& state) {
-  // Second arg sweeps the event-list backend (0 binary / 1 quaternary /
-  // 2 calendar); results are identical, only throughput differs.
   const auto events = static_cast<uint64_t>(state.range(0));
-  const auto kind = static_cast<voodb::desp::EventQueueKind>(state.range(1));
   for (auto _ : state) {
-    Scheduler sched(kind);
+    Scheduler sched;
     uint64_t sum = 0;
     for (uint64_t i = 0; i < events; ++i) {
       sched.Schedule(static_cast<double>(i % 97), [&sum, i] { sum += i; });
@@ -37,15 +34,13 @@ void BM_ScheduleAndRun(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(events));
 }
-BENCHMARK(BM_ScheduleAndRun)
-    ->ArgsProduct({{1000, 10000, 100000}, {0, 1, 2}});
+BENCHMARK(BM_ScheduleAndRun)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_EventChain(benchmark::State& state) {
   // Self-scheduling chain: the common pattern of actors re-arming.
   const auto depth = static_cast<uint64_t>(state.range(0));
-  const auto kind = static_cast<voodb::desp::EventQueueKind>(state.range(1));
   for (auto _ : state) {
-    Scheduler sched(kind);
+    Scheduler sched;
     uint64_t remaining = depth;
     std::function<void()> step = [&] {
       if (--remaining > 0) sched.Schedule(1.0, step);
@@ -57,7 +52,7 @@ void BM_EventChain(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(depth));
 }
-BENCHMARK(BM_EventChain)->ArgsProduct({{1000, 100000}, {0, 1, 2}});
+BENCHMARK(BM_EventChain)->Arg(1000)->Arg(100000);
 
 void BM_ResourceContention(benchmark::State& state) {
   const auto clients = static_cast<uint64_t>(state.range(0));

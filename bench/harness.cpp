@@ -1,7 +1,6 @@
 #include "harness.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -70,12 +69,6 @@ class BenchRecorder {
     w.Key("replications").Value(options_.replications);
     w.Key("transactions").Value(options_.transactions);
     w.Key("threads").Value(static_cast<uint64_t>(options_.threads));
-    // The kernel configuration the numbers were measured under.  Both
-    // knobs are bit-identity-preserving, so identity diffs may strip
-    // them alongside wall_clock_ms — but a perf number without them is
-    // unattributable.
-    w.Key("event_queue").Value(desp::ToString(options_.event_queue));
-    w.Key("fast_lane").Value(options_.fast_lane);
     w.Key("ci_level").Value(0.95);
     w.Key("wall_clock_ms").Value(wall_ms);
     w.Key("sections").BeginArray();
@@ -150,11 +143,8 @@ class BenchRecorder {
 namespace {
 
 /// Declares the common harness flags on `args` (their declarations feed
-/// the generated --help text) and fills a RunOptions.  `event_queue_set`
-/// reports whether --event-queue was passed explicitly (the scenario
-/// path only overrides the config when it was).
-RunOptions DeclareRunFlags(util::CliArgs& args, const std::string& bench_name,
-                           bool* event_queue_set = nullptr) {
+/// the generated --help text) and fills a RunOptions.
+RunOptions DeclareRunFlags(util::CliArgs& args, const std::string& bench_name) {
   RunOptions options;
   options.bench_name = bench_name;
   options.replications = static_cast<uint64_t>(args.GetInt(
@@ -165,13 +155,6 @@ RunOptions DeclareRunFlags(util::CliArgs& args, const std::string& bench_name,
       static_cast<uint64_t>(args.GetInt("seed", 42, "base RNG seed"));
   options.threads = static_cast<size_t>(
       args.GetInt("threads", 0, "farm worker threads; 0 = all cores"));
-  const std::string queue = args.GetString(
-      "event-queue", "binary_heap",
-      "kernel event list (binary_heap | quaternary_heap | calendar_queue)");
-  options.event_queue = desp::ParseEventQueueKind(queue);
-  if (event_queue_set != nullptr) {
-    *event_queue_set = args.Provided("event-queue");
-  }
   options.csv = args.GetBool("csv", false, "CSV output");
   const std::string json = args.GetString(
       "json", "BENCH_" + bench_name + ".json",
@@ -204,8 +187,6 @@ RunOptions ToRunOptions(const exp::ScenarioContext& ctx) {
   options.transactions = ctx.options.transactions;
   options.seed = ctx.options.seed;
   options.threads = ctx.options.threads;
-  options.event_queue = ctx.config.system.event_queue;
-  options.fast_lane = ctx.config.system.fast_lane;
   options.csv = ctx.options.csv;
   if (ctx.scenario != nullptr) options.bench_name = ctx.scenario->name;
   return options;
@@ -218,13 +199,10 @@ int RunScenarioMain(const std::string& scenario_name, int argc,
     const exp::Scenario& scenario =
         exp::ScenarioRegistry::Instance().At(scenario_name);
     util::CliArgs args(argc, argv);
-    bool event_queue_set = false;
     RunOptions options = DeclareRunFlags(
-        args,
-        bench_name != nullptr ? std::string(bench_name)
-                              : BenchNameFromArgv0(argc > 0 ? argv[0]
-                                                            : nullptr),
-        &event_queue_set);
+        args, bench_name != nullptr
+                  ? std::string(bench_name)
+                  : BenchNameFromArgv0(argc > 0 ? argv[0] : nullptr));
     const std::vector<std::string> sets = args.GetList(
         "set",
         "override a model parameter (name=value, repeatable; enum values "
@@ -239,16 +217,6 @@ int RunScenarioMain(const std::string& scenario_name, int argc,
                     "need at least 2 replications for confidence intervals");
 
     std::vector<exp::ParamOverride> overrides;
-    if (event_queue_set && scenario.system_config_used) {
-      // An emulator-only scenario has no simulation kernel: accept the
-      // shared --event-queue flag as the legacy binaries did (results
-      // are identical at any value) instead of rejecting it as a
-      // discarded system override.
-      overrides.emplace_back(
-          "event_queue",
-          ToString(desp::ParseEventQueueKind(
-              args.GetString("event-queue", "binary_heap"))));
-    }
     for (const std::string& assignment : sets) {
       const size_t eq = assignment.find('=');
       VOODB_CHECK_MSG(eq != std::string::npos && eq > 0,
@@ -256,28 +224,6 @@ int RunScenarioMain(const std::string& scenario_name, int argc,
       overrides.emplace_back(assignment.substr(0, eq),
                              assignment.substr(eq + 1));
     }
-
-    // Resolve the kernel knobs the run will actually execute under
-    // (scenario base + --set overrides; RunScenario itself validates the
-    // overrides, this is presentation only) so the run header and the
-    // report metadata name the configuration the numbers belong to.
-    desp::EventQueueKind kernel_queue = scenario.base.system.event_queue;
-    bool kernel_lane = scenario.base.system.fast_lane;
-    for (const auto& [name, value] : overrides) {
-      if (name == "event_queue") {
-        kernel_queue = desp::ParseEventQueueKind(value);
-      } else if (name == "fast_lane") {
-        std::string lower = value;
-        std::transform(lower.begin(), lower.end(), lower.begin(),
-                       [](unsigned char c) { return std::tolower(c); });
-        kernel_lane = lower == "true" || lower == "yes" || lower == "on" ||
-                      lower == "1";
-      }
-    }
-    options.event_queue = kernel_queue;
-    options.fast_lane = kernel_lane;
-    std::cout << "[kernel] event_queue=" << desp::ToString(kernel_queue)
-              << " fast_lane=" << (kernel_lane ? "on" : "off") << "\n";
 
     BenchRecorder::Instance().Configure(options);
     exp::ScenarioOptions scenario_options;

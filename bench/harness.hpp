@@ -22,8 +22,6 @@
 ///   --seed=N           base RNG seed
 ///   --threads=N        farm worker threads (default 0 = all cores;
 ///                      results are identical at any value)
-///   --event-queue=K    kernel event-list backend (binary | quaternary |
-///                      calendar; results are identical at any value)
 ///   --csv              emit CSV instead of an aligned table
 ///   --json=PATH        result file (default BENCH_<name>.json; "off"
 ///                      disables)
@@ -35,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "desp/event_queue.hpp"
 #include "desp/replication.hpp"
 #include "desp/stats.hpp"
 #include "exp/scenario.hpp"
@@ -50,13 +47,6 @@ struct RunOptions {
   uint64_t transactions = 1000;
   uint64_t seed = 42;
   size_t threads = 0;  ///< farm workers; 0 = all hardware threads
-  /// Kernel event-list backend for the simulation runs; results are
-  /// bit-identical across backends, only wall clock changes.
-  desp::EventQueueKind event_queue = desp::EventQueueKind::kBinaryHeap;
-  /// Zero-delay fast-lane state (`fast_lane` parameter); like the
-  /// backend choice it is a pure wall-clock knob, recorded into the
-  /// report so perf numbers are attributable to a kernel configuration.
-  bool fast_lane = true;
   bool csv = false;
   std::string bench_name;  ///< derived from argv[0] ("fig06_...")
   std::string json;        ///< output path; empty = disabled
@@ -68,7 +58,7 @@ RunOptions ParseOptions(int argc, const char* const* argv,
                         const std::string& description);
 
 /// The harness view of a resolved scenario context (replication /
-/// protocol knobs from the options, event queue from the config).
+/// protocol knobs from the options).
 RunOptions ToRunOptions(const exp::ScenarioContext& ctx);
 
 /// The shared entry point behind every per-figure wrapper binary and

@@ -16,9 +16,7 @@
 #include "exp/executor.hpp"
 #include "harness.hpp"
 #include "micro_cc.hpp"
-#include "micro_hotpath.hpp"
 #include "micro_parallel.hpp"
-#include "micro_scheduler.hpp"
 #include "micro_storage.hpp"
 #include "micro_trace.hpp"
 #include "ocb/workload.hpp"
@@ -624,7 +622,6 @@ void RegisterAblationPlacement() {
             [&](uint64_t seed, desp::MetricSink& sink) {
               core::VoodbConfig cfg = o2 ? core::SystemCatalog::O2()
                                          : core::SystemCatalog::Texas();
-              cfg.event_queue = options.event_queue;
               // Re-apply the run's system overrides on this preset
               // (workload ones already shaped the base above).
               const core::ParamRegistry& registry =
@@ -1271,38 +1268,6 @@ void RegisterMicroBenches() {
         "are not used.";
     s.system_config_used = false;
     s.run = RunMicroCcScenario;
-    Register(std::move(s));
-  }
-  {
-    Scenario s;
-    s.name = "micro_scheduler";
-    s.title = "Micro: DES kernel event throughput vs legacy kernel";
-    s.description =
-        "Schedule+fire throughput of every EventQueue backend against an "
-        "embedded copy of the pre-refactor shared_ptr/std::function "
-        "kernel.  Protocol knobs: --transactions=N chains of 200 events "
-        "per trial (default 1000 = the legacy 200k-event workload), "
-        "--replications=N timed trials.  Model parameters are not used.";
-    s.system_config_used = false;
-    s.run = RunMicroSchedulerScenario;
-    Register(std::move(s));
-  }
-  {
-    Scenario s;
-    s.name = "micro_hotpath";
-    s.title = "Micro: zero-delay fast lane vs embedded heap-only baseline";
-    s.description =
-        "The contention-regime hot path: a ~94% zero-delay continuation "
-        "storm and a strictly-positive-delay control, each timed as "
-        "paired trials of the fast-lane scheduler against an embedded "
-        "verbatim copy of the pre-lane heap-only kernel.  Every cell is "
-        "digest-checked (baseline vs lane-off vs lane-on executed event "
-        "keys) before timing and the scenario fails on divergence.  "
-        "Protocol knobs: --transactions=N users (N*200 events per "
-        "trial), --replications=N paired trials.  Model parameters are "
-        "not used.";
-    s.system_config_used = false;
-    s.run = RunMicroHotpathScenario;
     Register(std::move(s));
   }
   {

@@ -42,11 +42,8 @@ double RunEmulator(TargetSystem system, const ocb::ObjectBase& base,
 
 core::PhaseMetrics RunSimulation(const core::VoodbConfig& sim_config,
                                  const ocb::ObjectBase& base,
-                                 uint64_t transactions, uint64_t seed,
-                                 desp::EventQueueKind event_queue) {
-  core::VoodbConfig cfg = sim_config;
-  cfg.event_queue = event_queue;
-  core::VoodbSystem sys(cfg, &base, nullptr, seed);
+                                 uint64_t transactions, uint64_t seed) {
+  core::VoodbSystem sys(sim_config, &base, nullptr, seed);
   ocb::WorkloadGenerator gen(&base, desp::RandomStream(seed).Derive(1));
   return sys.RunTransactions(gen, transactions);
 }
@@ -59,9 +56,8 @@ desp::ReplicationResult ReplicateSimulation(
   return ReplicateResult(
       options, options.seed ^ 0x5151,
       [&](uint64_t seed, desp::MetricSink& sink) {
-        const core::PhaseMetrics m = RunSimulation(
-            sim_config, base, options.transactions, seed,
-            options.event_queue);
+        const core::PhaseMetrics m =
+            RunSimulation(sim_config, base, options.transactions, seed);
         sink.Observe("value", static_cast<double>(m.total_ios));
         sink.ObserveHistogram("response_ms", m.response_histogram);
         sink.ObserveHistogram("disk_service_ms", m.disk_service_histogram);
@@ -194,12 +190,9 @@ DstcRun DstcOnEmulator(const ocb::ObjectBase& base, double memory_mb,
 
 DstcRun DstcOnSimulation(const ocb::ObjectBase& base,
                          const core::VoodbConfig& sim_base,
-                         uint64_t transactions, uint64_t seed,
-                         desp::EventQueueKind event_queue) {
-  core::VoodbConfig cfg = sim_base;
-  cfg.event_queue = event_queue;
-  core::VoodbSystem sys(cfg, &base, std::make_unique<cluster::DstcPolicy>(),
-                        seed);
+                         uint64_t transactions, uint64_t seed) {
+  core::VoodbSystem sys(sim_base, &base,
+                        std::make_unique<cluster::DstcPolicy>(), seed);
   ocb::WorkloadGenerator gen(&base, desp::RandomStream(seed).Derive(1));
   DstcRun run;
   const core::PhaseMetrics pre = sys.RunTransactionsOfKind(
@@ -266,8 +259,8 @@ DstcComparison RunDstcExperiment(const RunOptions& options, double memory_mb,
       }));
   const desp::ReplicationResult sim_result = ReplicateResult(
       options, options.seed, [&](uint64_t seed, desp::MetricSink& sink) {
-        const DstcRun run = DstcOnSimulation(
-            base, sim_base, options.transactions, seed, options.event_queue);
+        const DstcRun run =
+            DstcOnSimulation(base, sim_base, options.transactions, seed);
         ObserveDstcRun(run, sink);
         sink.ObserveHistogram("response_pre_ms", run.response_pre);
         sink.ObserveHistogram("response_post_ms", run.response_post);

@@ -43,7 +43,7 @@ int Usage(std::ostream& os, int code) {
         "                                 print the parameter registry\n"
         "  voodb run <scenario> [--set name=value ...] [--replications=N]\n"
         "            [--transactions=N] [--seed=N] [--threads=N]\n"
-        "            [--event-queue=K] [--csv] [--json=PATH]\n"
+        "            [--csv] [--json=PATH]\n"
         "  voodb trace record|replay|analyze [flags]\n"
         "                                 access traces: record a run,\n"
         "                                 replay it under any buffer, or\n"

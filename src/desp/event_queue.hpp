@@ -1,30 +1,18 @@
 /// \file event_queue.hpp
-/// \brief Pluggable event-list data structures for the DESP scheduler.
+/// \brief The DESP scheduler's event list: a binary heap of event keys.
 ///
 /// The scheduler separates *what* an event is (an arena slot holding the
 /// action, owned by `Scheduler`) from *where the next event comes from*
-/// (this interface).  A queue entry is just the ordering key plus the
-/// arena slot index, so backends move 32-byte PODs around instead of
-/// reference-counted closures.
-///
-/// Every backend must produce the exact same total order — earliest time
-/// first, then highest priority, then lowest insertion sequence — so that
-/// simulation results are bit-identical no matter which backend runs them
-/// (verified by tests/test_kernel_determinism.cpp).  Pick a backend for
-/// speed, never for semantics:
-///
-///   * kBinaryHeap     — the reference; best for small/unknown workloads.
-///   * kQuaternaryHeap — shallower tree, fewer cache misses per sift;
-///                       usually fastest on schedule-heavy workloads.
-///   * kCalendar       — O(1) amortized bucket queue (Brown's calendar
-///                       queue); shines when event times are spread
-///                       uniformly, e.g. many independent actors.
+/// (this heap).  A heap entry is just the ordering key plus the arena
+/// slot index, so sifts move 32-byte PODs around instead of
+/// reference-counted closures.  The order is total — earliest time first,
+/// then highest priority, then lowest insertion sequence — which makes
+/// every simulation bit-reproducible.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <string>
+#include <vector>
 
 namespace voodb::desp {
 
@@ -54,52 +42,62 @@ struct QueuedEvent {
   uint32_t slot = 0;
 };
 
-/// The available event-list backends.
-enum class EventQueueKind {
-  kBinaryHeap,
-  kQuaternaryHeap,
-  kCalendar,
-};
-
-/// "binary" / "quaternary" / "calendar".
-const char* ToString(EventQueueKind kind);
-
-/// Parses a backend name — canonical "binary_heap" / "quaternary_heap" /
-/// "calendar_queue", short "binary" / "quaternary" ("4ary") / "calendar"
-/// ("bucket"), or the numeric ordinals "0" / "1" / "2" kept for
-/// back-compat with old sweep grids — and throws voodb::util::Error
-/// listing the valid choices on anything else.
-EventQueueKind ParseEventQueueKind(const std::string& name);
-
-/// A priority queue of QueuedEvents ordered by FiresBefore.
+/// An implicit binary min-heap of QueuedEvents ordered by FiresBefore.
 class EventQueue {
  public:
-  virtual ~EventQueue() = default;
-
-  /// Backend name (matches ParseEventQueueKind spellings).
-  virtual const char* name() const = 0;
-
-  virtual void Push(const QueuedEvent& event) = 0;
+  void Push(const QueuedEvent& event) {
+    heap_.push_back(event);
+    SiftUp(heap_.size() - 1);
+  }
 
   /// Removes and returns the first event.  Precondition: !Empty().
-  virtual QueuedEvent PopMin() = 0;
+  QueuedEvent PopMin() {
+    const QueuedEvent min = heap_.front();
+    heap_.front() = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) SiftDown(0);
+    return min;
+  }
 
   /// The first event without removing it.  Precondition: !Empty().
-  virtual QueuedEvent Min() const = 0;
+  const QueuedEvent& Min() const { return heap_.front(); }
 
-  virtual size_t Size() const = 0;
-  bool Empty() const { return Size() == 0; }
+  size_t Size() const { return heap_.size(); }
+  bool Empty() const { return heap_.empty(); }
+  void Clear() { heap_.clear(); }
 
-  virtual void Clear() = 0;
+  /// Pre-sizes the storage for `events` pending entries.
+  void Reserve(size_t events) { heap_.reserve(events); }
 
-  /// Hints that up to `events` entries will be pending at once so the
-  /// backend can pre-size its storage.  Never changes ordering; the
-  /// default is a no-op for backends without a useful notion of
-  /// capacity (the calendar queue sizes its buckets from population).
-  virtual void Reserve(size_t events) { (void)events; }
+ private:
+  void SiftUp(size_t i) {
+    const QueuedEvent moving = heap_[i];
+    while (i > 0) {
+      const size_t parent = (i - 1) / 2;
+      if (!FiresBefore(moving.key, heap_[parent].key)) break;
+      heap_[i] = heap_[parent];
+      i = parent;
+    }
+    heap_[i] = moving;
+  }
+
+  void SiftDown(size_t i) {
+    const QueuedEvent moving = heap_[i];
+    const size_t n = heap_.size();
+    for (;;) {
+      size_t best = 2 * i + 1;
+      if (best >= n) break;
+      if (best + 1 < n && FiresBefore(heap_[best + 1].key, heap_[best].key)) {
+        ++best;
+      }
+      if (!FiresBefore(heap_[best].key, moving.key)) break;
+      heap_[i] = heap_[best];
+      i = best;
+    }
+    heap_[i] = moving;
+  }
+
+  std::vector<QueuedEvent> heap_;
 };
-
-/// Creates a backend instance.
-std::unique_ptr<EventQueue> MakeEventQueue(EventQueueKind kind);
 
 }  // namespace voodb::desp

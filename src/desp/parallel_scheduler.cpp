@@ -15,7 +15,7 @@ ParallelScheduler::ParallelScheduler(Options options)
                       << options.window << ")");
   schedulers_.reserve(options.partitions);
   for (size_t i = 0; i < options.partitions; ++i) {
-    schedulers_.push_back(std::make_unique<Scheduler>(options.queue));
+    schedulers_.push_back(std::make_unique<Scheduler>());
   }
   const size_t n = options.partitions;
   edge_delay_.assign(n * n, kInfinity);

@@ -38,6 +38,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "desp/scheduler.hpp"
@@ -55,8 +56,6 @@ class ParallelScheduler {
  public:
   struct Options {
     size_t partitions = 1;
-    /// Event-list backend for every partition.
-    EventQueueKind queue = EventQueueKind::kBinaryHeap;
     /// Explicit window width; 0 derives it from the minimum registered
     /// edge delay.  An explicit window must not exceed that minimum, or
     /// the protocol would no longer be conservative.

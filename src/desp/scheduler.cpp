@@ -8,13 +8,6 @@ bool EventHandle::pending() const {
   return scheduler_ != nullptr && scheduler_->IsPending(slot_, generation_);
 }
 
-Scheduler::Scheduler(EventQueueKind kind) : queue_(MakeEventQueue(kind)) {}
-
-Scheduler::Scheduler(std::unique_ptr<EventQueue> queue)
-    : queue_(std::move(queue)) {
-  VOODB_CHECK_MSG(queue_ != nullptr, "scheduler needs an event queue");
-}
-
 EventHandle Scheduler::Schedule(SimTime delay, Action action, int priority) {
   VOODB_CHECK_MSG(delay >= 0.0, "cannot schedule into the past (delay="
                                     << delay << ")");
@@ -33,17 +26,17 @@ EventHandle Scheduler::ScheduleAt(SimTime when, Action action, int priority) {
   record.in_queue = true;
   record.tag = current_tag_;
   record.trace = current_trace_;
-  if (lane_enabled_ && when == now_) {
+  if (when == now_) {
     // Zero-delay fast lane: all lane entries share time == now_, so a
     // per-priority FIFO ring preserves the (time, priority, seq) order
-    // without touching the O(log n) queue.  The lane drains before the
+    // without touching the O(log n) heap.  The lane drains before the
     // clock can advance (see PopNext), so the time never goes stale.
     record.in_lane = true;
     LanePush(priority, slot);
     ++stats_.lane_pushes;
   } else {
     record.in_lane = false;
-    queue_->Push(QueuedEvent{record.key, slot});
+    queue_.Push(QueuedEvent{record.key, slot});
     ++stats_.heap_pushes;
   }
   ++pending_;
@@ -92,7 +85,7 @@ bool Scheduler::Cancel(EventHandle& handle) {
     if (lane_cancelled_ * 2 > lane_size_) CompactLane();
   } else {
     ++cancelled_in_queue_;
-    if (cancelled_in_queue_ * 2 > queue_->Size()) Compact();
+    if (cancelled_in_queue_ * 2 > queue_.Size()) Compact();
   }
   return true;
 }
@@ -120,8 +113,8 @@ void Scheduler::FreeSlot(uint32_t slot) {
 void Scheduler::Compact() {
   std::vector<QueuedEvent> live;
   live.reserve(pending_);
-  while (!queue_->Empty()) {
-    const QueuedEvent event = queue_->PopMin();
+  while (!queue_.Empty()) {
+    const QueuedEvent event = queue_.PopMin();
     if (arena_[event.slot].cancelled) {
       FreeSlot(event.slot);
     } else {
@@ -129,16 +122,16 @@ void Scheduler::Compact() {
     }
   }
   cancelled_in_queue_ = 0;
-  for (const QueuedEvent& event : live) queue_->Push(event);
+  for (const QueuedEvent& event : live) queue_.Push(event);
   ++stats_.compactions;
 }
 
 void Scheduler::SkimCancelled() {
   if (cancelled_in_queue_ == 0) return;  // the common, branch-only case
-  while (!queue_->Empty()) {
-    const QueuedEvent min = queue_->Min();
+  while (!queue_.Empty()) {
+    const QueuedEvent min = queue_.Min();
     if (!arena_[min.slot].cancelled) return;
-    queue_->PopMin();
+    queue_.PopMin();
     FreeSlot(min.slot);
     --cancelled_in_queue_;
     ++stats_.skims;
@@ -222,10 +215,10 @@ void Scheduler::CompactLane() {
 bool Scheduler::PopNext(QueuedEvent* out) {
   LaneRing* ring = lane_size_ > 0 ? LaneHead() : nullptr;
   if (ring == nullptr) {
-    // Heap-only path: the pre-lane Step() loop, with lazy skimming.
+    // Heap-only path, with lazy skimming.
     for (;;) {
-      if (queue_->Empty()) return false;
-      const QueuedEvent event = queue_->PopMin();
+      if (queue_.Empty()) return false;
+      const QueuedEvent event = queue_.PopMin();
       if (arena_[event.slot].cancelled) {
         FreeSlot(event.slot);
         --cancelled_in_queue_;
@@ -238,15 +231,15 @@ bool Scheduler::PopNext(QueuedEvent* out) {
     }
   }
   // Merge: the lane head carries time == now_, so it can only lose to a
-  // queue entry at the same timestamp with higher priority or lower seq.
-  // Because the clock only advances through a queue event with a later
+  // heap entry at the same timestamp with higher priority or lower seq.
+  // Because the clock only advances through a heap event with a later
   // time — reachable only once the lane is empty — every lane entry
   // still satisfies time == now_ when it surfaces here.
   const uint32_t slot = ring->slots[ring->head & (ring->slots.size() - 1)];
   const EventKey lane_key = arena_[slot].key;
   SkimCancelled();
-  if (!queue_->Empty() && FiresBefore(queue_->Min().key, lane_key)) {
-    *out = queue_->PopMin();
+  if (!queue_.Empty() && FiresBefore(queue_.Min().key, lane_key)) {
+    *out = queue_.PopMin();
     ++stats_.heap_pops;
     return true;
   }
@@ -260,14 +253,14 @@ bool Scheduler::PopNext(QueuedEvent* out) {
 bool Scheduler::PeekNextTime(SimTime* time) {
   LaneRing* ring = lane_size_ > 0 ? LaneHead() : nullptr;
   if (ring != nullptr) {
-    // == Now(), which is <= every queue entry, so the lane head time is
+    // == Now(), which is <= every heap entry, so the lane head time is
     // the merged minimum whenever the lane is non-empty.
     *time = arena_[ring->slots[ring->head & (ring->slots.size() - 1)]].key.time;
     return true;
   }
   SkimCancelled();
-  if (queue_->Empty()) return false;
-  *time = queue_->Min().key.time;
+  if (queue_.Empty()) return false;
+  *time = queue_.Min().key.time;
   return true;
 }
 
@@ -324,6 +317,9 @@ SimTime Scheduler::NextEventTime() {
 }
 
 void Scheduler::RunUntil(SimTime deadline) {
+  VOODB_CHECK_MSG(deadline >= now_,
+                  "cannot run until a time in the past (deadline="
+                      << deadline << ", now=" << now_ << ")");
   stopped_ = false;
   while (!stopped_) {
     SimTime next;
@@ -338,8 +334,8 @@ void Scheduler::RunUntil(SimTime deadline) {
 
 void Scheduler::Reserve(size_t events) {
   arena_.reserve(events);
-  queue_->Reserve(events);
-  if (!lane_enabled_ || events == 0) return;
+  queue_.Reserve(events);
+  if (events == 0) return;
   // Pre-size the default-priority ring: a same-timestamp burst can
   // approach the full pending population (every user's decision
   // continuation lands at one instant under contention).

@@ -11,26 +11,21 @@
 /// pooled slab arena and are referenced by intrusive, generation-counted
 /// `EventHandle`s (no per-event `shared_ptr`), the action is a
 /// small-buffer-optimized callable (no `std::function` heap spill for
-/// actor-sized captures), and the event list itself is a pluggable
-/// `EventQueue` moving 32-byte (key, slot) entries.  All queue backends
-/// produce bit-identical simulations; pick one with the `kind`
-/// constructor argument (`VoodbConfig::event_queue` at the system level,
-/// `--event-queue=` on the benches).
+/// actor-sized captures), and the event list itself is a binary heap
+/// (`EventQueue`, held by value) moving 32-byte (key, slot) entries.
 ///
-/// On top of the pluggable queue sits a *zero-delay fast lane* (a
-/// calendar-queue-style "now bucket"): events scheduled at exactly
-/// `Now()` — the dominant pattern once every object access under a
-/// cc::Protocol fires a same-timestamp decision continuation — go into
-/// per-priority FIFO rings instead of the O(log n) heap.  Because every
-/// lane entry shares `time == Now()`, FIFO order within a ring *is* seq
-/// order, ring priority order breaks the priority tie, and `Step()`
-/// merges the lane head against the heap head with the full
-/// (time, priority desc, seq) comparison — so execution order is
-/// bit-identical with the lane on or off (see SetLaneEnabled).
+/// Beside the heap sits a *zero-delay fast lane* (a calendar-queue-style
+/// "now bucket"): events scheduled at exactly `Now()` — the dominant
+/// pattern once every object access under a cc::Protocol fires a
+/// same-timestamp decision continuation — go into per-priority FIFO
+/// rings instead of the O(log n) heap.  Because every lane entry shares
+/// `time == Now()`, FIFO order within a ring *is* seq order, ring
+/// priority order breaks the priority tie, and `Step()` merges the lane
+/// head against the heap head with the full (time, priority desc, seq)
+/// comparison — so execution order is exactly the heap-only order.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -82,21 +77,20 @@ class EventHandle {
 /// observability layer can register them without adding any hot-path
 /// indirection (each is one `uint64_t` increment).
 struct QueueStats {
-  uint64_t heap_pushes = 0;   ///< entries pushed into the pluggable queue
-  uint64_t heap_pops = 0;     ///< live entries popped from the queue
+  uint64_t heap_pushes = 0;   ///< entries pushed into the binary heap
+  uint64_t heap_pops = 0;     ///< live entries popped from the heap
   uint64_t lane_pushes = 0;   ///< zero-delay entries taken by the fast lane
   uint64_t lane_pops = 0;     ///< live entries popped from the fast lane
   uint64_t skims = 0;         ///< lazily-deleted entries dropped at a head
-  uint64_t compactions = 0;   ///< queue/lane rebuilds triggered by Cancel
+  uint64_t compactions = 0;   ///< heap/lane rebuilds triggered by Cancel
 };
 
-/// Discrete-event scheduler: pluggable event list + slab arena + clock.
+/// Discrete-event scheduler: binary heap + fast lane + slab arena + clock.
 class Scheduler {
  public:
   using Action = SmallFunction;
 
-  explicit Scheduler(EventQueueKind kind = EventQueueKind::kBinaryHeap);
-  explicit Scheduler(std::unique_ptr<EventQueue> queue);
+  Scheduler() = default;
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
@@ -122,6 +116,7 @@ class Scheduler {
 
   /// Runs until the clock would pass `deadline` (events at exactly
   /// `deadline` are executed), the list drains, or Stop() is called.
+  /// `deadline` must not lie before Now(): the clock never runs backwards.
   void RunUntil(SimTime deadline);
 
   /// Executes every event with time strictly below `end` (or until the
@@ -148,29 +143,18 @@ class Scheduler {
   /// Total number of events executed since construction.
   uint64_t ExecutedEvents() const { return executed_; }
 
-  /// Event-list entries (queue + fast lane) including lazily-deleted
+  /// Event-list entries (heap + fast lane) including lazily-deleted
   /// cancelled ones.  The scheduler compacts each structure whenever its
   /// cancelled entries outnumber its live ones, so
   /// QueueEntries() < 2 * PendingEvents() + 1 always holds after a
   /// Cancel.  Exposed for tests and diagnostics.
-  size_t QueueEntries() const { return queue_->Size() + lane_size_; }
+  size_t QueueEntries() const { return queue_.Size() + lane_size_; }
 
   /// Fast-lane entries including lazily-deleted cancelled ones.
   /// Exposed for tests and diagnostics.
   size_t LaneEntries() const { return lane_size_; }
 
-  /// The active event-list backend's name ("binary", ...).
-  const char* queue_name() const { return queue_->name(); }
-
-  /// Enables or disables the zero-delay fast lane (default: enabled).
-  /// A pure performance knob: execution order is bit-identical either
-  /// way.  Disabling routes future schedules through the pluggable
-  /// queue; events already in the lane drain normally, so the toggle is
-  /// safe at any time.
-  void SetLaneEnabled(bool enabled) { lane_enabled_ = enabled; }
-  bool lane_enabled() const { return lane_enabled_; }
-
-  /// Pre-sizes the slab arena, the queue backend, and the fast lane for
+  /// Pre-sizes the slab arena, the binary heap, and the fast lane for
   /// roughly `events` concurrently pending events, so steady-state runs
   /// never reallocate on the schedule/fire hot path.  Purely a capacity
   /// hint; never changes behavior.
@@ -185,8 +169,8 @@ class Scheduler {
   const QueueStats& queue_stats() const { return stats_; }
 
   /// Observes every fired event's key, in execution order, before its
-  /// action runs.  Used by the kernel bit-identity tests to diff event
-  /// traces across queue backends; null (the default) disables tracing.
+  /// action runs.  Used by the kernel tests to diff or digest event
+  /// traces; null (the default) disables tracing.
   using TraceFn = void (*)(void* ctx, const EventKey& key);
   void SetTraceHook(TraceFn fn, void* ctx) {
     trace_ = fn;
@@ -258,7 +242,7 @@ class Scheduler {
     uint32_t generation = 0;
     bool cancelled = false;
     bool in_queue = false;   ///< queued (live or lazily-deleted)
-    bool in_lane = false;    ///< resident in the fast lane, not the queue
+    bool in_lane = false;    ///< resident in the fast lane, not the heap
     uint16_t tag = 0;        ///< profiling tag (ambient at schedule time)
     uint32_t trace = 0;      ///< trace context (ambient at schedule time)
     uint32_t next_free = 0;  ///< free-list link when not allocated
@@ -278,9 +262,9 @@ class Scheduler {
   uint32_t AllocSlot();
   void FreeSlot(uint32_t slot);
   bool IsPending(uint32_t slot, uint32_t generation) const;
-  /// Rebuilds the pluggable queue keeping only live entries.
+  /// Rebuilds the heap keeping only live entries.
   void Compact();
-  /// Pops lazily-deleted entries off the front of the queue.
+  /// Pops lazily-deleted entries off the front of the heap.
   void SkimCancelled();
   /// Appends `slot` to the ring for `priority`, creating/growing it.
   void LanePush(int priority, uint32_t slot);
@@ -294,7 +278,7 @@ class Scheduler {
   /// Rewrites every ring in place keeping only live entries (FIFO order
   /// preserved; the lane analogue of Compact()).
   void CompactLane();
-  /// Removes and returns the merged (lane vs queue) minimum into `out`;
+  /// Removes and returns the merged (lane vs heap) minimum into `out`;
   /// false when no live event remains.
   bool PopNext(QueuedEvent* out);
   /// Time of the merged next live event; false when none remains.
@@ -311,12 +295,11 @@ class Scheduler {
   size_t pending_ = 0;
   size_t cancelled_in_queue_ = 0;
   bool stopped_ = false;
-  bool lane_enabled_ = true;
   std::vector<LaneRing> lanes_;  ///< sorted by priority descending
   size_t lane_size_ = 0;         ///< lane entries incl. lazily-deleted
   size_t lane_cancelled_ = 0;
   QueueStats stats_;
-  std::unique_ptr<EventQueue> queue_;
+  EventQueue queue_;
   std::vector<EventRecord> arena_;
   uint32_t free_head_ = kNoSlot;
   TraceFn trace_ = nullptr;

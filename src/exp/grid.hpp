@@ -90,7 +90,7 @@ std::vector<GridCell> RunGrid(const SweepGrid& grid,
 /// `VoodbConfig` (including its disk timings) and `OcbParameters` is a
 /// valid axis — numeric fields take their value directly, booleans take
 /// 0/1, and enums (e.g. "system_class", "page_replacement",
-/// "event_queue") take their enumerator ordinal.  Values are range- and
+/// "cc_protocol") take their enumerator ordinal.  Values are range- and
 /// integrality-checked; errors name the parameter and suggest the
 /// nearest name.  Run `voodb params` for the full axis list.
 void ApplyAxis(core::ExperimentConfig& config, const std::string& axis,

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "cc/kind.hpp"
-#include "desp/event_queue.hpp"
 #include "storage/disk_model.hpp"
 #include "storage/placement.hpp"
 #include "storage/replacement.hpp"
@@ -47,16 +46,6 @@ struct VoodbConfig {
   SystemClass system_class = SystemClass::kPageServer;  ///< SYSCLASS
   /// NETTHRU in MB/s; <= 0 means infinite throughput (no network delay).
   double network_throughput_mbps = 1.0;
-  /// Event-list backend of the simulation kernel.  A pure performance
-  /// knob: results are bit-identical under every backend (sweep it with
-  /// bench_micro_scheduler or the "event_queue" grid axis).
-  desp::EventQueueKind event_queue = desp::EventQueueKind::kBinaryHeap;
-  /// Zero-delay fast lane of the simulation kernel (the "now bucket"):
-  /// events scheduled at exactly the current simulated time bypass the
-  /// event queue through per-priority FIFO rings.  Like event_queue, a
-  /// pure performance knob — execution order is bit-identical either
-  /// way (tests/test_scheduler_lane.cpp holds it to that).
-  bool fast_lane = true;
 
   // --- Buffering Manager ---------------------------------------------------
   uint32_t page_size = 4096;       ///< PGSIZE

@@ -486,7 +486,7 @@ class Builder {
 #if defined(__x86_64__) && defined(__linux__)
 static_assert(sizeof(storage::DiskParameters) == 24,
               "DiskParameters changed: update the parameter registry");
-static_assert(sizeof(VoodbConfig) == 336,
+static_assert(sizeof(VoodbConfig) == 328,
               "VoodbConfig changed: update the parameter registry");
 static_assert(sizeof(ocb::OcbParameters) == 232,
               "OcbParameters changed: update the parameter registry");
@@ -504,15 +504,6 @@ ParamRegistry::ParamRegistry() {
              {"db_server"}});
   b.System("network_throughput_mbps", &VoodbConfig::network_throughput_mbps,
            "NETTHRU in MB/s; <= 0 means infinite (no network delay)");
-  b.System("event_queue", &VoodbConfig::event_queue,
-           "kernel event-list backend; metrics are bit-identical across "
-           "backends (pure perf knob)")
-      .Enum({{"binary_heap", "binary", "heap"},
-             {"quaternary_heap", "quaternary", "4ary"},
-             {"calendar_queue", "calendar", "bucket"}});
-  b.System("fast_lane", &VoodbConfig::fast_lane,
-           "kernel zero-delay fast lane (now bucket); execution order is "
-           "bit-identical on or off (pure perf knob)");
   b.System("page_size", &VoodbConfig::page_size,
            "PGSIZE: disk page size in bytes")
       .Range(512);

@@ -185,7 +185,6 @@ ShardedVoodb::ShardedVoodb(VoodbConfig config, const ocb::ObjectBase* base,
 
   desp::ParallelScheduler::Options kernel_options;
   kernel_options.partitions = n;
-  kernel_options.queue = config_.event_queue;
   kernel_options.window = config_.sim_window;
   kernel_ = std::make_unique<desp::ParallelScheduler>(kernel_options);
   if (n > 1) kernel_->SetUniformEdgeDelay(CrossShardDelayMs());

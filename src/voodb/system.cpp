@@ -14,8 +14,7 @@ VoodbSystem::VoodbSystem(VoodbConfig config, const ocb::ObjectBase* base,
     : config_(config),
       base_(base),
       owned_scheduler_(scheduler == nullptr
-                           ? std::make_unique<desp::Scheduler>(
-                                 config.event_queue)
+                           ? std::make_unique<desp::Scheduler>()
                            : nullptr),
       scheduler_(scheduler == nullptr ? owned_scheduler_.get() : scheduler),
       rng_(seed) {
@@ -53,7 +52,6 @@ VoodbSystem::VoodbSystem(VoodbConfig config, const ocb::ObjectBase* base,
     io_->SetTracer(tracer_.get());
     network_->SetTracer(tracer_.get());
   }
-  scheduler_->SetLaneEnabled(config_.fast_lane);
   // Pre-size the kernel for the steady-state event population so
   // contention-scale runs never reallocate on the schedule/fire hot
   // path: each user keeps a few events pending (think timer, submit

@@ -1,34 +1,23 @@
 /// \file test_event_queue.cpp
-/// \brief EventQueue backends: ordering, and the scheduler property test
-/// against a naive sorted-vector reference model.
+/// \brief The binary-heap EventQueue's ordering, and the scheduler
+/// property test against a naive sorted-vector reference model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "desp/event_queue.hpp"
 #include "desp/random.hpp"
 #include "desp/scheduler.hpp"
-#include "util/check.hpp"
+#include "event_list_param.hpp"
 
 namespace voodb::desp {
 namespace {
 
-const EventQueueKind kAllKinds[] = {EventQueueKind::kBinaryHeap,
-                                    EventQueueKind::kQuaternaryHeap,
-                                    EventQueueKind::kCalendar};
-
-class EventQueueTest : public ::testing::TestWithParam<EventQueueKind> {};
-
-TEST_P(EventQueueTest, NameRoundTrips) {
-  auto queue = MakeEventQueue(GetParam());
-  EXPECT_EQ(ParseEventQueueKind(queue->name()), GetParam());
-}
+class EventQueueTest : public ::testing::TestWithParam<EventList> {};
 
 TEST_P(EventQueueTest, DrainsInKeyOrderWithTies) {
-  auto queue = MakeEventQueue(GetParam());
+  EventQueue queue;
   RandomStream rng(17);
   std::vector<QueuedEvent> events;
   for (uint32_t i = 0; i < 2000; ++i) {
@@ -37,7 +26,7 @@ TEST_P(EventQueueTest, DrainsInKeyOrderWithTies) {
     key.priority = static_cast<int>(rng.UniformInt(-2, 2));
     key.seq = i;
     events.push_back(QueuedEvent{key, i});
-    queue->Push(events.back());
+    queue.Push(events.back());
   }
   std::vector<QueuedEvent> expected = events;
   std::sort(expected.begin(), expected.end(),
@@ -45,31 +34,31 @@ TEST_P(EventQueueTest, DrainsInKeyOrderWithTies) {
               return FiresBefore(a.key, b.key);
             });
   for (const QueuedEvent& want : expected) {
-    ASSERT_FALSE(queue->Empty());
-    const QueuedEvent min = queue->Min();
-    const QueuedEvent got = queue->PopMin();
+    ASSERT_FALSE(queue.Empty());
+    const QueuedEvent min = queue.Min();
+    const QueuedEvent got = queue.PopMin();
     EXPECT_EQ(min.slot, got.slot);
     EXPECT_EQ(got.slot, want.slot);
   }
-  EXPECT_TRUE(queue->Empty());
+  EXPECT_TRUE(queue.Empty());
 }
 
 TEST_P(EventQueueTest, InterleavedPushPopKeepsOrder) {
-  auto queue = MakeEventQueue(GetParam());
+  EventQueue queue;
   RandomStream rng(99);
   std::vector<QueuedEvent> reference;  // sorted ascending
   double now = 0.0;
   uint64_t seq = 0;
   uint32_t slot = 0;
   for (int op = 0; op < 5000; ++op) {
-    if (queue->Empty() || rng.Bernoulli(0.6)) {
+    if (queue.Empty() || rng.Bernoulli(0.6)) {
       EventKey key;
       // Never schedule into the past, like the scheduler guarantees.
       key.time = now + rng.Uniform(0.0, 20.0);
       key.priority = static_cast<int>(rng.UniformInt(-1, 1));
       key.seq = seq++;
       const QueuedEvent event{key, slot++};
-      queue->Push(event);
+      queue.Push(event);
       reference.insert(
           std::upper_bound(reference.begin(), reference.end(), event,
                            [](const QueuedEvent& a, const QueuedEvent& b) {
@@ -77,38 +66,36 @@ TEST_P(EventQueueTest, InterleavedPushPopKeepsOrder) {
                            }),
           event);
     } else {
-      const QueuedEvent got = queue->PopMin();
+      const QueuedEvent got = queue.PopMin();
       ASSERT_FALSE(reference.empty());
       EXPECT_EQ(got.slot, reference.front().slot);
       now = got.key.time;
       reference.erase(reference.begin());
     }
-    EXPECT_EQ(queue->Size(), reference.size());
+    EXPECT_EQ(queue.Size(), reference.size());
   }
 }
 
 TEST_P(EventQueueTest, ClearEmptiesAndStaysUsable) {
-  auto queue = MakeEventQueue(GetParam());
+  EventQueue queue;
   for (uint32_t i = 0; i < 100; ++i) {
-    queue->Push(QueuedEvent{EventKey{static_cast<double>(i), 0, i}, i});
+    queue.Push(QueuedEvent{EventKey{static_cast<double>(i), 0, i}, i});
   }
-  queue->Clear();
-  EXPECT_TRUE(queue->Empty());
-  queue->Push(QueuedEvent{EventKey{1.0, 0, 0}, 7});
-  EXPECT_EQ(queue->PopMin().slot, 7u);
+  queue.Clear();
+  EXPECT_TRUE(queue.Empty());
+  queue.Push(QueuedEvent{EventKey{1.0, 0, 0}, 7});
+  EXPECT_EQ(queue.PopMin().slot, 7u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllBackends, EventQueueTest, ::testing::ValuesIn(kAllKinds),
-    [](const ::testing::TestParamInfo<EventQueueKind>& info) {
-      return std::string(ToString(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(AllBackends, EventQueueTest,
+                         ::testing::Values(EventList::kBinaryHeap),
+                         EventListName);
 
 // --- Randomized property test: Scheduler vs a naive reference model --------
 
 /// The reference semantics of the scheduler: a sorted vector of live
 /// events popped front-first.  Deliberately naive — no lazy deletion, no
-/// arena, no buckets — so any disagreement implicates the real kernel.
+/// arena, no fast lane — so any disagreement implicates the real kernel.
 class ReferenceModel {
  public:
   struct Event {
@@ -151,12 +138,11 @@ class ReferenceModel {
   uint64_t seq_ = 0;
 };
 
-class SchedulerPropertyTest
-    : public ::testing::TestWithParam<EventQueueKind> {};
+class SchedulerPropertyTest : public ::testing::TestWithParam<EventList> {};
 
 TEST_P(SchedulerPropertyTest, MatchesReferenceModelUnderRandomOps) {
   for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
-    Scheduler scheduler(GetParam());
+    Scheduler scheduler;
     ReferenceModel reference;
     RandomStream rng(seed);
     std::vector<uint64_t> fired_real;
@@ -216,17 +202,13 @@ TEST_P(SchedulerPropertyTest, MatchesReferenceModelUnderRandomOps) {
       if (!stepped) break;
       fired_reference.push_back(ref_id);
     }
-    EXPECT_EQ(fired_real, fired_reference) << "backend "
-                                           << ToString(GetParam()) << " seed "
-                                           << seed;
+    EXPECT_EQ(fired_real, fired_reference) << "seed " << seed;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllBackends, SchedulerPropertyTest, ::testing::ValuesIn(kAllKinds),
-    [](const ::testing::TestParamInfo<EventQueueKind>& info) {
-      return std::string(ToString(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(AllBackends, SchedulerPropertyTest,
+                         ::testing::Values(EventList::kBinaryHeap),
+                         EventListName);
 
 // --- Intrusive-handle edge cases --------------------------------------------
 
@@ -276,61 +258,55 @@ TEST(SchedulerHandles, DefaultConstructedHandleIsInert) {
 // --- Lazy-delete compaction --------------------------------------------------
 
 TEST(SchedulerCompaction, CancelledEntriesNeverExceedHalfTheQueue) {
-  for (EventQueueKind kind : kAllKinds) {
-    Scheduler s(kind);
-    std::vector<EventHandle> handles;
-    handles.reserve(4096);
-    for (int i = 0; i < 4096; ++i) {
-      handles.push_back(
-          s.Schedule(static_cast<double>((i * 17) % 101), [] {}));
-    }
-    // Cancel everything but one; without compaction the queue would keep
-    // all 4096 entries until they surface.
-    for (size_t i = 0; i + 1 < handles.size(); ++i) {
-      EXPECT_TRUE(s.Cancel(handles[i]));
-      EXPECT_LE(s.QueueEntries(), 2 * s.PendingEvents() + 1)
-          << ToString(kind);
-    }
-    EXPECT_EQ(s.PendingEvents(), 1u);
-    EXPECT_LE(s.QueueEntries(), 3u);
-    int fired = 0;
-    while (s.Step()) ++fired;
-    EXPECT_EQ(fired, 1);
+  Scheduler s;
+  std::vector<EventHandle> handles;
+  handles.reserve(4096);
+  for (int i = 0; i < 4096; ++i) {
+    handles.push_back(s.Schedule(static_cast<double>((i * 17) % 101), [] {}));
   }
+  // Cancel everything but one; without compaction the queue would keep
+  // all 4096 entries until they surface.
+  for (size_t i = 0; i + 1 < handles.size(); ++i) {
+    EXPECT_TRUE(s.Cancel(handles[i]));
+    EXPECT_LE(s.QueueEntries(), 2 * s.PendingEvents() + 1);
+  }
+  EXPECT_EQ(s.PendingEvents(), 1u);
+  EXPECT_LE(s.QueueEntries(), 3u);
+  int fired = 0;
+  while (s.Step()) ++fired;
+  EXPECT_EQ(fired, 1);
 }
 
 TEST(SchedulerCompaction, CompactionPreservesFiringOrder) {
-  for (EventQueueKind kind : kAllKinds) {
-    Scheduler s(kind);
-    RandomStream rng(5);
-    std::vector<EventHandle> handles;
-    std::vector<int> expected;
-    std::vector<int> fired;
-    for (int i = 0; i < 1000; ++i) {
-      const double t = static_cast<double>(rng.UniformInt(0, 200));
-      handles.push_back(s.Schedule(t, [i, &fired] { fired.push_back(i); }));
-    }
-    // Cancel two thirds (forces several compactions).
-    for (int i = 0; i < 1000; ++i) {
-      if (i % 3 != 0) {
-        s.Cancel(handles[i]);
-      }
-    }
-    for (int i = 0; i < 1000; i += 3) expected.push_back(i);
-    s.Run();
-    // Survivors fire in (time, seq) order; since seq order equals index
-    // order here, a stable sort of indices by their times matches.
-    std::vector<int> sorted = expected;
-    // Recompute times deterministically with a fresh stream.
-    RandomStream rng2(5);
-    std::vector<double> times;
-    for (int i = 0; i < 1000; ++i) {
-      times.push_back(static_cast<double>(rng2.UniformInt(0, 200)));
-    }
-    std::stable_sort(sorted.begin(), sorted.end(),
-                     [&](int a, int b) { return times[a] < times[b]; });
-    EXPECT_EQ(fired, sorted) << ToString(kind);
+  Scheduler s;
+  RandomStream rng(5);
+  std::vector<EventHandle> handles;
+  std::vector<int> expected;
+  std::vector<int> fired;
+  for (int i = 0; i < 1000; ++i) {
+    const double t = static_cast<double>(rng.UniformInt(0, 200));
+    handles.push_back(s.Schedule(t, [i, &fired] { fired.push_back(i); }));
   }
+  // Cancel two thirds (forces several compactions).
+  for (int i = 0; i < 1000; ++i) {
+    if (i % 3 != 0) {
+      s.Cancel(handles[i]);
+    }
+  }
+  for (int i = 0; i < 1000; i += 3) expected.push_back(i);
+  s.Run();
+  // Survivors fire in (time, seq) order; since seq order equals index
+  // order here, a stable sort of indices by their times matches.
+  std::vector<int> sorted = expected;
+  // Recompute times deterministically with a fresh stream.
+  RandomStream rng2(5);
+  std::vector<double> times;
+  for (int i = 0; i < 1000; ++i) {
+    times.push_back(static_cast<double>(rng2.UniformInt(0, 200)));
+  }
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [&](int a, int b) { return times[a] < times[b]; });
+  EXPECT_EQ(fired, sorted);
 }
 
 }  // namespace

@@ -116,15 +116,15 @@ TEST(ApplyAxisTest, BindsKnownAxesAndRejectsUnknown) {
   ApplyAxis(config, "multiprogramming_level", 4);
   ApplyAxis(config, "num_objects", 1000);
   ApplyAxis(config, "think_time_ms", 2.5);
-  ApplyAxis(config, "event_queue", 2);
+  ApplyAxis(config, "cc_protocol", 4);
   EXPECT_EQ(config.system.buffer_pages, 256u);
   EXPECT_EQ(config.system.multiprogramming_level, 4u);
   EXPECT_EQ(config.workload.num_objects, 1000u);
   EXPECT_DOUBLE_EQ(config.workload.think_time_ms, 2.5);
-  EXPECT_EQ(config.system.event_queue, desp::EventQueueKind::kCalendar);
+  EXPECT_EQ(config.system.cc_protocol, cc::ProtocolKind::kOcc);
   EXPECT_THROW(ApplyAxis(config, "no_such_axis", 1.0), util::Error);
-  EXPECT_THROW(ApplyAxis(config, "event_queue", 3.0), util::Error);
-  EXPECT_FALSE(IsWorkloadAxis("event_queue"));
+  EXPECT_THROW(ApplyAxis(config, "cc_protocol", 5.0), util::Error);
+  EXPECT_FALSE(IsWorkloadAxis("cc_protocol"));
   // Integral fields reject fractional or negative sweep values.
   EXPECT_THROW(ApplyAxis(config, "buffer_pages", 0.5), util::Error);
   EXPECT_THROW(ApplyAxis(config, "buffer_pages", -1.0), util::Error);

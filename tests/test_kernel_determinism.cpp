@@ -1,26 +1,27 @@
 /// \file test_kernel_determinism.cpp
-/// \brief Bit-identity of full VOODB experiments across event-queue
-/// backends and farm thread counts.
+/// \brief Golden event traces of full VOODB runs, and bit-identity of
+/// experiments across farm thread counts.
 ///
-/// The kernel refactor's contract: the event-list backend is a pure
-/// performance knob.  These tests pin it down two ways —
+/// The kernel's contract is a fixed total order of events — time, then
+/// priority descending, then insertion seq.  These tests pin it down two
+/// ways —
 ///
-///  1. the event *trace* (first 10k fired (time, priority, seq) keys) of
-///     a full VOODB experiment replication is identical under every
-///     backend, i.e. the kernels execute the very same event sequence
-///     (this is the old-vs-new regression: the binary heap is the
-///     reference semantics of the pre-refactor `std::priority_queue`
-///     kernel, whose tie-breaking contract test_scheduler.cpp pins);
-///  2. the reduced `PhaseMetrics`/replication statistics are bit-equal
-///     across every (backend × thread count) combination.
+///  1. the event *trace* (the fired (time, priority, seq) keys, folded
+///     into an FNV-1a digest) of two full VOODB runs matches a recorded
+///     golden: a small page-server experiment with crash hazards
+///     (Cancel/re-arm paths), and a contended wait-die run whose
+///     same-timestamp decision continuations send most events through
+///     the zero-delay fast lane.  Any change to the event list, the lane
+///     or the lane/heap merge that reorders a single event breaks them;
+///  2. the reduced replication statistics are bit-equal at every farm
+///     thread count.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <string>
-#include <type_traits>
 #include <vector>
 
-#include "desp/event_queue.hpp"
 #include "desp/scheduler.hpp"
 #include "ocb/workload.hpp"
 #include "voodb/experiment.hpp"
@@ -28,12 +29,6 @@
 
 namespace voodb::core {
 namespace {
-
-const desp::EventQueueKind kAllKinds[] = {
-    desp::EventQueueKind::kBinaryHeap,
-    desp::EventQueueKind::kQuaternaryHeap,
-    desp::EventQueueKind::kCalendar,
-};
 
 ExperimentConfig SmallExperiment() {
   ExperimentConfig ec;
@@ -54,116 +49,104 @@ ExperimentConfig SmallExperiment() {
   return ec;
 }
 
-struct Trace {
-  std::vector<desp::EventKey> keys;
-  static constexpr size_t kLimit = 10000;
+/// Folds the first `limit` fired keys into a 64-bit FNV-1a digest: the
+/// time's IEEE-754 bits (8 bytes), the priority (4 bytes) and the seq
+/// (8 bytes), each least-significant byte first.
+struct TraceDigest {
+  uint64_t limit = UINT64_MAX;
+  uint64_t events = 0;
+  uint64_t hash = 14695981039346656037ull;  // FNV-1a offset basis
+
+  void Mix(uint64_t value, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      hash ^= (value >> (8 * i)) & 0xff;
+      hash *= 1099511628211ull;  // FNV-1a prime
+    }
+  }
+
   static void Record(void* ctx, const desp::EventKey& key) {
-    auto* self = static_cast<Trace*>(ctx);
-    if (self->keys.size() < kLimit) self->keys.push_back(key);
+    auto* self = static_cast<TraceDigest*>(ctx);
+    if (self->events == self->limit) return;
+    ++self->events;
+    uint64_t time_bits;
+    std::memcpy(&time_bits, &key.time, sizeof(time_bits));
+    self->Mix(time_bits, 8);
+    self->Mix(static_cast<uint32_t>(key.priority), 4);
+    self->Mix(key.seq, 8);
   }
 };
 
-/// Runs one replication of the experiment with `kind`, capturing the
-/// fired-event trace and the hot-phase metrics.
-PhaseMetrics TracedRun(desp::EventQueueKind kind, const ocb::ObjectBase& base,
-                       Trace* trace) {
-  ExperimentConfig ec = SmallExperiment();
-  ec.system.event_queue = kind;
+TEST(KernelDeterminism, SmallExperimentTraceMatchesGolden) {
+  const ExperimentConfig ec = SmallExperiment();
+  const ocb::ObjectBase base = ocb::ObjectBase::Generate(ec.workload);
   VoodbSystem system(ec.system, &base, nullptr, /*seed=*/1234);
-  system.scheduler().SetTraceHook(&Trace::Record, trace);
+  TraceDigest trace;
+  trace.limit = 10000;
+  system.scheduler().SetTraceHook(&TraceDigest::Record, &trace);
   ocb::WorkloadGenerator workload(&base, desp::RandomStream(1234).Derive(1));
   system.RunTransactions(workload, ec.workload.cold_transactions);
-  return system.RunTransactions(workload, ec.workload.hot_transactions);
+  system.RunTransactions(workload, ec.workload.hot_transactions);
+  EXPECT_EQ(trace.events, 8815u);
+  EXPECT_EQ(trace.hash, 0x723a20625ef907b2ull);
 }
 
-// Bit-compare doubles (catches even sign/NaN differences).
-bool BitEqual(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
+TEST(KernelDeterminism, ContendedWaitDieTraceMatchesGolden) {
+  ocb::OcbParameters workload;
+  workload.num_classes = 8;
+  workload.num_objects = 300;
+  workload.max_refs_per_class = 3;
+  workload.base_instance_size = 60;
+  workload.p_update = 0.5;
+  workload.root_region = 6;
+  workload.seed = 111;
+  const ocb::ObjectBase base = ocb::ObjectBase::Generate(workload);
+  VoodbConfig cfg;
+  cfg.system_class = SystemClass::kCentralized;
+  cfg.page_size = 1024;
+  cfg.buffer_pages = 128;
+  cfg.num_users = 64;
+  cfg.multiprogramming_level = 64;
+  cfg.use_lock_manager = true;
+  cfg.cc_protocol = cc::ProtocolKind::kWaitDie;
+  cfg.get_lock_ms = 0.2;
+  cfg.release_lock_ms = 0.2;
+  VoodbSystem system(cfg, &base, nullptr, /*seed=*/13);
+  TraceDigest trace;
+  system.scheduler().SetTraceHook(&TraceDigest::Record, &trace);
+  ocb::WorkloadGenerator gen(&base, desp::RandomStream(13));
+  system.RunTransactions(gen, 200);
+  // The run must exercise the lane/heap merge, not just the heap.
+  const desp::QueueStats& stats = system.scheduler().queue_stats();
+  EXPECT_GT(stats.lane_pops * 2, system.scheduler().ExecutedEvents());
+  EXPECT_EQ(trace.events, 431957u);
+  EXPECT_EQ(trace.hash, 0x254c4a8abb83f483ull);
 }
 
-bool BitEqual(const desp::LogHistogram& a, const desp::LogHistogram& b) {
-  return a.buckets() == b.buckets() && a.underflow() == b.underflow() &&
-         a.overflow() == b.overflow() && a.count() == b.count() &&
-         BitEqual(a.mean(), b.mean()) && BitEqual(a.stddev(), b.stddev()) &&
-         BitEqual(a.min(), b.min()) && BitEqual(a.max(), b.max());
-}
-
-bool BitEqual(const PhaseMetrics& a, const PhaseMetrics& b) {
-  return a.transactions == b.transactions &&
-         a.object_accesses == b.object_accesses &&
-         a.transaction_restarts == b.transaction_restarts &&
-         a.total_ios == b.total_ios && a.reads == b.reads &&
-         a.writes == b.writes && a.buffer_hits == b.buffer_hits &&
-         a.buffer_requests == b.buffer_requests &&
-         a.network_bytes == b.network_bytes &&
-         BitEqual(a.sim_time_ms, b.sim_time_ms) &&
-         BitEqual(a.mean_response_ms, b.mean_response_ms) &&
-         BitEqual(a.max_response_ms, b.max_response_ms) &&
-         BitEqual(a.response_histogram, b.response_histogram) &&
-         BitEqual(a.lock_wait_histogram, b.lock_wait_histogram) &&
-         BitEqual(a.disk_service_histogram, b.disk_service_histogram);
-}
-
-TEST(KernelDeterminism, EventTraceIsIdenticalAcrossBackends) {
-  const ocb::ObjectBase base =
-      ocb::ObjectBase::Generate(SmallExperiment().workload);
-
-  Trace reference;
-  const PhaseMetrics reference_metrics =
-      TracedRun(desp::EventQueueKind::kBinaryHeap, base, &reference);
-  ASSERT_GE(reference.keys.size(), 1000u)
-      << "experiment too small to exercise the kernel";
-
-  for (desp::EventQueueKind kind : kAllKinds) {
-    Trace trace;
-    const PhaseMetrics metrics = TracedRun(kind, base, &trace);
-    ASSERT_EQ(trace.keys.size(), reference.keys.size())
-        << desp::ToString(kind);
-    for (size_t i = 0; i < trace.keys.size(); ++i) {
-      ASSERT_EQ(trace.keys[i].time, reference.keys[i].time)
-          << desp::ToString(kind) << " event " << i;
-      ASSERT_EQ(trace.keys[i].priority, reference.keys[i].priority)
-          << desp::ToString(kind) << " event " << i;
-      ASSERT_EQ(trace.keys[i].seq, reference.keys[i].seq)
-          << desp::ToString(kind) << " event " << i;
-    }
-    EXPECT_TRUE(BitEqual(metrics, reference_metrics)) << desp::ToString(kind);
-  }
-}
-
-TEST(KernelDeterminism, ExperimentBitIdenticalAcrossBackendsAndThreads) {
+TEST(KernelDeterminism, ExperimentBitIdenticalAcrossThreads) {
   const ExperimentConfig base_config = SmallExperiment();
   const ocb::ObjectBase base =
       ocb::ObjectBase::Generate(base_config.workload);
 
-  // Reference: binary heap, serial farm.
+  // Reference: serial farm.
   ExperimentConfig ref = base_config;
   ref.threads = 1;
   const desp::ReplicationResult reference =
       Experiment::RunOnBase(ref, base);
 
-  for (desp::EventQueueKind kind : kAllKinds) {
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
-      ExperimentConfig ec = base_config;
-      ec.system.event_queue = kind;
-      ec.threads = threads;
-      const desp::ReplicationResult result = Experiment::RunOnBase(ec, base);
-      for (const std::string& metric : reference.MetricNames()) {
-        const desp::Tally& want = reference.Metric(metric);
-        const desp::Tally& got = result.Metric(metric);
-        // Exact equality on every reduced statistic: scheduling order
-        // (threads) and event-list backend must not leak into results.
-        EXPECT_EQ(got.count(), want.count())
-            << metric << " " << desp::ToString(kind) << " t" << threads;
-        EXPECT_EQ(got.mean(), want.mean())
-            << metric << " " << desp::ToString(kind) << " t" << threads;
-        EXPECT_EQ(got.variance(), want.variance())
-            << metric << " " << desp::ToString(kind) << " t" << threads;
-        EXPECT_EQ(got.min(), want.min())
-            << metric << " " << desp::ToString(kind) << " t" << threads;
-        EXPECT_EQ(got.max(), want.max())
-            << metric << " " << desp::ToString(kind) << " t" << threads;
-      }
+  for (size_t threads : {size_t{2}, size_t{4}}) {
+    ExperimentConfig ec = base_config;
+    ec.threads = threads;
+    const desp::ReplicationResult result = Experiment::RunOnBase(ec, base);
+    for (const std::string& metric : reference.MetricNames()) {
+      const desp::Tally& want = reference.Metric(metric);
+      const desp::Tally& got = result.Metric(metric);
+      // Exact equality on every reduced statistic: scheduling order
+      // across farm workers must not leak into results.
+      EXPECT_EQ(got.count(), want.count()) << metric << " t" << threads;
+      EXPECT_EQ(got.mean(), want.mean()) << metric << " t" << threads;
+      EXPECT_EQ(got.variance(), want.variance()) << metric << " t" << threads;
+      EXPECT_EQ(got.min(), want.min()) << metric << " t" << threads;
+      EXPECT_EQ(got.max(), want.max()) << metric << " t" << threads;
     }
   }
 }

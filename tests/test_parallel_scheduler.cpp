@@ -3,6 +3,7 @@
 /// determinism, and the bit-identity contract at every thread count.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -17,15 +18,57 @@ namespace {
 
 // --- RunWindow (the per-partition primitive) -------------------------------
 
-class RunWindowTest : public ::testing::TestWithParam<EventQueueKind> {};
+/// Which of the scheduler's two event stores a test's events wait in
+/// before they fire: the binary heap, the zero-delay lane, or the two in
+/// turn.
+enum class EventPath { kHeap, kLane, kMixed };
+
+/// True if the `n`-th event posted on `path` goes through the lane.
+bool ViaLane(EventPath path, uint64_t n) {
+  return path == EventPath::kLane || (path == EventPath::kMixed && n % 2 == 1);
+}
+
+/// Posts events on one EventPath.  A lane-bound event is posted as a heap
+/// trigger that re-posts it with zero delay, so it still fires at the time
+/// asked for, but out of the lane and one execution later.
+class Poster {
+ public:
+  Poster(Scheduler* s, EventPath path) : s_(s), path_(path) {}
+
+  template <typename F>
+  EventHandle Post(SimTime delay, F action) {
+    if (!ViaLane(path_, posted_++)) return s_->Schedule(delay, action);
+    return s_->Schedule(delay, [this, action] {
+      ++triggers_;
+      s_->Schedule(0.0, action);
+    });
+  }
+
+  /// Runs one window and returns the posted events it executed, not
+  /// counting the lane triggers.
+  uint64_t RunWindow(SimTime end) {
+    const uint64_t triggers_before = triggers_;
+    const uint64_t executed = s_->RunWindow(end);
+    return executed - (triggers_ - triggers_before);
+  }
+
+ private:
+  Scheduler* s_;
+  EventPath path_;
+  uint64_t posted_ = 0;
+  uint64_t triggers_ = 0;
+};
+
+class RunWindowTest : public ::testing::TestWithParam<EventPath> {};
 
 TEST_P(RunWindowTest, ExecutesStrictlyBelowEndAndLeavesClockAlone) {
-  Scheduler s(GetParam());
+  Scheduler s;
+  Poster post(&s, GetParam());
   std::vector<int> fired;
-  s.Schedule(1.0, [&] { fired.push_back(1); });
-  s.Schedule(2.0, [&] { fired.push_back(2); });
-  s.Schedule(3.0, [&] { fired.push_back(3); });
-  EXPECT_EQ(s.RunWindow(2.5), 2u);
+  post.Post(1.0, [&] { fired.push_back(1); });
+  post.Post(2.0, [&] { fired.push_back(2); });
+  post.Post(3.0, [&] { fired.push_back(3); });
+  EXPECT_EQ(post.RunWindow(2.5), 2u);
   EXPECT_EQ(fired, (std::vector<int>{1, 2}));
   // Unlike RunUntil, the clock stays at the last executed event so the
   // next window's timestamps are unperturbed.
@@ -34,43 +77,45 @@ TEST_P(RunWindowTest, ExecutesStrictlyBelowEndAndLeavesClockAlone) {
 }
 
 TEST_P(RunWindowTest, EventExactlyAtEndBelongsToTheNextWindow) {
-  Scheduler s(GetParam());
+  Scheduler s;
+  Poster post(&s, GetParam());
   int fired = 0;
-  s.Schedule(2.0, [&] { ++fired; });
-  EXPECT_EQ(s.RunWindow(2.0), 0u);
+  post.Post(2.0, [&] { ++fired; });
+  EXPECT_EQ(post.RunWindow(2.0), 0u);
   EXPECT_EQ(fired, 0);
-  EXPECT_EQ(s.RunWindow(2.0 + 1e-9), 1u);
+  EXPECT_EQ(post.RunWindow(2.0 + 1e-9), 1u);
   EXPECT_EQ(fired, 1);
 }
 
 TEST_P(RunWindowTest, EventsScheduledInsideTheWindowStillRun) {
-  Scheduler s(GetParam());
+  Scheduler s;
+  Poster post(&s, GetParam());
   std::vector<double> times;
-  s.Schedule(1.0, [&] {
+  post.Post(1.0, [&] {
     times.push_back(s.Now());
-    s.Schedule(0.5, [&] { times.push_back(s.Now()); });  // t=1.5 < end
-    s.Schedule(2.0, [&] { times.push_back(s.Now()); });  // t=3.0 >= end
+    post.Post(0.5, [&] { times.push_back(s.Now()); });  // t=1.5 < end
+    post.Post(2.0, [&] { times.push_back(s.Now()); });  // t=3.0 >= end
   });
-  EXPECT_EQ(s.RunWindow(2.0), 2u);
+  EXPECT_EQ(post.RunWindow(2.0), 2u);
   EXPECT_EQ(times, (std::vector<double>{1.0, 1.5}));
   EXPECT_EQ(s.PendingEvents(), 1u);
 }
 
 TEST_P(RunWindowTest, NextEventTimeSkipsCancelledEntries) {
-  Scheduler s(GetParam());
-  EventHandle doomed = s.Schedule(1.0, [] {});
-  s.Schedule(2.0, [] {});
+  Scheduler s;
+  Poster post(&s, GetParam());
+  EventHandle doomed = post.Post(1.0, [] {});
+  post.Post(2.0, [] {});
   s.Cancel(doomed);
   ASSERT_TRUE(s.HasNextEvent());
   EXPECT_DOUBLE_EQ(s.NextEventTime(), 2.0);
-  Scheduler empty(GetParam());
+  Scheduler empty;
   EXPECT_FALSE(empty.HasNextEvent());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllQueues, RunWindowTest,
-                         ::testing::Values(EventQueueKind::kBinaryHeap,
-                                           EventQueueKind::kQuaternaryHeap,
-                                           EventQueueKind::kCalendar));
+                         ::testing::Values(EventPath::kHeap, EventPath::kLane,
+                                           EventPath::kMixed));
 
 // --- ParallelScheduler ------------------------------------------------------
 
@@ -168,10 +213,12 @@ bool SameKeys(const std::vector<EventKey>& a, const std::vector<EventKey>& b) {
 /// A ring workload: every partition runs self-rescheduling chains with
 /// pseudo-random delays; every few hops it mails the next partition,
 /// which replies.  Exercises windows, mailboxes, and seq assignment.
+/// Hops travel on `path`: a lane-bound hop fires as a zero-delay
+/// follow-up of a heap trigger at the same time.
 class RingWorkload {
  public:
-  RingWorkload(ParallelScheduler* ps, double lookahead)
-      : ps_(ps), lookahead_(lookahead) {
+  RingWorkload(ParallelScheduler* ps, double lookahead, EventPath path)
+      : ps_(ps), lookahead_(lookahead), path_(path) {
     const size_t n = ps->partitions();
     rngs_.reserve(n);
     for (size_t p = 0; p < n; ++p) rngs_.emplace_back(RandomStream(99).Derive(p));
@@ -185,18 +232,25 @@ class RingWorkload {
   void Chain(size_t p, int remaining) {
     if (remaining == 0) return;
     const double delay = rngs_[p].Uniform(0.3, 2.0);
-    ps_->partition(p).Schedule(delay, [this, p, remaining] {
+    auto hop = [this, p, remaining] {
       ++counts_[p];
       if (remaining % 4 == 0) {
         const size_t to = (p + 1) % ps_->partitions();
         ps_->SendTo(p, to, lookahead_ + 0.25, [this, to] { ++counts_[to]; });
       }
       Chain(p, remaining - 1);
-    });
+    };
+    Scheduler& s = ps_->partition(p);
+    if (ViaLane(path_, static_cast<uint64_t>(remaining))) {
+      s.Schedule(delay, [&s, hop] { s.Schedule(0.0, hop); });
+    } else {
+      s.Schedule(delay, hop);
+    }
   }
 
   ParallelScheduler* ps_;
   double lookahead_;
+  EventPath path_;
   std::vector<RandomStream> rngs_;
   std::vector<uint64_t> counts_;
 };
@@ -208,12 +262,12 @@ struct RingRun {
   uint64_t executed = 0;
   uint64_t windows = 0;
   uint64_t cross = 0;
+  uint64_t lane_pops = 0;
 };
 
-RingRun RunRing(size_t partitions, size_t threads, EventQueueKind kind) {
+RingRun RunRing(size_t partitions, size_t threads, EventPath path) {
   ParallelScheduler::Options options;
   options.partitions = partitions;
-  options.queue = kind;
   ParallelScheduler ps(options);
   const double lookahead = 1.5;
   ps.SetUniformEdgeDelay(lookahead);
@@ -221,7 +275,7 @@ RingRun RunRing(size_t partitions, size_t threads, EventQueueKind kind) {
   for (size_t p = 0; p < partitions; ++p) {
     ps.partition(p).SetTraceHook(&KeyTrace::Record, &traces[p]);
   }
-  RingWorkload workload(&ps, lookahead);
+  RingWorkload workload(&ps, lookahead, path);
   RingRun run;
   if (threads <= 1) {
     run.executed = ps.Run(nullptr);
@@ -234,6 +288,7 @@ RingRun RunRing(size_t partitions, size_t threads, EventQueueKind kind) {
   for (size_t p = 0; p < partitions; ++p) {
     run.traces.push_back(std::move(traces[p].keys));
     run.clocks.push_back(ps.partition(p).Now());
+    run.lane_pops += ps.partition(p).queue_stats().lane_pops;
   }
   run.counts = workload.counts();
   run.windows = ps.Windows();
@@ -241,7 +296,7 @@ RingRun RunRing(size_t partitions, size_t threads, EventQueueKind kind) {
   return run;
 }
 
-class ParallelIdentityTest : public ::testing::TestWithParam<EventQueueKind> {};
+class ParallelIdentityTest : public ::testing::TestWithParam<EventPath> {};
 
 TEST_P(ParallelIdentityTest, PooledRunsAreBitIdenticalToSerial) {
   const size_t partitions = 4;
@@ -249,11 +304,14 @@ TEST_P(ParallelIdentityTest, PooledRunsAreBitIdenticalToSerial) {
   ASSERT_GT(serial.executed, 160u);  // chains + cross deliveries all ran
   ASSERT_GT(serial.cross, 0u);
   ASSERT_GT(serial.windows, 1u);  // the window protocol actually engaged
+  // The hops took the path under test.
+  ASSERT_EQ(serial.lane_pops > 0, GetParam() != EventPath::kHeap);
   for (const size_t threads : {2u, 4u, 8u}) {
     const RingRun pooled = RunRing(partitions, threads, GetParam());
     EXPECT_EQ(pooled.executed, serial.executed) << threads << " threads";
     EXPECT_EQ(pooled.windows, serial.windows) << threads << " threads";
     EXPECT_EQ(pooled.cross, serial.cross) << threads << " threads";
+    EXPECT_EQ(pooled.lane_pops, serial.lane_pops) << threads << " threads";
     EXPECT_EQ(pooled.counts, serial.counts) << threads << " threads";
     for (size_t p = 0; p < partitions; ++p) {
       EXPECT_TRUE(SameKeys(pooled.traces[p], serial.traces[p]))
@@ -267,9 +325,8 @@ TEST_P(ParallelIdentityTest, PooledRunsAreBitIdenticalToSerial) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllQueues, ParallelIdentityTest,
-                         ::testing::Values(EventQueueKind::kBinaryHeap,
-                                           EventQueueKind::kQuaternaryHeap,
-                                           EventQueueKind::kCalendar));
+                         ::testing::Values(EventPath::kHeap, EventPath::kLane,
+                                           EventPath::kMixed));
 
 }  // namespace
 }  // namespace voodb::desp

@@ -33,7 +33,7 @@ void ExpectErrorMentions(Fn&& fn, const std::string& needle) {
 // a field was added or removed: update the descriptor table in
 // param_registry.cpp (its sizeof static_asserts fire first on x86-64
 // Linux) and then these counts.
-constexpr size_t kSystemFields = 45;
+constexpr size_t kSystemFields = 43;
 constexpr size_t kDiskFields = 3;
 constexpr size_t kWorkloadFields = 33;
 
@@ -184,36 +184,6 @@ TEST(ParamRegistry, EnumOrdinalsMatchEnumerators) {
   EXPECT_EQ(system.prefetch, PrefetchPolicy::kSequential);
   Registry().Set(target, "reference_distribution", std::string("zipf"));
   EXPECT_EQ(workload.reference_distribution, ocb::Distribution::kZipf);
-}
-
-TEST(ParamRegistry, EventQueueAcceptsNamesAliasesAndNumerics) {
-  VoodbConfig system;
-  const ParamTarget target{&system, nullptr};
-  for (const auto& [spelling, kind] :
-       {std::pair<const char*, desp::EventQueueKind>{
-            "binary_heap", desp::EventQueueKind::kBinaryHeap},
-        {"binary", desp::EventQueueKind::kBinaryHeap},
-        {"quaternary_heap", desp::EventQueueKind::kQuaternaryHeap},
-        {"4ary", desp::EventQueueKind::kQuaternaryHeap},
-        {"calendar_queue", desp::EventQueueKind::kCalendar},
-        {"calendar", desp::EventQueueKind::kCalendar},
-        {"0", desp::EventQueueKind::kBinaryHeap},
-        {"1", desp::EventQueueKind::kQuaternaryHeap},
-        {"2", desp::EventQueueKind::kCalendar}}) {
-    Registry().Set(target, "event_queue", std::string(spelling));
-    EXPECT_EQ(system.event_queue, kind) << spelling;
-  }
-  // Error lists the valid choices.
-  ExpectErrorMentions(
-      [&] { Registry().Set(target, "event_queue", std::string("bogus")); },
-      "binary_heap | quaternary_heap | calendar_queue");
-  // desp's own parser accepts the same spellings (used by --event-queue).
-  EXPECT_EQ(desp::ParseEventQueueKind("calendar_queue"),
-            desp::EventQueueKind::kCalendar);
-  EXPECT_EQ(desp::ParseEventQueueKind("1"),
-            desp::EventQueueKind::kQuaternaryHeap);
-  ExpectErrorMentions([] { desp::ParseEventQueueKind("nope"); },
-                      "binary_heap | quaternary_heap | calendar_queue");
 }
 
 TEST(ParamRegistry, CcProtocolEnumRoundTripsAndSuggestsNearestSpelling) {

@@ -32,7 +32,6 @@ RunOptions SmallRunOptions(uint64_t transactions) {
   options.transactions = transactions;
   options.seed = 42;
   options.threads = 1;
-  options.event_queue = desp::EventQueueKind::kBinaryHeap;
   return options;
 }
 
@@ -50,10 +49,9 @@ TEST(ScenarioCatalog, RegistersEveryPaperFigureTableAndAblation) {
       "ablation_vm_model",   "shard_scale",
       "farm_speedup",        "cc_abyss",
       "ycsb_zipf",           "micro_parallel",
-      "micro_cc",
-      "micro_scheduler",     "micro_hotpath",
-      "micro_storage",       "trace_mrc",
-      "fig08_mrc",           "micro_trace"};
+      "micro_cc",            "micro_storage",
+      "trace_mrc",           "fig08_mrc",
+      "micro_trace"};
   EXPECT_EQ(exp::ScenarioRegistry::Instance().Names(), expected);
 }
 
@@ -137,7 +135,7 @@ TEST(RunScenario, ResolvesOverridesThroughTheRegistry) {
               {{"system_class", "db_server"},
                {"use_lock_manager", "true"},
                {"page_replacement", "gclock"},
-               {"event_queue", "calendar_queue"},
+               {"cc_protocol", "deadlock_detect"},
                {"num_objects", "1234"},
                {"p_update", "0.25"},
                {"p_set", "0.0"},
@@ -146,7 +144,7 @@ TEST(RunScenario, ResolvesOverridesThroughTheRegistry) {
   EXPECT_TRUE(seen.system.use_lock_manager);
   EXPECT_EQ(seen.system.page_replacement,
             storage::ReplacementPolicy::kGclock);
-  EXPECT_EQ(seen.system.event_queue, desp::EventQueueKind::kCalendar);
+  EXPECT_EQ(seen.system.cc_protocol, cc::ProtocolKind::kDeadlockDetect);
   EXPECT_EQ(seen.workload.num_objects, 1234u);
   EXPECT_DOUBLE_EQ(seen.workload.p_update, 0.25);
   EXPECT_EQ(seen.replications, options.replications);

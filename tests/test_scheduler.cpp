@@ -9,25 +9,23 @@
 #include <vector>
 
 #include "desp/scheduler.hpp"
+#include "event_list_param.hpp"
 #include "util/check.hpp"
 
 namespace voodb::desp {
 namespace {
 
-/// The whole suite runs once per event-queue backend: the scheduler's
-/// semantics (ordering, cancellation, RunUntil, Stop) are backend-
-/// independent by contract.
-class SchedulerTest : public ::testing::TestWithParam<EventQueueKind> {};
+class SchedulerTest : public ::testing::TestWithParam<EventList> {};
 
 TEST_P(SchedulerTest, StartsAtTimeZero) {
-  Scheduler s(GetParam());
+  Scheduler s;
   EXPECT_DOUBLE_EQ(s.Now(), 0.0);
   EXPECT_EQ(s.PendingEvents(), 0u);
   EXPECT_FALSE(s.Step());
 }
 
 TEST_P(SchedulerTest, ExecutesInTimeOrder) {
-  Scheduler s(GetParam());
+  Scheduler s;
   std::vector<int> order;
   s.Schedule(3.0, [&] { order.push_back(3); });
   s.Schedule(1.0, [&] { order.push_back(1); });
@@ -39,7 +37,7 @@ TEST_P(SchedulerTest, ExecutesInTimeOrder) {
 }
 
 TEST_P(SchedulerTest, SimultaneousEventsByPriorityThenFifo) {
-  Scheduler s(GetParam());
+  Scheduler s;
   std::vector<std::string> order;
   s.Schedule(1.0, [&] { order.push_back("low-first"); }, 0);
   s.Schedule(1.0, [&] { order.push_back("high"); }, 5);
@@ -50,7 +48,7 @@ TEST_P(SchedulerTest, SimultaneousEventsByPriorityThenFifo) {
 }
 
 TEST_P(SchedulerTest, ClockAdvancesToEventTime) {
-  Scheduler s(GetParam());
+  Scheduler s;
   double seen = -1.0;
   s.Schedule(2.5, [&] { seen = s.Now(); });
   s.Run();
@@ -58,7 +56,7 @@ TEST_P(SchedulerTest, ClockAdvancesToEventTime) {
 }
 
 TEST_P(SchedulerTest, EventsCanScheduleMoreEvents) {
-  Scheduler s(GetParam());
+  Scheduler s;
   std::vector<double> times;
   std::function<void()> chain = [&] {
     times.push_back(s.Now());
@@ -70,7 +68,7 @@ TEST_P(SchedulerTest, EventsCanScheduleMoreEvents) {
 }
 
 TEST_P(SchedulerTest, CancelPreventsExecution) {
-  Scheduler s(GetParam());
+  Scheduler s;
   bool ran = false;
   EventHandle h = s.Schedule(1.0, [&] { ran = true; });
   EXPECT_TRUE(h.pending());
@@ -83,7 +81,7 @@ TEST_P(SchedulerTest, CancelPreventsExecution) {
 }
 
 TEST_P(SchedulerTest, CancelUpdatesPendingCount) {
-  Scheduler s(GetParam());
+  Scheduler s;
   EventHandle h1 = s.Schedule(1.0, [] {});
   s.Schedule(2.0, [] {});
   EXPECT_EQ(s.PendingEvents(), 2u);
@@ -94,7 +92,7 @@ TEST_P(SchedulerTest, CancelUpdatesPendingCount) {
 }
 
 TEST_P(SchedulerTest, CannotCancelFiredEvent) {
-  Scheduler s(GetParam());
+  Scheduler s;
   EventHandle h = s.Schedule(1.0, [] {});
   s.Run();
   EXPECT_FALSE(h.pending());
@@ -102,7 +100,7 @@ TEST_P(SchedulerTest, CannotCancelFiredEvent) {
 }
 
 TEST_P(SchedulerTest, RunUntilStopsAtDeadline) {
-  Scheduler s(GetParam());
+  Scheduler s;
   std::vector<double> times;
   for (double t : {1.0, 2.0, 3.0, 4.0}) {
     s.Schedule(t, [&, t] { times.push_back(t); });
@@ -116,7 +114,7 @@ TEST_P(SchedulerTest, RunUntilStopsAtDeadline) {
 }
 
 TEST_P(SchedulerTest, RunUntilExecutesEventsExactlyAtDeadline) {
-  Scheduler s(GetParam());
+  Scheduler s;
   bool ran = false;
   s.Schedule(2.0, [&] { ran = true; });
   s.RunUntil(2.0);
@@ -124,7 +122,7 @@ TEST_P(SchedulerTest, RunUntilExecutesEventsExactlyAtDeadline) {
 }
 
 TEST_P(SchedulerTest, StopHaltsRun) {
-  Scheduler s(GetParam());
+  Scheduler s;
   int count = 0;
   for (int i = 1; i <= 10; ++i) {
     s.Schedule(i, [&] {
@@ -139,7 +137,7 @@ TEST_P(SchedulerTest, StopHaltsRun) {
 }
 
 TEST_P(SchedulerTest, RejectsSchedulingInThePast) {
-  Scheduler s(GetParam());
+  Scheduler s;
   s.Schedule(5.0, [] {});
   s.Step();
   EXPECT_THROW(s.ScheduleAt(4.0, [] {}), util::Error);
@@ -152,8 +150,31 @@ TEST_P(SchedulerTest, RejectsSchedulingInThePast) {
                util::Error);
 }
 
+TEST_P(SchedulerTest, RunUntilRejectsADeadlineInThePast) {
+  // Winding the clock back to an earlier deadline would let a later
+  // Schedule fire before events that already ran.
+  Scheduler s;
+  std::vector<double> times;
+  for (double t : {5.0, 10.0}) {
+    s.Schedule(t, [&, t] { times.push_back(t); });
+  }
+  s.RunUntil(6.0);
+  try {
+    s.RunUntil(2.0);
+    FAIL() << "RunUntil accepted a deadline before Now()";
+  } catch (const util::Error& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("deadline=2"), std::string::npos) << message;
+    EXPECT_NE(message.find("now=6"), std::string::npos) << message;
+  }
+  EXPECT_DOUBLE_EQ(s.Now(), 6.0);
+  s.RunUntil(6.0);  // a deadline equal to Now() is fine
+  s.Run();
+  EXPECT_EQ(times, (std::vector<double>{5.0, 10.0}));
+}
+
 TEST_P(SchedulerTest, ZeroDelayRunsAtCurrentTime) {
-  Scheduler s(GetParam());
+  Scheduler s;
   std::vector<int> order;
   s.Schedule(1.0, [&] {
     order.push_back(1);
@@ -169,7 +190,7 @@ TEST_P(SchedulerTest, ZeroDelayRunsAtCurrentTime) {
 TEST_P(SchedulerTest, OversizedCapturesSpillToHeapAndStillFire) {
   // Captures beyond SmallFunction's inline budget take the heap path;
   // behaviour (firing, cancellation, eager destruction) must not differ.
-  Scheduler s(GetParam());
+  Scheduler s;
   std::array<uint64_t, 32> big{};  // 256 bytes > kInlineBytes
   for (size_t i = 0; i < big.size(); ++i) big[i] = i;
   uint64_t sum = 0;
@@ -190,7 +211,7 @@ TEST_P(SchedulerTest, StopFromInsideAnEventHaltsRunUntil) {
   // Stop() called mid-RunUntil must halt after the current event, leave
   // the clock at that event (not the deadline), and keep the remaining
   // events pending — windowed execution relies on exactly this.
-  Scheduler s(GetParam());
+  Scheduler s;
   std::vector<double> times;
   for (double t : {1.0, 2.0, 3.0, 4.0}) {
     s.Schedule(t, [&, t] {
@@ -210,7 +231,7 @@ TEST_P(SchedulerTest, EventScheduledExactlyAtDeadlineFromInsideAnEventRuns) {
   // An event firing at the deadline may schedule another event at that
   // same instant; RunUntil's contract ("events at exactly `deadline` are
   // executed") covers the newcomer too.
-  Scheduler s(GetParam());
+  Scheduler s;
   std::vector<int> order;
   s.Schedule(2.0, [&] {
     order.push_back(1);
@@ -227,7 +248,7 @@ TEST_P(SchedulerTest, CancelStormsKeepTheQueueCompacted) {
   // The documented invariant: QueueEntries() < 2 * PendingEvents() + 1
   // after every Cancel.  Re-armed timeouts are the adversarial pattern —
   // schedule far-future events and cancel almost all of them, in waves.
-  Scheduler s(GetParam());
+  Scheduler s;
   for (int wave = 0; wave < 8; ++wave) {
     std::vector<EventHandle> handles;
     for (int i = 0; i < 200; ++i) {
@@ -249,8 +270,8 @@ TEST_P(SchedulerTest, CancelStormsKeepTheQueueCompacted) {
 }
 
 TEST_P(SchedulerTest, ManyEventsStressDeterminism) {
-  auto run = [kind = GetParam()] {
-    Scheduler s(kind);
+  auto run = [] {
+    Scheduler s;
     std::vector<uint64_t> trace;
     for (uint64_t i = 0; i < 1000; ++i) {
       s.Schedule(static_cast<double>((i * 37) % 100),
@@ -263,14 +284,9 @@ TEST_P(SchedulerTest, ManyEventsStressDeterminism) {
   EXPECT_EQ(run(), run());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllBackends, SchedulerTest,
-    ::testing::Values(EventQueueKind::kBinaryHeap,
-                      EventQueueKind::kQuaternaryHeap,
-                      EventQueueKind::kCalendar),
-    [](const ::testing::TestParamInfo<EventQueueKind>& info) {
-      return std::string(ToString(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(AllBackends, SchedulerTest,
+                         ::testing::Values(EventList::kBinaryHeap),
+                         EventListName);
 
 }  // namespace
 }  // namespace voodb::desp

@@ -1,25 +1,27 @@
 /// \file test_scheduler_lane.cpp
-/// \brief The zero-delay fast lane: bit-identity with the lane off, with
-/// a sorted-vector reference model, and under cancellation storms.
+/// \brief The zero-delay fast lane: bit-identity with a linear-scan
+/// reference model, the lane/heap merge, and cancellation storms.
 ///
-/// The lane is a pure performance knob — every test here pins down one
-/// face of that contract: random mixes of zero-delay and positive-delay
-/// events at random priorities must execute in the exact same
-/// (time, priority desc, seq) order with the lane on, with the lane off,
-/// and under the dumbest possible correct scheduler (linear-scan min over
-/// a vector); RunWindow must leave lane events sitting exactly at the
-/// window deadline for the next window; and cancelled lane residents must
-/// be skimmed or compacted without ever reordering the survivors.
+/// The lane must never change execution order — every test here pins
+/// down one face of that contract: random mixes of zero-delay and
+/// positive-delay events at random priorities must execute in the exact
+/// (time, priority desc, seq) order of the dumbest possible correct
+/// scheduler (linear-scan min over a vector); same-timestamp heap and
+/// lane entries must merge under the full key; RunWindow must leave lane
+/// events sitting exactly at the window deadline for the next window; and
+/// cancelled lane residents must be skimmed or compacted without ever
+/// reordering the survivors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <random>
 #include <utility>
 #include <vector>
 
-#include "desp/event_queue.hpp"
 #include "desp/scheduler.hpp"
+#include "event_list_param.hpp"
 
 namespace voodb::desp {
 namespace {
@@ -119,44 +121,51 @@ class ChaosProgram {
   std::mt19937 rng_;
 };
 
-class SchedulerLaneTest : public ::testing::TestWithParam<EventQueueKind> {};
+class SchedulerLaneTest : public ::testing::TestWithParam<EventList> {};
 
 TEST_P(SchedulerLaneTest, ZeroDelayEventsTakeTheLaneOnlyWhenEnabled) {
-  Scheduler on(GetParam());
-  on.Schedule(0.0, [] {});
-  on.Schedule(1.0, [] {});
-  EXPECT_EQ(on.LaneEntries(), 1u);
-  EXPECT_EQ(on.queue_stats().lane_pushes, 1u);
-  EXPECT_EQ(on.queue_stats().heap_pushes, 1u);
-  on.Run();
-  EXPECT_EQ(on.queue_stats().lane_pops, 1u);
-  EXPECT_EQ(on.queue_stats().heap_pops, 1u);
-
-  Scheduler off(GetParam());
-  off.SetLaneEnabled(false);
-  off.Schedule(0.0, [] {});
-  EXPECT_EQ(off.LaneEntries(), 0u);
-  EXPECT_EQ(off.queue_stats().lane_pushes, 0u);
+  // Only events at exactly Now() take the lane; the rest go to the heap.
+  Scheduler s;
+  s.Schedule(0.0, [] {});
+  s.Schedule(1.0, [] {});
+  EXPECT_EQ(s.LaneEntries(), 1u);
+  EXPECT_EQ(s.queue_stats().lane_pushes, 1u);
+  EXPECT_EQ(s.queue_stats().heap_pushes, 1u);
+  s.Run();
+  EXPECT_EQ(s.queue_stats().lane_pops, 1u);
+  EXPECT_EQ(s.queue_stats().heap_pops, 1u);
 }
 
 TEST_P(SchedulerLaneTest, MergePicksTheQueueHeadWhenItFiresFirst) {
-  // Same timestamp split across lane and queue: the queue event with
-  // the higher priority must beat the earlier-seq lane event, and the
-  // queue event with a later seq must lose to it.
-  Scheduler s(GetParam());
+  // Same timestamp split across heap and lane: events scheduled at t=0
+  // with a positive delay still sit in the heap at t=1 when the
+  // highest-priority of them schedules zero-delay events into the lane.
+  // Every heap entry has a lower seq than every lane entry, so the merge
+  // must let the heap win priority ties and the lane win on priority.
+  Scheduler s;
   std::vector<int> order;
-  s.Schedule(0.0, [&] { order.push_back(1); });       // lane, pri 0, seq 0
-  s.SetLaneEnabled(false);
-  s.Schedule(0.0, [&] { order.push_back(2); }, 5);    // queue, pri 5, seq 1
-  s.Schedule(0.0, [&] { order.push_back(3); });       // queue, pri 0, seq 2
-  s.SetLaneEnabled(true);
-  s.Schedule(0.0, [&] { order.push_back(4); }, 5);    // lane, pri 5, seq 3
+  s.Schedule(
+      1.0,
+      [&] {
+        order.push_back(0);
+        EXPECT_EQ(s.LaneEntries(), 0u);
+        s.Schedule(0.0, [&] { order.push_back(5); });     // lane, pri 0
+        s.Schedule(0.0, [&] { order.push_back(3); }, 5);  // lane, pri 5
+        s.Schedule(0.0, [&] { order.push_back(1); }, 7);  // lane, pri 7
+        EXPECT_EQ(s.LaneEntries(), 3u);
+      },
+      9);
+  s.Schedule(1.0, [&] { order.push_back(2); }, 5);   // heap, pri 5
+  s.Schedule(1.0, [&] { order.push_back(4); });      // heap, pri 0
+  s.Schedule(1.0, [&] { order.push_back(6); }, -1);  // heap, pri -1
   s.Run();
-  EXPECT_EQ(order, (std::vector<int>{2, 4, 1, 3}));
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(s.queue_stats().heap_pops, 4u);
+  EXPECT_EQ(s.queue_stats().lane_pops, 3u);
 }
 
 TEST_P(SchedulerLaneTest, LanePriorityRingsFireHighestFirstThenFifo) {
-  Scheduler s(GetParam());
+  Scheduler s;
   std::vector<int> order;
   s.Schedule(0.0, [&] { order.push_back(1); }, 1);
   s.Schedule(0.0, [&] { order.push_back(2); }, 0);
@@ -166,26 +175,17 @@ TEST_P(SchedulerLaneTest, LanePriorityRingsFireHighestFirstThenFifo) {
   EXPECT_EQ(order, (std::vector<int>{3, 1, 2, 4}));
 }
 
-TEST_P(SchedulerLaneTest, PropertyChaosMatchesLaneOffAndReferenceModel) {
+TEST_P(SchedulerLaneTest, PropertyChaosMatchesReferenceModel) {
   for (uint32_t seed : {1u, 7u, 23u, 91u, 1234u}) {
-    KeyTrace lane_on;
+    KeyTrace kernel;
     {
-      Scheduler s(GetParam());
-      s.SetTraceHook(&KeyTrace::Hook, &lane_on);
+      Scheduler s;
+      s.SetTraceHook(&KeyTrace::Hook, &kernel);
       ChaosProgram<Scheduler> program(&s, seed);
       program.SeedRoots(16, 6);
       s.Run();
       EXPECT_GT(s.queue_stats().lane_pops, 0u) << "seed " << seed;
-    }
-    KeyTrace lane_off;
-    {
-      Scheduler s(GetParam());
-      s.SetLaneEnabled(false);
-      s.SetTraceHook(&KeyTrace::Hook, &lane_off);
-      ChaosProgram<Scheduler> program(&s, seed);
-      program.SeedRoots(16, 6);
-      s.Run();
-      EXPECT_EQ(s.queue_stats().lane_pops, 0u) << "seed " << seed;
+      EXPECT_GT(s.queue_stats().heap_pops, 0u) << "seed " << seed;
     }
     ReferenceKernel reference;
     {
@@ -193,9 +193,8 @@ TEST_P(SchedulerLaneTest, PropertyChaosMatchesLaneOffAndReferenceModel) {
       program.SeedRoots(16, 6);
       reference.Run();
     }
-    ASSERT_GT(lane_on.keys.size(), 16u) << "seed " << seed;
-    ExpectSameTrace(lane_on.keys, lane_off.keys, "lane on vs lane off");
-    ExpectSameTrace(lane_on.keys, reference.keys, "lane on vs reference");
+    ASSERT_GT(kernel.keys.size(), 16u) << "seed " << seed;
+    ExpectSameTrace(kernel.keys, reference.keys, "kernel vs reference");
   }
 }
 
@@ -204,7 +203,7 @@ TEST_P(SchedulerLaneTest, RunWindowLeavesLaneEventsExactlyAtTheDeadline) {
   // clock when another partition's earlier events defined the window
   // start.  Lane events carry time == Now() and must wait for a window
   // that strictly covers them.
-  Scheduler s(GetParam());
+  Scheduler s;
   std::vector<int> order;
   s.Schedule(10.0, [&] {
     order.push_back(0);
@@ -229,7 +228,7 @@ TEST_P(SchedulerLaneTest, RunWindowLeavesLaneEventsExactlyAtTheDeadline) {
 TEST_P(SchedulerLaneTest, RunUntilExecutesLaneEventsAtTheDeadline) {
   // RunUntil's contract is inclusive: zero-delay chains spawned by an
   // event at exactly `deadline` run to exhaustion before it returns.
-  Scheduler s(GetParam());
+  Scheduler s;
   std::vector<int> order;
   s.Schedule(2.0, [&] {
     order.push_back(1);
@@ -249,7 +248,7 @@ TEST_P(SchedulerLaneTest, LaneCancelStormKeepsTheLaneCompacted) {
   // residents are lazily removed, and the per-structure compaction bound
   // keeps the documented QueueEntries() < 2 * PendingEvents() + 1
   // invariant through every Cancel.
-  Scheduler s(GetParam());
+  Scheduler s;
   std::vector<int> fired;
   s.Schedule(1.0, [&] {
     std::vector<EventHandle> handles;
@@ -273,50 +272,49 @@ TEST_P(SchedulerLaneTest, LaneCancelStormKeepsTheLaneCompacted) {
 }
 
 TEST_P(SchedulerLaneTest, CompactionNeverReordersSurvivingKeys) {
-  // Storm both structures at once — far-future queue events and
+  // Storm both structures at once — far-future heap events and
   // zero-delay lane events, cancelling enough of each to force Compact()
-  // and CompactLane() — then check the survivors' trace against a
-  // lane-disabled scheduler running the identical program.
-  auto run = [kind = GetParam()](bool lane, KeyTrace* trace) {
-    Scheduler s(kind);
-    s.SetLaneEnabled(lane);
-    s.SetTraceHook(&KeyTrace::Hook, trace);
-    std::vector<EventHandle> timeouts;
-    for (int i = 0; i < 64; ++i) {
-      timeouts.push_back(s.Schedule(100.0 + i, [] {}, i % 3));
+  // and CompactLane() — then check the survivors fire in exact key order.
+  Scheduler s;
+  KeyTrace trace;
+  s.SetTraceHook(&KeyTrace::Hook, &trace);
+  std::vector<EventKey> survivors;
+  std::vector<EventHandle> timeouts;
+  for (int i = 0; i < 64; ++i) {  // seq i
+    timeouts.push_back(s.Schedule(100.0 + i, [] {}, i % 3));
+    if (i % 7 == 0) {
+      survivors.push_back({100.0 + i, i % 3, static_cast<uint64_t>(i)});
     }
-    s.Schedule(1.0, [&] {
-      std::vector<EventHandle> continuations;
-      for (int i = 0; i < 64; ++i) {
-        continuations.push_back(s.Schedule(0.0, [] {}, i % 3));
-      }
-      for (size_t i = 0; i < continuations.size(); ++i) {
-        if (i % 5 != 0) s.Cancel(continuations[i]);
-      }
-      for (size_t i = 0; i < timeouts.size(); ++i) {
-        if (i % 7 != 0) s.Cancel(timeouts[i]);
-      }
-    });
-    s.Run();
-    EXPECT_GT(s.queue_stats().compactions, 0u);
-  };
-  KeyTrace lane_on, lane_off;
-  run(true, &lane_on);
-  run(false, &lane_off);
-  ExpectSameTrace(lane_on.keys, lane_off.keys, "post-compaction survivors");
-  // Full (time, priority, seq) keys are not monotone across a trace —
-  // an event can spawn a higher-priority sibling at its own timestamp —
-  // but simulated time never runs backwards.
-  for (size_t i = 1; i < lane_on.keys.size(); ++i) {
-    EXPECT_LE(lane_on.keys[i - 1].time, lane_on.keys[i].time)
-        << "clock ran backwards at " << i;
   }
+  s.Schedule(1.0, [&] {  // seq 64
+    std::vector<EventHandle> continuations;
+    for (int i = 0; i < 64; ++i) {  // seq 65 + i
+      continuations.push_back(s.Schedule(0.0, [] {}, i % 3));
+      if (i % 5 == 0) {
+        survivors.push_back({1.0, i % 3, static_cast<uint64_t>(65 + i)});
+      }
+    }
+    for (size_t i = 0; i < continuations.size(); ++i) {
+      if (i % 5 != 0) s.Cancel(continuations[i]);
+    }
+    for (size_t i = 0; i < timeouts.size(); ++i) {
+      if (i % 7 != 0) s.Cancel(timeouts[i]);
+    }
+  });
+  s.Run();
+  EXPECT_GT(s.queue_stats().compactions, 0u);
+  // The storm event fires first; the survivors it left follow in key
+  // order (keys are not monotone across a trace — an event can spawn a
+  // higher-priority sibling at its own timestamp).
+  std::sort(survivors.begin(), survivors.end(), FiresBefore);
+  survivors.insert(survivors.begin(), EventKey{1.0, 0, 64});
+  ExpectSameTrace(trace.keys, survivors, "post-compaction survivors");
 }
 
 TEST_P(SchedulerLaneTest, ReservePresizesWithoutChangingBehavior) {
   KeyTrace reserved_trace, plain_trace;
   {
-    Scheduler s(GetParam());
+    Scheduler s;
     s.Reserve(1024);
     EXPECT_GE(s.ArenaCapacity(), 1024u);
     s.SetTraceHook(&KeyTrace::Hook, &reserved_trace);
@@ -325,7 +323,7 @@ TEST_P(SchedulerLaneTest, ReservePresizesWithoutChangingBehavior) {
     s.Run();
   }
   {
-    Scheduler s(GetParam());
+    Scheduler s;
     s.SetTraceHook(&KeyTrace::Hook, &plain_trace);
     ChaosProgram<Scheduler> program(&s, 42);
     program.SeedRoots(8, 5);
@@ -335,14 +333,9 @@ TEST_P(SchedulerLaneTest, ReservePresizesWithoutChangingBehavior) {
                   "reserved vs unreserved");
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllBackends, SchedulerLaneTest,
-    ::testing::Values(EventQueueKind::kBinaryHeap,
-                      EventQueueKind::kQuaternaryHeap,
-                      EventQueueKind::kCalendar),
-    [](const ::testing::TestParamInfo<EventQueueKind>& info) {
-      return std::string(ToString(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(AllBackends, SchedulerLaneTest,
+                         ::testing::Values(EventList::kBinaryHeap),
+                         EventListName);
 
 }  // namespace
 }  // namespace voodb::desp
