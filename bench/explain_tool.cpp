@@ -7,6 +7,7 @@
 #include "desp/random.hpp"
 #include "exp/report.hpp"
 #include "exp/scenario.hpp"
+#include "harness.hpp"
 #include "obs/spans.hpp"
 #include "ocb/workload.hpp"
 #include "scenarios.hpp"
@@ -79,13 +80,9 @@ int Explain(const std::string& scenario_name, int argc,
 
   core::ExperimentConfig config = scenario.base;
   const core::ParamRegistry& registry = core::ParamRegistry::Instance();
-  for (const std::string& assignment : sets) {
-    const size_t eq = assignment.find('=');
-    VOODB_CHECK_MSG(eq != std::string::npos && eq > 0,
-                    "--set expects name=value, got '" << assignment << "'");
-    registry.Set(
-        core::ParamTarget{&config.system, &config.workload},
-        assignment.substr(0, eq), assignment.substr(eq + 1));
+  for (const auto& [name, value] : ParseOverrides(sets)) {
+    registry.Set(core::ParamTarget{&config.system, &config.workload}, name,
+                 value);
   }
   config.system.trace_spans = true;
   config.system.trace_exemplars = top;

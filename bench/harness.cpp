@@ -17,15 +17,6 @@ namespace voodb::bench {
 
 namespace {
 
-/// "path/to/bench_fig06_o2" -> "fig06_o2".
-std::string BenchNameFromArgv0(const char* argv0) {
-  std::string name = argv0 == nullptr ? "" : argv0;
-  const size_t slash = name.find_last_of('/');
-  if (slash != std::string::npos) name = name.substr(slash + 1);
-  if (name.rfind("bench_", 0) == 0) name = name.substr(6);
-  return name.empty() ? "unnamed" : name;
-}
-
 /// Accumulates every recorded estimate and writes BENCH_<name>.json once,
 /// at process exit (so a bench with several tables/figures lands in one
 /// file with one wall clock).
@@ -140,47 +131,6 @@ class BenchRecorder {
 
 }  // namespace
 
-namespace {
-
-/// Declares the common harness flags on `args` (their declarations feed
-/// the generated --help text) and fills a RunOptions.
-RunOptions DeclareRunFlags(util::CliArgs& args, const std::string& bench_name) {
-  RunOptions options;
-  options.bench_name = bench_name;
-  options.replications = static_cast<uint64_t>(args.GetInt(
-      "replications", 10, "replications per point; paper used 100"));
-  options.transactions = static_cast<uint64_t>(
-      args.GetInt("transactions", 1000, "transactions per replication"));
-  options.seed =
-      static_cast<uint64_t>(args.GetInt("seed", 42, "base RNG seed"));
-  options.threads = static_cast<size_t>(
-      args.GetInt("threads", 0, "farm worker threads; 0 = all cores"));
-  options.csv = args.GetBool("csv", false, "CSV output");
-  const std::string json = args.GetString(
-      "json", "BENCH_" + bench_name + ".json",
-      "result file; \"off\" disables");
-  options.json = (json == "off" || json == "none") ? "" : json;
-  return options;
-}
-
-}  // namespace
-
-RunOptions ParseOptions(int argc, const char* const* argv,
-                        const std::string& description) {
-  util::CliArgs args(argc, argv);
-  RunOptions options = DeclareRunFlags(
-      args, BenchNameFromArgv0(argc > 0 ? argv[0] : nullptr));
-  if (args.help_requested()) {
-    std::cout << description << "\n\n" << args.Help();
-    std::exit(0);
-  }
-  args.RejectUnknown();
-  VOODB_CHECK_MSG(options.replications >= 2,
-                  "need at least 2 replications for confidence intervals");
-  BenchRecorder::Instance().Configure(options);
-  return options;
-}
-
 RunOptions ToRunOptions(const exp::ScenarioContext& ctx) {
   RunOptions options;
   options.replications = ctx.options.replications;
@@ -192,17 +142,41 @@ RunOptions ToRunOptions(const exp::ScenarioContext& ctx) {
   return options;
 }
 
+std::vector<exp::ParamOverride> ParseOverrides(
+    const std::vector<std::string>& sets) {
+  std::vector<exp::ParamOverride> overrides;
+  for (const std::string& assignment : sets) {
+    const size_t eq = assignment.find('=');
+    VOODB_CHECK_MSG(eq != std::string::npos && eq > 0,
+                    "--set expects name=value, got '" << assignment << "'");
+    overrides.emplace_back(assignment.substr(0, eq),
+                           assignment.substr(eq + 1));
+  }
+  return overrides;
+}
+
 int RunScenarioMain(const std::string& scenario_name, int argc,
-                    const char* const* argv, const char* bench_name) {
+                    const char* const* argv) {
   try {
     RegisterBenchScenarios();
     const exp::Scenario& scenario =
         exp::ScenarioRegistry::Instance().At(scenario_name);
     util::CliArgs args(argc, argv);
-    RunOptions options = DeclareRunFlags(
-        args, bench_name != nullptr
-                  ? std::string(bench_name)
-                  : BenchNameFromArgv0(argc > 0 ? argv[0] : nullptr));
+    RunOptions options;
+    options.bench_name = scenario_name;
+    options.replications = static_cast<uint64_t>(args.GetInt(
+        "replications", 10, "replications per point; paper used 100"));
+    options.transactions = static_cast<uint64_t>(
+        args.GetInt("transactions", 1000, "transactions per replication"));
+    options.seed =
+        static_cast<uint64_t>(args.GetInt("seed", 42, "base RNG seed"));
+    options.threads = static_cast<size_t>(
+        args.GetInt("threads", 0, "farm worker threads; 0 = all cores"));
+    options.csv = args.GetBool("csv", false, "CSV output");
+    const std::string json = args.GetString(
+        "json", "BENCH_" + scenario_name + ".json",
+        "result file; \"off\" disables");
+    options.json = (json == "off" || json == "none") ? "" : json;
     const std::vector<std::string> sets = args.GetList(
         "set",
         "override a model parameter (name=value, repeatable; enum values "
@@ -215,15 +189,7 @@ int RunScenarioMain(const std::string& scenario_name, int argc,
     args.RejectUnknown();
     VOODB_CHECK_MSG(options.replications >= 2,
                     "need at least 2 replications for confidence intervals");
-
-    std::vector<exp::ParamOverride> overrides;
-    for (const std::string& assignment : sets) {
-      const size_t eq = assignment.find('=');
-      VOODB_CHECK_MSG(eq != std::string::npos && eq > 0,
-                      "--set expects name=value, got '" << assignment << "'");
-      overrides.emplace_back(assignment.substr(0, eq),
-                             assignment.substr(eq + 1));
-    }
+    const std::vector<exp::ParamOverride> overrides = ParseOverrides(sets);
 
     BenchRecorder::Instance().Configure(options);
     exp::ScenarioOptions scenario_options;
@@ -260,7 +226,7 @@ Estimate Replicate(const RunOptions& options, uint64_t base_seed,
 
 desp::ReplicationResult ReplicateResult(
     const RunOptions& options, uint64_t base_seed,
-    const desp::ReplicationRunner::Model& model) {
+    const exp::ReplicationFarm::Model& model) {
   exp::FarmOptions farm_options;
   farm_options.threads = options.threads;
   farm_options.base_seed = base_seed;
@@ -278,7 +244,7 @@ std::map<std::string, Estimate> EstimatesOf(
 
 std::map<std::string, Estimate> ReplicateMetrics(
     const RunOptions& options, uint64_t base_seed,
-    const desp::ReplicationRunner::Model& model) {
+    const exp::ReplicationFarm::Model& model) {
   return EstimatesOf(ReplicateResult(options, base_seed, model));
 }
 

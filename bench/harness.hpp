@@ -1,20 +1,21 @@
 /// \file harness.hpp
 /// \brief Shared machinery for the figure/table reproduction harnesses.
 ///
-/// Every bench binary regenerates one figure or table of the paper's
-/// evaluation section (§4).  The "Benchmark" series is produced by the
-/// direct-execution emulators (src/emu), the "Simulation" series by the
-/// VOODB discrete-event model (src/voodb); the paper's own numbers are
+/// Every figure/table scenario of the catalog (`voodb run <scenario>`)
+/// regenerates one figure or table of the paper's evaluation section
+/// (§4).  The "Benchmark" series is produced by the direct-execution
+/// emulators (src/emu), the "Simulation" series by the VOODB
+/// discrete-event model (src/voodb); the paper's own numbers are
 /// embedded for side-by-side comparison (values read off the published
 /// figures are approximate and labelled as such).
 ///
 /// Replications run on the exp/ replication farm: all worker threads by
 /// default, bit-identical results at any thread count.  Unless disabled,
-/// every bench also drops a machine-readable `BENCH_<name>.json` (per
+/// every run also drops a machine-readable `BENCH_<scenario>.json` (per
 /// point/metric mean, CI half-width, replication count, wall clock) so the
 /// performance trajectory can be tracked across PRs.
 ///
-/// Common flags (every harness):
+/// Common flags (every `voodb run`):
 ///   --replications=N   independent replications per point (default 10;
 ///                      the paper used 100 — pass --replications=100 to
 ///                      match, at ~10x the runtime)
@@ -23,7 +24,7 @@
 ///   --threads=N        farm worker threads (default 0 = all cores;
 ///                      results are identical at any value)
 ///   --csv              emit CSV instead of an aligned table
-///   --json=PATH        result file (default BENCH_<name>.json; "off"
+///   --json=PATH        result file (default BENCH_<scenario>.json; "off"
 ///                      disables)
 #pragma once
 
@@ -33,45 +34,42 @@
 #include <string>
 #include <vector>
 
-#include "desp/replication.hpp"
 #include "desp/stats.hpp"
+#include "exp/farm.hpp"
 #include "exp/scenario.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
 namespace voodb::bench {
 
-/// Options shared by all harnesses.
+/// Options shared by all scenario runs.
 struct RunOptions {
   uint64_t replications = 10;
   uint64_t transactions = 1000;
   uint64_t seed = 42;
   size_t threads = 0;  ///< farm workers; 0 = all hardware threads
   bool csv = false;
-  std::string bench_name;  ///< derived from argv[0] ("fig06_...")
+  std::string bench_name;  ///< the scenario name; names the json
   std::string json;        ///< output path; empty = disabled
 };
-
-/// Parses the common flags; prints usage (generated from the flag
-/// declarations) and exits on --help.
-RunOptions ParseOptions(int argc, const char* const* argv,
-                        const std::string& description);
 
 /// The harness view of a resolved scenario context (replication /
 /// protocol knobs from the options).
 RunOptions ToRunOptions(const exp::ScenarioContext& ctx);
 
-/// The shared entry point behind every per-figure wrapper binary and
-/// `voodb run <scenario>`: parses the common flags plus repeatable
-/// `--set name=value` parameter overrides, configures the
-/// BENCH_<name>.json recorder, and runs the named catalog scenario.
-/// `bench_name` overrides the json/bench identity (the driver passes the
-/// scenario name; wrappers pass nullptr to keep their argv[0]-derived
-/// legacy name).  Returns a process exit code; configuration errors are
-/// reported on stderr rather than thrown.
+/// The entry point behind `voodb run <scenario>`: parses the common
+/// flags plus repeatable `--set name=value` parameter overrides,
+/// configures the BENCH_<scenario>.json recorder, and runs the named
+/// catalog scenario.  Returns a process exit code; configuration errors
+/// are reported on stderr rather than thrown.
 int RunScenarioMain(const std::string& scenario_name, int argc,
-                    const char* const* argv,
-                    const char* bench_name = nullptr);
+                    const char* const* argv);
+
+/// Splits repeated `--set name=value` assignments into (name, value)
+/// overrides; throws util::Error on an assignment without a name.  The
+/// one `--set` parser behind run, profile, explain and trace record.
+std::vector<exp::ParamOverride> ParseOverrides(
+    const std::vector<std::string>& sets);
 
 /// A replicated estimate: sample mean and 95 % CI half-width.
 struct Estimate {
@@ -90,7 +88,7 @@ Estimate Replicate(const RunOptions& options, uint64_t base_seed,
 /// captured locals, which would race on a parallel farm.
 std::map<std::string, Estimate> ReplicateMetrics(
     const RunOptions& options, uint64_t base_seed,
-    const desp::ReplicationRunner::Model& model);
+    const exp::ReplicationFarm::Model& model);
 
 /// Full-result variant: returns the reduced ReplicationResult itself so
 /// callers can also read farm-merged LogHistograms (observed via
@@ -98,7 +96,7 @@ std::map<std::string, Estimate> ReplicateMetrics(
 /// scalars *and* histograms are bit-identical at any thread count.
 desp::ReplicationResult ReplicateResult(
     const RunOptions& options, uint64_t base_seed,
-    const desp::ReplicationRunner::Model& model);
+    const exp::ReplicationFarm::Model& model);
 
 /// One Estimate per scalar metric of a reduced result.
 std::map<std::string, Estimate> EstimatesOf(
@@ -110,9 +108,9 @@ Estimate EstimateOf(const desp::Tally& tally);
 /// Formats "mean ±hw".
 std::string WithCi(const Estimate& e, int precision = 1);
 
-/// Records an estimate into this bench's BENCH_<name>.json (grouped as
-/// section -> point x -> series).  No-op before ParseOptions or when the
-/// JSON report is disabled.  FigureReport records its points itself;
+/// Records an estimate into this run's BENCH_<scenario>.json (grouped as
+/// section -> point x -> series).  No-op before RunScenarioMain or when
+/// the JSON report is disabled.  FigureReport records its points itself;
 /// hand-rolled tables call this directly.
 void RecordEstimate(const std::string& section, const std::string& x,
                     const std::string& series, const Estimate& e);

@@ -7,7 +7,7 @@
 /// each `cc::Protocol`.  The scenario *fails* unless every transaction
 /// commits and each protocol's cause-attributed abort counters account
 /// for every restart.  Per-protocol wall-clock overhead lands in
-/// BENCH_cc.json.  (The 2PL event stream itself is pinned by golden
+/// BENCH_micro_cc.json.  (The 2PL event stream itself is pinned by golden
 /// outputs in tests/test_cc.cpp.)
 ///
 /// The scenario also asserts the Transaction Manager's pooled in-flight

@@ -7,9 +7,8 @@
 /// serially and on thread pools of increasing size.  Every pooled run is
 /// digest-checked against the serial reference — the scenario *fails* on
 /// any divergence, so the speedup column can never be bought with a
-/// correctness bug.  Results land in BENCH_parallel.json through the
-/// shared recorder (`bench_micro_parallel` wrapper / `voodb run
-/// micro_parallel`).
+/// correctness bug.  `voodb run micro_parallel` records the results in
+/// BENCH_micro_parallel.json through the shared recorder.
 ///
 /// Wall-clock speedup requires free hardware parallelism: on a
 /// single-core box every cell times out at ~1x and only the identity

@@ -15,10 +15,10 @@
 ///               equality enforced) against a trace replay AND a fresh
 ///               emulator simulation per size; reports the
 ///               MRC-vs-N-simulations speedup.
-///   micro_trace the trace micro bench behind bench_micro_trace /
-///               BENCH_trace.json: record overhead vs an untraced run,
-///               replay throughput, and the single-pass-MRC speedup over
-///               per-size replays and per-size simulations.
+///   micro_trace the trace micro bench (BENCH_micro_trace.json):
+///               record overhead vs an untraced run, replay throughput,
+///               and the single-pass-MRC speedup over per-size replays
+///               and per-size simulations.
 #pragma once
 
 #include "exp/scenario.hpp"

@@ -7,6 +7,7 @@
 #include "desp/random.hpp"
 #include "exp/report.hpp"
 #include "exp/scenario.hpp"
+#include "harness.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "ocb/workload.hpp"
@@ -67,13 +68,9 @@ int Profile(const std::string& scenario_name, int argc,
 
   core::ExperimentConfig config = scenario.base;
   const core::ParamRegistry& registry = core::ParamRegistry::Instance();
-  for (const std::string& assignment : sets) {
-    const size_t eq = assignment.find('=');
-    VOODB_CHECK_MSG(eq != std::string::npos && eq > 0,
-                    "--set expects name=value, got '" << assignment << "'");
-    registry.Set(
-        core::ParamTarget{&config.system, &config.workload},
-        assignment.substr(0, eq), assignment.substr(eq + 1));
+  for (const auto& [name, value] : ParseOverrides(sets)) {
+    registry.Set(core::ParamTarget{&config.system, &config.workload}, name,
+                 value);
   }
   config.system.observe = true;
   // Compose with `--set profile_path=...` (and any scenario base value):

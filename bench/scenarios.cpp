@@ -17,7 +17,6 @@
 #include "harness.hpp"
 #include "micro_cc.hpp"
 #include "micro_parallel.hpp"
-#include "micro_storage.hpp"
 #include "micro_trace.hpp"
 #include "ocb/workload.hpp"
 #include "sweeps.hpp"
@@ -1270,26 +1269,6 @@ void RegisterMicroBenches() {
     s.run = RunMicroCcScenario;
     Register(std::move(s));
   }
-  {
-    Scenario s;
-    s.name = "micro_storage";
-    s.title =
-        "Micro: data-oriented storage engine vs legacy map-based baseline";
-    s.description =
-        "Throughput of the CSR object graph + flat-frame buffer cache "
-        "against an embedded copy of the pre-refactor structures "
-        "(per-object std::vector<Oid> graph, unordered_map page cache) on "
-        "identical traces; fails if the caches' hit/miss/eviction "
-        "counters diverge.  Workload parameters shape the base "
-        "(--set num_objects=..., hierarchy_depth=...); protocol knobs: "
-        "--transactions=N traversals per trial, --replications=N trials.";
-    // A 100k-object base: the graph outgrows the caches so the memory
-    // layout (CSR vs pointer-chasing vectors) is what gets measured.
-    s.base.workload.num_objects = 100000;
-    s.system_config_used = false;
-    s.run = RunMicroStorageScenario;
-    Register(std::move(s));
-  }
 }
 
 // --- Trace subsystem ---------------------------------------------------------
@@ -1337,9 +1316,9 @@ void RegisterTraceScenarios() {
     s.name = "micro_trace";
     s.title = "Micro: trace record overhead, replay throughput, MRC speedup";
     s.description =
-        "The trace subsystem's micro bench (BENCH_trace.json): recording "
-        "overhead against an untraced emulator run, page-stream replay "
-        "throughput, and the speedup of one Mattson MRC pass over "
+        "The trace subsystem's micro bench (BENCH_micro_trace.json): "
+        "recording overhead against an untraced emulator run, page-stream "
+        "replay throughput, and the speedup of one Mattson MRC pass over "
         "per-cache-size replays and per-cache-size simulations.  "
         "Protocol knobs: --transactions=N per trial, --replications=N "
         "timed trials; workload parameters shape the base "

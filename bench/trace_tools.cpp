@@ -13,6 +13,7 @@
 #include "desp/random.hpp"
 #include "emu/texas_emulator.hpp"
 #include "exp/scenario.hpp"
+#include "harness.hpp"
 #include "ocb/workload.hpp"
 #include "scenarios.hpp"
 #include "trace/counters.hpp"
@@ -33,19 +34,6 @@ namespace {
 
 using core::ParamRegistry;
 using core::ParamTarget;
-
-/// Applies repeated `--set name=value` assignments onto a config pair.
-void ApplySets(const std::vector<std::string>& sets,
-               core::VoodbConfig* system, ocb::OcbParameters* workload) {
-  const ParamRegistry& registry = ParamRegistry::Instance();
-  for (const std::string& assignment : sets) {
-    const size_t eq = assignment.find('=');
-    VOODB_CHECK_MSG(eq != std::string::npos && eq > 0,
-                    "--set expects name=value, got '" << assignment << "'");
-    registry.Set(ParamTarget{system, workload}, assignment.substr(0, eq),
-                 assignment.substr(eq + 1));
-  }
-}
 
 trace::Header EmulatorHeader(uint32_t page_size, uint64_t buffer_pages,
                              storage::ReplacementPolicy policy,
@@ -106,7 +94,10 @@ int TraceRecord(int argc, const char* const* argv) {
   if (!scenario_name.empty()) {
     base_config = exp::ScenarioRegistry::Instance().At(scenario_name).base;
   }
-  ApplySets(sets, &base_config.system, &base_config.workload);
+  for (const auto& [name, value] : ParseOverrides(sets)) {
+    ParamRegistry::Instance().Set(
+        ParamTarget{&base_config.system, &base_config.workload}, name, value);
+  }
   const ocb::ObjectBase base = ocb::ObjectBase::Generate(base_config.workload);
 
   if (system_kind == "sim") {

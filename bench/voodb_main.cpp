@@ -9,8 +9,8 @@
 ///                                   overrides any registered parameter
 ///                                   (enum values by name), repeatable
 ///
-/// `voodb run fig08` is bit-identical to the legacy bench_fig08_* binary
-/// under identical seeds: both resolve through the same catalog entry.
+/// `voodb run` is the one way to run a catalog scenario; it writes
+/// BENCH_<scenario>.json unless --json says otherwise.
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -201,14 +201,12 @@ int main(int argc, char** argv) {
         return 2;
       }
       const std::string scenario = argv[2];
-      // Re-point argv at the remaining flags for the shared harness path;
-      // the json default becomes BENCH_<scenario>.json.
+      // Re-point argv at the remaining flags for the harness.
       std::vector<const char*> rest;
       rest.push_back(argv[0]);
       for (int i = 3; i < argc; ++i) rest.push_back(argv[i]);
       return voodb::bench::RunScenarioMain(
-          scenario, static_cast<int>(rest.size()), rest.data(),
-          scenario.c_str());
+          scenario, static_cast<int>(rest.size()), rest.data());
     }
     std::cerr << "unknown command '" << command << "'\n\n";
     return Usage(std::cerr, 2);

@@ -1,8 +1,5 @@
 #include "desp/replication.hpp"
 
-#include <utility>
-
-#include "exp/farm.hpp"
 #include "util/check.hpp"
 
 namespace voodb::desp {
@@ -58,30 +55,6 @@ std::vector<std::string> ReplicationResult::HistogramNames() const {
   names.reserve(histograms_.size());
   for (const auto& [name, histogram] : histograms_) names.push_back(name);
   return names;
-}
-
-ReplicationRunner::ReplicationRunner(Model model, uint64_t base_seed)
-    : model_(std::move(model)), base_seed_(base_seed) {
-  VOODB_CHECK_MSG(static_cast<bool>(model_), "model must be callable");
-}
-
-ReplicationResult ReplicationRunner::Run(uint64_t n) const {
-  exp::FarmOptions options;
-  options.threads = 1;  // serial semantics on the calling thread
-  options.base_seed = base_seed_;
-  return exp::ReplicationFarm(model_, options).Run(n);
-}
-
-ReplicationResult ReplicationRunner::RunToPrecision(const std::string& metric,
-                                                    double relative_precision,
-                                                    uint64_t pilot_n,
-                                                    uint64_t max_n,
-                                                    double level) const {
-  exp::FarmOptions options;
-  options.threads = 1;
-  options.base_seed = base_seed_;
-  return exp::ReplicationFarm(model_, options)
-      .RunToPrecision(metric, relative_precision, pilot_n, max_n, level);
 }
 
 }  // namespace voodb::desp

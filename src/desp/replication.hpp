@@ -1,15 +1,16 @@
 /// \file replication.hpp
-/// \brief Independent-replication experiment runner (paper §4.2.2).
+/// \brief Observations and results of independent replications (paper
+/// §4.2.2).
 ///
 /// The VOODB paper runs every experiment as 100 independent replications
 /// and reports the sample mean with a 95 % Student-t confidence interval,
-/// after a pilot study of n = 10 sized via n* = n.(h/h*)^2.  This runner
-/// packages that protocol: a *model* is any callable that maps a
-/// replication seed to a set of named metric observations.
+/// after a pilot study of n = 10 sized via n* = n.(h/h*)^2.  A *model*
+/// maps a replication seed to named observations recorded into a
+/// `MetricSink`; `exp::ReplicationFarm` runs the replications (serially
+/// with `threads = 1`) and reduces them into a `ReplicationResult`.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -66,43 +67,10 @@ class ReplicationResult {
   uint64_t replications() const { return replications_; }
 
  private:
-  friend class ReplicationRunner;
   friend class exp::ReplicationFarm;
   std::map<std::string, Tally> tallies_;
   std::map<std::string, LogHistogram> histograms_;
   uint64_t replications_ = 0;
-};
-
-/// Runs a model for n independent replications with derived seeds.
-///
-/// This is the serial adapter over `exp::ReplicationFarm`: it executes the
-/// same seed-derivation and ordered reduction on the calling thread.  Use
-/// the farm directly to run replications concurrently — results are
-/// bit-identical at any thread count.
-class ReplicationRunner {
- public:
-  /// A model maps (seed, sink) to observations; it must be deterministic
-  /// in the seed.
-  using Model = std::function<void(uint64_t seed, MetricSink& sink)>;
-
-  explicit ReplicationRunner(Model model, uint64_t base_seed = 42);
-
-  /// Runs `n` replications (seeds derived from base_seed) and aggregates.
-  ReplicationResult Run(uint64_t n) const;
-
-  /// The paper's protocol: pilot of `pilot_n`, then enough additional
-  /// replications that `metric`'s CI half-width is within
-  /// `relative_precision` of its mean (e.g. 0.05 for "within 5 % of the
-  /// sample mean with 95 % confidence"), capped at `max_n`.
-  ReplicationResult RunToPrecision(const std::string& metric,
-                                   double relative_precision,
-                                   uint64_t pilot_n = 10,
-                                   uint64_t max_n = 100,
-                                   double level = 0.95) const;
-
- private:
-  Model model_;
-  uint64_t base_seed_;
 };
 
 }  // namespace voodb::desp

@@ -1,13 +1,13 @@
 /// \file farm.hpp
 /// \brief Parallel, bit-deterministic replication engine.
 ///
-/// `ReplicationFarm` is the concurrent counterpart of
-/// `desp::ReplicationRunner` (which is now a thin serial adapter over this
-/// class).  Determinism contract:
+/// `ReplicationFarm` runs the paper's independent replications, serially
+/// on the calling thread (`threads = 1`) or on a worker pool.
+/// Determinism contract:
 ///
-///  1. Replication seeds are derived exactly as the serial runner always
-///     did — a SplitMix64 chain from the base seed — *before* any task is
-///     scheduled, so replication i sees the same seed at any thread count.
+///  1. Replication seeds are derived — a SplitMix64 chain from the base
+///     seed — *before* any task is scheduled, so replication i sees the
+///     same seed at any thread count.
 ///  2. Each replication records its `desp::MetricSink` observations into a
 ///     slot indexed by its replication number.
 ///  3. After all replications finish, per-metric results are reduced in
@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -40,7 +41,9 @@ struct FarmOptions {
 /// Runs a replication model concurrently with deterministic results.
 class ReplicationFarm {
  public:
-  using Model = desp::ReplicationRunner::Model;
+  /// A model maps (seed, sink) to observations; it must be deterministic
+  /// in the seed.
+  using Model = std::function<void(uint64_t seed, desp::MetricSink& sink)>;
 
   explicit ReplicationFarm(Model model, FarmOptions options = {});
 
@@ -49,9 +52,11 @@ class ReplicationFarm {
   /// outstanding replications are cancelled).
   desp::ReplicationResult Run(uint64_t n) const;
 
-  /// The paper's pilot-study protocol (§4.2.2), identical to
-  /// `desp::ReplicationRunner::RunToPrecision` but with the pilot and the
-  /// final pass both farmed out.
+  /// The paper's pilot-study protocol (§4.2.2): a pilot of `pilot_n`,
+  /// then enough additional replications that `metric`'s CI half-width is
+  /// within `relative_precision` of its mean (e.g. 0.05 for "within 5 % of
+  /// the sample mean with 95 % confidence"), capped at `max_n`.  The pilot
+  /// and the final pass are both farmed out.
   desp::ReplicationResult RunToPrecision(const std::string& metric,
                                          double relative_precision,
                                          uint64_t pilot_n = 10,
@@ -59,7 +64,7 @@ class ReplicationFarm {
                                          double level = 0.95) const;
 
   /// The per-replication seed chain (SplitMix64 from `base_seed`); exposed
-  /// so callers and tests can cross-check the serial derivation.
+  /// so callers and tests can cross-check the derivation.
   static std::vector<uint64_t> DeriveSeeds(uint64_t base_seed, uint64_t n);
 
   /// Order-deterministic reduction: merges per-replication observations

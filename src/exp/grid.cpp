@@ -101,7 +101,7 @@ std::vector<GridCell> RunGrid(const SweepGrid& grid,
   const size_t num_points = points.size();
 
   // Instantiate models serially in point order (factories may share state).
-  std::vector<desp::ReplicationRunner::Model> models;
+  std::vector<ReplicationFarm::Model> models;
   models.reserve(num_points);
   for (const GridPoint& point : points) {
     models.push_back(make_model(point));

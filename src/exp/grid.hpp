@@ -74,7 +74,7 @@ struct GridCell {
 
 /// Builds the replication model for one grid point.
 using PointModelFactory =
-    std::function<desp::ReplicationRunner::Model(const GridPoint&)>;
+    std::function<ReplicationFarm::Model(const GridPoint&)>;
 
 /// Runs `replications` of every grid point concurrently on one pool.
 /// Work items are (point, replication) pairs, so the pool stays busy even

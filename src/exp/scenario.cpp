@@ -91,16 +91,14 @@ ScenarioResult RunScenario(const Scenario& scenario,
                   "parameter 'trace_record' conflicts with --replications="
                       << options.replications
                       << ": every replication records into the same "
-                         "trace_path; drop --replications (or pass "
-                         "--replications=1), or record a single fixed-seed "
-                         "run with `voodb trace record`");
+                         "trace_path; record a single fixed-seed run with "
+                         "`voodb trace record`");
   VOODB_CHECK_MSG(
       ctx.config.system.profile_path.empty() || options.replications <= 1,
       "parameter 'profile_path' conflicts with --replications="
           << options.replications
-          << ": every replication writes the same Chrome-trace file; drop "
-             "--replications (or pass --replications=1), or profile a "
-             "single fixed-seed run with `voodb profile`");
+          << ": every replication writes the same Chrome-trace file; "
+             "profile a single fixed-seed run with `voodb profile`");
   ctx.config.system.Validate();
   ctx.config.workload.Validate();
   return scenario.run(ctx);

@@ -14,7 +14,7 @@ desp::ReplicationResult Experiment::Run(const ExperimentConfig& config) {
   return RunOnBase(config, base);
 }
 
-desp::ReplicationRunner::Model Experiment::MakeModel(
+exp::ReplicationFarm::Model Experiment::MakeModel(
     ExperimentConfig config, const ocb::ObjectBase* base) {
   VOODB_CHECK_MSG(base != nullptr, "object base required");
   return [config = std::move(config), base](uint64_t seed,

@@ -16,6 +16,7 @@
 
 #include "cluster/policy.hpp"
 #include "desp/replication.hpp"
+#include "exp/farm.hpp"
 #include "ocb/object_base.hpp"
 #include "ocb/parameters.hpp"
 #include "voodb/config.hpp"
@@ -67,8 +68,8 @@ class Experiment {
   /// listed on Run.  `config` is captured by value; `base` must outlive
   /// the returned model.  Exposed so the exp layer (farm / sweep grids)
   /// can schedule experiment replications itself.
-  static desp::ReplicationRunner::Model MakeModel(ExperimentConfig config,
-                                                  const ocb::ObjectBase* base);
+  static exp::ReplicationFarm::Model MakeModel(ExperimentConfig config,
+                                               const ocb::ObjectBase* base);
 };
 
 }  // namespace voodb::core

@@ -19,6 +19,11 @@ VoodbSystem::VoodbSystem(VoodbConfig config, const ocb::ObjectBase* base,
       scheduler_(scheduler == nullptr ? owned_scheduler_.get() : scheduler),
       rng_(seed) {
   config_.Validate();
+  VOODB_CHECK_MSG(config_.shards == 1,
+                  "parameter 'shards' is " << config_.shards
+                      << " but VoodbSystem simulates one unsharded server; "
+                         "run shards > 1 through core::ShardedVoodb (as "
+                         "`voodb explain` does)");
   VOODB_CHECK_MSG(base_ != nullptr, "system needs an object base");
   // Derived once: seeds the Buffering Manager's stream AND, when
   // recording, the trace header — bit-exact replay of the RANDOM policy

@@ -44,7 +44,8 @@ namespace voodb::core {
 /// A fully wired instance of the generic evaluation model.
 class VoodbSystem {
  public:
-  /// \param config     Table 3 parameters (validated here)
+  /// \param config     Table 3 parameters (validated here; `shards` must
+  ///                   be 1 — `ShardedVoodb` runs more than one)
   /// \param base       the OCB object base (not owned; must outlive us)
   /// \param policy     CLUSTP module (nullptr = None)
   /// \param seed       replication seed (drives RANDOM replacement, think

@@ -93,12 +93,14 @@ TEST(ReplicationFarm, BitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ReplicationFarm, MatchesSerialReplicationRunner) {
+TEST(ReplicationFarm, MatchesSerialFarm) {
   // The acceptance bar of the subsystem: a 100-replication parallel run
-  // reports exactly what the (serial) desp::ReplicationRunner reports.
-  const desp::ReplicationResult serial =
-      desp::ReplicationRunner(NoisyModel, 4242).Run(100);
+  // reports exactly what a serial (threads = 1) farm reports.
   FarmOptions options;
+  options.threads = 1;
+  options.base_seed = 4242;
+  const desp::ReplicationResult serial =
+      ReplicationFarm(NoisyModel, options).Run(100);
   options.threads = 8;
   options.base_seed = 4242;
   const desp::ReplicationResult parallel =
@@ -132,16 +134,17 @@ TEST(ReplicationFarm, FullVoodbExperimentIsThreadCountInvariant) {
   EXPECT_GT(serial.Metric("total_ios").mean(), 0.0);
 }
 
-TEST(ReplicationFarm, RunToPrecisionMatchesSerialRunner) {
+TEST(ReplicationFarm, RunToPrecisionMatchesSerialFarm) {
   auto model = [](uint64_t seed, desp::MetricSink& sink) {
     desp::RandomStream rng(seed);
     sink.Observe("x", rng.Uniform(9.0, 11.0));
   };
-  const desp::ReplicationResult serial =
-      desp::ReplicationRunner(model, 7).RunToPrecision("x", 0.05, 10, 200);
   FarmOptions options;
-  options.threads = 4;
+  options.threads = 1;
   options.base_seed = 7;
+  const desp::ReplicationResult serial =
+      ReplicationFarm(model, options).RunToPrecision("x", 0.05, 10, 200);
+  options.threads = 4;
   const desp::ReplicationResult parallel =
       ReplicationFarm(model, options).RunToPrecision("x", 0.05, 10, 200);
   ExpectBitIdentical(serial, parallel);
@@ -270,12 +273,13 @@ TEST(ReplicationFarm, HistogramsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ReplicationFarm, HistogramsMatchSerialReplicationRunner) {
-  const desp::ReplicationResult serial =
-      desp::ReplicationRunner(HistogramModel, 777).Run(25);
+TEST(ReplicationFarm, HistogramsMatchSerialFarm) {
   FarmOptions options;
-  options.threads = 6;
+  options.threads = 1;
   options.base_seed = 777;
+  const desp::ReplicationResult serial =
+      ReplicationFarm(HistogramModel, options).Run(25);
+  options.threads = 6;
   const desp::ReplicationResult parallel =
       ReplicationFarm(HistogramModel, options).Run(25);
   ExpectBitIdentical(serial, parallel);

@@ -56,7 +56,7 @@ TEST(GridPoint, GetAndHas) {
   EXPECT_THROW(p.Get("y"), util::Error);
 }
 
-desp::ReplicationRunner::Model ScaledModel(double scale) {
+ReplicationFarm::Model ScaledModel(double scale) {
   return [scale](uint64_t seed, desp::MetricSink& sink) {
     desp::RandomStream rng(seed);
     sink.Observe("v", scale * rng.Uniform(1.0, 2.0));

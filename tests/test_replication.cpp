@@ -1,15 +1,26 @@
 /// \file test_replication.cpp
-/// \brief Tests for the independent-replication runner (paper §4.2.2).
+/// \brief Tests for independent replications (paper §4.2.2) run serially
+/// on the replication farm (`threads = 1`).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "desp/random.hpp"
 #include "desp/replication.hpp"
+#include "exp/farm.hpp"
 #include "util/check.hpp"
 
 namespace voodb::desp {
 namespace {
+
+/// A farm that runs every replication on the calling thread.
+exp::ReplicationFarm SerialFarm(exp::ReplicationFarm::Model model,
+                                uint64_t base_seed = 42) {
+  exp::FarmOptions options;
+  options.threads = 1;
+  options.base_seed = base_seed;
+  return exp::ReplicationFarm(std::move(model), options);
+}
 
 TEST(MetricSink, RejectsDuplicateObservation) {
   MetricSink sink;
@@ -17,23 +28,23 @@ TEST(MetricSink, RejectsDuplicateObservation) {
   EXPECT_THROW(sink.Observe("x", 2.0), util::Error);
 }
 
-TEST(ReplicationRunner, RunsRequestedReplications) {
+TEST(ReplicationFarmSerial, RunsRequestedReplications) {
   int calls = 0;
-  ReplicationRunner runner([&](uint64_t, MetricSink& sink) {
+  const auto farm = SerialFarm([&](uint64_t, MetricSink& sink) {
     ++calls;
     sink.Observe("v", 1.0);
   });
-  const ReplicationResult result = runner.Run(7);
+  const ReplicationResult result = farm.Run(7);
   EXPECT_EQ(calls, 7);
   EXPECT_EQ(result.replications(), 7u);
   EXPECT_EQ(result.Metric("v").count(), 7u);
 }
 
-TEST(ReplicationRunner, SeedsAreDistinctAndDeterministic) {
+TEST(ReplicationFarmSerial, SeedsAreDistinctAndDeterministic) {
   std::vector<uint64_t> seeds1;
   std::vector<uint64_t> seeds2;
   auto collect = [](std::vector<uint64_t>* out) {
-    return ReplicationRunner(
+    return SerialFarm(
         [out](uint64_t seed, MetricSink& sink) {
           out->push_back(seed);
           sink.Observe("v", 0.0);
@@ -50,28 +61,28 @@ TEST(ReplicationRunner, SeedsAreDistinctAndDeterministic) {
   }
 }
 
-TEST(ReplicationRunner, DifferentBaseSeedsGiveDifferentStreams) {
+TEST(ReplicationFarmSerial, DifferentBaseSeedsGiveDifferentStreams) {
   auto first_seed = [](uint64_t base) {
     uint64_t got = 0;
-    ReplicationRunner runner(
+    const auto farm = SerialFarm(
         [&got](uint64_t seed, MetricSink& sink) {
           got = seed;
           sink.Observe("v", 0.0);
         },
         base);
-    runner.Run(1);
+    farm.Run(1);
     return got;
   };
   EXPECT_NE(first_seed(1), first_seed(2));
 }
 
-TEST(ReplicationRunner, AggregatesMetricsAcrossReplications) {
-  ReplicationRunner runner([](uint64_t seed, MetricSink& sink) {
+TEST(ReplicationFarmSerial, AggregatesMetricsAcrossReplications) {
+  const auto farm = SerialFarm([](uint64_t seed, MetricSink& sink) {
     RandomStream rng(seed);
     sink.Observe("mean5", rng.Uniform(4.0, 6.0));
     sink.Observe("constant", 3.0);
   });
-  const ReplicationResult result = runner.Run(100);
+  const ReplicationResult result = farm.Run(100);
   EXPECT_NEAR(result.Metric("mean5").mean(), 5.0, 0.2);
   EXPECT_DOUBLE_EQ(result.Metric("constant").mean(), 3.0);
   EXPECT_DOUBLE_EQ(result.Metric("constant").stddev(), 0.0);
@@ -81,25 +92,25 @@ TEST(ReplicationRunner, AggregatesMetricsAcrossReplications) {
   EXPECT_EQ(result.MetricNames().size(), 2u);
 }
 
-TEST(ReplicationRunner, ConfidenceIntervalCoversTrueMean) {
-  ReplicationRunner runner([](uint64_t seed, MetricSink& sink) {
+TEST(ReplicationFarmSerial, ConfidenceIntervalCoversTrueMean) {
+  const auto farm = SerialFarm([](uint64_t seed, MetricSink& sink) {
     RandomStream rng(seed);
     // Mean 10 exponential.
     sink.Observe("x", rng.Exponential(10.0));
   });
-  const ReplicationResult result = runner.Run(100);
+  const ReplicationResult result = farm.Run(100);
   const ConfidenceInterval ci = result.Interval("x", 0.95);
   EXPECT_TRUE(ci.Contains(10.0))
       << "[" << ci.lower() << ", " << ci.upper() << "]";
 }
 
-TEST(ReplicationRunner, RunToPrecisionReachesTarget) {
-  ReplicationRunner runner([](uint64_t seed, MetricSink& sink) {
+TEST(ReplicationFarmSerial, RunToPrecisionReachesTarget) {
+  const auto farm = SerialFarm([](uint64_t seed, MetricSink& sink) {
     RandomStream rng(seed);
     sink.Observe("x", rng.Uniform(9.0, 11.0));
   });
   const ReplicationResult result =
-      runner.RunToPrecision("x", 0.05, 10, 200);
+      farm.RunToPrecision("x", 0.05, 10, 200);
   const ConfidenceInterval ci = result.Interval("x");
   // Within 5% of the sample mean with 95% confidence (the paper's goal).
   EXPECT_LE(ci.half_width, 0.05 * ci.mean * 1.25)  // slack for resampling
@@ -108,21 +119,21 @@ TEST(ReplicationRunner, RunToPrecisionReachesTarget) {
   EXPECT_LE(result.replications(), 200u);
 }
 
-TEST(ReplicationRunner, RunToPrecisionStopsAtPilotWhenPrecise) {
-  ReplicationRunner runner([](uint64_t, MetricSink& sink) {
+TEST(ReplicationFarmSerial, RunToPrecisionStopsAtPilotWhenPrecise) {
+  const auto farm = SerialFarm([](uint64_t, MetricSink& sink) {
     sink.Observe("x", 42.0);  // zero variance
   });
-  const ReplicationResult result = runner.RunToPrecision("x", 0.05, 10, 100);
+  const ReplicationResult result = farm.RunToPrecision("x", 0.05, 10, 100);
   EXPECT_EQ(result.replications(), 10u);
 }
 
-TEST(ReplicationRunner, RejectsBadUsage) {
-  ReplicationRunner runner([](uint64_t, MetricSink& sink) {
+TEST(ReplicationFarmSerial, RejectsBadUsage) {
+  const auto farm = SerialFarm([](uint64_t, MetricSink& sink) {
     sink.Observe("x", 1.0);
   });
-  EXPECT_THROW(runner.Run(0), util::Error);
-  EXPECT_THROW(runner.RunToPrecision("x", 0.0), util::Error);
-  EXPECT_THROW(ReplicationRunner(nullptr), util::Error);
+  EXPECT_THROW(farm.Run(0), util::Error);
+  EXPECT_THROW(farm.RunToPrecision("x", 0.0), util::Error);
+  EXPECT_THROW(SerialFarm(nullptr), util::Error);
 }
 
 }  // namespace

@@ -1,14 +1,19 @@
 /// \file test_scenario.cpp
 /// \brief Tests for the scenario catalog and the single-driver run path:
 /// catalog completeness, override resolution through the parameter
-/// registry, and bit-identical parity between `voodb run` scenarios and
-/// the legacy bench code path under identical seeds.
+/// registry, the driver's error paths, and bit-identical parity between
+/// `voodb run` scenarios and the hand-wired sweep code under identical
+/// seeds.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/scenario.hpp"
+#include "harness.hpp"
+#include "profile_tool.hpp"
 #include "scenarios.hpp"
 #include "sweeps.hpp"
 #include "util/check.hpp"
@@ -49,9 +54,8 @@ TEST(ScenarioCatalog, RegistersEveryPaperFigureTableAndAblation) {
       "ablation_vm_model",   "shard_scale",
       "farm_speedup",        "cc_abyss",
       "ycsb_zipf",           "micro_parallel",
-      "micro_cc",            "micro_storage",
-      "trace_mrc",           "fig08_mrc",
-      "micro_trace"};
+      "micro_cc",            "trace_mrc",
+      "fig08_mrc",           "micro_trace"};
   EXPECT_EQ(exp::ScenarioRegistry::Instance().Names(), expected);
 }
 
@@ -78,20 +82,57 @@ TEST(ScenarioCatalog, UnknownScenarioFailsWithNearestNameSuggestion) {
 }
 
 TEST(ScenarioCatalog, ReplicatedRunsRejectTraceRecording) {
-  // Every replication would truncate the same trace_path; `voodb trace
-  // record` is the single-run surface for recording.
+  // Every replication would truncate the same trace_path (or Chrome-trace
+  // file); `voodb trace record` and `voodb profile` are the single-run
+  // surfaces.  The advice must not suggest --replications=1, which the
+  // harness rejects (confidence intervals need two replications).
   RegisterBenchScenarios();
   const exp::Scenario& scenario =
       exp::ScenarioRegistry::Instance().At("fig06");
-  try {
-    RunScenario(scenario, SmallOptions(10),
-                {{"trace_record", "true"}, {"trace_path", "t.vtrc"}});
-    FAIL() << "expected util::Error";
-  } catch (const util::Error& e) {
-    EXPECT_NE(std::string(e.what()).find("voodb trace record"),
-              std::string::npos)
-        << e.what();
+  const std::pair<std::vector<exp::ParamOverride>, const char*> cases[] = {
+      {{{"trace_record", "true"}, {"trace_path", "t.vtrc"}},
+       "voodb trace record"},
+      {{{"profile_path", "p.json"}}, "voodb profile"},
+  };
+  for (const auto& [overrides, advice] : cases) {
+    try {
+      RunScenario(scenario, SmallOptions(10), overrides);
+      FAIL() << "expected util::Error for " << overrides.front().first;
+    } catch (const util::Error& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find(advice), std::string::npos) << message;
+      EXPECT_EQ(message.find("--replications=1"), std::string::npos)
+          << message;
+      EXPECT_EQ(message.find("drop --replications"), std::string::npos)
+          << message;
+    }
   }
+}
+
+TEST(ScenarioCatalog, SetParserRejectsAssignmentWithoutName) {
+  EXPECT_EQ(ParseOverrides({"shards=4", "policy=lru=2"}),
+            (std::vector<exp::ParamOverride>{{"shards", "4"},
+                                             {"policy", "lru=2"}}));
+  for (const char* bad : {"shards", "=4"}) {
+    try {
+      ParseOverrides({bad});
+      FAIL() << "expected util::Error for '" << bad << "'";
+    } catch (const util::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("--set expects name=value"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ScenarioCatalog, ProfileRejectsMoreThanOneShard) {
+  // `voodb profile` runs one VoodbSystem; a sharded configuration must
+  // fail instead of profiling one unsharded server as if it were the run.
+  RegisterBenchScenarios();
+  const char* argv[] = {"profile", "fig08", "--set", "shards=4", "--set",
+                        "num_objects=500", "--transactions=10",
+                        "--trace=off", "--metrics=off"};
+  EXPECT_EQ(RunProfileCommand(static_cast<int>(std::size(argv)), argv), 1);
 }
 
 TEST(ScenarioCatalog, EveryScenarioIsDescribedAndValid) {
@@ -200,9 +241,9 @@ TEST(ScenarioParity, Fig08MatchesLegacyBenchPath) {
   const exp::ScenarioResult via_catalog =
       RunScenario(s, SmallOptions(transactions));
 
-  // Exactly what bench_fig08_o2_cache_size hard-wired before the
-  // redesign: the NC=50 / NO=20000 OCB base, the O2 preset rescaled per
-  // memory point, paper's six points.
+  // The hand-wired Figure 8 configuration the catalog entry replaced:
+  // the NC=50 / NO=20000 OCB base, the O2 preset rescaled per memory
+  // point, paper's six points.
   ocb::OcbParameters workload;  // Table 5 defaults
   workload.num_classes = 50;
   workload.num_objects = 20000;
@@ -236,8 +277,8 @@ TEST(ScenarioParity, Table6MatchesLegacyBenchPath) {
   const exp::ScenarioResult via_catalog =
       RunScenario(s, SmallOptions(transactions));
 
-  // Exactly what bench_table6_dstc_midsize hard-wired: the DSTC hot-set
-  // workload on the mid-sized base, Texas with 64 MB.
+  // The hand-wired Table 6 configuration the catalog entry replaced: the
+  // DSTC hot-set workload on the mid-sized base, Texas with 64 MB.
   ocb::OcbParameters workload;
   workload.num_classes = 50;
   workload.num_objects = 20000;

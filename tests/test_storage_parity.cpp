@@ -1,7 +1,7 @@
 /// \file test_storage_parity.cpp
 /// \brief Parity properties of the data-oriented storage engine.
 ///
-/// Two independent oracles guard the PR-4 refactor:
+/// Three independent oracles guard the data-oriented storage engine:
 ///
 /// * the CSR `ObjectBase::Generate` is bit-identical — ids, classes,
 ///   sizes, reference targets, TotalBytes, MeanFanout — to an embedded
@@ -11,16 +11,23 @@
 /// * the flat-frame BufferManager behaves exactly like a transparent
 ///   reference cache built on sorted maps (std::map residency, recency
 ///   counters) on random access traces: same hit/miss outcome per
-///   access, same eviction count, same final residency and dirty set.
+///   access, same eviction count, same final residency and dirty set;
+/// * golden hit/miss/eviction/write-back counters of the LRU and CLOCK
+///   caches on a depth-first traversal page trace and a Zipf page trace,
+///   recorded while the flat cache still ran side by side with the
+///   map-based cache it replaced and matched it on every count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "desp/random.hpp"
 #include "ocb/object_base.hpp"
 #include "storage/buffer_manager.hpp"
+#include "storage/placement.hpp"
 
 namespace voodb {
 namespace {
@@ -258,6 +265,116 @@ TEST(FlatFrameCacheModel, MatchesSortedMapReferenceOnRandomTraces) {
       EXPECT_EQ(flat.DirtyPages(), dirty);
     }
   }
+}
+
+// --- Golden counters of the flat-frame cache --------------------------------
+
+/// The page traces behind the goldens: a 4000-object base (Table 5
+/// defaults otherwise), optimized-sequential placement on 4 KB pages, and
+/// a cache of max(64, pages / 32) frames so both traces spill.
+struct GoldenTraces {
+  uint64_t num_pages = 0;
+  uint64_t cache_pages = 0;
+  /// 200 depth-first visit-once walks from strided roots, each visited
+  /// object resolved to the pages of its span.
+  std::vector<PageId> traversal;
+  /// 200 * 64 Zipf(0.9) draws over the page space, seed 42.
+  std::vector<PageId> zipf;
+};
+
+const GoldenTraces& Traces() {
+  static const GoldenTraces traces = [] {
+    OcbParameters params;
+    params.num_objects = 4000;
+    const ObjectBase base = ObjectBase::Generate(params);
+    const storage::Placement placement = storage::Placement::Build(
+        base, 4096, storage::PlacementPolicy::kOptimizedSequential);
+    GoldenTraces t;
+    t.num_pages = placement.NumPages();
+    t.cache_pages = std::max<uint64_t>(64, t.num_pages / 32);
+    const uint64_t walks = 200;
+    const uint64_t no = base.NumObjects();
+    std::vector<uint64_t> stamp(no, 0);
+    std::vector<std::pair<Oid, uint32_t>> stack;
+    const auto visit = [&](Oid oid) {
+      const storage::PageSpan span = placement.SpanOf(oid);
+      for (uint32_t i = 0; i < span.count; ++i) {
+        t.traversal.push_back(span.first + i);
+      }
+    };
+    for (uint64_t walk = 1; walk <= walks; ++walk) {
+      const Oid root = ((walk - 1) * 9973) % no;
+      stamp[root] = walk;
+      visit(root);
+      stack.assign(1, {root, 0});
+      while (!stack.empty()) {
+        const auto [oid, level] = stack.back();
+        stack.pop_back();
+        if (level >= params.hierarchy_depth) continue;
+        for (const Oid ref : base.References(oid)) {
+          if (ref == ocb::kNullOid || stamp[ref] == walk) continue;
+          stamp[ref] = walk;
+          visit(ref);
+          stack.emplace_back(ref, level + 1);
+        }
+      }
+    }
+    desp::RandomStream rng(42);
+    t.zipf.resize(walks * 64);
+    for (PageId& page : t.zipf) {
+      page = static_cast<PageId>(
+          rng.Zipf(static_cast<int64_t>(t.num_pages), 0.9));
+    }
+    return t;
+  }();
+  return traces;
+}
+
+/// Replays `trace` (a write on every 16th access) and returns the stats.
+storage::BufferStats Replay(const std::vector<PageId>& trace,
+                            ReplacementPolicy policy) {
+  BufferManager cache(Traces().cache_pages, policy);
+  std::vector<storage::PageIo> ios;
+  for (size_t i = 0; i < trace.size(); ++i) {
+    ios.clear();
+    cache.AccessInto(trace[i], (i & 15) == 0, ios);
+  }
+  return cache.stats();
+}
+
+void ExpectCounts(const storage::BufferStats& stats, uint64_t hits,
+                  uint64_t misses, uint64_t evictions, uint64_t writebacks) {
+  EXPECT_EQ(stats.hits, hits);
+  EXPECT_EQ(stats.misses, misses);
+  EXPECT_EQ(stats.evictions, evictions);
+  EXPECT_EQ(stats.writebacks, writebacks);
+}
+
+TEST(FlatFrameCacheGolden, TracesHaveTheRecordedShape) {
+  EXPECT_EQ(Traces().num_pages, 942u);
+  EXPECT_EQ(Traces().cache_pages, 64u);
+  EXPECT_EQ(Traces().traversal.size(), 40613u);
+  EXPECT_EQ(Traces().zipf.size(), 12800u);
+}
+
+TEST(FlatFrameCacheGolden, LruOnTraversalTrace) {
+  ExpectCounts(Replay(Traces().traversal, ReplacementPolicy::kLru), 21098,
+               19515, 19451, 2321);
+}
+
+TEST(FlatFrameCacheGolden, ClockOnTraversalTrace) {
+  ExpectCounts(Replay(Traces().traversal, ReplacementPolicy::kClock), 20839,
+               19774, 19710, 2310);
+}
+
+TEST(FlatFrameCacheGolden, LruOnZipfTrace) {
+  ExpectCounts(Replay(Traces().zipf, ReplacementPolicy::kLru), 5100, 7700,
+               7636, 629);
+}
+
+TEST(FlatFrameCacheGolden, ClockOnZipfTrace) {
+  ExpectCounts(Replay(Traces().zipf, ReplacementPolicy::kClock), 5323, 7477,
+               7413, 594);
 }
 
 }  // namespace

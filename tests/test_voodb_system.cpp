@@ -2,6 +2,8 @@
 /// \brief End-to-end tests of the wired VOODB evaluation model.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "cluster/dstc.hpp"
 #include "util/check.hpp"
 #include "voodb/system.hpp"
@@ -253,6 +255,24 @@ TEST(VoodbSystem, RejectsInvalidConfig) {
   VoodbConfig cfg = SmallConfig();
   cfg.buffer_pages = 0;
   EXPECT_THROW(VoodbSystem(cfg, &base, nullptr, 1), util::Error);
+}
+
+TEST(VoodbSystem, RejectsMoreThanOneShard) {
+  // One VoodbSystem is one unsharded server: shards > 1 must go through
+  // ShardedVoodb instead of silently running a single shard.
+  const ocb::ObjectBase base = ocb::ObjectBase::Generate(SmallWorkload());
+  VoodbConfig cfg = SmallConfig();
+  cfg.shards = 4;
+  try {
+    VoodbSystem sys(cfg, &base, nullptr, 1);
+    FAIL() << "expected util::Error for shards = 4";
+  } catch (const util::Error& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("'shards'"), std::string::npos) << message;
+    EXPECT_NE(message.find("ShardedVoodb"), std::string::npos) << message;
+  }
+  cfg.shards = 1;
+  EXPECT_NO_THROW(VoodbSystem(cfg, &base, nullptr, 1));
 }
 
 /// Property sweep: the system completes any workload mix under all four
