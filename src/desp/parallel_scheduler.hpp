@@ -14,7 +14,7 @@
 ///      the minimum cross-partition delay.  No partition can receive a
 ///      new event with time < T + W.
 ///   2. Every partition therefore executes its events with time in
-///      [T, T+W) independently — on worker threads, no locks on the hot
+///      [T, T+W) independently — on a crew of threads, no locks on the hot
 ///      path.
 ///   3. Cross-partition sends are buffered in per-edge mailboxes during
 ///      the window and delivered at the barrier, in a fixed order
@@ -94,16 +94,20 @@ class ParallelScheduler {
   void SendTo(size_t from, size_t to, SimTime delay, Scheduler::Action action,
               int priority = 0);
 
-  /// Runs windows until every partition drains and no mail is pending,
-  /// or Stop() was requested.  With a null `pool` (or a single
-  /// partition) windows execute serially on the calling thread —
-  /// bit-identical to the pooled run.  Returns the number of events
-  /// executed.  The pool must be dedicated to this call (Wait() is the
-  /// barrier).
+  /// Runs windows until every partition drains and no mail is pending;
+  /// returns the number of events executed.  The windows run on a crew
+  /// of min(partitions, pool threads, hardware threads) members that
+  /// lives for this call: the calling thread is member 0, and partition
+  /// `p` always runs on member `p % crew`.  Between windows member 0
+  /// delivers the mail and publishes the next window's end; idle members
+  /// spin briefly, then yield their core for a while, then park.  A null `pool`, a single partition or a
+  /// one-member crew run the same loop on the calling thread alone —
+  /// bit-identical to the pooled run.  A cancelled pool contributes no
+  /// members.  An error thrown inside a window is rethrown here, on the
+  /// calling thread, once the crew has left the pool: the one from the
+  /// lowest failing partition, as a serial run would throw it.  The pool
+  /// must be dedicated to this call.
   uint64_t Run(exp::ThreadPool* pool = nullptr);
-
-  /// Makes Run() return at the next barrier.
-  void Stop() { stop_requested_ = true; }
 
   /// Max partition clock — how far simulated time has advanced.
   SimTime MaxNow() const;
@@ -121,9 +125,20 @@ class ParallelScheduler {
     Scheduler::Action action;
   };
 
+  /// Per-Run() barrier state shared by the crew (parallel_scheduler.cpp).
+  struct Crew;
+
   /// Drains every mailbox into its target partition, in deterministic
   /// order.  Single-threaded (between windows).
   void DeliverMail();
+
+  /// Member 0's loop: mail, window bounds, its own share, the barrier.
+  void LeadWindows(Crew& crew);
+  /// Members 1..crew-1: run their share of each window until disbanded.
+  void FollowWindows(Crew& crew, size_t member);
+  /// Runs `member`'s partitions up to the published window end,
+  /// recording the first error instead of letting it escape.
+  void RunShare(Crew& crew, size_t member);
 
   static constexpr SimTime kInfinity = std::numeric_limits<SimTime>::infinity();
 
@@ -131,10 +146,10 @@ class ParallelScheduler {
   /// Dense n*n matrices indexed [from * n + to].
   std::vector<SimTime> edge_delay_;    ///< +inf = unregistered
   std::vector<std::vector<Envelope>> mail_;
+  std::vector<Envelope> merged_;  ///< DeliverMail's scratch, reused
   SimTime explicit_window_ = 0.0;
   uint64_t windows_ = 0;
   uint64_t cross_events_ = 0;
-  bool stop_requested_ = false;
 };
 
 }  // namespace voodb::desp

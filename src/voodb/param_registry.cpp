@@ -617,8 +617,9 @@ ParamRegistry::ParamRegistry() {
            "object base (1 = the single-server model)")
       .Range(1);
   b.System("sim_threads", &VoodbConfig::sim_threads,
-           "worker threads executing scheduler partitions inside one run; "
-           "results are bit-identical at any value (pure perf knob)")
+           "threads executing scheduler partitions, the calling thread "
+           "included, capped at the hardware threads; results are "
+           "bit-identical at any value (pure perf knob)")
       .Range(1);
   b.System("sim_window", &VoodbConfig::sim_window,
            "explicit conservative-window width ms; 0 derives it from the "

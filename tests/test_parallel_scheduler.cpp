@@ -223,15 +223,19 @@ class RingWorkload {
     rngs_.reserve(n);
     for (size_t p = 0; p < n; ++p) rngs_.emplace_back(RandomStream(99).Derive(p));
     counts_.assign(n, 0);
-    for (size_t p = 0; p < n; ++p) Chain(p, 40);
+    // Every chain starts after the latest partition clock, so a workload
+    // added after an earlier drain never mails into a partition's past.
+    for (size_t p = 0; p < n; ++p) {
+      Chain(p, 40, ps->MaxNow() - ps->partition(p).Now());
+    }
   }
 
   const std::vector<uint64_t>& counts() const { return counts_; }
 
  private:
-  void Chain(size_t p, int remaining) {
+  void Chain(size_t p, int remaining, double lead = 0.0) {
     if (remaining == 0) return;
-    const double delay = rngs_[p].Uniform(0.3, 2.0);
+    const double delay = lead + rngs_[p].Uniform(0.3, 2.0);
     auto hop = [this, p, remaining] {
       ++counts_[p];
       if (remaining % 4 == 0) {
@@ -265,7 +269,11 @@ struct RingRun {
   uint64_t lane_pops = 0;
 };
 
-RingRun RunRing(size_t partitions, size_t threads, EventPath path) {
+/// Runs `rounds` ring workloads back to back on one kernel and `pool`
+/// (null: serial); each round is scheduled after the previous Run()
+/// drained.  `counts` sums the rounds.
+RingRun RunRingOn(size_t partitions, exp::ThreadPool* pool, EventPath path,
+                  int rounds = 1) {
   ParallelScheduler::Options options;
   options.partitions = partitions;
   ParallelScheduler ps(options);
@@ -275,25 +283,51 @@ RingRun RunRing(size_t partitions, size_t threads, EventPath path) {
   for (size_t p = 0; p < partitions; ++p) {
     ps.partition(p).SetTraceHook(&KeyTrace::Record, &traces[p]);
   }
-  RingWorkload workload(&ps, lookahead, path);
   RingRun run;
-  if (threads <= 1) {
-    run.executed = ps.Run(nullptr);
-  } else {
-    exp::ExecutorOptions eo;
-    eo.threads = threads;
-    exp::ThreadPool pool(eo);
-    run.executed = ps.Run(&pool);
+  run.counts.assign(partitions, 0);
+  for (int round = 0; round < rounds; ++round) {
+    RingWorkload workload(&ps, lookahead, path);
+    run.executed += ps.Run(pool);
+    for (size_t p = 0; p < partitions; ++p) {
+      run.counts[p] += workload.counts()[p];
+    }
   }
   for (size_t p = 0; p < partitions; ++p) {
     run.traces.push_back(std::move(traces[p].keys));
     run.clocks.push_back(ps.partition(p).Now());
     run.lane_pops += ps.partition(p).queue_stats().lane_pops;
   }
-  run.counts = workload.counts();
   run.windows = ps.Windows();
   run.cross = ps.CrossEvents();
   return run;
+}
+
+RingRun RunRing(size_t partitions, size_t threads, EventPath path,
+                int rounds = 1) {
+  if (threads <= 1) return RunRingOn(partitions, nullptr, path, rounds);
+  exp::ExecutorOptions eo;
+  eo.threads = threads;
+  exp::ThreadPool pool(eo);
+  return RunRingOn(partitions, &pool, path, rounds);
+}
+
+/// Expects `pooled` to be bit-identical to `serial`.
+void ExpectSameRun(const RingRun& pooled, const RingRun& serial,
+                   const std::string& label) {
+  EXPECT_EQ(pooled.executed, serial.executed) << label;
+  EXPECT_EQ(pooled.windows, serial.windows) << label;
+  EXPECT_EQ(pooled.cross, serial.cross) << label;
+  EXPECT_EQ(pooled.lane_pops, serial.lane_pops) << label;
+  EXPECT_EQ(pooled.counts, serial.counts) << label;
+  ASSERT_EQ(pooled.traces.size(), serial.traces.size()) << label;
+  for (size_t p = 0; p < serial.traces.size(); ++p) {
+    EXPECT_TRUE(SameKeys(pooled.traces[p], serial.traces[p]))
+        << "partition " << p << " diverged: " << label;
+    EXPECT_EQ(std::memcmp(&pooled.clocks[p], &serial.clocks[p],
+                          sizeof(double)),
+              0)
+        << "partition " << p << " clock diverged: " << label;
+  }
 }
 
 class ParallelIdentityTest : public ::testing::TestWithParam<EventPath> {};
@@ -306,27 +340,74 @@ TEST_P(ParallelIdentityTest, PooledRunsAreBitIdenticalToSerial) {
   ASSERT_GT(serial.windows, 1u);  // the window protocol actually engaged
   // The hops took the path under test.
   ASSERT_EQ(serial.lane_pops > 0, GetParam() != EventPath::kHeap);
-  for (const size_t threads : {2u, 4u, 8u}) {
-    const RingRun pooled = RunRing(partitions, threads, GetParam());
-    EXPECT_EQ(pooled.executed, serial.executed) << threads << " threads";
-    EXPECT_EQ(pooled.windows, serial.windows) << threads << " threads";
-    EXPECT_EQ(pooled.cross, serial.cross) << threads << " threads";
-    EXPECT_EQ(pooled.lane_pops, serial.lane_pops) << threads << " threads";
-    EXPECT_EQ(pooled.counts, serial.counts) << threads << " threads";
-    for (size_t p = 0; p < partitions; ++p) {
-      EXPECT_TRUE(SameKeys(pooled.traces[p], serial.traces[p]))
-          << "partition " << p << " diverged at " << threads << " threads";
-      EXPECT_EQ(std::memcmp(&pooled.clocks[p], &serial.clocks[p],
-                            sizeof(double)),
-                0)
-          << "partition " << p << " clock diverged";
-    }
+  // 3 threads split 4 partitions unevenly across the crew (given 3
+  // hardware threads; the crew never outnumbers them).
+  for (const size_t threads : {2u, 3u, 4u, 8u}) {
+    ExpectSameRun(RunRing(partitions, threads, GetParam()), serial,
+                  std::to_string(threads) + " threads");
+  }
+}
+
+TEST_P(ParallelIdentityTest, RunTwiceOnOnePoolMatchesSerial) {
+  const size_t partitions = 4;
+  const RingRun serial = RunRing(partitions, 1, GetParam(), /*rounds=*/2);
+  ASSERT_GT(serial.executed, 320u);  // both rounds ran
+  for (const size_t threads : {2u, 3u, 4u}) {
+    ExpectSameRun(RunRing(partitions, threads, GetParam(), /*rounds=*/2),
+                  serial, std::to_string(threads) + " threads, two Run()s");
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllQueues, ParallelIdentityTest,
                          ::testing::Values(EventPath::kHeap, EventPath::kLane,
                                            EventPath::kMixed));
+
+TEST(ParallelScheduler, CancelledPoolStillDrainsBitIdentically) {
+  const RingRun serial = RunRing(4, 1, EventPath::kMixed);
+  exp::ExecutorOptions eo;
+  eo.threads = 4;
+  exp::ThreadPool pool(eo);
+  pool.Cancel();  // accepts no crew member: the calling thread runs all
+  ExpectSameRun(RunRingOn(4, &pool, EventPath::kMixed), serial,
+                "cancelled pool");
+}
+
+/// Four partitions with pending work, where partitions 1 and 3 each make
+/// a SendTo below the edge delay in the first window.  Returns the
+/// message Run() throws, or "" if it returns.
+std::string FailingRunMessage(exp::ThreadPool* pool) {
+  ParallelScheduler::Options options;
+  options.partitions = 4;
+  ParallelScheduler ps(options);
+  ps.SetUniformEdgeDelay(2.0);
+  for (size_t p = 0; p < 4; ++p) {
+    ps.partition(p).Schedule(1.0, [] {});
+  }
+  ps.partition(1).Schedule(1.5, [&ps] { ps.SendTo(1, 2, 0.5, [] {}); });
+  ps.partition(3).Schedule(1.5, [&ps] { ps.SendTo(3, 0, 0.5, [] {}); });
+  try {
+    ps.Run(pool);
+  } catch (const util::Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ParallelScheduler, PooledWindowRethrowsLikeSerial) {
+  const std::string serial = FailingRunMessage(nullptr);
+  // The serial loop reaches partition 1 first.
+  ASSERT_NE(serial.find("(1 -> 2)"), std::string::npos) << serial;
+  for (const size_t threads : {2u, 4u, 8u}) {
+    exp::ExecutorOptions eo;
+    eo.threads = threads;
+    exp::ThreadPool pool(eo);
+    EXPECT_EQ(FailingRunMessage(&pool), serial) << threads << " threads";
+    // The crew left the pool: it still runs a clean workload.
+    ExpectSameRun(RunRingOn(4, &pool, EventPath::kHeap),
+                  RunRing(4, 1, EventPath::kHeap),
+                  std::to_string(threads) + " threads after a throw");
+  }
+}
 
 }  // namespace
 }  // namespace voodb::desp
