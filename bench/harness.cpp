@@ -27,8 +27,11 @@ class BenchRecorder {
     return recorder;
   }
 
-  void Configure(const RunOptions& options) {
+  void Configure(const std::string& bench_name, const std::string& json,
+                 const exp::ScenarioOptions& options) {
     std::lock_guard<std::mutex> lock(mu_);
+    bench_name_ = bench_name;
+    json_ = json;
     options_ = options;
     configured_ = true;
     start_ = std::chrono::steady_clock::now();
@@ -41,13 +44,13 @@ class BenchRecorder {
   void Record(const std::string& section, const std::string& x,
               const std::string& series, const Estimate& e) {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!configured_ || options_.json.empty()) return;
+    if (!configured_ || json_.empty()) return;
     entries_.push_back({section, x, series, e});
   }
 
   void Flush() {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!configured_ || flushed_ || options_.json.empty()) return;
+    if (!configured_ || flushed_ || json_.empty()) return;
     flushed_ = true;
     const double wall_ms =
         std::chrono::duration<double, std::milli>(
@@ -55,7 +58,7 @@ class BenchRecorder {
             .count();
     exp::JsonWriter w;
     w.BeginObject();
-    w.Key("bench").Value(options_.bench_name);
+    w.Key("bench").Value(bench_name_);
     w.Key("base_seed").Value(options_.seed);
     w.Key("replications").Value(options_.replications);
     w.Key("transactions").Value(options_.transactions);
@@ -106,7 +109,7 @@ class BenchRecorder {
     w.EndArray();
     w.EndObject();
     try {
-      exp::WriteFile(options_.json, w.str());
+      exp::WriteFile(json_, w.str());
     } catch (const util::Error& e) {
       std::fprintf(stderr, "warning: %s\n", e.what());
     }
@@ -121,7 +124,9 @@ class BenchRecorder {
   };
 
   std::mutex mu_;
-  RunOptions options_;
+  std::string bench_name_;
+  std::string json_;  ///< output path; empty = disabled
+  exp::ScenarioOptions options_;
   bool configured_ = false;
   bool flushed_ = false;
   bool registered_ = false;
@@ -130,17 +135,6 @@ class BenchRecorder {
 };
 
 }  // namespace
-
-RunOptions ToRunOptions(const exp::ScenarioContext& ctx) {
-  RunOptions options;
-  options.replications = ctx.options.replications;
-  options.transactions = ctx.options.transactions;
-  options.seed = ctx.options.seed;
-  options.threads = ctx.options.threads;
-  options.csv = ctx.options.csv;
-  if (ctx.scenario != nullptr) options.bench_name = ctx.scenario->name;
-  return options;
-}
 
 std::vector<exp::ParamOverride> ParseOverrides(
     const std::vector<std::string>& sets) {
@@ -162,8 +156,7 @@ int RunScenarioMain(const std::string& scenario_name, int argc,
     const exp::Scenario& scenario =
         exp::ScenarioRegistry::Instance().At(scenario_name);
     util::CliArgs args(argc, argv);
-    RunOptions options;
-    options.bench_name = scenario_name;
+    exp::ScenarioOptions options;
     options.replications = static_cast<uint64_t>(args.GetInt(
         "replications", 10, "replications per point; paper used 100"));
     options.transactions = static_cast<uint64_t>(
@@ -176,7 +169,6 @@ int RunScenarioMain(const std::string& scenario_name, int argc,
     const std::string json = args.GetString(
         "json", "BENCH_" + scenario_name + ".json",
         "result file; \"off\" disables");
-    options.json = (json == "off" || json == "none") ? "" : json;
     const std::vector<std::string> sets = args.GetList(
         "set",
         "override a model parameter (name=value, repeatable; enum values "
@@ -191,14 +183,10 @@ int RunScenarioMain(const std::string& scenario_name, int argc,
                     "need at least 2 replications for confidence intervals");
     const std::vector<exp::ParamOverride> overrides = ParseOverrides(sets);
 
-    BenchRecorder::Instance().Configure(options);
-    exp::ScenarioOptions scenario_options;
-    scenario_options.replications = options.replications;
-    scenario_options.transactions = options.transactions;
-    scenario_options.seed = options.seed;
-    scenario_options.threads = options.threads;
-    scenario_options.csv = options.csv;
-    RunScenario(scenario, scenario_options, overrides);
+    BenchRecorder::Instance().Configure(
+        scenario_name, (json == "off" || json == "none") ? "" : json,
+        options);
+    RunScenario(scenario, options, overrides);
     return 0;
   } catch (const util::Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
@@ -215,17 +203,18 @@ Estimate EstimateOf(const desp::Tally& tally) {
   return e;
 }
 
-Estimate Replicate(const RunOptions& options, uint64_t base_seed,
+Estimate Replicate(const exp::ScenarioOptions& options, uint64_t base_seed,
                    const std::function<double(uint64_t)>& model) {
-  const auto metrics = ReplicateMetrics(
-      options, base_seed, [&model](uint64_t seed, desp::MetricSink& sink) {
-        sink.Observe("value", model(seed));
-      });
-  return metrics.at("value");
+  return EstimateOf(
+      ReplicateResult(options, base_seed,
+                      [&model](uint64_t seed, desp::MetricSink& sink) {
+                        sink.Observe("value", model(seed));
+                      })
+          .Metric("value"));
 }
 
 desp::ReplicationResult ReplicateResult(
-    const RunOptions& options, uint64_t base_seed,
+    const exp::ScenarioOptions& options, uint64_t base_seed,
     const exp::ReplicationFarm::Model& model) {
   exp::FarmOptions farm_options;
   farm_options.threads = options.threads;
@@ -240,12 +229,6 @@ std::map<std::string, Estimate> EstimatesOf(
     estimates[name] = EstimateOf(result.Metric(name));
   }
   return estimates;
-}
-
-std::map<std::string, Estimate> ReplicateMetrics(
-    const RunOptions& options, uint64_t base_seed,
-    const exp::ReplicationFarm::Model& model) {
-  return EstimatesOf(ReplicateResult(options, base_seed, model));
 }
 
 void RecordEstimate(const std::string& section, const std::string& x,
@@ -298,26 +281,27 @@ void LatencyReport::AddPoint(const std::string& x,
                  util::FormatDouble(histogram.max(), 2)});
 }
 
-void LatencyReport::Print(const RunOptions& options) const {
-  std::cout << "== " << title_ << " ==\n";
-  if (options.csv) {
-    table_.PrintCsv(std::cout);
-  } else {
-    table_.Print(std::cout);
-  }
-  std::cout << "\n";
+void LatencyReport::Print(const exp::ScenarioOptions& options) const {
+  PrintTable(options, title_, table_, "");
 }
 
-void FigureReport::Print(const RunOptions& options) const {
-  std::cout << "== " << title_ << " ==\n";
+void FigureReport::Print(const exp::ScenarioOptions& options) const {
+  PrintTable(options, title_, table_,
+             "(*) paper series read off the published figure; "
+             "approximate.  Shapes, not absolute values, are the "
+             "reproduction target (see EXPERIMENTS.md).\n");
+}
+
+void PrintTable(const exp::ScenarioOptions& options,
+                const std::string& heading, const util::TextTable& table,
+                const char* footer) {
+  std::cout << "== " << heading << " ==\n";
   if (options.csv) {
-    table_.PrintCsv(std::cout);
+    table.PrintCsv(std::cout);
   } else {
-    table_.Print(std::cout);
+    table.Print(std::cout);
   }
-  std::cout << "(*) paper series read off the published figure; "
-               "approximate.  Shapes, not absolute values, are the "
-               "reproduction target (see EXPERIMENTS.md).\n\n";
+  if (footer != nullptr) std::cout << footer << "\n";
 }
 
 }  // namespace voodb::bench

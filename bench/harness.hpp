@@ -42,21 +42,6 @@
 
 namespace voodb::bench {
 
-/// Options shared by all scenario runs.
-struct RunOptions {
-  uint64_t replications = 10;
-  uint64_t transactions = 1000;
-  uint64_t seed = 42;
-  size_t threads = 0;  ///< farm workers; 0 = all hardware threads
-  bool csv = false;
-  std::string bench_name;  ///< the scenario name; names the json
-  std::string json;        ///< output path; empty = disabled
-};
-
-/// The harness view of a resolved scenario context (replication /
-/// protocol knobs from the options).
-RunOptions ToRunOptions(const exp::ScenarioContext& ctx);
-
 /// The entry point behind `voodb run <scenario>`: parses the common
 /// flags plus repeatable `--set name=value` parameter overrides,
 /// configures the BENCH_<scenario>.json recorder, and runs the named
@@ -79,23 +64,16 @@ struct Estimate {
 
 /// Runs `model` on the replication farm (options.threads workers, seeds
 /// derived from `base_seed`) and aggregates the returned scalar.
-Estimate Replicate(const RunOptions& options, uint64_t base_seed,
+Estimate Replicate(const exp::ScenarioOptions& options, uint64_t base_seed,
                    const std::function<double(uint64_t seed)>& model);
 
 /// Multi-metric variant: the model observes any number of named metrics
-/// into the sink; returns one Estimate per metric.  This replaces the old
-/// pattern of smuggling secondary metrics out of the model through
-/// captured locals, which would race on a parallel farm.
-std::map<std::string, Estimate> ReplicateMetrics(
-    const RunOptions& options, uint64_t base_seed,
-    const exp::ReplicationFarm::Model& model);
-
-/// Full-result variant: returns the reduced ReplicationResult itself so
-/// callers can also read farm-merged LogHistograms (observed via
-/// `sink.ObserveHistogram`).  The reduction runs in replication order, so
+/// (and farm-merged LogHistograms via `sink.ObserveHistogram`) into the
+/// sink; returns the reduced ReplicationResult (`EstimatesOf` gives one
+/// Estimate per metric).  The reduction runs in replication order, so
 /// scalars *and* histograms are bit-identical at any thread count.
 desp::ReplicationResult ReplicateResult(
-    const RunOptions& options, uint64_t base_seed,
+    const exp::ScenarioOptions& options, uint64_t base_seed,
     const exp::ReplicationFarm::Model& model);
 
 /// One Estimate per scalar metric of a reduced result.
@@ -115,6 +93,12 @@ std::string WithCi(const Estimate& e, int precision = 1);
 void RecordEstimate(const std::string& section, const std::string& x,
                     const std::string& series, const Estimate& e);
 
+/// Prints "== heading ==", then `table` (CSV under --csv, else aligned),
+/// then the `footer` line unless it is null.
+void PrintTable(const exp::ScenarioOptions& options,
+                const std::string& heading, const util::TextTable& table,
+                const char* footer);
+
 /// Prints the standard five-column comparison row layout used by the
 /// figure harnesses and renders the table.
 class FigureReport {
@@ -126,7 +110,7 @@ class FigureReport {
                 const Estimate& sim, double paper_bench, double paper_sim);
 
   /// Renders to stdout (aligned text or CSV per options).
-  void Print(const RunOptions& options) const;
+  void Print(const exp::ScenarioOptions& options) const;
 
  private:
   std::string title_;
@@ -148,7 +132,7 @@ class LatencyReport {
   void AddPoint(const std::string& x, const desp::LogHistogram& histogram);
 
   /// Renders to stdout (aligned text or CSV per options).
-  void Print(const RunOptions& options) const;
+  void Print(const exp::ScenarioOptions& options) const;
 
  private:
   std::string title_;

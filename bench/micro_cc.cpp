@@ -259,7 +259,7 @@ double MeasureTracingOverhead(util::TextTable& table, uint64_t trials) {
 }  // namespace
 
 exp::ScenarioResult RunMicroCcScenario(const exp::ScenarioContext& ctx) {
-  const RunOptions options = ToRunOptions(ctx);
+  const exp::ScenarioOptions& options = ctx.options;
   exp::ScenarioResult result;
 
   DriverParams params;

@@ -196,12 +196,8 @@ ScenarioResult RunFig08MrcScenario(const ScenarioContext& ctx) {
   NoteExact(result, "timing", "speedup", "mrc_vs_replays",
             speedup_vs_replays);
 
-  std::cout << "== Figure 8 from one trace pass (Mattson MRC) ==\n";
-  if (ctx.options.csv) {
-    table.PrintCsv(std::cout);
-  } else {
-    table.Print(std::cout);
-  }
+  PrintTable(ctx.options, "Figure 8 from one trace pass (Mattson MRC)", table,
+             nullptr);
   std::cout << "exact-match check passed at every cache size.\n"
             << "one Mattson pass: " << util::FormatDouble(mrc_ms, 1)
             << " ms vs " << util::FormatDouble(replay_ms, 1)
@@ -346,12 +342,8 @@ ScenarioResult RunMicroTraceScenario(const ScenarioContext& ctx) {
                 util::FormatDouble(
                     mrc_ms > 0.0 ? sweep_sim_ms / mrc_ms : 0.0, 1) +
                     "x"});
-  std::cout << "== Micro: trace record / replay / MRC analytics ==\n";
-  if (ctx.options.csv) {
-    table.PrintCsv(std::cout);
-  } else {
-    table.Print(std::cout);
-  }
+  PrintTable(ctx.options, "Micro: trace record / replay / MRC analytics", table,
+             nullptr);
   return result;
 }
 

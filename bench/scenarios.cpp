@@ -23,7 +23,6 @@
 #include "util/check.hpp"
 #include "util/table.hpp"
 #include "voodb/catalog.hpp"
-#include "voodb/experiment.hpp"
 #include "voodb/param_registry.hpp"
 #include "voodb/sharded.hpp"
 #include "voodb/system.hpp"
@@ -44,6 +43,34 @@ void Note(ScenarioResult& result, const std::string& section,
   RecordEstimate(section, x, series, e);
   result[section + "/" + x + "/" + series + "/mean"] = e.mean;
   result[section + "/" + x + "/" + series + "/hw"] = e.half_width;
+}
+
+/// Notes the cell estimates `names` as series of `section`/`x`.
+void NoteMetrics(ScenarioResult& result, const std::string& section,
+                 const std::string& x,
+                 const std::map<std::string, Estimate>& metrics,
+                 std::initializer_list<const char*> names) {
+  for (const char* name : names) {
+    Note(result, section, x, name, metrics.at(name));
+  }
+}
+
+/// Cells over the values of registry parameter `param`, labelled by the
+/// values' registry spellings ("lru_k", "16").
+std::function<std::vector<exp::Cell>(const ScenarioContext&)> CellsOver(
+    std::string param, std::vector<std::string> values) {
+  return [param = std::move(param),
+          values = std::move(values)](const ScenarioContext& ctx) {
+    std::vector<exp::Cell> cells;
+    for (const std::string& value : values) {
+      exp::Cell cell{value, ctx.config, ctx.options.transactions};
+      core::ParamRegistry::Instance().Set(
+          core::ParamTarget{&cell.config.system, &cell.config.workload}, param,
+          value);
+      cells.push_back(std::move(cell));
+    }
+    return cells;
+  };
 }
 
 ScenarioResult FigurePointsResult(const std::vector<FigurePoint>& points) {
@@ -89,17 +116,6 @@ ocb::OcbParameters DstcWorkload() {
   return p;
 }
 
-void PrintTable(const ScenarioContext& ctx, const std::string& heading,
-                const util::TextTable& table, const char* footer) {
-  std::cout << "== " << heading << " ==\n";
-  if (ctx.options.csv) {
-    table.PrintCsv(std::cout);
-  } else {
-    table.Print(std::cout);
-  }
-  if (footer != nullptr) std::cout << footer << "\n";
-}
-
 void Register(Scenario s) {
   exp::ScenarioRegistry::Instance().Register(std::move(s));
 }
@@ -127,7 +143,7 @@ void RegisterInstanceFigure(const char* name, TargetSystem system,
   s.run = [system, memory_mb, paper_bench = std::move(paper_bench),
            paper_sim = std::move(paper_sim)](const ScenarioContext& ctx) {
     return FigurePointsResult(RunInstanceSweep(
-        ToRunOptions(ctx), system, ctx.config.workload, memory_mb,
+        ctx.options, system, ctx.config.workload, memory_mb,
         ctx.config.system, AxisValues(ctx, "num_objects"),
         ctx.scenario->title.c_str(), paper_bench, paper_sim));
   };
@@ -151,7 +167,7 @@ void RegisterMemoryFigure(const char* name, TargetSystem system,
   s.run = [system, paper_bench = std::move(paper_bench),
            paper_sim = std::move(paper_sim)](const ScenarioContext& ctx) {
     return FigurePointsResult(RunMemorySweep(
-        ToRunOptions(ctx), system, ctx.config.workload, ctx.config.system,
+        ctx.options, system, ctx.config.workload, ctx.config.system,
         AxisValues(ctx, "memory_mb"), ctx.scenario->title.c_str(),
         paper_bench, paper_sim));
   };
@@ -206,7 +222,7 @@ void RegisterDstcTable(const char* name, double memory_mb, const char* title,
   s.run = [memory_mb, rows = std::move(rows),
            footer](const ScenarioContext& ctx) {
     const DstcComparison cmp = RunDstcExperiment(
-        ToRunOptions(ctx), memory_mb, ctx.config.workload, ctx.config.system);
+        ctx.options, memory_mb, ctx.config.workload, ctx.config.system);
     util::TextTable table({"Row", "Bench.", "Sim.", "Ratio", "Paper bench",
                            "Paper sim", "Paper ratio"});
     for (const DstcRow& row : rows) {
@@ -216,7 +232,7 @@ void RegisterDstcTable(const char* name, double memory_mb, const char* title,
                     util::FormatDouble(Ratio(bench, sim), 4), row.paper_bench,
                     row.paper_sim, row.paper_ratio});
     }
-    PrintTable(ctx, ctx.scenario->title, table, footer);
+    PrintTable(ctx.options, ctx.scenario->title, table, footer);
     return DstcResult(cmp);
   };
   Register(std::move(s));
@@ -237,38 +253,19 @@ void RegisterAblationBufferPolicy() {
   s.base.system.buffer_pages = 1200;  // ~1/4 of the base
   s.swept = {"page_replacement"};
   s.base.system.lru_k = 2;
+  s.cells = CellsOver("page_replacement", {"random", "fifo", "lfu", "lru",
+                                           "lru_k", "clock", "gclock"});
   s.run = [](const ScenarioContext& ctx) {
-    const RunOptions options = ToRunOptions(ctx);
-    const ocb::ObjectBase base =
-        ocb::ObjectBase::Generate(ctx.config.workload);
     ScenarioResult result;
     util::TextTable table({"PGREP", "Mean I/Os", "Hit rate"});
-    for (const storage::ReplacementPolicy policy :
-         {storage::ReplacementPolicy::kRandom,
-          storage::ReplacementPolicy::kFifo, storage::ReplacementPolicy::kLfu,
-          storage::ReplacementPolicy::kLru, storage::ReplacementPolicy::kLruK,
-          storage::ReplacementPolicy::kClock,
-          storage::ReplacementPolicy::kGclock}) {
-      const auto metrics = ReplicateMetrics(
-          options, options.seed, [&](uint64_t seed, desp::MetricSink& sink) {
-            core::VoodbConfig cfg = ctx.config.system;
-            cfg.page_replacement = policy;
-            core::VoodbSystem sys(cfg, &base, nullptr, seed);
-            ocb::WorkloadGenerator gen(&base,
-                                       desp::RandomStream(seed).Derive(1));
-            const core::PhaseMetrics m =
-                sys.RunTransactions(gen, options.transactions);
-            sink.Observe("total_ios", static_cast<double>(m.total_ios));
-            sink.Observe("hit_rate", m.HitRate());
-          });
-      const Estimate ios = metrics.at("total_ios");
-      Note(result, "pgrep", ToString(policy), "total_ios", ios);
-      Note(result, "pgrep", ToString(policy), "hit_rate",
-           metrics.at("hit_rate"));
-      table.AddRow({ToString(policy), WithCi(ios),
+    for (const auto& [cell, replicated] : exp::RunCells(ctx)) {
+      const std::map<std::string, Estimate> metrics = EstimatesOf(replicated);
+      const char* x = ToString(cell.config.system.page_replacement);
+      NoteMetrics(result, "pgrep", x, metrics, {"total_ios", "hit_rate"});
+      table.AddRow({x, WithCi(metrics.at("total_ios")),
                     util::FormatDouble(metrics.at("hit_rate").mean, 3)});
     }
-    PrintTable(ctx, ctx.scenario->title, table,
+    PrintTable(ctx.options, ctx.scenario->title, table,
                "Expectation: recency-aware policies (LRU, LRU-K, CLOCK, "
                "GCLOCK) beat RANDOM/FIFO on the traversal-heavy OCB mix.");
     return result;
@@ -287,7 +284,7 @@ void RegisterAblationClustering() {
   s.base.workload = DstcWorkload();
   s.base.system = core::SystemCatalog::Texas();
   s.run = [](const ScenarioContext& ctx) {
-    const RunOptions options = ToRunOptions(ctx);
+    const exp::ScenarioOptions& options = ctx.options;
     const ocb::ObjectBase base =
         ocb::ObjectBase::Generate(ctx.config.workload);
     auto make_policy =
@@ -315,7 +312,7 @@ void RegisterAblationClustering() {
     util::TextTable table({"CLUSTP", "Pre I/Os", "Overhead I/Os", "Post I/Os",
                            "Gain", "Clusters"});
     for (const int which : {0, 1, 2}) {
-      const auto metrics = ReplicateMetrics(
+      const auto metrics = EstimatesOf(ReplicateResult(
           options, options.seed, [&](uint64_t seed, desp::MetricSink& sink) {
             core::VoodbSystem sys(ctx.config.system, &base,
                                   make_policy(which), seed);
@@ -338,7 +335,7 @@ void RegisterAblationClustering() {
             sink.Observe("clusters", static_cast<double>(cm.num_clusters));
             sink.Observe("post_ios", post_ios);
             sink.Observe("gain", post_ios > 0.0 ? pre_ios / post_ios : 0.0);
-          });
+          }));
       const Estimate pre = metrics.at("pre_ios");
       for (const auto& [metric, estimate] : metrics) {
         Note(result, "clustp", policy_name(which), metric, estimate);
@@ -349,7 +346,7 @@ void RegisterAblationClustering() {
                     util::FormatDouble(metrics.at("gain").mean, 2),
                     util::FormatDouble(metrics.at("clusters").mean, 0)});
     }
-    PrintTable(ctx, ctx.scenario->title, table,
+    PrintTable(ctx.options, ctx.scenario->title, table,
                "Expectation: NONE shows gain ~1 and zero overhead; both "
                "dynamic policies pay a reorganization but repay it with "
                "post-clustering usage well below pre-clustering usage.");
@@ -376,81 +373,54 @@ void RegisterAblationFailures() {
   s.base.system.system_class = core::SystemClass::kCentralized;
   s.swept = {"failure_mtbf_ms", "disk_fault_prob"};
   s.base.system.buffer_pages = 512;
+  s.cells = [](const ScenarioContext& ctx) {
+    std::vector<exp::Cell> cells;
+    for (const double mtbf_s : {0.0, 60.0, 20.0, 5.0}) {
+      exp::Cell cell{"mtbf/" + (mtbf_s == 0.0 ? std::string("inf")
+                                              : util::FormatDouble(mtbf_s, 0)),
+                     ctx.config, ctx.options.transactions / 2};
+      cell.config.system.failure_mtbf_ms = mtbf_s * 1000.0;
+      cells.push_back(std::move(cell));
+    }
+    for (const double prob : {0.0, 0.01, 0.05, 0.2}) {
+      exp::Cell cell{"fault/" + util::FormatDouble(prob, 2), ctx.config,
+                     ctx.options.transactions / 2};
+      cell.config.system.disk_fault_prob = prob;
+      cells.push_back(std::move(cell));
+    }
+    return cells;
+  };
   s.run = [](const ScenarioContext& ctx) {
-    const RunOptions options = ToRunOptions(ctx);
-    const ocb::ObjectBase base =
-        ocb::ObjectBase::Generate(ctx.config.workload);
     ScenarioResult result;
-
     util::TextTable crash_table({"MTBF (s)", "Sim time (s)", "Crashes",
                                  "Recovery (s)", "Extra I/Os vs healthy"});
-    double healthy_ios = 0.0;
-    for (const double mtbf_s : {0.0, 60.0, 20.0, 5.0}) {
-      const auto metrics = ReplicateMetrics(
-          options, options.seed, [&](uint64_t seed, desp::MetricSink& sink) {
-            core::VoodbConfig cfg = ctx.config.system;
-            cfg.failure_mtbf_ms = mtbf_s * 1000.0;
-            core::VoodbSystem sys(cfg, &base, nullptr, seed);
-            ocb::WorkloadGenerator gen(&base,
-                                       desp::RandomStream(seed).Derive(1));
-            const core::PhaseMetrics m =
-                sys.RunTransactions(gen, options.transactions / 2);
-            const auto* injector = sys.failure_injector();
-            sink.Observe("sim_s", m.sim_time_ms / 1000.0);
-            sink.Observe("crashes",
-                         injector
-                             ? static_cast<double>(injector->stats().crashes)
-                             : 0.0);
-            sink.Observe(
-                "recovery_s",
-                injector ? injector->stats().total_recovery_ms / 1000.0
-                         : 0.0);
-            sink.Observe("total_ios", static_cast<double>(m.total_ios));
-          });
-      const double ios = metrics.at("total_ios").mean;
-      if (mtbf_s == 0.0) healthy_ios = ios;
-      const std::string x =
-          mtbf_s == 0.0 ? "inf" : util::FormatDouble(mtbf_s, 0);
-      for (const auto& [metric, estimate] : metrics) {
-        Note(result, "crash_mtbf", x, metric, estimate);
-      }
-      crash_table.AddRow(
-          {x, WithCi(metrics.at("sim_s"), 2),
-           util::FormatDouble(metrics.at("crashes").mean, 1),
-           util::FormatDouble(metrics.at("recovery_s").mean, 2),
-           util::FormatDouble(ios - healthy_ios, 0)});
-    }
-    PrintTable(ctx, "Ablation: crash MTBF", crash_table, nullptr);
-
     util::TextTable fault_table({"Fault prob", "Sim time (s)", "Faults",
                                  "I/Os"});
-    for (const double prob : {0.0, 0.01, 0.05, 0.2}) {
-      const auto metrics = ReplicateMetrics(
-          options, options.seed, [&](uint64_t seed, desp::MetricSink& sink) {
-            core::VoodbConfig cfg = ctx.config.system;
-            cfg.disk_fault_prob = prob;
-            core::VoodbSystem sys(cfg, &base, nullptr, seed);
-            ocb::WorkloadGenerator gen(&base,
-                                       desp::RandomStream(seed).Derive(1));
-            const core::PhaseMetrics m =
-                sys.RunTransactions(gen, options.transactions / 2);
-            sink.Observe("sim_s", m.sim_time_ms / 1000.0);
-            sink.Observe("faults",
-                         static_cast<double>(
-                             sys.io_subsystem().transient_faults()));
-            sink.Observe("total_ios", static_cast<double>(m.total_ios));
-          });
-      const std::string x = util::FormatDouble(prob, 2);
-      for (const auto& [metric, estimate] : metrics) {
-        Note(result, "disk_faults", x, metric, estimate);
+    double healthy_ios = 0.0;
+    for (const auto& [cell, replicated] : exp::RunCells(ctx)) {
+      const std::map<std::string, Estimate> metrics = EstimatesOf(replicated);
+      const std::string x = cell.label.substr(cell.label.find('/') + 1);
+      const double ios = metrics.at("total_ios").mean;
+      if (cell.label.rfind("mtbf/", 0) == 0) {
+        if (x == "inf") healthy_ios = ios;
+        NoteMetrics(result, "crash_mtbf", x, metrics,
+                    {"crashes", "recovery_s", "sim_s", "total_ios"});
+        crash_table.AddRow(
+            {x, WithCi(metrics.at("sim_s"), 2),
+             util::FormatDouble(metrics.at("crashes").mean, 1),
+             util::FormatDouble(metrics.at("recovery_s").mean, 2),
+             util::FormatDouble(ios - healthy_ios, 0)});
+      } else {
+        NoteMetrics(result, "disk_faults", x, metrics,
+                    {"faults", "sim_s", "total_ios"});
+        fault_table.AddRow({x, WithCi(metrics.at("sim_s"), 2),
+                            util::FormatDouble(metrics.at("faults").mean, 0),
+                            util::FormatDouble(ios, 0)});
       }
-      fault_table.AddRow(
-          {x, WithCi(metrics.at("sim_s"), 2),
-           util::FormatDouble(metrics.at("faults").mean, 0),
-           util::FormatDouble(metrics.at("total_ios").mean, 0)});
     }
+    PrintTable(ctx.options, "Ablation: crash MTBF", crash_table, nullptr);
     std::cout << "\n";
-    PrintTable(ctx, "Ablation: transient disk faults", fault_table,
+    PrintTable(ctx.options, "Ablation: transient disk faults", fault_table,
                "Expectation: crashes add I/Os (lost buffer re-reads) and "
                "downtime; transient faults stretch time while the I/O "
                "count stays constant.");
@@ -479,48 +449,39 @@ void RegisterAblationLocking() {
   s.base.system.num_users = 8;
   s.swept = {"p_update", "use_lock_manager"};
   s.base.system.multiprogramming_level = 8;
+  s.cells = [](const ScenarioContext& ctx) {
+    std::vector<exp::Cell> cells;
+    for (const double p_update : {0.0, 0.2, 0.5}) {
+      for (const bool real_locks : {false, true}) {
+        exp::Cell cell{util::FormatDouble(p_update, 1) +
+                           (real_locks ? "/2PL" : "/fixed"),
+                       ctx.config, ctx.options.transactions / 2};
+        cell.config.workload.p_update = p_update;
+        cell.config.system.use_lock_manager = real_locks;
+        cells.push_back(std::move(cell));
+      }
+    }
+    return cells;
+  };
   s.run = [](const ScenarioContext& ctx) {
-    const RunOptions options = ToRunOptions(ctx);
     ScenarioResult result;
     util::TextTable table({"PUPDATE", "Lock model", "Throughput (tps)",
                            "Restarts", "p50 (ms)", "p99 (ms)"});
-    for (const double p_update : {0.0, 0.2, 0.5}) {
-      ocb::OcbParameters wl = ctx.config.workload;
-      wl.p_update = p_update;
-      const ocb::ObjectBase base = ocb::ObjectBase::Generate(wl);
-      for (const bool real_locks : {false, true}) {
-        const auto metrics = ReplicateMetrics(
-            options, options.seed,
-            [&](uint64_t seed, desp::MetricSink& sink) {
-              core::VoodbConfig cfg = ctx.config.system;
-              cfg.use_lock_manager = real_locks;
-              core::VoodbSystem sys(cfg, &base, nullptr, seed);
-              ocb::WorkloadGenerator gen(&base,
-                                         desp::RandomStream(seed).Derive(1));
-              const core::PhaseMetrics m =
-                  sys.RunTransactions(gen, options.transactions / 2);
-              const auto& h =
-                  sys.transaction_manager().response_histogram();
-              sink.Observe("throughput_tps", m.ThroughputTps());
-              sink.Observe("restarts",
-                           static_cast<double>(m.transaction_restarts));
-              sink.Observe("p50_ms", h.Quantile(0.5));
-              sink.Observe("p99_ms", h.Quantile(0.99));
-            });
-        const std::string x = util::FormatDouble(p_update, 1) +
-                              (real_locks ? " 2PL" : " fixed");
-        for (const auto& [metric, estimate] : metrics) {
-          Note(result, "lock_model", x, metric, estimate);
-        }
-        table.AddRow({util::FormatDouble(p_update, 1),
-                      real_locks ? "2PL wait-die" : "fixed delay",
-                      WithCi(metrics.at("throughput_tps"), 2),
-                      util::FormatDouble(metrics.at("restarts").mean, 0),
-                      util::FormatDouble(metrics.at("p50_ms").mean, 1),
-                      util::FormatDouble(metrics.at("p99_ms").mean, 1)});
-      }
+    for (const auto& [cell, replicated] : exp::RunCells(ctx)) {
+      const std::map<std::string, Estimate> metrics = EstimatesOf(replicated);
+      const std::string p_update =
+          util::FormatDouble(cell.config.workload.p_update, 1);
+      const bool real_locks = cell.config.system.use_lock_manager;
+      NoteMetrics(result, "lock_model",
+                  p_update + (real_locks ? " 2PL" : " fixed"), metrics,
+                  {"p50_ms", "p99_ms", "restarts", "throughput_tps"});
+      table.AddRow({p_update, real_locks ? "2PL wait-die" : "fixed delay",
+                    WithCi(metrics.at("throughput_tps"), 2),
+                    util::FormatDouble(metrics.at("restarts").mean, 0),
+                    util::FormatDouble(metrics.at("p50_ms").mean, 1),
+                    util::FormatDouble(metrics.at("p99_ms").mean, 1)});
     }
-    PrintTable(ctx, ctx.scenario->title, table,
+    PrintTable(ctx.options, ctx.scenario->title, table,
                "Expectation: the models agree on read-only workloads; as "
                "PUPDATE grows, real locking shows restarts, lower "
                "throughput and a stretched p99 that the fixed-delay model "
@@ -549,39 +510,23 @@ void RegisterAblationMultiprog() {
   s.base.system.buffer_pages = 120;  // scarce memory: disk-bound regime
   s.swept = {"multiprogramming_level"};
   s.base.system.num_users = 32;
+  s.cells = CellsOver("multiprogramming_level", {"1", "2", "4", "8", "16"});
   s.run = [](const ScenarioContext& ctx) {
-    const RunOptions options = ToRunOptions(ctx);
-    const ocb::ObjectBase base =
-        ocb::ObjectBase::Generate(ctx.config.workload);
     ScenarioResult result;
     util::TextTable table({"MULTILVL", "Throughput (tps)", "Resp (ms)",
                            "Disk util", "Mean I/Os"});
-    for (const uint32_t multilvl : {1u, 2u, 4u, 8u, 16u}) {
-      const auto metrics = ReplicateMetrics(
-          options, options.seed, [&](uint64_t seed, desp::MetricSink& sink) {
-            core::VoodbConfig cfg = ctx.config.system;
-            cfg.multiprogramming_level = multilvl;
-            core::VoodbSystem sys(cfg, &base, nullptr, seed);
-            ocb::WorkloadGenerator gen(&base,
-                                       desp::RandomStream(seed).Derive(1));
-            const core::PhaseMetrics m =
-                sys.RunTransactions(gen, options.transactions);
-            sink.Observe("throughput_tps", m.ThroughputTps());
-            sink.Observe("mean_response_ms", m.mean_response_ms);
-            sink.Observe("disk_util", sys.io_subsystem().DiskUtilization());
-            sink.Observe("total_ios", static_cast<double>(m.total_ios));
-          });
-      for (const auto& [metric, estimate] : metrics) {
-        Note(result, "multilvl", std::to_string(multilvl), metric, estimate);
-      }
-      table.AddRow({std::to_string(multilvl),
-                    WithCi(metrics.at("throughput_tps"), 2),
+    for (const auto& [cell, replicated] : exp::RunCells(ctx)) {
+      const std::map<std::string, Estimate> metrics = EstimatesOf(replicated);
+      NoteMetrics(result, "multilvl", cell.label, metrics,
+                  {"disk_util", "mean_response_ms", "throughput_tps",
+                   "total_ios"});
+      table.AddRow({cell.label, WithCi(metrics.at("throughput_tps"), 2),
                     util::FormatDouble(metrics.at("mean_response_ms").mean,
                                        1),
                     util::FormatDouble(metrics.at("disk_util").mean, 3),
                     util::FormatDouble(metrics.at("total_ios").mean, 0)});
     }
-    PrintTable(ctx, ctx.scenario->title, table,
+    PrintTable(ctx.options, ctx.scenario->title, table,
                "Expectation: throughput grows with MULTILVL while the disk "
                "has headroom, peaks, then *degrades* under over-admission "
                "as concurrent transactions' working sets thrash the shared "
@@ -605,52 +550,45 @@ void RegisterAblationPlacement() {
   s.base.workload = FigureWorkload(50, 20000);
   s.swept = {"initial_placement"};
   s.base.system = core::SystemCatalog::O2();
-  s.run = [](const ScenarioContext& ctx) {
-    const RunOptions options = ToRunOptions(ctx);
-    const ocb::ObjectBase base =
-        ocb::ObjectBase::Generate(ctx.config.workload);
-    ScenarioResult result;
-    util::TextTable table({"System", "INITPL", "Mean I/Os", "Hit rate"});
+  s.cells = [](const ScenarioContext& ctx) {
+    const core::ParamRegistry& registry = core::ParamRegistry::Instance();
+    std::vector<exp::Cell> cells;
     for (const bool o2 : {true, false}) {
       for (const storage::PlacementPolicy placement :
            {storage::PlacementPolicy::kSequential,
             storage::PlacementPolicy::kOptimizedSequential,
             storage::PlacementPolicy::kReferenceDfs}) {
-        const auto metrics = ReplicateMetrics(
-            options, options.seed,
-            [&](uint64_t seed, desp::MetricSink& sink) {
-              core::VoodbConfig cfg = o2 ? core::SystemCatalog::O2()
-                                         : core::SystemCatalog::Texas();
-              // Re-apply the run's system overrides on this preset
-              // (workload ones already shaped the base above).
-              const core::ParamRegistry& registry =
-                  core::ParamRegistry::Instance();
-              for (const auto& [param, value] : ctx.overrides) {
-                if (registry.At(param).domain ==
-                    core::ParamDomain::kWorkload) {
-                  continue;
-                }
-                registry.Set(core::ParamTarget{&cfg, nullptr}, param, value);
-              }
-              cfg.initial_placement = placement;
-              core::VoodbSystem sys(cfg, &base, nullptr, seed);
-              ocb::WorkloadGenerator gen(&base,
-                                         desp::RandomStream(seed).Derive(1));
-              const core::PhaseMetrics m =
-                  sys.RunTransactions(gen, options.transactions);
-              sink.Observe("total_ios", static_cast<double>(m.total_ios));
-              sink.Observe("hit_rate", m.HitRate());
-            });
-        const Estimate ios = metrics.at("total_ios");
-        const std::string x =
-            std::string(o2 ? "O2 " : "Texas ") + ToString(placement);
-        Note(result, "initpl", x, "total_ios", ios);
-        Note(result, "initpl", x, "hit_rate", metrics.at("hit_rate"));
-        table.AddRow({o2 ? "O2" : "Texas", ToString(placement), WithCi(ios),
-                      util::FormatDouble(metrics.at("hit_rate").mean, 3)});
+        exp::Cell cell{std::string(o2 ? "O2/" : "Texas/") +
+                           ToString(placement),
+                       ctx.config, ctx.options.transactions};
+        core::VoodbConfig& cfg = cell.config.system;
+        cfg = o2 ? core::SystemCatalog::O2() : core::SystemCatalog::Texas();
+        // Re-apply the run's system overrides on this preset (workload
+        // ones already shaped ctx.config.workload).
+        for (const auto& [param, value] : ctx.overrides) {
+          if (registry.At(param).domain != core::ParamDomain::kWorkload) {
+            registry.Set(core::ParamTarget{&cfg, nullptr}, param, value);
+          }
+        }
+        cfg.initial_placement = placement;
+        cells.push_back(std::move(cell));
       }
     }
-    PrintTable(ctx, ctx.scenario->title, table,
+    return cells;
+  };
+  s.run = [](const ScenarioContext& ctx) {
+    ScenarioResult result;
+    util::TextTable table({"System", "INITPL", "Mean I/Os", "Hit rate"});
+    for (const auto& [cell, replicated] : exp::RunCells(ctx)) {
+      const std::map<std::string, Estimate> metrics = EstimatesOf(replicated);
+      const std::string system = cell.label.substr(0, cell.label.find('/'));
+      const char* placement = ToString(cell.config.system.initial_placement);
+      NoteMetrics(result, "initpl", system + " " + placement, metrics,
+                  {"total_ios", "hit_rate"});
+      table.AddRow({system, placement, WithCi(metrics.at("total_ios")),
+                    util::FormatDouble(metrics.at("hit_rate").mean, 3)});
+    }
+    PrintTable(ctx.options, ctx.scenario->title, table,
                "Expectation: when the base fits in memory (Texas), "
                "ReferenceDfs — an idealized static clustering — beats "
                "OptimizedSequential, which is what leaves room for dynamic "
@@ -679,43 +617,26 @@ void RegisterAblationSysclass() {
   s.base.system.network_throughput_mbps = 1.0;  // Table 3 default
   s.swept = {"system_class"};
   s.base.system.buffer_pages = 1500;
+  s.cells = CellsOver("system_class", {"centralized", "object_server",
+                                       "page_server", "db_server"});
   s.run = [](const ScenarioContext& ctx) {
-    const RunOptions options = ToRunOptions(ctx);
-    const ocb::ObjectBase base =
-        ocb::ObjectBase::Generate(ctx.config.workload);
     ScenarioResult result;
     util::TextTable table({"SYSCLASS", "Mean I/Os", "Net MB", "Resp (ms)",
                            "Throughput (tps)"});
-    for (const core::SystemClass sc :
-         {core::SystemClass::kCentralized, core::SystemClass::kObjectServer,
-          core::SystemClass::kPageServer, core::SystemClass::kDbServer}) {
-      const auto metrics = ReplicateMetrics(
-          options, options.seed, [&](uint64_t seed, desp::MetricSink& sink) {
-            core::VoodbConfig cfg = ctx.config.system;
-            cfg.system_class = sc;
-            core::VoodbSystem sys(cfg, &base, nullptr, seed);
-            ocb::WorkloadGenerator gen(&base,
-                                       desp::RandomStream(seed).Derive(1));
-            const core::PhaseMetrics m =
-                sys.RunTransactions(gen, options.transactions);
-            sink.Observe("total_ios", static_cast<double>(m.total_ios));
-            sink.Observe("network_mb",
-                         static_cast<double>(m.network_bytes) /
-                             (1024.0 * 1024.0));
-            sink.Observe("mean_response_ms", m.mean_response_ms);
-            sink.Observe("throughput_tps", m.ThroughputTps());
-          });
-      for (const auto& [metric, estimate] : metrics) {
-        Note(result, "sysclass", ToString(sc), metric, estimate);
-      }
-      table.AddRow({ToString(sc), WithCi(metrics.at("total_ios")),
+    for (const auto& [cell, replicated] : exp::RunCells(ctx)) {
+      const std::map<std::string, Estimate> metrics = EstimatesOf(replicated);
+      const char* x = ToString(cell.config.system.system_class);
+      NoteMetrics(result, "sysclass", x, metrics,
+                  {"mean_response_ms", "network_mb", "throughput_tps",
+                   "total_ios"});
+      table.AddRow({x, WithCi(metrics.at("total_ios")),
                     util::FormatDouble(metrics.at("network_mb").mean, 2),
                     util::FormatDouble(metrics.at("mean_response_ms").mean,
                                        2),
                     util::FormatDouble(metrics.at("throughput_tps").mean,
                                        2)});
     }
-    PrintTable(ctx, ctx.scenario->title, table,
+    PrintTable(ctx.options, ctx.scenario->title, table,
                "Expectation: identical server I/Os (same buffer and "
                "placement) but network traffic PageServer > ObjectServer > "
                "DbServer > Centralized, reflected in response times.");
@@ -738,7 +659,7 @@ void RegisterAblationVmModel() {
   s.base.system = core::SystemCatalog::Texas();
   s.system_config_used = false;
   s.run = [](const ScenarioContext& ctx) {
-    const RunOptions options = ToRunOptions(ctx);
+    const exp::ScenarioOptions& options = ctx.options;
     const ocb::ObjectBase base =
         ocb::ObjectBase::Generate(ctx.config.workload);
     struct Variant {
@@ -784,7 +705,7 @@ void RegisterAblationVmModel() {
                     util::FormatDouble(at[2], 0),
                     util::FormatDouble(at[2] > 0 ? at[0] / at[2] : 0, 1)});
     }
-    PrintTable(ctx, ctx.scenario->title, table,
+    PrintTable(ctx.options, ctx.scenario->title, table,
                "Expectation: the degradation factor under memory pressure "
                "collapses as each Texas behaviour is removed; plain demand "
                "paging is the O2-like linear baseline.");
@@ -832,7 +753,7 @@ void RegisterShardScale() {
   s.base.system.multi_partition_pct = 0.2;
   s.swept = {"shards", "sim_threads"};
   s.run = [](const ScenarioContext& ctx) {
-    const RunOptions options = ToRunOptions(ctx);
+    const exp::ScenarioOptions& options = ctx.options;
     const ocb::ObjectBase base =
         ocb::ObjectBase::Generate(ctx.config.workload);
     ScenarioResult result;
@@ -891,7 +812,7 @@ void RegisterShardScale() {
                       is_reference ? "ref" : "yes"});
       }
     }
-    PrintTable(ctx, ctx.scenario->title, table,
+    PrintTable(ctx.options, ctx.scenario->title, table,
                "Identical=yes means the cell's event digest and metrics "
                "matched the serial reference bit-for-bit (enforced; the "
                "scenario throws otherwise).");
@@ -900,83 +821,35 @@ void RegisterShardScale() {
   Register(std::move(s));
 }
 
-void RegisterFarmSpeedup() {
-  Scenario s;
-  s.name = "farm_speedup";
-  s.title = "Replication-farm wall-clock speedup (bitwise-checked)";
-  s.description =
-      "Wall-clock of the parallel replication farm vs the serial path on "
-      "a non-trivial VOODB workload, with a bitwise identity check "
-      "between the two runs.  The paper's protocol is ~100 independent "
-      "replications, so an 8-thread farm should approach 8x on 8 free "
-      "cores; on a busy or small machine the ratio shrinks but the "
-      "identity check still proves the farm is safe to use everywhere.  "
-      "--threads=N sets the parallel leg's worker count (default 8).";
-  s.base.system.system_class = core::SystemClass::kCentralized;
-  s.base.system.buffer_pages = 600;
-  s.base.workload.num_classes = 20;
-  s.base.workload.num_objects = 5000;
-  s.run = [](const ScenarioContext& ctx) {
-    const RunOptions options = ToRunOptions(ctx);
-    core::ExperimentConfig ec = ctx.config;
-    ec.workload.hot_transactions =
-        static_cast<uint32_t>(options.transactions);
-    ec.replications = options.replications;
-    ec.base_seed = options.seed;
-    const ocb::ObjectBase base = ocb::ObjectBase::Generate(ec.workload);
-    const size_t threads =
-        options.threads == 0 ? 8 : options.threads;  // headline point: 8
+// --- Concurrency control -----------------------------------------------------
 
-    desp::ReplicationResult serial;
-    desp::ReplicationResult parallel;
-    const double serial_ms = WallClockMs([&] {
-      ec.threads = 1;
-      serial = core::Experiment::RunOnBase(ec, base);
-    });
-    const double parallel_ms = WallClockMs([&] {
-      ec.threads = threads;
-      parallel = core::Experiment::RunOnBase(ec, base);
-    });
+constexpr cc::ProtocolKind kCcProtocols[] = {
+    cc::ProtocolKind::kNoWait, cc::ProtocolKind::kWaitDie,
+    cc::ProtocolKind::kDeadlockDetect, cc::ProtocolKind::kMvcc,
+    cc::ProtocolKind::kOcc};
 
-    bool identical = serial.replications() == parallel.replications();
-    for (const std::string& name : serial.MetricNames()) {
-      const desp::Tally& a = serial.Metric(name);
-      const desp::Tally& b = parallel.Metric(name);
-      identical = identical && a.count() == b.count() &&
-                  a.mean() == b.mean() && a.variance() == b.variance() &&
-                  a.min() == b.min() && a.max() == b.max();
-    }
-    VOODB_CHECK_MSG(identical,
-                    "farm results diverged between the serial and "
-                    "parallel paths");
-
-    const double speedup = parallel_ms > 0.0 ? serial_ms / parallel_ms : 0.0;
-    util::TextTable table({"Path", "Threads", "Wall (ms)", "Mean I/Os"});
-    table.AddRow({"serial", "1", util::FormatDouble(serial_ms, 1),
-                  util::FormatDouble(serial.Metric("total_ios").mean(), 1)});
-    table.AddRow({"farm", std::to_string(threads),
-                  util::FormatDouble(parallel_ms, 1),
-                  util::FormatDouble(parallel.Metric("total_ios").mean(),
-                                     1)});
-    PrintTable(ctx, ctx.scenario->title, table, nullptr);
-    std::cout << "Speedup: " << util::FormatDouble(speedup, 2) << "x at "
-              << threads << " threads ("
-              << exp::ThreadPool::HardwareThreads()
-              << " hardware threads); results bitwise identical: yes\n";
-
-    ScenarioResult result;
-    Note(result, "farm_speedup", std::to_string(threads) + "_threads",
-         "speedup", Estimate{speedup, 0.0});
-    Note(result, "farm_speedup", std::to_string(threads) + "_threads",
-         "serial_ms", Estimate{serial_ms, 0.0});
-    Note(result, "farm_speedup", std::to_string(threads) + "_threads",
-         "parallel_ms", Estimate{parallel_ms, 0.0});
-    return result;
-  };
-  Register(std::move(s));
+/// Table header of the contention studies: `keys` then one column per
+/// cell metric of `exp::RunCells`.
+std::vector<std::string> ContentionHeader(std::vector<std::string> keys) {
+  for (const char* column : {"Throughput (tps)", "Abort rate", "p99 (ms)",
+                             "Lock p99", "IO p99", "Retry", "Restarts"}) {
+    keys.emplace_back(column);
+  }
+  return keys;
 }
 
-// --- Concurrency control -----------------------------------------------------
+std::vector<std::string> ContentionRow(
+    std::vector<std::string> keys,
+    const std::map<std::string, Estimate>& metrics) {
+  keys.push_back(WithCi(metrics.at("throughput_tps"), 2));
+  keys.push_back(util::FormatDouble(metrics.at("abort_rate").mean, 3));
+  for (const char* metric :
+       {"p99_ms", "lock_wait_p99_ms", "io_p99_ms", "retry_ms"}) {
+    keys.push_back(util::FormatDouble(metrics.at(metric).mean, 1));
+  }
+  keys.push_back(util::FormatDouble(metrics.at("restarts").mean, 0));
+  return keys;
+}
 
 void RegisterCcAbyss() {
   Scenario s;
@@ -988,13 +861,14 @@ void RegisterCcAbyss() {
       "hot object base — the classic many-core contention study (\"1000 "
       "cores\" style) run inside the VOODB model.  Emits throughput, "
       "abort-rate and p99 response-time curves per protocol into "
-      "BENCH_cc_abyss.json.  Each run is a single deterministic "
-      "simulation (seed-driven, farm-thread independent); a second leg "
-      "re-runs every protocol under shards=2 at sim_threads 1 vs 2 and "
-      "FAILS unless the event digests and metrics are bit-identical.  "
-      "--set num_users=N caps the user grid (CI runs a tiny grid this "
-      "way); --transactions=N is the floor on transactions per cell "
-      "(raised to one per user).";
+      "BENCH_cc_abyss.json.  Every cell (<users>/<protocol>, the "
+      "--cell label of `voodb profile|explain|trace record`) is "
+      "replicated on the farm with 95 % Student-t CIs, like every other "
+      "model scenario; a second leg re-runs every protocol under "
+      "shards=2 at sim_threads 1 vs 2 and FAILS unless the event digests "
+      "and metrics are bit-identical.  --set num_users=N caps the user "
+      "grid (CI runs a tiny grid this way); --transactions=N is the "
+      "floor on transactions per cell (raised to one per user).";
   {
     // Short uniform random-access transactions (the contention-study
     // shape): 8 independent accesses over a 20k-object base, 25% writes.
@@ -1017,66 +891,39 @@ void RegisterCcAbyss() {
   s.base.system.use_lock_manager = true;
   s.base.system.num_users = 4096;
   s.swept = {"cc_protocol", "multiprogramming_level", "use_lock_manager"};
-  s.run = [](const ScenarioContext& ctx) {
-    const RunOptions options = ToRunOptions(ctx);
-    const ocb::ObjectBase base =
-        ocb::ObjectBase::Generate(ctx.config.workload);
-    ScenarioResult result;
-    constexpr cc::ProtocolKind kProtocols[] = {
-        cc::ProtocolKind::kNoWait, cc::ProtocolKind::kWaitDie,
-        cc::ProtocolKind::kDeadlockDetect, cc::ProtocolKind::kMvcc,
-        cc::ProtocolKind::kOcc};
-
-    util::TextTable table({"NUSERS", "Protocol", "Throughput (tps)",
-                           "Abort rate", "p99 (ms)", "Lock p99", "IO p99",
-                           "Retry", "Restarts"});
+  s.cells = [](const ScenarioContext& ctx) {
+    std::vector<exp::Cell> cells;
     for (const uint32_t users : {16u, 64u, 256u, 1024u, 4096u}) {
       if (users > ctx.config.system.num_users) continue;  // --set cap
-      for (const cc::ProtocolKind kind : kProtocols) {
-        core::VoodbConfig cfg = ctx.config.system;
-        cfg.use_lock_manager = true;
-        cfg.cc_protocol = kind;
-        cfg.num_users = users;
-        cfg.multiprogramming_level = users;
-        const uint64_t txns = std::max<uint64_t>(options.transactions, users);
-        core::VoodbSystem sys(cfg, &base, nullptr, options.seed);
-        ocb::WorkloadGenerator gen(&base,
-                                   desp::RandomStream(options.seed).Derive(1));
-        const core::PhaseMetrics m = sys.RunTransactions(gen, txns);
-        const double attempts = static_cast<double>(
-            m.transactions + m.transaction_restarts);
-        const double abort_rate =
-            attempts == 0.0
-                ? 0.0
-                : static_cast<double>(m.transaction_restarts) / attempts;
-        const double p99 = m.ResponseQuantileMs(0.99);
-        const std::string x = std::to_string(users);
-        const std::string name = cc::ToString(kind);
-        // Critical-path attribution: where the p99 actually went (lock
-        // waits vs disk vs abort/redo work), from the span tracer's
-        // per-component histograms.
-        const obs::ComponentHistograms& comp = m.component_histograms;
-        const double lock_wait_p99 = comp.lock_wait.Quantile(0.99);
-        const double io_p99 = comp.io.Quantile(0.99);
-        const double retry_mean = comp.retry.mean();
-        Note(result, "throughput", x, name,
-             Estimate{m.ThroughputTps(), 0.0});
-        Note(result, "abort_rate", x, name, Estimate{abort_rate, 0.0});
-        Note(result, "p99_ms", x, name, Estimate{p99, 0.0});
-        Note(result, "lock_wait_p99_ms", x, name,
-             Estimate{lock_wait_p99, 0.0});
-        Note(result, "io_p99_ms", x, name, Estimate{io_p99, 0.0});
-        Note(result, "retry_ms", x, name, Estimate{retry_mean, 0.0});
-        table.AddRow({x, name, util::FormatDouble(m.ThroughputTps(), 2),
-                      util::FormatDouble(abort_rate, 3),
-                      util::FormatDouble(p99, 1),
-                      util::FormatDouble(lock_wait_p99, 1),
-                      util::FormatDouble(io_p99, 1),
-                      util::FormatDouble(retry_mean, 1),
-                      std::to_string(m.transaction_restarts)});
+      for (const cc::ProtocolKind kind : kCcProtocols) {
+        exp::Cell cell{std::to_string(users) + "/" + cc::ToString(kind),
+                       ctx.config,
+                       std::max<uint64_t>(ctx.options.transactions, users)};
+        cell.config.system.use_lock_manager = true;
+        cell.config.system.cc_protocol = kind;
+        cell.config.system.num_users = users;
+        cell.config.system.multiprogramming_level = users;
+        cells.push_back(std::move(cell));
       }
     }
-    PrintTable(ctx, ctx.scenario->title, table,
+    return cells;
+  };
+  s.run = [](const ScenarioContext& ctx) {
+    const exp::ScenarioOptions& options = ctx.options;
+    ScenarioResult result;
+    util::TextTable table(ContentionHeader({"NUSERS", "Protocol"}));
+    for (const auto& [cell, replicated] : exp::RunCells(ctx)) {
+      const std::string x = std::to_string(cell.config.system.num_users);
+      const std::string name = cc::ToString(cell.config.system.cc_protocol);
+      const std::map<std::string, Estimate> metrics = EstimatesOf(replicated);
+      Note(result, "throughput", x, name, metrics.at("throughput_tps"));
+      for (const char* metric : {"abort_rate", "p99_ms", "lock_wait_p99_ms",
+                                 "io_p99_ms", "retry_ms"}) {
+        Note(result, metric, x, name, metrics.at(metric));
+      }
+      table.AddRow(ContentionRow({x, name}, metrics));
+    }
+    PrintTable(ctx.options, ctx.scenario->title, table,
                "Expectation: no-wait aborts hardest but keeps latency "
                "flat; wait-die restarts grow with contention; deadlock "
                "detection trades aborts for graph-walk waits; MVCC reads "
@@ -1087,9 +934,11 @@ void RegisterCcAbyss() {
     // Identity leg: every protocol must stay bit-identical under the
     // sharded driver at sim_threads > 1 (the subsystem's determinism
     // contract, enforced on every run).
+    const ocb::ObjectBase base =
+        ocb::ObjectBase::Generate(ctx.config.workload);
     util::TextTable identity({"Protocol", "Shards", "Txns/shard", "Digest",
                               "Identical"});
-    for (const cc::ProtocolKind kind : kProtocols) {
+    for (const cc::ProtocolKind kind : kCcProtocols) {
       core::VoodbConfig cfg = ctx.config.system;
       cfg.use_lock_manager = true;
       cfg.cc_protocol = kind;
@@ -1129,7 +978,8 @@ void RegisterCcAbyss() {
                        "yes"});
       result["identity/" + name + "/sharded/ok"] = 1.0;
     }
-    PrintTable(ctx, "Sharded determinism per protocol (sim_threads 1 vs 2)",
+    PrintTable(ctx.options,
+               "Sharded determinism per protocol (sim_threads 1 vs 2)",
                identity,
                "Identical=yes means event digest, transactions, restarts, "
                "I/Os and simulated time all matched bit-for-bit (enforced; "
@@ -1166,65 +1016,37 @@ void RegisterYcsbZipf() {
   s.base.system.multiprogramming_level = 32;
   s.base.system.workload_source = core::WorkloadSourceKind::kYcsbZipf;
   s.swept = {"ycsb_skew", "ycsb_read_pct"};
-  s.run = [](const ScenarioContext& ctx) {
-    const RunOptions options = ToRunOptions(ctx);
-    ScenarioResult result;
-    util::TextTable table({"Skew", "Read pct", "Throughput (tps)",
-                           "Abort rate", "p99 (ms)", "Lock p99", "IO p99",
-                           "Retry", "Restarts"});
+  s.cells = [](const ScenarioContext& ctx) {
+    std::vector<exp::Cell> cells;
     for (const double skew : {0.0, 0.9, 1.2}) {
       for (const double read_pct : {0.5, 0.95}) {
         // ycsb_* tunables ride on the object base's parameter block, so
-        // the base is regenerated per cell (structure params are
-        // unchanged — the object graph is identical every time).
-        ocb::OcbParameters wl = ctx.config.workload;
-        wl.ycsb_skew = skew;
-        wl.ycsb_read_pct = read_pct;
-        const ocb::ObjectBase base = ocb::ObjectBase::Generate(wl);
-        const auto metrics = ReplicateMetrics(
-            options, options.seed,
-            [&](uint64_t seed, desp::MetricSink& sink) {
-              core::VoodbSystem sys(ctx.config.system, &base, nullptr, seed);
-              // Substituted by workload_source=ycsb_zipf inside Drive.
-              ocb::WorkloadGenerator gen(&base,
-                                         desp::RandomStream(seed).Derive(1));
-              const core::PhaseMetrics m =
-                  sys.RunTransactions(gen, options.transactions);
-              const double attempts = static_cast<double>(
-                  m.transactions + m.transaction_restarts);
-              sink.Observe("throughput_tps", m.ThroughputTps());
-              sink.Observe("abort_rate",
-                           attempts == 0.0
-                               ? 0.0
-                               : static_cast<double>(m.transaction_restarts) /
-                                     attempts);
-              sink.Observe("p99_ms", m.ResponseQuantileMs(0.99));
-              sink.Observe("restarts",
-                           static_cast<double>(m.transaction_restarts));
-              // Per-component critical-path breakdown (span tracer).
-              const obs::ComponentHistograms& comp = m.component_histograms;
-              sink.Observe("lock_wait_p99_ms",
-                           comp.lock_wait.Quantile(0.99));
-              sink.Observe("io_p99_ms", comp.io.Quantile(0.99));
-              sink.Observe("retry_ms", comp.retry.mean());
-            });
-        const std::string x = util::FormatDouble(skew, 1) + "/" +
-                              util::FormatDouble(read_pct, 2);
-        for (const auto& [metric, estimate] : metrics) {
-          Note(result, "ycsb", x, metric, estimate);
-        }
-        table.AddRow(
-            {util::FormatDouble(skew, 1), util::FormatDouble(read_pct, 2),
-             WithCi(metrics.at("throughput_tps"), 2),
-             util::FormatDouble(metrics.at("abort_rate").mean, 3),
-             util::FormatDouble(metrics.at("p99_ms").mean, 1),
-             util::FormatDouble(metrics.at("lock_wait_p99_ms").mean, 1),
-             util::FormatDouble(metrics.at("io_p99_ms").mean, 1),
-             util::FormatDouble(metrics.at("retry_ms").mean, 1),
-             util::FormatDouble(metrics.at("restarts").mean, 0)});
+        // each cell gets its own base (structure params are unchanged —
+        // the object graph is identical every time).
+        exp::Cell cell{util::FormatDouble(skew, 1) + "/" +
+                           util::FormatDouble(read_pct, 2),
+                       ctx.config, ctx.options.transactions};
+        cell.config.workload.ycsb_skew = skew;
+        cell.config.workload.ycsb_read_pct = read_pct;
+        cells.push_back(std::move(cell));
       }
     }
-    PrintTable(ctx, ctx.scenario->title, table,
+    return cells;
+  };
+  s.run = [](const ScenarioContext& ctx) {
+    ScenarioResult result;
+    util::TextTable table(ContentionHeader({"Skew", "Read pct"}));
+    for (const auto& [cell, replicated] : exp::RunCells(ctx)) {
+      const std::map<std::string, Estimate> metrics = EstimatesOf(replicated);
+      NoteMetrics(result, "ycsb", cell.label, metrics,
+                  {"abort_rate", "io_p99_ms", "lock_wait_p99_ms", "p99_ms",
+                   "restarts", "retry_ms", "throughput_tps"});
+      const ocb::OcbParameters& wl = cell.config.workload;
+      table.AddRow(ContentionRow({util::FormatDouble(wl.ycsb_skew, 1),
+                                  util::FormatDouble(wl.ycsb_read_pct, 2)},
+                                 metrics));
+    }
+    PrintTable(ctx.options, ctx.scenario->title, table,
                "Expectation: contention — abort rate and p99 — rises with "
                "skew and with the write fraction; at skew 0 the mix is "
                "uniform and aborts stay near zero.");
@@ -1427,7 +1249,6 @@ void RegisterAll() {
   RegisterAblationSysclass();
   RegisterAblationVmModel();
   RegisterShardScale();
-  RegisterFarmSpeedup();
   RegisterCcAbyss();
   RegisterYcsbZipf();
   RegisterMicroBenches();

@@ -51,7 +51,8 @@ core::PhaseMetrics RunSimulation(const core::VoodbConfig& sim_config,
 /// One replicated simulation series: the headline scalar (total I/Os)
 /// plus the end-to-end latency distributions, farm-merged.
 desp::ReplicationResult ReplicateSimulation(
-    const RunOptions& options, const core::VoodbConfig& sim_config,
+    const exp::ScenarioOptions& options,
+    const core::VoodbConfig& sim_config,
     const ocb::ObjectBase& base) {
   return ReplicateResult(
       options, options.seed ^ 0x5151,
@@ -67,7 +68,7 @@ desp::ReplicationResult ReplicateSimulation(
 }  // namespace
 
 std::vector<FigurePoint> RunInstanceSweep(
-    const RunOptions& options, TargetSystem system,
+    const exp::ScenarioOptions& options, TargetSystem system,
     const ocb::OcbParameters& workload, double memory_mb,
     const core::VoodbConfig& sim_config,
     const std::vector<double>& instance_points, const char* title,
@@ -104,7 +105,7 @@ std::vector<FigurePoint> RunInstanceSweep(
 }
 
 std::vector<FigurePoint> RunMemorySweep(
-    const RunOptions& options, TargetSystem system,
+    const exp::ScenarioOptions& options, TargetSystem system,
     const ocb::OcbParameters& workload, const core::VoodbConfig& sim_base,
     const std::vector<double>& memory_points, const char* title,
     const std::vector<double>& paper_bench,
@@ -243,7 +244,8 @@ void RecordDstcAggregate(const std::string& series, const DstcAggregate& a) {
 
 }  // namespace
 
-DstcComparison RunDstcExperiment(const RunOptions& options, double memory_mb,
+DstcComparison RunDstcExperiment(const exp::ScenarioOptions& options,
+                                 double memory_mb,
                                  const ocb::OcbParameters& workload,
                                  const core::VoodbConfig& sim_base) {
   const ocb::ObjectBase base = ocb::ObjectBase::Generate(workload);
@@ -251,12 +253,12 @@ DstcComparison RunDstcExperiment(const RunOptions& options, double memory_mb,
   // emulator and the simulation with the same seed, exactly as the old
   // serial pairing did.
   DstcComparison cmp;
-  cmp.bench = Aggregate(ReplicateMetrics(
+  cmp.bench = Aggregate(EstimatesOf(ReplicateResult(
       options, options.seed, [&](uint64_t seed, desp::MetricSink& sink) {
         ObserveDstcRun(
             DstcOnEmulator(base, memory_mb, options.transactions, seed),
             sink);
-      }));
+      })));
   const desp::ReplicationResult sim_result = ReplicateResult(
       options, options.seed, [&](uint64_t seed, desp::MetricSink& sink) {
         const DstcRun run =

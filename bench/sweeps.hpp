@@ -41,7 +41,7 @@ const std::vector<double>& MemoryPoints();
 /// the simulated system; `memory_mb` feeds the emulator.  `paper_bench`
 /// / `paper_sim` carry the paper's series for the points.
 std::vector<FigurePoint> RunInstanceSweep(
-    const RunOptions& options, TargetSystem system,
+    const exp::ScenarioOptions& options, TargetSystem system,
     const ocb::OcbParameters& workload, double memory_mb,
     const core::VoodbConfig& sim_config,
     const std::vector<double>& instance_points, const char* title,
@@ -52,7 +52,7 @@ std::vector<FigurePoint> RunInstanceSweep(
 /// number of I/Os as the memory budget varies on a fixed base.
 /// `sim_base`'s buffer is rescaled per point via the system catalog.
 std::vector<FigurePoint> RunMemorySweep(
-    const RunOptions& options, TargetSystem system,
+    const exp::ScenarioOptions& options, TargetSystem system,
     const ocb::OcbParameters& workload, const core::VoodbConfig& sim_base,
     const std::vector<double>& memory_points, const char* title,
     const std::vector<double>& paper_bench,
@@ -79,7 +79,8 @@ struct DstcComparison {
 
 /// \param memory_mb 64 for the mid-size experiment (Tables 6/7), 8 for
 ///   the "large" one (Table 8).
-DstcComparison RunDstcExperiment(const RunOptions& options, double memory_mb,
+DstcComparison RunDstcExperiment(const exp::ScenarioOptions& options,
+                                 double memory_mb,
                                  const ocb::OcbParameters& workload,
                                  const core::VoodbConfig& sim_base);
 

@@ -12,10 +12,9 @@
 
 #include "desp/random.hpp"
 #include "emu/texas_emulator.hpp"
-#include "exp/scenario.hpp"
+#include "cell_tools.hpp"
 #include "harness.hpp"
 #include "ocb/workload.hpp"
-#include "scenarios.hpp"
 #include "trace/counters.hpp"
 #include "trace/mrc.hpp"
 #include "trace/reader.hpp"
@@ -33,7 +32,6 @@ namespace voodb::bench {
 namespace {
 
 using core::ParamRegistry;
-using core::ParamTarget;
 
 trace::Header EmulatorHeader(uint32_t page_size, uint64_t buffer_pages,
                              storage::ReplacementPolicy policy,
@@ -70,13 +68,19 @@ int TraceRecord(int argc, const char* const* argv) {
       "scenario", "",
       "take base parameters from this catalog scenario (default: model "
       "defaults)");
+  const std::string cell = args.GetString(
+      "cell", "",
+      "the scenario's table cell to record (labels: `voodb describe "
+      "<scenario>`); required when the scenario declares cells");
   const std::string system_kind = args.GetString(
       "system", "sim",
       "what executes the workload: sim (VOODB simulation) | o2 | texas");
-  const auto transactions = static_cast<uint64_t>(
-      args.GetInt("transactions", 1000, "transactions to record"));
-  const auto seed =
-      static_cast<uint64_t>(args.GetInt("seed", 42, "RNG seed"));
+  const auto transactions = static_cast<uint64_t>(args.GetInt(
+      "transactions", 1000,
+      "transactions per replication, as in `voodb run`"));
+  const auto seed = static_cast<uint64_t>(args.GetInt(
+      "seed", 42,
+      "base RNG seed, as in `voodb run`; the run is its replication 0"));
   const double memory_mb = args.GetDouble(
       "memory-mb", 0.0,
       "emulator memory budget in MB (default: 16 for o2, 64 for texas)");
@@ -90,29 +94,30 @@ int TraceRecord(int argc, const char* const* argv) {
   args.RejectUnknown();
   VOODB_CHECK_MSG(!out.empty(), "trace record needs --out=PATH");
 
-  core::ExperimentConfig base_config;
-  if (!scenario_name.empty()) {
-    base_config = exp::ScenarioRegistry::Instance().At(scenario_name).base;
-  }
-  for (const auto& [name, value] : ParseOverrides(sets)) {
-    ParamRegistry::Instance().Set(
-        ParamTarget{&base_config.system, &base_config.workload}, name, value);
-  }
-  const ocb::ObjectBase base = ocb::ObjectBase::Generate(base_config.workload);
+  exp::Scenario model_defaults;
+  model_defaults.name = "model defaults";
+  const CellRun run = ResolveCellRun(
+      scenario_name.empty()
+          ? model_defaults
+          : exp::ScenarioRegistry::Instance().At(scenario_name),
+      cell, transactions, seed, ParseOverrides(sets));
+  const ocb::ObjectBase base =
+      ocb::ObjectBase::Generate(run.cell.config.workload);
 
   if (system_kind == "sim") {
     // Serial recording (one user) keeps the transaction markers nested,
     // so the trace replays as a workload, not just a page stream.
-    core::VoodbConfig cfg = base_config.system;
+    core::VoodbConfig cfg = run.cell.config.system;
     if (cfg.num_users > 1) {
       std::cout << "note: recording with num_users=1 so transaction "
                    "markers nest (was "
                 << cfg.num_users << ")\n";
       cfg.num_users = 1;
     }
-    const trace::TraceCounters counters =
-        RecordSimulationTrace(cfg, base, transactions, seed, out);
-    std::cout << "recorded " << transactions << " simulated transactions to "
+    const trace::TraceCounters counters = RecordSimulationTrace(
+        cfg, base, run.cell.transactions, run.seed, out);
+    std::cout << "recorded " << run.cell.transactions
+              << " simulated transactions to "
               << out << "\n";
     PrintCounters("buffer counters of the recorded run:", counters);
     return 0;
@@ -125,8 +130,9 @@ int TraceRecord(int argc, const char* const* argv) {
     }
     std::ofstream os(out, std::ios::binary | std::ios::trunc);
     VOODB_CHECK_MSG(os.is_open(), "cannot open '" << out << "'");
-    RecordO2Trace(cfg, base, transactions, seed, os);
-    std::cout << "recorded " << transactions << " O2-emulator transactions "
+    RecordO2Trace(cfg, base, run.cell.transactions, run.seed, os);
+    std::cout << "recorded " << run.cell.transactions
+              << " O2-emulator transactions "
               << "to " << out << "\n";
     return 0;
   }
@@ -136,19 +142,19 @@ int TraceRecord(int argc, const char* const* argv) {
       cfg.memory_pages =
           emu::TexasConfig::FramesForMemory(memory_mb, cfg.page_size);
     }
-    emu::TexasEmulator texas(cfg, &base, seed);
+    emu::TexasEmulator texas(cfg, &base, run.seed);
     trace::Header header = EmulatorHeader(
         cfg.page_size, cfg.memory_pages, storage::ReplacementPolicy::kLru,
-        base, texas.NumPages(), seed);
+        base, texas.NumPages(), run.seed);
     header.flags |= trace::kFlagVirtualMemory;
     trace::Writer writer(out, header);
     trace::Recorder recorder(&writer);
     texas.SetRecorder(&recorder);
-    ocb::WorkloadGenerator gen(&base, desp::RandomStream(seed));
-    texas.RunTransactions(gen, transactions);
+    ocb::WorkloadGenerator gen(&base, desp::RandomStream(run.seed));
+    texas.RunTransactions(gen, run.cell.transactions);
     recorder.Flush();
     writer.Finish(trace::CountersFrom(texas.vm().stats()));
-    std::cout << "recorded " << transactions
+    std::cout << "recorded " << run.cell.transactions
               << " Texas-emulator transactions to " << out
               << " (VM model: page stream + locality analytics; replay "
                  "verification applies to database-buffer traces)\n";
@@ -362,8 +368,8 @@ trace::TraceCounters RecordSimulationTrace(core::VoodbConfig system,
 int RunTraceCommand(int argc, const char* const* argv) {
   const auto usage = [](std::ostream& os) {
     os << "usage:\n"
-          "  voodb trace record  --out=PATH [--scenario=NAME] [--system="
-          "sim|o2|texas]\n"
+          "  voodb trace record  --out=PATH [--scenario=NAME [--cell=LABEL]]\n"
+          "                      [--system=sim|o2|texas]\n"
           "                      [--transactions=N] [--seed=N] "
           "[--memory-mb=X] [--set k=v ...]\n"
           "  voodb trace replay  --in=PATH [--buffer-pages=N] "

@@ -16,10 +16,9 @@
 #include <string>
 #include <vector>
 
+#include "cell_tools.hpp"
 #include "exp/scenario.hpp"
-#include "explain_tool.hpp"
 #include "harness.hpp"
-#include "profile_tool.hpp"
 #include "scenarios.hpp"
 #include "trace_tools.hpp"
 #include "util/check.hpp"
@@ -45,17 +44,19 @@ int Usage(std::ostream& os, int code) {
         "            [--transactions=N] [--seed=N] [--threads=N]\n"
         "            [--csv] [--json=PATH]\n"
         "  voodb trace record|replay|analyze [flags]\n"
-        "                                 access traces: record a run,\n"
+        "                                 access traces: record a run\n"
+        "                                 (--scenario=NAME --cell=LABEL),\n"
         "                                 replay it under any buffer, or\n"
         "                                 compute its exact LRU hit-ratio\n"
         "                                 curve in one pass\n"
-        "  voodb profile <scenario> [--set name=value ...] [flags]\n"
-        "                                 profile one fixed-seed run:\n"
+        "  voodb profile <scenario> [--cell=LABEL] [--set name=value ...]\n"
+        "                [flags]          profile one table cell's run:\n"
         "                                 per-actor simulated-time\n"
         "                                 breakdown, latency percentiles,\n"
         "                                 chrome://tracing timeline and\n"
         "                                 metric-snapshot JSON\n"
-        "  voodb explain <scenario> [--top K] [--set name=value ...]\n"
+        "  voodb explain <scenario> [--cell=LABEL] [--top K]\n"
+        "                [--set name=value ...]\n"
         "                                 explain tail latency: critical-\n"
         "                                 path breakdown per component,\n"
         "                                 plus the K slowest transactions'\n"
@@ -91,6 +92,15 @@ int DescribeScenario(const std::string& name) {
       std::cout << "\n";
     }
     std::cout << "\n";
+  }
+  if (s.cells) {
+    std::cout << "Table cells (--cell=<label> of profile, explain and trace "
+                 "record):";
+    for (const voodb::exp::Cell& cell :
+         s.cells(voodb::exp::ResolveScenario(s, {}, {}))) {
+      std::cout << " " << cell.label;
+    }
+    std::cout << "\n\n";
   }
   if (!s.swept.empty()) {
     std::cout << "Swept by the scenario itself (not --set-overridable):";

@@ -186,36 +186,48 @@ void ApplyAxis(core::ExperimentConfig& config, const std::string& axis,
       core::ParamTarget{&config.system, &config.workload}, axis, value);
 }
 
+std::vector<std::shared_ptr<const ocb::ObjectBase>> GenerateBases(
+    const std::vector<ocb::OcbParameters>& workloads) {
+  const core::ParamRegistry& registry = core::ParamRegistry::Instance();
+  // Equal workloads generate equal bases: every workload parameter (the
+  // registry covers every OcbParameters field, all numeric) matches.
+  auto same = [&registry](const ocb::OcbParameters& a,
+                          const ocb::OcbParameters& b) {
+    for (const core::ParamDescriptor& d : registry.descriptors()) {
+      if (d.domain == core::ParamDomain::kWorkload &&
+          d.getter(core::ConstParamTarget{nullptr, &a}) !=
+              d.getter(core::ConstParamTarget{nullptr, &b})) {
+        return false;
+      }
+    }
+    return true;
+  };
+  std::vector<std::shared_ptr<const ocb::ObjectBase>> bases;
+  bases.reserve(workloads.size());
+  for (size_t i = 0; i < workloads.size(); ++i) {
+    size_t j = 0;
+    while (j < i && !same(workloads[j], workloads[i])) ++j;
+    bases.push_back(j < i ? bases[j]
+                          : std::make_shared<const ocb::ObjectBase>(
+                                ocb::ObjectBase::Generate(workloads[i])));
+  }
+  return bases;
+}
+
 std::vector<GridCell> RunExperimentGrid(
     const core::ExperimentConfig& base_config, const SweepGrid& grid,
     size_t threads) {
-  const std::vector<GridPoint> points = grid.Points();
   std::vector<core::ExperimentConfig> configs;
-  configs.reserve(points.size());
-  bool varies_workload = false;
-  for (const GridPoint& point : points) {
+  std::vector<ocb::OcbParameters> workloads;
+  for (const GridPoint& point : grid.Points()) {
     core::ExperimentConfig config = base_config;
     for (const auto& [axis, value] : point.coords) {
       ApplyAxis(config, axis, value);
-      varies_workload = varies_workload || IsWorkloadAxis(axis);
     }
+    workloads.push_back(config.workload);
     configs.push_back(std::move(config));
   }
-
-  // Generate object bases serially up-front (deterministic order); cells
-  // share one base unless a workload axis forces per-cell regeneration.
-  std::vector<std::shared_ptr<const ocb::ObjectBase>> bases;
-  bases.reserve(points.size());
-  if (varies_workload) {
-    for (const core::ExperimentConfig& config : configs) {
-      bases.push_back(std::make_shared<const ocb::ObjectBase>(
-          ocb::ObjectBase::Generate(config.workload)));
-    }
-  } else {
-    const auto shared = std::make_shared<const ocb::ObjectBase>(
-        ocb::ObjectBase::Generate(base_config.workload));
-    bases.assign(points.size(), shared);
-  }
+  const auto bases = GenerateBases(workloads);
 
   FarmOptions options;
   options.threads = threads;

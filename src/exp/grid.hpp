@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -100,11 +101,15 @@ void ApplyAxis(core::ExperimentConfig& config, const std::string& axis,
 /// must be regenerated for cells along it.  Throws on unknown axes.
 bool IsWorkloadAxis(const std::string& axis);
 
+/// One object base per entry of `workloads`, generated serially in order;
+/// entries with equal workload parameters share one base.
+std::vector<std::shared_ptr<const ocb::ObjectBase>> GenerateBases(
+    const std::vector<ocb::OcbParameters>& workloads);
+
 /// Farms a full VOODB experiment per grid cell.  `base_config` provides
 /// every parameter not named by an axis, plus `replications` and
-/// `base_seed`.  Object bases are generated once and shared across cells
-/// unless the grid has a workload axis, in which case each distinct cell
-/// gets its own base.
+/// `base_seed`.  Cells share an object base unless a workload axis sets
+/// them apart (`GenerateBases`).
 std::vector<GridCell> RunExperimentGrid(
     const core::ExperimentConfig& base_config, const SweepGrid& grid,
     size_t threads = 0);

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 
+#include "desp/random.hpp"
+#include "ocb/workload.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
 #include "voodb/param_registry.hpp"
+#include "voodb/system.hpp"
 
 namespace voodb::exp {
 
@@ -53,11 +56,9 @@ std::vector<std::string> ScenarioRegistry::Names() const {
   return names;
 }
 
-ScenarioResult RunScenario(const Scenario& scenario,
-                           const ScenarioOptions& options,
-                           const std::vector<ParamOverride>& overrides) {
-  VOODB_CHECK_MSG(static_cast<bool>(scenario.run),
-                  "scenario '" << scenario.name << "' has no run hook");
+ScenarioContext ResolveScenario(const Scenario& scenario,
+                                const ScenarioOptions& options,
+                                const std::vector<ParamOverride>& overrides) {
   ScenarioContext ctx;
   ctx.scenario = &scenario;
   ctx.config = scenario.base;
@@ -101,7 +102,122 @@ ScenarioResult RunScenario(const Scenario& scenario,
              "profile a single fixed-seed run with `voodb profile`");
   ctx.config.system.Validate();
   ctx.config.workload.Validate();
-  return scenario.run(ctx);
+  return ctx;
+}
+
+ScenarioResult RunScenario(const Scenario& scenario,
+                           const ScenarioOptions& options,
+                           const std::vector<ParamOverride>& overrides) {
+  VOODB_CHECK_MSG(static_cast<bool>(scenario.run),
+                  "scenario '" << scenario.name << "' has no run hook");
+  return scenario.run(ResolveScenario(scenario, options, overrides));
+}
+
+Cell FindCell(const ScenarioContext& ctx, const std::string& label) {
+  const Scenario& scenario = *ctx.scenario;
+  if (!scenario.cells) {
+    VOODB_CHECK_MSG(label.empty(), "scenario '" << scenario.name
+                                                << "' declares no cells; "
+                                                   "drop --cell");
+    return Cell{"", ctx.config, ctx.options.transactions};
+  }
+  std::vector<std::string> labels;
+  std::string listing;
+  for (Cell& cell : scenario.cells(ctx)) {
+    if (cell.label == label) return std::move(cell);
+    labels.push_back(cell.label);
+    listing += " " + cell.label;
+  }
+  VOODB_CHECK_MSG(!label.empty(), "scenario '"
+                                      << scenario.name
+                                      << "' reports table cells; pick one "
+                                         "with --cell=<label>:"
+                                      << listing);
+  const std::string nearest = util::NearestMatch(label, labels);
+  VOODB_CHECK_MSG(false, "unknown cell '"
+                             << label << "' of scenario '" << scenario.name
+                             << "'"
+                             << (nearest.empty()
+                                     ? ""
+                                     : " (did you mean '" + nearest + "'?)")
+                             << "; cells:" << listing);
+  return {};
+}
+
+namespace {
+
+void ObserveCell(const core::PhaseMetrics& m, core::VoodbSystem& sys,
+                 desp::MetricSink& sink) {
+  const double restarts = static_cast<double>(m.transaction_restarts);
+  const double attempts = static_cast<double>(m.transactions) + restarts;
+  const core::FailureInjectorActor* injector = sys.failure_injector();
+  // Critical-path attribution (where the p99 went: lock waits vs disk vs
+  // abort/redo work) comes from the span tracer's component histograms.
+  const obs::ComponentHistograms& comp = m.component_histograms;
+  const std::pair<const char*, double> observations[] = {
+      {"total_ios", static_cast<double>(m.total_ios)},
+      {"hit_rate", m.HitRate()},
+      {"network_mb", static_cast<double>(m.network_bytes) / (1024.0 * 1024.0)},
+      {"mean_response_ms", m.mean_response_ms},
+      {"disk_util", sys.io_subsystem().DiskUtilization()},
+      {"faults", static_cast<double>(sys.io_subsystem().transient_faults())},
+      {"sim_s", m.sim_time_ms / 1000.0},
+      {"crashes",
+       injector ? static_cast<double>(injector->stats().crashes) : 0.0},
+      {"recovery_s",
+       injector ? injector->stats().total_recovery_ms / 1000.0 : 0.0},
+      {"throughput_tps", m.ThroughputTps()},
+      {"abort_rate", attempts == 0.0 ? 0.0 : restarts / attempts},
+      {"p50_ms", m.ResponseQuantileMs(0.50)},
+      {"p99_ms", m.ResponseQuantileMs(0.99)},
+      {"restarts", restarts},
+      {"lock_wait_p99_ms", comp.lock_wait.Quantile(0.99)},
+      {"io_p99_ms", comp.io.Quantile(0.99)},
+      {"retry_ms", comp.retry.mean()},
+  };
+  for (const auto& [name, value] : observations) sink.Observe(name, value);
+}
+
+}  // namespace
+
+std::vector<CellResult> RunCells(const ScenarioContext& ctx) {
+  VOODB_CHECK_MSG(static_cast<bool>(ctx.scenario->cells),
+                  "scenario '" << ctx.scenario->name
+                               << "' declares no cells");
+  std::vector<Cell> cells = ctx.scenario->cells(ctx);
+  if (cells.empty()) return {};  // e.g. a --set cap below every cell
+  std::vector<ocb::OcbParameters> workloads;
+  std::vector<double> indices;
+  for (const Cell& cell : cells) {
+    indices.push_back(static_cast<double>(workloads.size()));
+    workloads.push_back(cell.config.workload);
+  }
+  const auto bases = GenerateBases(workloads);
+  SweepGrid grid;
+  grid.Axis("cell", indices);
+  FarmOptions options;
+  options.threads = ctx.options.threads;
+  options.base_seed = ctx.options.seed;
+  std::vector<GridCell> grid_cells = RunGrid(
+      grid,
+      [&](const GridPoint& point) -> ReplicationFarm::Model {
+        const Cell& cell = cells[point.index];
+        const ocb::ObjectBase* base = bases[point.index].get();
+        return [&cell, base](uint64_t seed, desp::MetricSink& sink) {
+          core::VoodbSystem sys(cell.config.system, base, nullptr, seed);
+          ocb::WorkloadGenerator gen(base,
+                                     desp::RandomStream(seed).Derive(1));
+          ObserveCell(sys.RunTransactions(gen, cell.transactions), sys,
+                      sink);
+        };
+      },
+      ctx.options.replications, options);
+  std::vector<CellResult> results;
+  results.reserve(cells.size());
+  for (size_t i = 0; i < cells.size(); ++i) {
+    results.push_back({std::move(cells[i]), std::move(grid_cells[i].result)});
+  }
+  return results;
 }
 
 }  // namespace voodb::exp

@@ -9,10 +9,16 @@
 /// hook — and the `ScenarioRegistry` makes the whole catalog addressable
 /// by name from one driver (`voodb list | describe | run`).
 ///
-/// `RunScenario` resolves `--set key=value` overrides through the
-/// parameter registry before invoking the scenario, so *every*
-/// `VoodbConfig` / `OcbParameters` field can be overridden per run
-/// without a bespoke flag.
+/// `ResolveScenario` resolves `--set key=value` overrides through the
+/// parameter registry, so *every* `VoodbConfig` / `OcbParameters` field
+/// can be overridden per run without a bespoke flag.  `voodb run` and the
+/// tools (`profile`, `explain`, `trace record`) share it, so a tool
+/// accepts exactly the overrides a run accepts.
+///
+/// A scenario may also declare its table cells: each cell is one fully
+/// resolved configuration.  `RunCells` farms (cell x replication) on one
+/// pool; the tools run replication 0 of one cell (`FindCell`), so a tool
+/// instruments exactly the run that produced a table row.
 #pragma once
 
 #include <cstdint>
@@ -64,6 +70,25 @@ struct ScenarioContext {
 
 using ScenarioRunner = std::function<ScenarioResult(const ScenarioContext&)>;
 
+/// One table cell of a scenario: a fully resolved configuration (`--set`
+/// already applied) and its per-replication transaction count.
+struct Cell {
+  std::string label;  ///< table row key, e.g. "64/wait_die"; `--cell=`
+  core::ExperimentConfig config;
+  uint64_t transactions = 0;
+};
+
+/// One cell's replicated result.  A cell replication builds a VoodbSystem
+/// from the cell's config, runs its transactions and observes
+/// "total_ios", "hit_rate", "network_mb", "mean_response_ms",
+/// "disk_util", "faults", "sim_s", "crashes", "recovery_s",
+/// "throughput_tps", "abort_rate", "p50_ms", "p99_ms", "restarts",
+/// "lock_wait_p99_ms", "io_p99_ms" and "retry_ms".
+struct CellResult {
+  Cell cell;
+  desp::ReplicationResult result;
+};
+
 /// One named experiment: a paper figure/table, an ablation, or any
 /// user-defined parameter study.
 struct Scenario {
@@ -90,6 +115,10 @@ struct Scenario {
   /// system-domain `--set` overrides would be silently ignored, so they
   /// are rejected (workload overrides still apply).
   bool system_config_used = true;
+  /// Optional: the scenario's table cells, from its resolved context.  A
+  /// scenario that declares them reduces `RunCells(ctx)` into its table
+  /// in `run`, and the tools select one with `--cell=<label>`.
+  std::function<std::vector<Cell>(const ScenarioContext&)> cells;
   ScenarioRunner run;
 };
 
@@ -117,11 +146,31 @@ class ScenarioRegistry {
   std::map<std::string, size_t> index_;
 };
 
-/// Runs `scenario`: copies its base config, applies `overrides` through
-/// the parameter registry (values may be enum names), mirrors `options`
-/// into the config, validates, and invokes the run hook.
+/// Resolves the inputs `scenario` runs with: copies its base config,
+/// applies `overrides` through the parameter registry (values may be enum
+/// names; parameters the scenario sweeps itself, and system parameters of
+/// an emulator-only scenario, are rejected), mirrors `options` into the
+/// config and validates.
+ScenarioContext ResolveScenario(const Scenario& scenario,
+                                const ScenarioOptions& options,
+                                const std::vector<ParamOverride>& overrides);
+
+/// Resolves `scenario` and invokes its run hook.
 ScenarioResult RunScenario(const Scenario& scenario,
                            const ScenarioOptions& options,
                            const std::vector<ParamOverride>& overrides = {});
+
+/// The cell labelled `label`.  For a scenario without cells, `label` must
+/// be empty and the cell is the resolved base config at
+/// `ctx.options.transactions`.  A missing or unknown label on a
+/// cell-declaring scenario throws, listing the labels and suggesting the
+/// nearest one.
+Cell FindCell(const ScenarioContext& ctx, const std::string& label);
+
+/// Runs `ctx.options.replications` replications of every cell of the
+/// scenario on one pool (`RunGrid` over the cell index), with the run's
+/// seed chain.  Cells with equal workload parameters share one object
+/// base.  Results are in cell order and bit-identical at any thread count.
+std::vector<CellResult> RunCells(const ScenarioContext& ctx);
 
 }  // namespace voodb::exp

@@ -11,11 +11,12 @@
 #include <utility>
 #include <vector>
 
+#include "cell_tools.hpp"
 #include "exp/scenario.hpp"
 #include "harness.hpp"
-#include "profile_tool.hpp"
 #include "scenarios.hpp"
 #include "sweeps.hpp"
+#include "trace_tools.hpp"
 #include "util/check.hpp"
 #include "voodb/catalog.hpp"
 
@@ -24,15 +25,6 @@ namespace {
 
 exp::ScenarioOptions SmallOptions(uint64_t transactions) {
   exp::ScenarioOptions options;
-  options.replications = 2;
-  options.transactions = transactions;
-  options.seed = 42;
-  options.threads = 1;
-  return options;
-}
-
-RunOptions SmallRunOptions(uint64_t transactions) {
-  RunOptions options;
   options.replications = 2;
   options.transactions = transactions;
   options.seed = 42;
@@ -52,10 +44,10 @@ TEST(ScenarioCatalog, RegistersEveryPaperFigureTableAndAblation) {
       "ablation_locking",    "ablation_multiprog",
       "ablation_placement",  "ablation_sysclass",
       "ablation_vm_model",   "shard_scale",
-      "farm_speedup",        "cc_abyss",
-      "ycsb_zipf",           "micro_parallel",
-      "micro_cc",            "trace_mrc",
-      "fig08_mrc",           "micro_trace"};
+      "cc_abyss",            "ycsb_zipf",
+      "micro_parallel",      "micro_cc",
+      "trace_mrc",           "fig08_mrc",
+      "micro_trace"};
   EXPECT_EQ(exp::ScenarioRegistry::Instance().Names(), expected);
 }
 
@@ -133,6 +125,102 @@ TEST(ScenarioCatalog, ProfileRejectsMoreThanOneShard) {
                         "num_objects=500", "--transactions=10",
                         "--trace=off", "--metrics=off"};
   EXPECT_EQ(RunProfileCommand(static_cast<int>(std::size(argv)), argv), 1);
+}
+
+// --- Cells: the tools run exactly the cell a table reports ------------------
+
+TEST(ScenarioCells, ExplainAndProfileReproduceTheTableCell) {
+  RegisterBenchScenarios();
+  const exp::Scenario& abyss = exp::ScenarioRegistry::Instance().At("cc_abyss");
+  exp::ScenarioOptions options = SmallOptions(32);
+  options.replications = 1;
+  const std::vector<exp::ParamOverride> cap = {{"num_users", "64"}};
+  const exp::ScenarioResult table = RunScenario(abyss, options, cap);
+  const double p99 = table.at("p99_ms/64/wait_die/mean");
+  EXPECT_GT(p99, 0.0);
+
+  // `voodb explain|profile cc_abyss --cell=64/wait_die --transactions=32`
+  // with the same --seed and --set: replication 0 of the very same cell.
+  const CellRun run =
+      ResolveCellRun(abyss, "64/wait_die", options.transactions,
+                     options.seed, cap);
+  EXPECT_EQ(run.cell.config.system.multiprogramming_level, 64u);
+  EXPECT_EQ(run.cell.transactions, 64u);  // raised to one per user
+  EXPECT_EQ(ExplainCell(run, 3, "off").ResponseQuantileMs(0.99), p99);
+  EXPECT_EQ(ProfileCell(run, "off", "off").ResponseQuantileMs(0.99),
+            p99);
+}
+
+TEST(ScenarioCells, ToolsRejectASweptSetLikeRun) {
+  RegisterBenchScenarios();
+  const exp::Scenario& abyss = exp::ScenarioRegistry::Instance().At("cc_abyss");
+  std::string run_message;
+  try {
+    RunScenario(abyss, SmallOptions(10),
+                {{"multiprogramming_level", "5"}});
+    FAIL() << "expected util::Error for a swept --set";
+  } catch (const util::Error& e) {
+    run_message = e.what();
+  }
+  EXPECT_NE(run_message.find("swept by scenario 'cc_abyss'"),
+            std::string::npos)
+      << run_message;
+  const char* profile[] = {"profile", "cc_abyss", "--cell=64/wait_die",
+                           "--set", "multiprogramming_level=5",
+                           "--trace=off", "--metrics=off"};
+  const char* explain[] = {"explain", "cc_abyss", "--cell=64/wait_die",
+                           "--set", "multiprogramming_level=5",
+                           "--trace=off"};
+  const char* record[] = {"trace", "record", "--out=unused.vtrc",
+                          "--scenario=cc_abyss", "--cell=64/wait_die",
+                          "--set", "multiprogramming_level=5"};
+  const std::pair<int (*)(int, const char* const*),
+                  std::vector<const char*>>
+      commands[] = {
+          {RunProfileCommand, {std::begin(profile), std::end(profile)}},
+          {RunExplainCommand, {std::begin(explain), std::end(explain)}},
+          {RunTraceCommand, {std::begin(record), std::end(record)}},
+      };
+  for (const auto& [command, argv] : commands) {
+    testing::internal::CaptureStderr();
+    const int code = command(static_cast<int>(argv.size()), argv.data());
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(code, 1) << argv[0];
+    EXPECT_EQ(err, "error: " + run_message + "\n") << argv[0];
+  }
+}
+
+TEST(ScenarioCells, UnknownOrMissingCellNamesTheLabels) {
+  RegisterBenchScenarios();
+  const auto& registry = exp::ScenarioRegistry::Instance();
+  const exp::Scenario& abyss = registry.At("cc_abyss");
+  const std::pair<const char*, const char*> cases[] = {
+      {"64/wait_dei", "did you mean '64/wait_die'"},
+      {"", "--cell=<label>"},
+  };
+  for (const auto& [label, hint] : cases) {
+    try {
+      ResolveCellRun(abyss, label, 10, 42, {});
+      FAIL() << "expected util::Error for --cell='" << label << "'";
+    } catch (const util::Error& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find(hint), std::string::npos) << message;
+      EXPECT_NE(message.find("1024/deadlock_detect"), std::string::npos)
+          << message;
+    }
+  }
+  // The front end turns it into a non-zero exit.
+  const char* argv[] = {"explain", "cc_abyss", "--cell=64/wait_dei",
+                        "--trace=off"};
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(RunExplainCommand(static_cast<int>(std::size(argv)), argv), 1);
+  EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                "did you mean '64/wait_die'"),
+            std::string::npos);
+  // A scenario without cells runs its base config and takes no --cell.
+  const exp::Scenario& fig08 = registry.At("fig08");
+  EXPECT_EQ(ResolveCellRun(fig08, "", 10, 42, {}).cell.transactions, 10u);
+  EXPECT_THROW(ResolveCellRun(fig08, "8", 10, 42, {}), util::Error);
 }
 
 TEST(ScenarioCatalog, EveryScenarioIsDescribedAndValid) {
@@ -248,7 +336,7 @@ TEST(ScenarioParity, Fig08MatchesLegacyBenchPath) {
   workload.num_classes = 50;
   workload.num_objects = 20000;
   const std::vector<FigurePoint> legacy = RunMemorySweep(
-      SmallRunOptions(transactions), TargetSystem::kO2, workload,
+      SmallOptions(transactions), TargetSystem::kO2, workload,
       core::SystemCatalog::O2WithCache(16.0), MemoryPoints(),
       "fig08 legacy parity", std::vector<double>(6, 0.0),
       std::vector<double>(6, 0.0));
@@ -285,7 +373,7 @@ TEST(ScenarioParity, Table6MatchesLegacyBenchPath) {
   workload.hierarchy_depth = 3;
   workload.root_region = 30;
   const DstcComparison legacy = RunDstcExperiment(
-      SmallRunOptions(transactions), 64.0, workload,
+      SmallOptions(transactions), 64.0, workload,
       core::SystemCatalog::TexasWithMemory(64.0));
 
   const std::pair<const char*, const DstcAggregate*> sides[] = {
