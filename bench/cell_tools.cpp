@@ -205,10 +205,12 @@ core::PhaseMetrics ExplainCell(const CellRun& run, uint32_t top,
   std::vector<obs::Exemplar> exemplars;
   if (config.shards > 1) {
     core::ShardedVoodb sharded(config, &base, run.seed);
+    sharded.RecordTrees(true);
     metrics = sharded.Run(run.cell.transactions);
     exemplars = sharded.MergedExemplars();
   } else {
     core::VoodbSystem sys(config, &base, nullptr, run.seed);
+    sys.span_tracer()->RecordTrees(true);
     ocb::WorkloadGenerator gen(&base,
                                desp::RandomStream(run.seed).Derive(1));
     metrics = sys.RunTransactions(gen, run.cell.transactions);

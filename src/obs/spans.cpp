@@ -21,52 +21,6 @@ uint64_t SplitMix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-enum class Component { kLockWait, kIo, kNet, kCpu, kRetry, kOther };
-
-Component ComponentOf(SpanKind kind) {
-  switch (kind) {
-    case SpanKind::kCcWait:
-      return Component::kLockWait;
-    case SpanKind::kBuffer:
-    case SpanKind::kIo:
-      return Component::kIo;
-    case SpanKind::kNet:
-      return Component::kNet;
-    case SpanKind::kCpu:
-    case SpanKind::kCommit:
-      return Component::kCpu;
-    case SpanKind::kBackoff:
-      return Component::kRetry;
-    case SpanKind::kTxn:
-    case SpanKind::kAttempt:
-    case SpanKind::kAdmission:
-      return Component::kOther;
-  }
-  return Component::kOther;
-}
-
-void AddTo(CriticalPath* path, Component component, double ms) {
-  switch (component) {
-    case Component::kLockWait:
-      path->lock_wait_ms += ms;
-      break;
-    case Component::kIo:
-      path->io_ms += ms;
-      break;
-    case Component::kNet:
-      path->net_ms += ms;
-      break;
-    case Component::kCpu:
-      path->cpu_ms += ms;
-      break;
-    case Component::kRetry:
-      path->retry_ms += ms;
-      break;
-    case Component::kOther:
-      break;  // the remainder; computed by Finalize
-  }
-}
-
 std::string Num(double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.3f", value);
@@ -191,11 +145,10 @@ SpanTracer::SpanTracer(desp::Scheduler* scheduler, Options options)
   if (options_.exemplars > 0) exemplars_.reserve(options_.exemplars + 1);
 }
 
-void SpanTracer::Reserve(size_t traces) {
-  traces_.reserve(traces);
-  // A transaction's chain keeps only a handful of spans open at once, but
-  // closed leaves accumulate until retirement: size generously.
-  spans_.reserve(traces * 16);
+void SpanTracer::RecordTrees(bool on) {
+  VOODB_CHECK_MSG(traces_started_ == traces_finished_,
+                  "span tracer: RecordTrees changed while traces are live");
+  record_trees_ = on;
 }
 
 bool SpanTracer::Sampled(uint64_t seed, uint64_t txn_id, double rate) {
@@ -218,30 +171,25 @@ uint32_t SpanTracer::BeginTrace(uint64_t txn_id, double admitted_at) {
     index = trace_free_head_;
     trace_free_head_ = traces_[index].next_free;
   } else {
-    VOODB_CHECK_MSG(traces_.size() < 0xFFFE,
+    VOODB_CHECK_MSG(traces_.size() < kMaxConcurrentTraces,
                     "span tracer: too many concurrent traces");
     index = static_cast<uint32_t>(traces_.size());
     traces_.emplace_back();
   }
   Trace& t = traces_[index];
   const uint32_t generation = (t.generation + 1u) & 0xFFFFu;
-  t = Trace{};
   t.generation = generation;
   t.live = true;
   t.txn_id = txn_id;
   t.parent_global_id = parent;
   t.admitted_at = admitted_at;
+  t.path = CriticalPath{};
+  t.tree.clear();
+  t.depth = 0;
   const uint32_t ctx = (generation << 16) | (index + 1u);
   ++traces_started_;
   // Open the root span; attempts are opened by the Transaction Manager.
-  const uint32_t root = AllocSpan();
-  Span& span = spans_[root];
-  span = Span{};
-  span.begin = admitted_at;
-  span.kind = SpanKind::kTxn;
-  span.label = txn_id;
-  t.root = root;
-  t.open = root;
+  PushFrame(t, SpanKind::kTxn, txn_id, admitted_at);
   return ctx;
 }
 
@@ -249,24 +197,13 @@ void SpanTracer::SetPendingParent(uint64_t parent_global_id) {
   pending_parent_ = parent_global_id;
 }
 
-void SpanTracer::FreeTree(uint32_t span) {
-  uint32_t child = spans_[span].first_child;
-  while (child != kNone) {
-    const uint32_t next = spans_[child].next_sibling;
-    FreeTree(child);
-    child = next;
-  }
-  spans_[span].first_child = span_free_head_;  // reuse as next_free link
-  span_free_head_ = span;
-}
-
 void SpanTracer::NoteAbort(uint32_t trace, AbortCause cause) {
   Trace* t = Resolve(trace);
   if (t == nullptr) return;
-  // Annotate the innermost open attempt (the open chain runs root-ward).
-  for (uint32_t s = t->open; s != kNone; s = spans_[s].parent) {
-    if (spans_[s].kind == SpanKind::kAttempt) {
-      spans_[s].cause = cause;
+  // Annotate the innermost open attempt.
+  for (uint8_t d = t->depth; d > 0; --d) {
+    if (t->frames[d - 1].kind == SpanKind::kAttempt) {
+      t->frames[d - 1].cause = cause;
       return;
     }
   }
@@ -284,73 +221,23 @@ uint64_t SpanTracer::GlobalId(uint32_t trace) const {
   return options_.global_id_base | t->txn_id;
 }
 
-void SpanTracer::WalkExclusive(uint32_t span, CriticalPath* path) const {
-  const Span& s = spans_[span];
-  double child_sum = 0.0;
-  for (uint32_t child = s.first_child; child != kNone;
-       child = spans_[child].next_sibling) {
-    child_sum += spans_[child].end - spans_[child].begin;
-    WalkExclusive(child, path);
-  }
-  const double exclusive = std::max(0.0, (s.end - s.begin) - child_sum);
-  AddTo(path, ComponentOf(s.kind), exclusive);
-}
-
-void SpanTracer::FoldTrace(const Trace& t, double response_ms,
-                           CriticalPath* path) const {
-  (void)response_ms;
-  const Span& root = spans_[t.root];
-  for (uint32_t child = root.first_child; child != kNone;
-       child = spans_[child].next_sibling) {
-    const Span& s = spans_[child];
-    const double duration = s.end - s.begin;
-    if (s.kind == SpanKind::kAttempt && s.cause != AbortCause::kNone) {
-      // A whole aborted attempt is wasted work: everything it did —
-      // waits, IO, CPU — is redo cost, not useful-path time.
-      path->retry_ms += std::max(0.0, duration);
-    } else if (s.kind == SpanKind::kBackoff) {
-      path->retry_ms += std::max(0.0, duration);
-    } else {
-      WalkExclusive(child, path);
-    }
-  }
-}
-
-void SpanTracer::MaybeRetain(const Trace& t, double response_ms,
-                             const CriticalPath& path) {
+void SpanTracer::MaybeRetain(const Trace& t, double response_ms) {
   if (options_.exemplars == 0) return;
   Exemplar exemplar;
   exemplar.global_id = options_.global_id_base | t.txn_id;
   exemplar.parent_global_id = t.parent_global_id;
   exemplar.admitted_at_ms = t.admitted_at;
   exemplar.response_ms = response_ms;
-  exemplar.path = path;
+  exemplar.path = t.path;
   if (exemplars_.size() >= options_.exemplars &&
       !ExemplarBefore(exemplar, exemplars_.back())) {
     return;
   }
-  Flatten(t.root, 0, &exemplar.spans);
+  exemplar.spans = t.tree;
   const auto position = std::upper_bound(
       exemplars_.begin(), exemplars_.end(), exemplar, ExemplarBefore);
   exemplars_.insert(position, std::move(exemplar));
   if (exemplars_.size() > options_.exemplars) exemplars_.pop_back();
-}
-
-void SpanTracer::Flatten(uint32_t span, uint8_t depth,
-                         std::vector<ExemplarSpan>* out) const {
-  const Span& s = spans_[span];
-  ExemplarSpan flat;
-  flat.begin_ms = s.begin;
-  flat.end_ms = s.end;
-  flat.label = s.label;
-  flat.kind = s.kind;
-  flat.abort_cause = s.cause;
-  flat.depth = depth;
-  out->push_back(flat);
-  for (uint32_t child = s.first_child; child != kNone;
-       child = spans_[child].next_sibling) {
-    Flatten(child, static_cast<uint8_t>(depth + 1), out);
-  }
 }
 
 void SpanTracer::FinishCommitted(uint32_t trace, double response_ms,
@@ -366,20 +253,13 @@ void SpanTracer::FinishCommitted(uint32_t trace, double response_ms,
   if (t == nullptr) return;
   // Close anything still open (normally just the root; the committed
   // attempt is closed by the Transaction Manager before retirement).
-  while (t->open != kNone) {
-    spans_[t->open].end = end;
-    t->open = spans_[t->open].parent;
-  }
-  CriticalPath path;
-  FoldTrace(*t, response_ms, &path);
-  path.Finalize(response_ms);
-  components_.Add(path);
-  MaybeRetain(*t, response_ms, path);
+  while (t->depth > 0) CloseFrame(*t, end);
+  t->path.Finalize(response_ms);
+  components_.Add(t->path);
+  MaybeRetain(*t, response_ms);
   last_finished_global_id_ = options_.global_id_base | t->txn_id;
   ++traces_finished_;
-  FreeTree(t->root);
   t->live = false;
-  t->root = kNone;
   const uint32_t index = (trace & 0xFFFFu) - 1u;
   t->next_free = trace_free_head_;
   trace_free_head_ = index;

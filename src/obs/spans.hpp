@@ -1,14 +1,14 @@
 /// \file spans.hpp
-/// \brief Causal per-transaction tracing: span trees, critical-path
-/// attribution, and tail exemplars.
+/// \brief Causal per-transaction tracing: critical-path attribution as
+/// spans close, and tail exemplars.
 ///
-/// Every (sampled) transaction owns a slab-pooled span tree covering its
-/// whole lifetime — admission, each attempt, per-access concurrency-control
-/// waits, buffer/disk work, network round-trips, commit — built from three
-/// sources:
+/// Every (sampled) transaction is traced over its whole lifetime —
+/// admission, each attempt, per-access concurrency-control waits, disk
+/// work, network round-trips, commit — from three sources:
 ///
 ///  1. the Transaction Manager opens/closes the structural spans (txn
-///     root, attempts, buffer accesses, backoffs) by explicit trace id;
+///     root, attempts, commit) and emits leaves (cpu, cc waits, backoffs)
+///     by explicit trace id;
 ///  2. shared actors (disk, network) emit leaf spans against the
 ///     scheduler's *ambient* trace context (desp::Scheduler::current_trace),
 ///     which events inherit exactly like profiling tags, so work performed
@@ -17,14 +17,17 @@
 ///  3. concurrency-control protocols annotate the open attempt with the
 ///     abort cause at decision time.
 ///
-/// On commit the tree is folded into a **critical path**: an exclusive
-/// per-component decomposition (lock wait, IO, network, CPU, abort/retry,
-/// other) whose fixed-order sum equals the recorded response time exactly
-/// (enforced), aggregated into mergeable bit-deterministic LogHistograms.
-/// The K slowest transactions additionally retain their full span trees as
-/// **exemplars**, exportable as Perfetto/Chrome-trace JSON (`voodb
-/// explain`).  Cross-shard sub-transactions carry the parent's 64-bit
-/// global trace id and stitch into one distributed trace via flow events.
+/// No tree is kept by default.  Each live trace is an accumulator: its
+/// **critical path** — an exclusive per-component decomposition (lock
+/// wait, IO, network, CPU, abort/retry, other) whose fixed-order sum
+/// equals the recorded response time exactly (enforced) — is charged span
+/// by span as spans close, in the post-order an exclusive tree walk would
+/// visit them, and added to mergeable bit-deterministic LogHistograms at
+/// commit.  The K slowest transactions are kept as **exemplars**; with
+/// RecordTrees(true) (`voodb explain`) each also carries its span tree in
+/// preorder, exportable as Perfetto/Chrome-trace JSON.  Cross-shard
+/// sub-transactions carry the parent's 64-bit global trace id and stitch
+/// into one distributed trace via flow events.
 ///
 /// The tracer is pure metadata: it never schedules events, draws random
 /// numbers, or influences simulation state — traced and untraced runs are
@@ -33,6 +36,7 @@
 /// reproducible and stream-neutral too.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -121,15 +125,15 @@ struct ExemplarSpan {
   uint8_t depth = 0;
 };
 
-/// A retained slow transaction: its identity, critical path, and full
-/// span tree (preorder).
+/// A retained slow transaction: its identity, critical path, and — when
+/// the tracer records trees — its span tree (preorder).
 struct Exemplar {
   uint64_t global_id = 0;         ///< shard << 48 | first attempt txn id
   uint64_t parent_global_id = 0;  ///< 0, or the cross-shard parent trace
   double admitted_at_ms = 0.0;
   double response_ms = 0.0;
   CriticalPath path;
-  std::vector<ExemplarSpan> spans;
+  std::vector<ExemplarSpan> spans;  ///< empty unless RecordTrees(true)
 };
 
 /// Deterministic exemplar order: slowest first, ties by lower global id.
@@ -140,25 +144,34 @@ bool ExemplarBefore(const Exemplar& a, const Exemplar& b);
 std::vector<Exemplar> MergeExemplars(std::vector<Exemplar> a,
                                      const std::vector<Exemplar>& b, size_t k);
 
-/// The per-system span tracer.  All storage is slab-pooled: span nodes and
-/// trace slots are recycled on commit, so steady-state tracing performs no
-/// allocation (exemplar retention copies out at most K trees).
+/// The per-system span tracer.  Trace slots are recycled on commit and
+/// hold a fixed-size stack of open spans, so steady-state tracing performs
+/// no allocation (exemplar retention copies out at most K records).
 class SpanTracer {
  public:
   struct Options {
     uint64_t sample_seed = 0;     ///< hash seed (the system seed)
     double sample_rate = 1.0;     ///< fraction of transactions traced
-    uint32_t exemplars = 8;       ///< K slowest span trees retained
+    uint32_t exemplars = 8;       ///< K slowest transactions retained
     uint64_t global_id_base = 0;  ///< OR-ed onto txn ids (shard << 48)
   };
+
+  /// Trace ids carry a 16-bit slot index: at most this many transactions
+  /// are traced at once (VoodbConfig::Validate rejects configs that could
+  /// exceed it).
+  static constexpr uint32_t kMaxConcurrentTraces = 0xFFFE;
 
   SpanTracer(desp::Scheduler* scheduler, Options options);
 
   SpanTracer(const SpanTracer&) = delete;
   SpanTracer& operator=(const SpanTracer&) = delete;
 
-  /// Pre-sizes the trace and span slabs (n concurrent traces).
-  void Reserve(size_t traces);
+  /// Pre-sizes the trace slots (n concurrent traces).
+  void Reserve(size_t traces) { traces_.reserve(traces); }
+
+  /// Also records each trace's span tree, so exemplars carry `spans`.
+  /// Only `voodb explain` and tests need trees; set it before the run.
+  void RecordTrees(bool on);
 
   /// Deterministic sampling decision: stable hash of (seed, txn_id)
   /// against the rate — no RNG stream is consumed.
@@ -186,51 +199,54 @@ class SpanTracer {
     return parent;
   }
 
-  // The per-access hot path (Open/Close/Leaf and the Resolve/slab helpers
-  // below) is defined inline: at full sampling these run a few times per
-  // object access, and the <3% overhead gate leaves no room for a
-  // cross-TU call per span.
+  // The per-access hot path (Open/Close/Leaf and their helpers below) is
+  // defined inline: at full sampling these run a few times per object
+  // access.
 
   /// Opens a child span under the innermost open span.
   void Open(uint32_t trace, SpanKind kind, uint64_t label, double at) {
     Trace* t = Resolve(trace);
     if (t == nullptr) return;
-    t->open = AppendChild(*t, kind, label, at);
+    ChargeLeaf(*t, t->frames[t->depth - 1]);
+    VOODB_CHECK_MSG(t->depth < kMaxDepth,
+                    "span tracer: spans nest deeper than " << kMaxDepth);
+    // An attempt may abort: remember the path so its close can discard
+    // what it charged.
+    if (t->depth == 1) t->before_attempt = t->path;
+    PushFrame(*t, kind, label, at);
   }
 
   /// Closes the innermost open span.
   void Close(uint32_t trace, double at) {
     Trace* t = Resolve(trace);
     if (t == nullptr) return;
-    VOODB_CHECK_MSG(t->open != kNone && t->open != t->root,
-                    "span close without a matching open");
-    Span& span = spans_[t->open];
-    span.end = at;
-    t->open = span.parent;
+    VOODB_CHECK_MSG(t->depth > 1, "span close without a matching open");
+    CloseFrame(*t, at);
   }
 
   /// Adds an already-closed child span under the innermost open span.
   /// Back-to-back leaves of the same kind and label (e.g. consecutive CPU
   /// slices with nothing between them in simulated time) extend the
-  /// previous sibling instead of allocating a new span: component sums are
-  /// unchanged, trees stay readable, and full-rate tracing stays cheap.
+  /// previous leaf: [a,b] + [b,c] is one leaf charged c - a.  Leaves are
+  /// the non-structural kinds (never kTxn, kAttempt or kCommit).
   void Leaf(uint32_t trace, SpanKind kind, uint64_t label, double begin,
             double end) {
     Trace* t = Resolve(trace);
     if (t == nullptr) return;
-    if (t->open != kNone) {
-      const uint32_t last = spans_[t->open].last_child;
-      if (last != kNone) {
-        Span& prev = spans_[last];
-        if (prev.kind == kind && prev.label == label && prev.end == begin &&
-            prev.first_child == kNone) {
-          prev.end = end;
-          return;
-        }
-      }
+    Frame& frame = t->frames[t->depth - 1];
+    if (frame.has_leaf && frame.leaf_kind == kind &&
+        frame.leaf_label == label && frame.leaf_end == begin) {
+      frame.leaf_end = end;
+      if (record_trees_) t->tree.back().end_ms = end;
+      return;
     }
-    const uint32_t index = AppendChild(*t, kind, label, begin);
-    spans_[index].end = end;
+    ChargeLeaf(*t, frame);
+    frame.has_leaf = true;
+    frame.leaf_kind = kind;
+    frame.leaf_label = label;
+    frame.leaf_begin = begin;
+    frame.leaf_end = end;
+    if (record_trees_) t->tree.push_back(Entry(*t, kind, label, begin, end));
   }
 
   /// Annotates the innermost open kAttempt span with an abort cause.
@@ -245,11 +261,12 @@ class SpanTracer {
     if (trace != 0) Leaf(trace, kind, label, begin, end);
   }
 
-  /// Commit retirement: closes any open spans, folds the tree into the
-  /// component histograms (Sum()==response enforced), retains the tree as
-  /// an exemplar when it ranks among the K slowest, recycles the slab
-  /// nodes.  `end` is the retirement time; response = end - admitted_at
-  /// as computed by the caller (passed in to match its rounding exactly).
+  /// Commit retirement: closes any open spans, adds the critical path to
+  /// the component histograms (Sum()==response enforced), retains the
+  /// transaction as an exemplar when it ranks among the K slowest, and
+  /// recycles the slot.  `end` is the retirement time; response = end -
+  /// admitted_at as computed by the caller (passed in to match its
+  /// rounding exactly).
   void FinishCommitted(uint32_t trace, double response_ms, double end);
 
   /// The global (cross-shard) id for a live trace.
@@ -282,60 +299,120 @@ class SpanTracer {
 
  private:
   static constexpr uint32_t kNone = UINT32_MAX;
+  /// Root, attempt, commit and one more level of nesting.
+  static constexpr uint8_t kMaxDepth = 4;
 
-  struct Span {
+  /// One open span: what its close charges.  The last child, while it is
+  /// a leaf, is held here uncharged so a back-to-back leaf can extend it;
+  /// it is charged when a non-coalescing sibling arrives, a child span
+  /// opens, or this span closes.
+  struct Frame {
     double begin = 0.0;
-    double end = 0.0;
-    uint64_t label = 0;
-    uint32_t parent = kNone;
-    uint32_t first_child = kNone;
-    uint32_t last_child = kNone;
-    uint32_t next_sibling = kNone;
+    double child_sum = 0.0;  ///< closed children's durations, sibling order
+    double leaf_begin = 0.0;
+    double leaf_end = 0.0;
+    uint64_t leaf_label = 0;
+    uint32_t entry = 0;  ///< this span's index in Trace::tree
     SpanKind kind = SpanKind::kTxn;
     AbortCause cause = AbortCause::kNone;
+    SpanKind leaf_kind = SpanKind::kTxn;
+    bool has_leaf = false;
   };
 
   struct Trace {
-    uint32_t root = kNone;
-    uint32_t open = kNone;  ///< innermost open span (chain via parent)
+    CriticalPath path;            ///< charged as spans close
+    CriticalPath before_attempt;  ///< path when the open attempt began
+    Frame frames[kMaxDepth];      ///< open spans, root first
+    uint8_t depth = 0;            ///< open frames
+    bool live = false;
     uint32_t next_free = kNone;
     uint32_t generation = 0;  ///< survives slot reuse; part of the ctx id
-    bool live = false;
     uint64_t txn_id = 0;
     uint64_t parent_global_id = 0;
     double admitted_at = 0.0;
+    std::vector<ExemplarSpan> tree;  ///< preorder spans (RecordTrees only)
   };
 
-  uint32_t AllocSpan() {
-    if (span_free_head_ != kNone) {
-      const uint32_t span = span_free_head_;
-      span_free_head_ = spans_[span].first_child;  // free-list link (FreeTree)
-      return span;
+  /// Adds `ms` to the component a span kind is charged to (the structural
+  /// and admission kinds fall into the `other` remainder: no-op).
+  static void Charge(CriticalPath* path, SpanKind kind, double ms) {
+    switch (kind) {
+      case SpanKind::kCcWait:
+        path->lock_wait_ms += ms;
+        break;
+      case SpanKind::kBuffer:
+      case SpanKind::kIo:
+        path->io_ms += ms;
+        break;
+      case SpanKind::kNet:
+        path->net_ms += ms;
+        break;
+      case SpanKind::kCpu:
+      case SpanKind::kCommit:
+        path->cpu_ms += ms;
+        break;
+      case SpanKind::kBackoff:
+        path->retry_ms += ms;
+        break;
+      case SpanKind::kTxn:
+      case SpanKind::kAttempt:
+      case SpanKind::kAdmission:
+        break;
     }
-    spans_.emplace_back();
-    return static_cast<uint32_t>(spans_.size() - 1);
   }
 
-  void FreeTree(uint32_t span);
+  void PushFrame(Trace& t, SpanKind kind, uint64_t label, double at) {
+    Frame& frame = t.frames[t.depth];
+    frame.begin = at;
+    frame.child_sum = 0.0;
+    frame.kind = kind;
+    frame.cause = AbortCause::kNone;
+    frame.has_leaf = false;
+    frame.entry = static_cast<uint32_t>(t.tree.size());
+    if (record_trees_) t.tree.push_back(Entry(t, kind, label, at, at));
+    ++t.depth;
+  }
 
-  uint32_t AppendChild(Trace& t, SpanKind kind, uint64_t label, double begin) {
-    const uint32_t index = AllocSpan();
-    Span& span = spans_[index];
-    span = Span{};
-    span.begin = begin;
-    span.kind = kind;
-    span.label = label;
-    span.parent = t.open;
-    if (t.open != kNone) {
-      Span& parent = spans_[t.open];
-      if (parent.last_child == kNone) {
-        parent.first_child = index;
-      } else {
-        spans_[parent.last_child].next_sibling = index;
-      }
-      parent.last_child = index;
+  /// Charges the frame's held-back leaf, if any.
+  static void ChargeLeaf(Trace& t, Frame& frame) {
+    if (!frame.has_leaf) return;
+    frame.has_leaf = false;
+    const double duration = frame.leaf_end - frame.leaf_begin;
+    frame.child_sum += duration;
+    Charge(&t.path, frame.leaf_kind, std::max(0.0, duration));
+  }
+
+  /// Pops the innermost open span and charges its exclusive time: its
+  /// duration minus its children's.  An aborted attempt is wasted work
+  /// instead: what it charged is discarded and its whole duration is
+  /// retry.
+  void CloseFrame(Trace& t, double at) {
+    Frame& frame = t.frames[--t.depth];
+    ChargeLeaf(t, frame);
+    const double duration = at - frame.begin;
+    if (t.depth == 1 && frame.kind == SpanKind::kAttempt &&
+        frame.cause != AbortCause::kNone) {
+      t.path = t.before_attempt;
+      t.path.retry_ms += std::max(0.0, duration);
+    } else {
+      Charge(&t.path, frame.kind, std::max(0.0, duration - frame.child_sum));
     }
-    return index;
+    if (t.depth > 0) t.frames[t.depth - 1].child_sum += duration;
+    if (record_trees_) {
+      t.tree[frame.entry].end_ms = at;
+      t.tree[frame.entry].abort_cause = frame.cause;
+    }
+  }
+
+  static ExemplarSpan Entry(const Trace& t, SpanKind kind, uint64_t label,
+                            double begin, double end) {
+    ExemplarSpan span;
+    span.begin_ms = begin;
+    span.end_ms = end;
+    span.label = label;
+    span.kind = kind;
+    span.depth = t.depth;
+    return span;
   }
 
   Trace* Resolve(uint32_t trace) {
@@ -347,18 +424,11 @@ class SpanTracer {
     if (!t.live || t.generation != generation) return nullptr;
     return &t;
   }
-  /// Exclusive critical-path walk of a committed attempt subtree.
-  void WalkExclusive(uint32_t span, CriticalPath* path) const;
-  void FoldTrace(const Trace& t, double response_ms, CriticalPath* path) const;
-  void MaybeRetain(const Trace& t, double response_ms,
-                   const CriticalPath& path);
-  void Flatten(uint32_t span, uint8_t depth,
-               std::vector<ExemplarSpan>* out) const;
+  void MaybeRetain(const Trace& t, double response_ms);
 
   desp::Scheduler* scheduler_;
   Options options_;
-  std::vector<Span> spans_;
-  uint32_t span_free_head_ = kNone;
+  bool record_trees_ = false;
   std::vector<Trace> traces_;
   uint32_t trace_free_head_ = kNone;
   uint64_t pending_parent_ = 0;

@@ -1,5 +1,8 @@
 #include "voodb/config.hpp"
 
+#include <algorithm>
+
+#include "obs/spans.hpp"
 #include "util/check.hpp"
 #include "voodb/param_registry.hpp"
 
@@ -70,6 +73,18 @@ void VoodbConfig::Validate() const {
                                       WorkloadSourceKind::kSynthetic),
                   "parameter 'shards' > 1 cannot be combined with trace "
                   "recording or trace replay");
+  // Every admitted transaction holds one span-tracer slot.  A user has
+  // one transaction live at a time, local or (sharded) a sub-transaction
+  // on another shard, so a shard admits at most min(all users, MULTILVL).
+  const uint64_t concurrent =
+      std::min<uint64_t>(uint64_t{num_users} * shards, multiprogramming_level);
+  VOODB_CHECK_MSG(!trace_spans ||
+                      concurrent <= obs::SpanTracer::kMaxConcurrentTraces,
+                  "parameters 'num_users' and 'multiprogramming_level' admit "
+                      << concurrent << " concurrent transactions, but "
+                      << "trace_spans traces at most "
+                      << obs::SpanTracer::kMaxConcurrentTraces
+                      << "; lower either or set trace_spans=false");
   disk.Validate();
 }
 

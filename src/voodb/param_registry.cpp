@@ -636,15 +636,16 @@ ParamRegistry::ParamRegistry() {
                  "Chrome-trace (chrome://tracing) output path; non-empty "
                  "implies observe and enables span capture");
   b.System("trace_spans", &VoodbConfig::trace_spans,
-           "causal per-transaction tracing: span trees, critical-path "
-           "component histograms, tail exemplars (voodb explain)");
+           "causal per-transaction tracing: critical-path component "
+           "histograms and the slowest transactions' paths (span trees "
+           "only under voodb explain)");
   b.System("trace_sample_rate", &VoodbConfig::trace_sample_rate,
            "fraction of transactions traced, chosen by a deterministic "
            "txn-id hash (consumes no RNG stream)")
       .Range(0.0, 1.0);
   b.System("trace_exemplars", &VoodbConfig::trace_exemplars,
-           "slowest-K committed transactions whose full span trees are "
-           "retained for voodb explain")
+           "slowest-K committed transactions retained as exemplars "
+           "(critical paths; voodb explain also keeps their span trees)")
       .Range(0);
 
   // --- Disk (storage::DiskParameters) ---------------------------------------

@@ -337,6 +337,12 @@ obs::MetricSnapshot ShardedVoodb::MergedMetrics() const {
   return merged;
 }
 
+void ShardedVoodb::RecordTrees(bool on) {
+  for (const auto& shard : shards_) {
+    if (shard->span_tracer() != nullptr) shard->span_tracer()->RecordTrees(on);
+  }
+}
+
 std::vector<obs::Exemplar> ShardedVoodb::MergedExemplars() const {
   std::vector<obs::Exemplar> merged;
   for (const auto& shard : shards_) {

@@ -88,6 +88,10 @@ class ShardedVoodb {
   /// Empty unless `trace_spans`.
   std::vector<obs::Exemplar> MergedExemplars() const;
 
+  /// SpanTracer::RecordTrees on every shard's tracer (no-op unless
+  /// `trace_spans`): merged exemplars then carry their span trees.
+  void RecordTrees(bool on);
+
   /// The profiler spanning every partition (nullptr unless `observe` or
   /// a `profile_path` is configured); its Table()/Stats() merge
   /// per-partition attribution by tag name.

@@ -51,7 +51,8 @@ VoodbSystem::VoodbSystem(VoodbConfig config, const ocb::ObjectBase* base,
     topts.global_id_base = trace_global_id_base;
     tracer_ = std::make_unique<obs::SpanTracer>(scheduler_, topts);
     // At most MULTILVL transactions are admitted (and thus traced) at
-    // once; pre-size the slabs so steady-state tracing never allocates.
+    // once; pre-size the trace slots so steady-state tracing never
+    // allocates.
     tracer_->Reserve(config_.multiprogramming_level + 4);
     tm_->SetTracer(tracer_.get());
     io_->SetTracer(tracer_.get());

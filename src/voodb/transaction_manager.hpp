@@ -93,8 +93,9 @@ class TransactionManagerActor : public desp::Actor {
   void SetRecorder(trace::Recorder* recorder) { recorder_ = recorder; }
 
   /// Attaches/detaches (nullptr) the span tracer; the manager emits the
-  /// structural spans (root, attempts, cc waits, buffer accesses, commit,
-  /// backoffs) and shares the tracer with the protocol for abort-cause
+  /// transaction's own spans (root, admission, attempts, cpu slices, cc
+  /// waits, commit, backoffs; disk and network work is emitted by those
+  /// actors) and shares the tracer with the protocol for abort-cause
   /// annotation.  Pure metadata: simulation results are unchanged.
   void SetTracer(obs::SpanTracer* tracer);
 

@@ -1,9 +1,11 @@
 /// \file test_spans.cpp
-/// \brief Causal span tracing: tree construction, critical-path folding,
-/// the Sum()==response contract, sampling determinism, observe-neutrality,
-/// and cross-shard exemplar stitching.
+/// \brief Causal span tracing: tree recording, critical-path folding
+/// (checked against a reference tree walk), the Sum()==response contract,
+/// a component-histogram golden, sampling determinism,
+/// observe-neutrality, and cross-shard exemplar stitching.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -21,6 +23,8 @@ namespace voodb {
 namespace {
 
 using obs::AbortCause;
+using obs::ComponentHistograms;
+using obs::CriticalPath;
 using obs::Exemplar;
 using obs::ExemplarSpan;
 using obs::SpanKind;
@@ -54,6 +58,7 @@ void ExpectNested(const Exemplar& e) {
 TEST(SpanTracer, BuildsTreeAndFoldsCriticalPathExactly) {
   desp::Scheduler sched;
   SpanTracer tracer(&sched, AllOptions());
+  tracer.RecordTrees(true);
   const uint32_t t = tracer.BeginTrace(1, 0.0);
   ASSERT_NE(t, 0u);
   tracer.Open(t, SpanKind::kAttempt, 1, 0.0);
@@ -85,6 +90,7 @@ TEST(SpanTracer, BuildsTreeAndFoldsCriticalPathExactly) {
 TEST(SpanTracer, AbortedAttemptsAndBackoffsFoldIntoRetry) {
   desp::Scheduler sched;
   SpanTracer tracer(&sched, AllOptions());
+  tracer.RecordTrees(true);
   const uint32_t t = tracer.BeginTrace(3, 0.0);
   ASSERT_NE(t, 0u);
   tracer.Open(t, SpanKind::kAttempt, 1, 0.0);
@@ -117,6 +123,7 @@ TEST(SpanTracer, AbortedAttemptsAndBackoffsFoldIntoRetry) {
 TEST(SpanTracer, FinishedTracesIgnoreLateWrites) {
   desp::Scheduler sched;
   SpanTracer tracer(&sched, AllOptions());
+  tracer.RecordTrees(true);
   const uint32_t t = tracer.BeginTrace(1, 0.0);
   tracer.Open(t, SpanKind::kAttempt, 1, 0.0);
   tracer.Close(t, 1.0);
@@ -190,6 +197,7 @@ core::VoodbConfig TracedConfig() {
 TEST(SpanTracing, EverySpanClosesAndComponentsSumExactly) {
   const ocb::ObjectBase base = ocb::ObjectBase::Generate(ContendedWorkload());
   core::VoodbSystem sys(TracedConfig(), &base, nullptr, /*seed=*/5);
+  sys.span_tracer()->RecordTrees(true);
   ocb::WorkloadGenerator gen(&base, desp::RandomStream(5).Derive(1));
   const core::PhaseMetrics m = sys.RunTransactions(gen, 60);
   ASSERT_EQ(m.transactions, 60u);
@@ -258,6 +266,226 @@ TEST(SpanTracing, TracingIsSimulationNeutral) {
   EXPECT_GT(partial.component_histograms.io.count(), 0u);
 }
 
+// --- The streaming fold against a reference tree walk ----------------------
+
+/// Reference model of the critical-path fold: the exclusive post-order
+/// walk over a recorded span tree (preorder + depth).  A span charges its
+/// duration minus its children's to its component; under the root, a
+/// backoff or an aborted attempt is charged whole to retry and nothing
+/// inside it counts.
+void ChargeReference(CriticalPath* path, SpanKind kind, double ms) {
+  switch (kind) {
+    case SpanKind::kCcWait:
+      path->lock_wait_ms += ms;
+      break;
+    case SpanKind::kBuffer:
+    case SpanKind::kIo:
+      path->io_ms += ms;
+      break;
+    case SpanKind::kNet:
+      path->net_ms += ms;
+      break;
+    case SpanKind::kCpu:
+    case SpanKind::kCommit:
+      path->cpu_ms += ms;
+      break;
+    case SpanKind::kBackoff:
+      path->retry_ms += ms;
+      break;
+    case SpanKind::kTxn:
+    case SpanKind::kAttempt:
+    case SpanKind::kAdmission:
+      break;  // the `other` remainder
+  }
+}
+
+/// Index just past the subtree rooted at `i`.
+size_t SubtreeEnd(const std::vector<ExemplarSpan>& spans, size_t i) {
+  size_t next = i + 1;
+  while (next < spans.size() && spans[next].depth > spans[i].depth) ++next;
+  return next;
+}
+
+size_t WalkExclusive(const std::vector<ExemplarSpan>& spans, size_t i,
+                     CriticalPath* path) {
+  const ExemplarSpan& s = spans[i];
+  double child_sum = 0.0;
+  size_t child = i + 1;
+  while (child < spans.size() && spans[child].depth > s.depth) {
+    child_sum += spans[child].end_ms - spans[child].begin_ms;
+    child = WalkExclusive(spans, child, path);
+  }
+  ChargeReference(path, s.kind,
+                  std::max(0.0, (s.end_ms - s.begin_ms) - child_sum));
+  return child;
+}
+
+CriticalPath ReferenceFold(const Exemplar& e) {
+  CriticalPath path;
+  const std::vector<ExemplarSpan>& spans = e.spans;
+  size_t i = 1;  // the root's children
+  while (i < spans.size()) {
+    const ExemplarSpan& s = spans[i];
+    const bool wasted =
+        s.kind == SpanKind::kBackoff ||
+        (s.kind == SpanKind::kAttempt && s.abort_cause != AbortCause::kNone);
+    if (wasted) {
+      path.retry_ms += std::max(0.0, s.end_ms - s.begin_ms);
+      i = SubtreeEnd(spans, i);
+    } else {
+      i = WalkExclusive(spans, i, &path);
+    }
+  }
+  path.Finalize(e.response_ms);
+  return path;
+}
+
+struct FoldCase {
+  cc::ProtocolKind protocol;
+  core::SystemClass system_class;
+};
+
+TEST(SpanTracing, StreamingFoldMatchesTheReferenceTreeWalk) {
+  const ocb::ObjectBase base = ocb::ObjectBase::Generate(ContendedWorkload());
+  constexpr uint64_t kTransactions = 120;
+  const FoldCase cases[] = {
+      {cc::ProtocolKind::kNoWait, core::SystemClass::kCentralized},
+      {cc::ProtocolKind::kWaitDie, core::SystemClass::kCentralized},
+      {cc::ProtocolKind::kDeadlockDetect, core::SystemClass::kCentralized},
+      {cc::ProtocolKind::kMvcc, core::SystemClass::kCentralized},
+      {cc::ProtocolKind::kOcc, core::SystemClass::kCentralized},
+      {cc::ProtocolKind::kWaitDie, core::SystemClass::kPageServer},
+      {cc::ProtocolKind::kOcc, core::SystemClass::kDbServer},
+  };
+  for (const FoldCase& fold_case : cases) {
+    const std::string cell =
+        std::string(cc::ToString(fold_case.protocol)) + " " +
+        core::ToString(fold_case.system_class);
+    core::VoodbConfig cfg = TracedConfig();
+    cfg.cc_protocol = fold_case.protocol;
+    cfg.system_class = fold_case.system_class;
+    cfg.num_users = 16;
+    cfg.multiprogramming_level = 16;
+    cfg.trace_exemplars = kTransactions;  // every transaction retained
+    auto run = [&](bool trees, std::vector<Exemplar>* exemplars) {
+      core::VoodbSystem sys(cfg, &base, nullptr, /*seed=*/11);
+      sys.span_tracer()->RecordTrees(trees);
+      ocb::WorkloadGenerator gen(&base, desp::RandomStream(11).Derive(1));
+      const core::PhaseMetrics m = sys.RunTransactions(gen, kTransactions);
+      *exemplars = sys.span_tracer()->exemplars();
+      return m;
+    };
+    std::vector<Exemplar> with_trees;
+    std::vector<Exemplar> without_trees;
+    const core::PhaseMetrics m = run(true, &with_trees);
+    const core::PhaseMetrics plain = run(false, &without_trees);
+    EXPECT_GT(m.transaction_restarts, 0u) << cell;
+    ASSERT_EQ(with_trees.size(), kTransactions) << cell;
+
+    for (const Exemplar& e : with_trees) {
+      ASSERT_FALSE(e.spans.empty()) << cell;
+      const CriticalPath reference = ReferenceFold(e);
+      EXPECT_EQ(std::memcmp(&reference, &e.path, sizeof(CriticalPath)), 0)
+          << cell << " txn " << e.global_id << ": io " << e.path.io_ms
+          << " vs " << reference.io_ms << ", cpu " << e.path.cpu_ms << " vs "
+          << reference.cpu_ms << ", retry " << e.path.retry_ms << " vs "
+          << reference.retry_ms;
+      // Every attempt but the last aborted, and the protocol said why.
+      std::vector<const ExemplarSpan*> attempts;
+      for (const ExemplarSpan& s : e.spans) {
+        if (s.depth == 1 && s.kind == SpanKind::kAttempt) {
+          attempts.push_back(&s);
+        }
+      }
+      ASSERT_FALSE(attempts.empty()) << cell;
+      for (size_t a = 0; a + 1 < attempts.size(); ++a) {
+        EXPECT_NE(attempts[a]->abort_cause, AbortCause::kNone)
+            << cell << " txn " << e.global_id << " attempt " << a + 1;
+      }
+      EXPECT_EQ(attempts.back()->abort_cause, AbortCause::kNone) << cell;
+    }
+
+    // Recording trees changes nothing else: the same exemplars with the
+    // same paths, and the same component histograms, bit for bit.
+    ASSERT_EQ(without_trees.size(), with_trees.size()) << cell;
+    for (size_t i = 0; i < with_trees.size(); ++i) {
+      EXPECT_TRUE(without_trees[i].spans.empty()) << cell;
+      EXPECT_EQ(without_trees[i].global_id, with_trees[i].global_id) << cell;
+      EXPECT_EQ(std::memcmp(&without_trees[i].path, &with_trees[i].path,
+                            sizeof(CriticalPath)),
+                0)
+          << cell;
+    }
+    const ComponentHistograms& a = m.component_histograms;
+    const ComponentHistograms& b = plain.component_histograms;
+    for (const auto member :
+         {&ComponentHistograms::lock_wait, &ComponentHistograms::io,
+          &ComponentHistograms::net, &ComponentHistograms::cpu,
+          &ComponentHistograms::retry, &ComponentHistograms::other}) {
+      EXPECT_EQ((a.*member).count(), (b.*member).count()) << cell;
+      const double sa = (a.*member).sum();
+      const double sb = (b.*member).sum();
+      EXPECT_EQ(std::memcmp(&sa, &sb, sizeof(double)), 0) << cell;
+    }
+  }
+}
+
+// --- Component-histogram golden ----------------------------------------------
+
+/// The six component histograms' count and sum for a contended wait-die
+/// run (centralized) and an MVCC run (page server, so the network
+/// component is non-zero), recorded from the implementation that folded
+/// a full span tree per transaction at commit.  cc_abyss and ycsb_zipf
+/// print lock_wait/io/retry percentiles from these histograms.
+struct ComponentGolden {
+  cc::ProtocolKind protocol;
+  core::SystemClass system_class;
+  uint64_t seed;
+  uint64_t count;
+  double lock_wait_sum;
+  double io_sum;
+  double net_sum;
+  double cpu_sum;
+  double retry_sum;
+  double other_sum;
+};
+
+constexpr ComponentGolden kComponentGoldens[] = {
+    {cc::ProtocolKind::kWaitDie, core::SystemClass::kCentralized, 13, 200,
+     1128.9811915406563, 4149.2542421559674, 0, 4124.919321942958,
+     5036.9805171330609, -5.6843418860808009e-14},
+    {cc::ProtocolKind::kMvcc, core::SystemClass::kPageServer, 29, 200,
+     0, 4365.9030196066942, 15956.924303680185, 556.47539926743093,
+     14725.176943614981, 1.2621774483536187e-29},
+};
+
+TEST(SpanTracing, ComponentHistogramsReproduceRecordedGolden) {
+  const ocb::ObjectBase base = ocb::ObjectBase::Generate(ContendedWorkload());
+  for (const ComponentGolden& g : kComponentGoldens) {
+    core::VoodbConfig cfg = TracedConfig();
+    cfg.cc_protocol = g.protocol;
+    cfg.system_class = g.system_class;
+    cfg.num_users = 16;
+    cfg.multiprogramming_level = 16;
+    cfg.trace_exemplars = 8;
+    core::VoodbSystem sys(cfg, &base, nullptr, g.seed);
+    ocb::WorkloadGenerator gen(&base, desp::RandomStream(g.seed).Derive(1));
+    const core::PhaseMetrics m = sys.RunTransactions(gen, g.count);
+    const ComponentHistograms& c = m.component_histograms;
+    const std::string cell = cc::ToString(g.protocol);
+    for (const desp::LogHistogram* h :
+         {&c.lock_wait, &c.io, &c.net, &c.cpu, &c.retry, &c.other}) {
+      EXPECT_EQ(h->count(), g.count) << cell;
+    }
+    EXPECT_EQ(c.lock_wait.sum(), g.lock_wait_sum) << cell;
+    EXPECT_EQ(c.io.sum(), g.io_sum) << cell;
+    EXPECT_EQ(c.net.sum(), g.net_sum) << cell;
+    EXPECT_EQ(c.cpu.sum(), g.cpu_sum) << cell;
+    EXPECT_EQ(c.retry.sum(), g.retry_sum) << cell;
+    EXPECT_EQ(c.other.sum(), g.other_sum) << cell;
+  }
+}
+
 /// Checks JSON structural sanity without a parser: non-empty, object
 /// framing, balanced braces/brackets outside string literals.
 void ExpectBalancedJson(const std::string& json) {
@@ -294,6 +522,7 @@ void ExpectBalancedJson(const std::string& json) {
 TEST(SpanTracing, PerfettoExportIsWellFormed) {
   const ocb::ObjectBase base = ocb::ObjectBase::Generate(ContendedWorkload());
   core::VoodbSystem sys(TracedConfig(), &base, nullptr, /*seed=*/5);
+  sys.span_tracer()->RecordTrees(true);
   ocb::WorkloadGenerator gen(&base, desp::RandomStream(5).Derive(1));
   sys.RunTransactions(gen, 30);
   const std::string json =
@@ -320,6 +549,7 @@ TEST(SpanTracing, CrossShardStitchingBitIdenticalAcrossThreadCounts) {
   const ocb::ObjectBase base = ocb::ObjectBase::Generate(ContendedWorkload());
   auto run = [&base](size_t threads) {
     core::ShardedVoodb sys(ShardedTracedConfig(), &base, /*seed=*/7);
+    sys.RecordTrees(true);
     if (threads > 1) {
       exp::ThreadPool pool({threads});
       sys.Run(40, &pool);
@@ -334,11 +564,13 @@ TEST(SpanTracing, CrossShardStitchingBitIdenticalAcrossThreadCounts) {
   // stream, identical at any sim_threads.
   EXPECT_EQ(serial, pooled);
   ExpectBalancedJson(serial);
+  EXPECT_NE(serial.find("\"ph\":\"X\""), std::string::npos);
 }
 
 TEST(SpanTracing, RemoteSubTransactionsCarryTheParentTrace) {
   const ocb::ObjectBase base = ocb::ObjectBase::Generate(ContendedWorkload());
   core::ShardedVoodb sys(ShardedTracedConfig(), &base, /*seed=*/7);
+  sys.RecordTrees(true);
   const core::PhaseMetrics merged = sys.Run(40);
   ASSERT_GT(sys.remote_subtxns(), 0u);
   EXPECT_GT(merged.component_histograms.io.count(), 0u);

@@ -2,6 +2,8 @@
 /// \brief Tests for the Table 3 configuration and Table 4 catalog.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/check.hpp"
 #include "voodb/catalog.hpp"
 #include "voodb/config.hpp"
@@ -49,6 +51,37 @@ TEST(VoodbConfig, ValidationCatchesBadValues) {
   cfg = VoodbConfig{};
   cfg.disk.search_ms = -0.1;
   EXPECT_THROW(cfg.Validate(), util::Error);
+}
+
+TEST(VoodbConfig, TracingRejectsMoreConcurrentTransactionsThanTraceSlots) {
+  // Trace ids hold a 16-bit slot index: a run that could admit more than
+  // 65534 transactions at once must fail up front, not mid-run.
+  VoodbConfig cfg;
+  cfg.num_users = 70000;
+  cfg.multiprogramming_level = 70000;
+  try {
+    cfg.Validate();
+    FAIL() << "MPL 70000 with trace_spans passed Validate";
+  } catch (const util::Error& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("num_users"), std::string::npos) << message;
+    EXPECT_NE(message.find("multiprogramming_level"), std::string::npos)
+        << message;
+  }
+  // Either bound alone keeps the admitted set small enough.
+  cfg.num_users = 65534;
+  cfg.Validate();
+  cfg.num_users = 70000;
+  cfg.multiprogramming_level = 65534;
+  cfg.Validate();
+  // Sharded: other shards' users' sub-transactions are admitted too.
+  cfg.multiprogramming_level = 70000;
+  cfg.num_users = 40000;
+  cfg.shards = 2;
+  EXPECT_THROW(cfg.Validate(), util::Error);
+  // Untraced runs have no slot limit.
+  cfg.trace_spans = false;
+  cfg.Validate();
 }
 
 TEST(SystemCatalog, O2MatchesTable4) {
