@@ -12,6 +12,9 @@ bool Conflicting(LockMode a, LockMode b) {
   return a == LockMode::kExclusive || b == LockMode::kExclusive;
 }
 
+/// List end marker of the holder and waiter pools.
+constexpr uint32_t kEnd = desp::ListPool<LockMode>::kEnd;
+
 }  // namespace
 
 const char* ToString(LockMode m) {
@@ -29,12 +32,17 @@ LockTable::LockTable(desp::Scheduler* scheduler, ProtocolKind kind)
 void LockTable::Begin(uint64_t txn, uint64_t age) {
   // Restarted transactions keep their original age, so under wait-die
   // they eventually become the oldest and cannot die forever.
-  txns_.Begin(txn).age = age;
+  TxnState& state = txns_.Begin(txn);
+  state.age = age;
+  // A fresh slot starts with room for a typical transaction's locks:
+  // one allocation instead of a doubling series (the slot keeps it).
+  if (state.held.capacity() == 0) state.held.reserve(16);
   ++stats_.begins;
 }
 
-bool LockTable::HoldsIn(const Entry& entry, uint64_t txn, LockMode mode) {
-  for (const Holder& h : entry.holders) {
+bool LockTable::HoldsIn(const Entry& entry, uint64_t txn,
+                        LockMode mode) const {
+  for (const Holder& h : holders_.Of(entry.holders)) {
     if (h.txn != txn) continue;
     return mode == LockMode::kShared || h.mode == LockMode::kExclusive;
   }
@@ -42,8 +50,8 @@ bool LockTable::HoldsIn(const Entry& entry, uint64_t txn, LockMode mode) {
 }
 
 bool LockTable::Holds(uint64_t txn, ocb::Oid oid, LockMode mode) const {
-  const auto entry_it = locks_.find(oid);
-  return entry_it != locks_.end() && HoldsIn(entry_it->second, txn, mode);
+  const uint32_t slot = entry_index_.Find(oid);
+  return slot != util::kNoIndex && HoldsIn(entries_[slot], txn, mode);
 }
 
 size_t LockTable::HeldLocks(uint64_t txn) const {
@@ -56,24 +64,30 @@ size_t LockTable::HeldLocks(uint64_t txn) const {
 }
 
 LockTable::Entry& LockTable::EntryFor(ocb::Oid oid) {
-  const auto entry_it = locks_.find(oid);
-  if (entry_it != locks_.end()) return entry_it->second;
-  if (spare_.empty()) return locks_[oid];
-  LockMap::node_type node = std::move(spare_.back());
-  spare_.pop_back();
-  node.key() = oid;
-  return locks_.insert(std::move(node)).position->second;
-}
-
-void LockTable::RetireIfIdle(LockMap::iterator entry_it) {
-  const Entry& entry = entry_it->second;
-  if (entry.holders.empty() && entry.waiters.empty()) {
-    spare_.push_back(locks_.extract(entry_it));
+  uint32_t slot = entry_index_.Find(oid);
+  if (slot == util::kNoIndex) {
+    slot = entries_.Alloc();
+    entry_index_.Insert(oid, slot);
   }
+  return entries_[slot];
 }
 
-bool LockTable::Compatible(const Entry& entry, uint64_t txn, LockMode mode) {
-  for (const Holder& h : entry.holders) {
+LockTable::Entry* LockTable::FindEntry(ocb::Oid oid) {
+  const uint32_t slot = entry_index_.Find(oid);
+  return slot == util::kNoIndex ? nullptr : &entries_[slot];
+}
+
+void LockTable::RetireIfIdle(ocb::Oid oid) {
+  const uint32_t slot = entry_index_.Find(oid);
+  const Entry& entry = entries_[slot];
+  if (!entry.holders.empty() || !entry.waiters.empty()) return;
+  entry_index_.Erase(oid);
+  entries_.Free(slot);
+}
+
+bool LockTable::Compatible(const Entry& entry, uint64_t txn,
+                           LockMode mode) const {
+  for (const Holder& h : holders_.Of(entry.holders)) {
     if (h.txn == txn) continue;  // own locks never conflict
     if (Conflicting(mode, h.mode)) return false;
   }
@@ -81,7 +95,8 @@ bool LockTable::Compatible(const Entry& entry, uint64_t txn, LockMode mode) {
 }
 
 void LockTable::Grant(Entry& entry, uint64_t txn, LockMode mode) {
-  for (Holder& h : entry.holders) {
+  for (uint32_t n = entry.holders.head; n != kEnd; n = holders_.Next(n)) {
+    Holder& h = holders_[n];
     if (h.txn == txn) {
       if (mode == LockMode::kExclusive && h.mode == LockMode::kShared) {
         h.mode = LockMode::kExclusive;  // upgrade in place
@@ -90,7 +105,7 @@ void LockTable::Grant(Entry& entry, uint64_t txn, LockMode mode) {
       return;
     }
   }
-  entry.holders.push_back(Holder{txn, mode});
+  holders_.PushBack(entry.holders, Holder{txn, mode});
 }
 
 void LockTable::Access(uint64_t txn, ocb::Oid oid, bool write, Action granted,
@@ -105,9 +120,7 @@ void LockTable::Access(uint64_t txn, ocb::Oid oid, bool write, Action granted,
     return;
   }
   // Holding the object without holding it strongly enough: S -> X.
-  const bool upgrade =
-      std::any_of(entry.holders.begin(), entry.holders.end(),
-                  [txn](const Holder& h) { return h.txn == txn; });
+  const bool upgrade = HoldsIn(entry, txn, LockMode::kShared);
   if (Compatible(entry, txn, mode) && (upgrade || entry.waiters.empty())) {
     Grant(entry, txn, mode);
     state.held.push_back(oid);
@@ -130,7 +143,7 @@ void LockTable::Access(uint64_t txn, ocb::Oid oid, bool write, Action granted,
       Fire(std::move(aborted));
       return;
     case ProtocolKind::kWaitDie:
-      if (!MayWait(entry, txn, mode, entry.waiters.size())) {
+      if (!MayWait(entry, txn, mode, entry.waiters.size)) {
         ++stats_.aborts_wait_die;
         NoteAbort(obs::AbortCause::kWaitDie);
         Fire(std::move(aborted));
@@ -156,19 +169,20 @@ void LockTable::Access(uint64_t txn, ocb::Oid oid, bool write, Action granted,
                 std::move(aborted),
                 scheduler_->current_trace()};
   if (upgrade) {
-    entry.waiters.push_front(std::move(waiter));
+    waiters_.PushFront(entry.waiters, std::move(waiter));
   } else {
-    entry.waiters.push_back(std::move(waiter));
+    waiters_.PushBack(entry.waiters, std::move(waiter));
   }
 }
 
 void LockTable::WakeWaiters(ocb::Oid oid, Entry& entry) {
   bool granted_any = false;
   while (!entry.waiters.empty()) {
-    Waiter& head = entry.waiters.front();
+    Waiter& head = waiters_.Front(entry.waiters);
     TxnState* waiter_state = txns_.Find(head.txn);
     if (waiter_state == nullptr) {
-      entry.waiters.pop_front();  // parked by the transaction releasing now
+      // Parked by the transaction releasing now.
+      waiters_.PopFront(entry.waiters);
       continue;
     }
     if (!Compatible(entry, head.txn, head.mode)) break;
@@ -184,7 +198,7 @@ void LockTable::WakeWaiters(ocb::Oid oid, Entry& entry) {
       desp::TraceScope trace(scheduler_, head.trace);
       Fire(std::move(head.granted));
     }
-    entry.waiters.pop_front();
+    waiters_.PopFront(entry.waiters);
     granted_any = true;
   }
   if (granted_any && kind_ == ProtocolKind::kWaitDie) EnforceWaitDie(entry);
@@ -202,31 +216,24 @@ void LockTable::Release(uint64_t txn) {
   releasing_.erase(std::unique(releasing_.begin(), releasing_.end()),
                    releasing_.end());
   for (const ocb::Oid oid : releasing_) {
-    const auto entry_it = locks_.find(oid);
-    if (entry_it == locks_.end()) continue;
-    auto& holders = entry_it->second.holders;
-    holders.erase(
-        std::remove_if(holders.begin(), holders.end(),
-                       [txn](const Holder& h) { return h.txn == txn; }),
-        holders.end());
-    WakeWaiters(oid, entry_it->second);
-    RetireIfIdle(entry_it);
+    Entry* entry = FindEntry(oid);
+    if (entry == nullptr) continue;
+    holders_.EraseIf(entry->holders,
+                     [txn](const Holder& h) { return h.txn == txn; });
+    WakeWaiters(oid, *entry);
+    RetireIfIdle(oid);
   }
   releasing_.clear();
   // A request still parked (the release was decided elsewhere): purge it
   // and re-evaluate that queue — the purged head may have been the only
   // thing parking compatible waiters behind it.
   if (!waiting) return;
-  const auto entry_it = locks_.find(waiting_on);
-  if (entry_it == locks_.end()) return;
-  auto& waiters = entry_it->second.waiters;
-  const size_t before = waiters.size();
-  waiters.erase(
-      std::remove_if(waiters.begin(), waiters.end(),
-                     [txn](const Waiter& w) { return w.txn == txn; }),
-      waiters.end());
-  if (waiters.size() != before) WakeWaiters(waiting_on, entry_it->second);
-  RetireIfIdle(entry_it);
+  Entry* entry = FindEntry(waiting_on);
+  if (entry == nullptr) return;
+  const size_t purged = waiters_.EraseIf(
+      entry->waiters, [txn](const Waiter& w) { return w.txn == txn; });
+  if (purged != 0) WakeWaiters(waiting_on, *entry);
+  RetireIfIdle(waiting_on);
 }
 
 void LockTable::Commit(uint64_t txn) {
@@ -245,7 +252,7 @@ bool LockTable::MayWait(const Entry& entry, uint64_t txn, LockMode mode,
   const TxnState* requester = txns_.Find(txn);
   VOODB_CHECK_MSG(requester != nullptr, "unknown transaction " << txn);
   const uint64_t age = requester->age;
-  for (const Holder& h : entry.holders) {
+  for (const Holder& h : holders_.Of(entry.holders)) {
     if (h.txn == txn || !Conflicting(mode, h.mode)) continue;
     const TxnState* holder = txns_.Find(h.txn);
     VOODB_CHECK_MSG(holder != nullptr, "holder vanished");
@@ -253,7 +260,7 @@ bool LockTable::MayWait(const Entry& entry, uint64_t txn, LockMode mode,
     if (age >= holder->age) return false;
   }
   size_t position = 0;
-  for (const Waiter& w : entry.waiters) {
+  for (const Waiter& w : waiters_.Of(entry.waiters)) {
     if (position++ >= ahead_count) break;
     if (w.txn == txn || !Conflicting(mode, w.mode)) continue;
     const TxnState* ahead = txns_.Find(w.txn);
@@ -264,29 +271,31 @@ bool LockTable::MayWait(const Entry& entry, uint64_t txn, LockMode mode,
 }
 
 void LockTable::EnforceWaitDie(Entry& entry) {
-  auto& waiters = entry.waiters;
   size_t position = 0;
-  for (auto it = waiters.begin(); it != waiters.end();) {
-    TxnState* state = txns_.Find(it->txn);
+  uint32_t prev = kEnd;
+  for (uint32_t node = entry.waiters.head; node != kEnd;) {
+    Waiter& w = waiters_[node];
+    TxnState* state = txns_.Find(w.txn);
     if (state == nullptr) {
-      it = waiters.erase(it);
+      node = waiters_.EraseAfter(entry.waiters, prev);
       continue;
     }
     // Each waiter is re-checked against the holders and the waiters
     // still ahead of it.
-    if (MayWait(entry, it->txn, it->mode, position)) {
-      ++it;
+    if (MayWait(entry, w.txn, w.mode, position)) {
       ++position;
+      prev = node;
+      node = waiters_.Next(node);
       continue;
     }
     ++stats_.aborts_wait_die;
     state->waiting = false;
     {
-      desp::TraceScope trace(scheduler_, it->trace);
+      desp::TraceScope trace(scheduler_, w.trace);
       NoteAbort(obs::AbortCause::kWaitDie);
-      Fire(std::move(it->aborted));
+      Fire(std::move(w.aborted));
     }
-    it = waiters.erase(it);
+    node = waiters_.EraseAfter(entry.waiters, prev);
   }
 }
 
@@ -296,7 +305,7 @@ void LockTable::EnforceWaitDie(Entry& entry) {
 
 bool LockTable::Reaches(uint64_t start, uint64_t origin) {
   // Iterative DFS over the waits-for graph derived on the fly.  Push
-  // order follows holder-vector then queue order, so the walk is
+  // order follows holder-list then queue order, so the walk is
   // deterministic.
   dfs_stack_.clear();
   dfs_stack_.push_back(start);
@@ -309,22 +318,22 @@ bool LockTable::Reaches(uint64_t start, uint64_t origin) {
     if (state == nullptr || state->visit_mark == dfs_search_) continue;
     state->visit_mark = dfs_search_;
     if (!state->waiting) continue;
-    const auto entry_it = locks_.find(state->waiting_on);
-    if (entry_it == locks_.end()) continue;
-    const Entry& entry = entry_it->second;
+    const Entry* found = FindEntry(state->waiting_on);
+    if (found == nullptr) continue;
+    const Entry& entry = *found;
     LockMode mode = LockMode::kShared;
-    for (const Waiter& w : entry.waiters) {
+    for (const Waiter& w : waiters_.Of(entry.waiters)) {
       if (w.txn == txn) {
         mode = w.mode;
         break;
       }
     }
-    for (const Holder& h : entry.holders) {
+    for (const Holder& h : holders_.Of(entry.holders)) {
       if (h.txn != txn && Conflicting(mode, h.mode)) {
         dfs_stack_.push_back(h.txn);
       }
     }
-    for (const Waiter& w : entry.waiters) {
+    for (const Waiter& w : waiters_.Of(entry.waiters)) {
       if (w.txn == txn) break;  // only waiters ahead are wait targets
       if (Conflicting(mode, w.mode)) dfs_stack_.push_back(w.txn);
     }
@@ -341,7 +350,7 @@ bool LockTable::WouldDeadlock(const Entry& entry, uint64_t txn, LockMode mode,
   auto closes_cycle = [&](uint64_t target) {
     if (Reaches(target, txn)) return true;
     if (!front) return false;
-    for (const Waiter& w : entry.waiters) {
+    for (const Waiter& w : waiters_.Of(entry.waiters)) {
       if (w.txn == txn || !Conflicting(mode, w.mode)) continue;
       if (target == w.txn || Reaches(target, w.txn)) return true;
     }
@@ -349,13 +358,13 @@ bool LockTable::WouldDeadlock(const Entry& entry, uint64_t txn, LockMode mode,
   };
   // The wait targets: conflicting holders, plus — for back-of-queue
   // requests — every conflicting waiter already parked (all ahead of us).
-  for (const Holder& h : entry.holders) {
+  for (const Holder& h : holders_.Of(entry.holders)) {
     if (h.txn != txn && Conflicting(mode, h.mode) && closes_cycle(h.txn)) {
       return true;
     }
   }
   if (front) return false;
-  for (const Waiter& w : entry.waiters) {
+  for (const Waiter& w : waiters_.Of(entry.waiters)) {
     if (w.txn != txn && Conflicting(mode, w.mode) && closes_cycle(w.txn)) {
       return true;
     }

@@ -29,11 +29,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "cc/protocol.hpp"
+#include "desp/list_pool.hpp"
+#include "desp/slot_pool.hpp"
+#include "util/id_index.hpp"
 
 namespace voodb::cc {
 
@@ -83,9 +84,10 @@ class LockTable final : public Protocol {
     /// so they are attributed to the waiter, not the releasing event.
     uint32_t trace;
   };
+  /// An object's lock state: two lists in the table's shared pools.
   struct Entry {
-    std::vector<Holder> holders;
-    std::deque<Waiter> waiters;
+    desp::ListPool<Holder>::List holders;  ///< each transaction at most once
+    desp::ListPool<Waiter>::List waiters;  ///< FIFO, upgrades in front
   };
   struct TxnState {
     uint64_t age = 0;
@@ -101,17 +103,20 @@ class LockTable final : public Protocol {
     }
   };
 
-  using LockMap = std::unordered_map<ocb::Oid, Entry>;
-
-  /// The entry of `oid`, created on first use.  Idle entries are retired
-  /// as whole map nodes and reused, keeping their queue and holder
-  /// buffers: once the table has reached its peak size, locking an
-  /// object allocates nothing.
+  /// The entry of `oid`, created on first use.  Entries live in a flat
+  /// slot pool found through an IdIndex, their holders and waiters in
+  /// two shared list pools, and idle entries are retired to a free list:
+  /// every structure grows geometrically with the table's total
+  /// occupancy, so once that has peaked, locking an object allocates
+  /// nothing.  A returned reference is valid until the next EntryFor.
   Entry& EntryFor(ocb::Oid oid);
-  void RetireIfIdle(LockMap::iterator entry_it);
-  static bool HoldsIn(const Entry& entry, uint64_t txn, LockMode mode);
+  /// The entry of `oid`, or nullptr when nobody holds or awaits it.
+  Entry* FindEntry(ocb::Oid oid);
+  /// Retires `oid`'s entry when it has no holders and no waiters.
+  void RetireIfIdle(ocb::Oid oid);
+  bool HoldsIn(const Entry& entry, uint64_t txn, LockMode mode) const;
   /// True when `mode` can be granted on `entry` for `txn` right now.
-  static bool Compatible(const Entry& entry, uint64_t txn, LockMode mode);
+  bool Compatible(const Entry& entry, uint64_t txn, LockMode mode) const;
   void Grant(Entry& entry, uint64_t txn, LockMode mode);
   /// FIFO wake-up: grants the head while it is compatible (several shared
   /// requests may be granted together).
@@ -144,8 +149,10 @@ class LockTable final : public Protocol {
   bool Reaches(uint64_t start, uint64_t origin);
 
   const ProtocolKind kind_;
-  LockMap locks_;
-  std::vector<LockMap::node_type> spare_;  // retired idle entries
+  desp::SlotPool<Entry> entries_;
+  util::IdIndex entry_index_;  // oid -> entries_ slot
+  desp::ListPool<Holder> holders_;
+  desp::ListPool<Waiter> waiters_;
   TxnTable<TxnState> txns_;
   std::vector<ocb::Oid> releasing_;  // reused by Release
   std::vector<uint64_t> dfs_stack_;  // reused across cycle searches

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <exception>
 #include <mutex>
+#include <numeric>
 #include <thread>
 #include <utility>
 
@@ -196,14 +197,21 @@ void ParallelScheduler::DeliverMail() {
     // Stable: equal (time, priority) keeps source-ascending order and
     // per-edge FIFO, so the target's seq assignment — and with it the
     // whole downstream execution — is a pure function of mailbox
-    // contents, not of which thread ran which partition.
-    std::stable_sort(merged_.begin(), merged_.end(),
-                     [](const Envelope& a, const Envelope& b) {
-                       if (a.time != b.time) return a.time < b.time;
-                       return a.priority > b.priority;
-                     });
+    // contents, not of which thread ran which partition.  (An index sort
+    // with the position as last key: std::stable_sort would allocate a
+    // buffer every window.)
+    order_.resize(merged_.size());
+    std::iota(order_.begin(), order_.end(), 0u);
+    std::sort(order_.begin(), order_.end(), [this](uint32_t a, uint32_t b) {
+      const Envelope& x = merged_[a];
+      const Envelope& y = merged_[b];
+      if (x.time != y.time) return x.time < y.time;
+      if (x.priority != y.priority) return x.priority > y.priority;
+      return a < b;
+    });
     cross_events_ += merged_.size();
-    for (Envelope& envelope : merged_) {
+    for (const uint32_t i : order_) {
+      Envelope& envelope = merged_[i];
       schedulers_[to]->ScheduleAt(envelope.time, std::move(envelope.action),
                                   envelope.priority);
     }

@@ -147,6 +147,7 @@ class ParallelScheduler {
   std::vector<SimTime> edge_delay_;    ///< +inf = unregistered
   std::vector<std::vector<Envelope>> mail_;
   std::vector<Envelope> merged_;  ///< DeliverMail's scratch, reused
+  std::vector<uint32_t> order_;   ///< DeliverMail's sort order, reused
   SimTime explicit_window_ = 0.0;
   uint64_t windows_ = 0;
   uint64_t cross_events_ = 0;

@@ -1,6 +1,5 @@
 #include "desp/resource.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace voodb::desp {
@@ -28,23 +27,34 @@ Resource::Resource(Scheduler* scheduler, std::string name, uint64_t capacity,
                                                << "' needs capacity >= 1");
 }
 
-void Resource::Acquire(Grant on_grant, double priority) {
-  // AcquireAction validates; SmallFunction preserves emptiness of a
-  // wrapped std::function, so no separate check is needed here.
-  AcquireAction(std::move(on_grant), priority);
-}
-
-void Resource::AcquireAction(Scheduler::Action on_grant, double priority) {
+void Resource::Acquire(Scheduler::Action on_grant, double priority) {
   VOODB_CHECK_MSG(static_cast<bool>(on_grant),
                   "Acquire needs a grant continuation");
-  Waiter w{std::move(on_grant), priority, Now(), next_seq_++,
-           scheduler().current_trace()};
+  Waiter w;
+  w.action = std::move(on_grant);
+  w.priority = priority;
+  Enqueue(std::move(w));
+}
+
+void Resource::AcquireFor(SimTime service_time, Scheduler::Action on_done,
+                          double priority) {
+  VOODB_CHECK_MSG(service_time >= 0.0, "service time must be non-negative");
+  Waiter w;
+  w.action = std::move(on_done);
+  w.priority = priority;
+  w.service_time = service_time;
+  Enqueue(std::move(w));
+}
+
+void Resource::Enqueue(Waiter w) {
+  w.enqueued_at = Now();
+  w.trace = scheduler().current_trace();
   if (busy_ < capacity_) {
     GrantTo(std::move(w));
     return;
   }
-  queue_.push_back(std::move(w));
-  queue_stat_.Update(Now(), static_cast<double>(queue_.size()));
+  waiters_.PushBack(queue_, std::move(w));
+  queue_stat_.Update(Now(), static_cast<double>(queue_.size));
 }
 
 void Resource::Release() {
@@ -54,21 +64,13 @@ void Resource::Release() {
   if (!queue_.empty()) PopAndGrant();
 }
 
-void Resource::AcquireFor(SimTime service_time, Grant on_done,
-                          double priority) {
-  VOODB_CHECK_MSG(service_time >= 0.0, "service time must be non-negative");
-  AcquireAction(
-      [this, service_time, on_done = std::move(on_done)]() mutable {
-        Serve(service_time, std::move(on_done));
-      },
-      priority);
+void Resource::Serve(uint32_t slot, SimTime service_time) {
+  CallIn(service_time, &Resource::FinishService, slot);
 }
 
-void Resource::Serve(SimTime service_time, Grant on_done) {
-  CallIn(service_time, &Resource::FinishService, std::move(on_done));
-}
-
-void Resource::FinishService(Grant on_done) {
+void Resource::FinishService(uint32_t slot) {
+  Scheduler::Action on_done = std::move(in_service_[slot]);
+  in_service_.Free(slot);
   Release();
   if (on_done) on_done();
 }
@@ -91,30 +93,36 @@ void Resource::GrantTo(Waiter waiter) {
   // scope it would inherit the releasing event's context (a grant fired
   // from another transaction's Release would be misattributed).
   TraceScope trace(&scheduler(), waiter.trace);
-  After(0.0, std::move(waiter.on_grant));
+  if (waiter.service_time < 0.0) {
+    After(0.0, std::move(waiter.action));
+    return;
+  }
+  const uint32_t slot = in_service_.Alloc();
+  in_service_[slot] = std::move(waiter.action);
+  CallIn(0.0, &Resource::Serve, slot, waiter.service_time);
 }
 
 void Resource::PopAndGrant() {
-  auto it = queue_.begin();
-  switch (discipline_) {
-    case QueueDiscipline::kFifo:
-      break;
-    case QueueDiscipline::kLifo:
-      it = std::prev(queue_.end());
-      break;
-    case QueueDiscipline::kPriority:
-      it = std::max_element(queue_.begin(), queue_.end(),
-                            [](const Waiter& a, const Waiter& b) {
-                              if (a.priority != b.priority) {
-                                return a.priority < b.priority;
-                              }
-                              return a.seq > b.seq;  // FIFO among equals
-                            });
-      break;
+  constexpr uint32_t kEnd = ListPool<Waiter>::kEnd;
+  // The picked waiter and its predecessor (kEnd for the head).
+  uint32_t pick = queue_.head;
+  uint32_t before_pick = kEnd;
+  if (discipline_ != QueueDiscipline::kFifo) {
+    for (uint32_t prev = pick, n = waiters_.Next(pick); n != kEnd;
+         prev = n, n = waiters_.Next(n)) {
+      const Waiter& a = waiters_[pick];
+      const Waiter& b = waiters_[n];
+      // LIFO takes the last; PRIORITY the highest, and among equals the
+      // first (the queue is in arrival order).
+      if (discipline_ == QueueDiscipline::kLifo || b.priority > a.priority) {
+        pick = n;
+        before_pick = prev;
+      }
+    }
   }
-  Waiter w = std::move(*it);
-  queue_.erase(it);
-  queue_stat_.Update(Now(), static_cast<double>(queue_.size()));
+  Waiter w = std::move(waiters_[pick]);
+  waiters_.EraseAfter(queue_, before_pick);
+  queue_stat_.Update(Now(), static_cast<double>(queue_.size));
   GrantTo(std::move(w));
 }
 

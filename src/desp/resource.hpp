@@ -10,12 +10,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <string>
 
 #include "desp/actor.hpp"
+#include "desp/list_pool.hpp"
 #include "desp/scheduler.hpp"
+#include "desp/slot_pool.hpp"
 #include "desp/stats.hpp"
 
 namespace voodb::desp {
@@ -31,10 +31,14 @@ enum class QueueDiscipline {
 const char* ToString(QueueDiscipline d);
 
 /// A capacity-limited passive resource with a waiting queue.
+///
+/// Continuations are the scheduler's own `Scheduler::Action`, so a
+/// request reaches the wait queue and the event list without a heap
+/// allocation.  The wait queue is a `ListPool` list and AcquireFor's
+/// completions wait in recycled in-service slots (at most `capacity`
+/// are live), so a warmed-up resource allocates nothing per request.
 class Resource : public Actor {
  public:
-  using Grant = std::function<void()>;
-
   /// \param scheduler the owning scheduler (must outlive the resource)
   /// \param name      used in statistics reports
   /// \param capacity  number of units that can be held simultaneously
@@ -44,24 +48,21 @@ class Resource : public Actor {
   /// Requests one unit.  `on_grant` runs (as a scheduled event at the
   /// current time) once a unit is available; requests queue per the
   /// discipline.  `priority` is only meaningful for kPriority.
-  void Acquire(Grant on_grant, double priority = 0.0);
-
-  /// As Acquire, but takes the scheduler's small-buffer callable
-  /// directly — the allocation-free variant for actor hot paths (a Grant
-  /// with more than two words of capture heap-allocates on creation).
-  void AcquireAction(Scheduler::Action on_grant, double priority = 0.0);
+  void Acquire(Scheduler::Action on_grant, double priority = 0.0);
 
   /// Releases one unit previously granted.
   void Release();
 
   /// Convenience: acquire, hold for `service_time`, release, then run
-  /// `on_done`.  This is the common "serve one request" pattern.
-  void AcquireFor(SimTime service_time, Grant on_done, double priority = 0.0);
+  /// `on_done` (may be empty).  This is the common "serve one request"
+  /// pattern: a grant event, then a FinishService event.
+  void AcquireFor(SimTime service_time, Scheduler::Action on_done,
+                  double priority = 0.0);
 
   const std::string& name() const { return actor_name(); }
   uint64_t capacity() const { return capacity_; }
   uint64_t busy() const { return busy_; }
-  size_t QueueLength() const { return queue_.size(); }
+  size_t QueueLength() const { return queue_.size; }
 
   /// Fraction of capacity held, averaged over time (0..1).
   double Utilization() const;
@@ -73,32 +74,35 @@ class Resource : public Actor {
   uint64_t Grants() const { return grants_; }
 
  private:
-  /// Queued continuations use the scheduler's small-buffer callable so
-  /// the grant path stays allocation-free; the public Grant type remains
-  /// std::function for composability in the actors.
   struct Waiter {
-    Scheduler::Action on_grant;
-    double priority;
-    SimTime enqueued_at;
-    uint64_t seq;
+    /// Acquire: the grant continuation.  AcquireFor: the completion,
+    /// moved into an in-service slot at grant time.
+    Scheduler::Action action;
+    double priority = 0.0;
+    SimTime enqueued_at = 0.0;
+    /// AcquireFor's hold time; negative for a plain Acquire.
+    SimTime service_time = -1.0;
     /// Ambient trace context of the requester, restored around the grant
     /// so work done under the resource is attributed to the transaction
     /// that asked for it, not to whichever event happened to release it.
-    uint32_t trace;
+    uint32_t trace = 0;
   };
 
+  void Enqueue(Waiter waiter);
   void GrantTo(Waiter waiter);
   void PopAndGrant();
-  /// Holds the unit for the service time, releases, runs `on_done`.
-  void Serve(SimTime service_time, Grant on_done);
-  void FinishService(Grant on_done);
+  /// Grant event of AcquireFor: holds the unit for the service time.
+  void Serve(uint32_t slot, SimTime service_time);
+  /// Releases the unit, then runs the slot's completion.
+  void FinishService(uint32_t slot);
 
   uint64_t capacity_;
   QueueDiscipline discipline_;
   uint64_t busy_ = 0;
   uint64_t grants_ = 0;
-  uint64_t next_seq_ = 0;
-  std::deque<Waiter> queue_;
+  ListPool<Waiter> waiters_;
+  ListPool<Waiter>::List queue_;
+  SlotPool<Scheduler::Action> in_service_;  ///< AcquireFor completions
   TimeWeighted busy_stat_;
   TimeWeighted queue_stat_;
   Tally wait_times_;

@@ -3,12 +3,13 @@
 ///
 /// The scheduler fires millions of events per experiment; wrapping every
 /// event action in a `std::function` (16-byte inline buffer in libstdc++)
-/// forced a heap allocation for any capture beyond two words.  Actor
-/// continuations routinely capture `this`, a `shared_ptr` state block and
-/// a nested continuation, so nearly every event allocated.  SmallFunction
-/// stores callables up to `kInlineBytes` in place — sized so the actors'
-/// hot-path lambdas all fit — and falls back to the heap only for outsized
-/// captures.
+/// forced a heap allocation for any capture beyond two words.
+/// SmallFunction stores callables up to `kInlineBytes` in place and falls
+/// back to the heap only for outsized captures.  It is the one
+/// continuation type of the model: events, resource grants, protocol
+/// decisions and the actors' completion callbacks all use it, so a
+/// continuation handed down through several layers is moved, never
+/// wrapped.
 #pragma once
 
 #include <cstddef>
@@ -21,9 +22,12 @@ namespace voodb::desp {
 /// Move-only `void()` callable with a large inline buffer.
 class SmallFunction {
  public:
-  /// Inline capture budget: a typed Actor::CallIn binding — object
-  /// pointer + member-function pointer + a bound tuple of (shared_ptr
-  /// state, index, std::function continuation) = 8 + 16 + (16 + 8 + 32).
+  /// Inline capture budget.  Model continuations bind an object pointer
+  /// plus a few words (a pooled slot index or handle, a timestamp, a page
+  /// span): 16-40 bytes.  The largest is a user's think-time submission,
+  /// which carries its `ocb::Transaction` (8 + 4 + 40).  State beyond
+  /// that lives in a `desp::SlotPool` slot rather than in a bigger
+  /// buffer, which would enlarge every queued waiter and event record.
   static constexpr size_t kInlineBytes = 88;
 
   SmallFunction() = default;

@@ -107,7 +107,8 @@ class TexasEmulator {
   core::PhaseMetrics Drive(ocb::WorkloadSource& workload,
                            const ocb::TransactionKind* forced, uint64_t n);
   void AccessObject(ocb::Oid oid, bool write);
-  void CountIos(const std::vector<storage::PageIo>& ios);
+  /// Counts the I/Os in `ios_` as reads and writes.
+  void CountIos();
   void RebuildAdjacency();
 
   TexasConfig config_;
@@ -115,6 +116,7 @@ class TexasEmulator {
   std::unique_ptr<storage::Placement> placement_;
   storage::PageAdjacency adjacency_;
   std::unique_ptr<storage::VirtualMemoryModel> vm_;
+  std::vector<storage::PageIo> ios_;  ///< reused per page touch
   std::unique_ptr<cluster::ClusteringPolicy> policy_;
   trace::Recorder* recorder_ = nullptr;
   uint64_t reads_ = 0;

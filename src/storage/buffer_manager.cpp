@@ -1,6 +1,7 @@
 #include "storage/buffer_manager.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <utility>
 
 #include "trace/recorder.hpp"
@@ -43,7 +44,9 @@ bool BufferManager::AccessInto(PageId page, bool write,
   Admit(page, write, ios);
   ios.push_back(PageIo{PageIo::Kind::kRead, page});
   if (prefetcher_ != nullptr) {
-    for (PageId extra : prefetcher_->OnMiss(page)) {
+    prefetch_.clear();
+    prefetcher_->OnMiss(page, prefetch_);
+    for (PageId extra : prefetch_) {
       if (extra == page || index_.Find(extra) != kNoFrame) continue;
       Admit(extra, /*dirty=*/false, ios);
       ios.push_back(PageIo{PageIo::Kind::kRead, extra});
@@ -53,8 +56,8 @@ bool BufferManager::AccessInto(PageId page, bool write,
   return false;
 }
 
-std::vector<PageIo> BufferManager::FlushAll() {
-  std::vector<PageIo> ios;
+void BufferManager::FlushAll(std::vector<PageIo>& ios) {
+  const size_t first = ios.size();
   for (Frame& f : frames_) {
     if (f.page != kNullPage && f.dirty) {
       ios.push_back(PageIo{PageIo::Kind::kWrite, f.page});
@@ -64,9 +67,8 @@ std::vector<PageIo> BufferManager::FlushAll() {
   }
   // Ascending page order: deterministic, and sequential on the disk
   // model (contiguous writes skip the seek).
-  std::sort(ios.begin(), ios.end(),
+  std::sort(ios.begin() + static_cast<std::ptrdiff_t>(first), ios.end(),
             [](const PageIo& a, const PageIo& b) { return a.page < b.page; });
-  return ios;
 }
 
 void BufferManager::DropAll() {

@@ -82,9 +82,9 @@ class BufferManager {
   /// True when `page` is resident.
   bool Contains(PageId page) const { return index_.Find(page) != kNoFrame; }
 
-  /// Writes back all dirty pages (returned as write IOs, in ascending
-  /// page order) and keeps the pages resident but clean.
-  std::vector<PageIo> FlushAll();
+  /// Writes back all dirty pages (appended to `ios` as write IOs, in
+  /// ascending page order) and keeps the pages resident but clean.
+  void FlushAll(std::vector<PageIo>& ios);
 
   /// Discards all resident pages without write-back (used when a
   /// reorganization rebuilds the page space from scratch).  Replacement
@@ -110,6 +110,7 @@ class BufferManager {
   uint64_t capacity_;
   ReplacementEngine engine_;
   std::unique_ptr<Prefetcher> prefetcher_;
+  std::vector<PageId> prefetch_;  ///< reused by AccessInto
   trace::Recorder* recorder_ = nullptr;
   std::vector<Frame> frames_;
   /// Free frame indices, reused LIFO (so frame numbers stay dense and

@@ -9,15 +9,12 @@ SequentialPrefetcher::SequentialPrefetcher(uint32_t depth, PageId max_page)
   VOODB_CHECK_MSG(depth_ >= 1, "prefetch depth must be >= 1");
 }
 
-std::vector<PageId> SequentialPrefetcher::OnMiss(PageId missed) {
-  std::vector<PageId> pages;
-  pages.reserve(depth_);
+void SequentialPrefetcher::OnMiss(PageId missed, std::vector<PageId>& pages) {
   for (uint32_t i = 1; i <= depth_; ++i) {
     const PageId next = missed + i;
     if (next > max_page_) break;
     pages.push_back(next);
   }
-  return pages;
 }
 
 }  // namespace voodb::storage

@@ -19,9 +19,9 @@ namespace voodb::storage {
 class Prefetcher {
  public:
   virtual ~Prefetcher() = default;
-  /// Returns pages to load alongside `missed` (resident ones are skipped
-  /// by the buffer manager).
-  virtual std::vector<PageId> OnMiss(PageId missed) = 0;
+  /// Appends to `pages` the pages to load alongside `missed` (resident
+  /// ones are skipped by the buffer manager).
+  virtual void OnMiss(PageId missed, std::vector<PageId>& pages) = 0;
   virtual const char* name() const = 0;
 };
 
@@ -29,8 +29,10 @@ class Prefetcher {
 class SequentialPrefetcher final : public Prefetcher {
  public:
   SequentialPrefetcher(uint32_t depth, PageId max_page);
-  std::vector<PageId> OnMiss(PageId missed) override;
+  void OnMiss(PageId missed, std::vector<PageId>& pages) override;
   const char* name() const override { return "SEQUENTIAL"; }
+  /// Moves the bound (the page space grew or shrank).
+  void set_max_page(PageId max_page) { max_page_ = max_page; }
 
  private:
   uint32_t depth_;

@@ -26,77 +26,6 @@ const char* ToString(ReplacementPolicy p) {
   return "?";
 }
 
-// --- FrameTable --------------------------------------------------------------
-
-namespace {
-
-uint64_t NextPowerOfTwo(uint64_t v) {
-  uint64_t p = 16;
-  while (p < v) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
-FrameTable::FrameTable(uint64_t expected_entries) {
-  // Cap the load factor at ~1/2 so probe chains stay short.
-  const uint64_t capacity = NextPowerOfTwo(expected_entries * 2);
-  slots_.assign(capacity, Slot{});
-  mask_ = capacity - 1;
-}
-
-void FrameTable::Insert(PageId page, uint32_t frame) {
-  if ((size_ + 1) * 2 > slots_.size()) Rehash(slots_.size() * 2);
-  uint64_t i = Hash(page) & mask_;
-  while (slots_[i].frame != kNoFrame) {
-    VOODB_CHECK_MSG(slots_[i].page != page, "page already indexed");
-    i = (i + 1) & mask_;
-  }
-  slots_[i] = Slot{page, frame};
-  ++size_;
-}
-
-void FrameTable::Erase(PageId page) {
-  uint64_t i = Hash(page) & mask_;
-  while (slots_[i].page != page) {
-    VOODB_CHECK_MSG(slots_[i].frame != kNoFrame, "erasing unindexed page");
-    i = (i + 1) & mask_;
-  }
-  // Backward-shift deletion: keep every remaining entry reachable from
-  // its home slot without tombstones.
-  uint64_t hole = i;
-  uint64_t j = (i + 1) & mask_;
-  while (slots_[j].frame != kNoFrame) {
-    const uint64_t home = Hash(slots_[j].page) & mask_;
-    // Move slot j into the hole when its home position lies at or
-    // before the hole (cyclically), i.e. the probe for it would pass
-    // through the hole.
-    const bool between = ((j - home) & mask_) >= ((j - hole) & mask_);
-    if (between) {
-      slots_[hole] = slots_[j];
-      hole = j;
-    }
-    j = (j + 1) & mask_;
-  }
-  slots_[hole] = Slot{};
-  --size_;
-}
-
-void FrameTable::Clear() {
-  std::fill(slots_.begin(), slots_.end(), Slot{});
-  size_ = 0;
-}
-
-void FrameTable::Rehash(uint64_t capacity) {
-  std::vector<Slot> old = std::move(slots_);
-  slots_.assign(capacity, Slot{});
-  mask_ = capacity - 1;
-  size_ = 0;
-  for (const Slot& slot : old) {
-    if (slot.frame != kNoFrame) Insert(slot.page, slot.frame);
-  }
-}
-
 // --- ReplacementEngine -------------------------------------------------------
 
 ReplacementEngine::ReplacementEngine(ReplacementPolicy policy,

@@ -27,6 +27,7 @@
 
 #include "desp/random.hpp"
 #include "storage/page.hpp"
+#include "util/id_index.hpp"
 
 namespace voodb::storage {
 
@@ -44,7 +45,7 @@ enum class ReplacementPolicy {
 const char* ToString(ReplacementPolicy p);
 
 /// Sentinel frame index ("no frame").
-inline constexpr uint32_t kNoFrame = static_cast<uint32_t>(-1);
+inline constexpr uint32_t kNoFrame = util::kNoIndex;
 
 /// One buffer frame: the unit of the flat frame array.  Exactly the
 /// state the hot path touches — identity, dirty bit and the intrusive
@@ -63,53 +64,8 @@ struct Frame {
   bool dirty = false;        ///< page modified since load
 };
 
-/// Open-addressing hash index PageId -> frame index (linear probing,
-/// power-of-two capacity, backward-shift deletion).  The buffer's only
-/// per-access lookup structure; probes touch one small flat array.
-class FrameTable {
- public:
-  explicit FrameTable(uint64_t expected_entries = 16);
-
-  /// Frame holding `page`, or kNoFrame.
-  uint32_t Find(PageId page) const {
-    uint64_t i = Hash(page) & mask_;
-    while (true) {
-      const Slot& slot = slots_[i];
-      if (slot.page == page) return slot.frame;
-      if (slot.frame == kNoFrame) return kNoFrame;
-      i = (i + 1) & mask_;
-    }
-  }
-
-  /// Inserts `page -> frame`; `page` must not be present.
-  void Insert(PageId page, uint32_t frame);
-  /// Removes `page`; must be present.
-  void Erase(PageId page);
-  void Clear();
-
-  uint64_t size() const { return size_; }
-
- private:
-  struct Slot {
-    PageId page = kNullPage;
-    uint32_t frame = kNoFrame;  ///< kNoFrame = empty slot
-  };
-
-  static uint64_t Hash(PageId page) {
-    // 64-bit finalizer (splitmix64): cheap and well-distributed for the
-    // dense page ids placements produce.
-    uint64_t x = page + 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-  }
-
-  void Rehash(uint64_t capacity);
-
-  std::vector<Slot> slots_;
-  uint64_t mask_ = 0;
-  uint64_t size_ = 0;
-};
+/// Resident-page index PageId -> frame index (see util::IdIndex).
+using FrameTable = util::IdIndex;
 
 /// The replacement policies, operating intrusively on the shared frame
 /// array.  The owning cache guarantees: OnAdmit for frames just bound to

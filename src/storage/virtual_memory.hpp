@@ -22,15 +22,17 @@
 ///
 /// The model is a frame pool with LRU ordering where each page is either
 /// Loaded (contents present) or Reserved (frame held, contents absent).
+/// Like the database buffer it is data-oriented: frames live in one flat
+/// array threaded by an intrusive LRU chain, recycled through a free
+/// list, and found through a `FrameTable` (PageId -> frame index), so a
+/// warmed-up model touches, faults and evicts without allocating.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "storage/page.hpp"
+#include "storage/replacement.hpp"
 
 namespace voodb::storage {
 
@@ -68,14 +70,20 @@ class VirtualMemoryModel {
  public:
   explicit VirtualMemoryModel(VmParameters params);
 
-  /// Touches `page` (reading or writing an object on it).  Returns the
-  /// physical I/O operations implied (swap writes then the read).
-  AccessOutcome Touch(PageId page, bool write);
+  /// Touches `page` (reading or writing an object on it).  Appends the
+  /// physical I/O operations implied (swap writes then the read) to `ios`
+  /// (not cleared) and returns whether the page was Loaded (a soft hit).
+  bool TouchInto(PageId page, bool write, std::vector<PageIo>& ios);
 
   /// Reserves a frame for `page` without loading it (reserve-on-swizzle).
-  /// No read is performed, but making room can evict dirty pages: the
-  /// returned IOs are those swap writes.  No-op when `page` already has a
+  /// No read is performed, but making room can evict dirty pages: those
+  /// swap writes are appended to `ios`.  No-op when `page` already has a
   /// frame.
+  void ReserveInto(PageId page, std::vector<PageIo>& ios);
+
+  /// TouchInto with a fresh outcome.
+  AccessOutcome Touch(PageId page, bool write);
+  /// ReserveInto returning the swap writes.
   std::vector<PageIo> Reserve(PageId page);
 
   /// Discards all frames without write-back (process restart).
@@ -85,35 +93,42 @@ class VirtualMemoryModel {
   std::vector<PageIo> Resize(uint64_t memory_pages);
 
   bool IsLoaded(PageId page) const;
-  uint64_t resident_frames() const { return frames_.size(); }
+  uint64_t resident_frames() const { return index_.size(); }
   /// Number of dirty loaded frames (O(frames)).
   uint64_t DirtyFrames() const {
     uint64_t n = 0;
-    for (const Frame& f : frames_) n += f.dirty ? 1 : 0;
+    for (const Frame& f : frames_) n += f.page != kNullPage && f.dirty;
     return n;
   }
   const VmStats& stats() const { return stats_; }
   const VmParameters& params() const { return params_; }
 
  private:
-  enum class State { kLoaded, kReserved };
+  enum class State : uint8_t { kLoaded, kReserved };
   struct Frame {
-    PageId page;
-    State state;
-    bool dirty;
+    PageId page = kNullPage;   ///< kNullPage = free frame
+    uint32_t prev = kNoFrame;  ///< toward the MRU end
+    uint32_t next = kNoFrame;  ///< toward the LRU end
+    State state = State::kLoaded;
+    bool dirty = false;
   };
-  using FrameList = std::list<Frame>;
 
   /// Evicts the LRU frame, appending a swap write when dirty.
   void EvictOne(std::vector<PageIo>& ios);
-  /// Allocates a frame for `page` (evicting as needed) in `state`.
-  void AllocateFrame(PageId page, State state, bool dirty,
+  /// Binds a free frame to `page` (evicting as needed) and links it at
+  /// the MRU end (`hot`) or the LRU end.
+  void AllocateFrame(PageId page, State state, bool dirty, bool hot,
                      std::vector<PageIo>& ios);
-  void MoveToFront(FrameList::iterator it);
+  void Unlink(uint32_t frame);
+  void LinkFront(uint32_t frame);
+  void LinkBack(uint32_t frame);
 
   VmParameters params_;
-  FrameList frames_;  // MRU at front
-  std::unordered_map<PageId, FrameList::iterator> where_;
+  std::vector<Frame> frames_;
+  std::vector<uint32_t> free_frames_;
+  FrameTable index_;
+  uint32_t mru_ = kNoFrame;
+  uint32_t lru_ = kNoFrame;
   VmStats stats_;
 };
 

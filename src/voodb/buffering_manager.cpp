@@ -29,36 +29,43 @@ BufferingManagerActor::BufferingManagerActor(desp::Scheduler* scheduler,
     buffer_ = std::make_unique<storage::BufferManager>(
         config.buffer_pages, config.page_replacement, rng, config.lru_k);
     if (config.prefetch == PrefetchPolicy::kSequential) {
-      // max_page is refreshed lazily: the prefetcher is rebuilt after a
-      // relocation grows the page space (see AccessPage).
-      buffer_->SetPrefetcher(std::make_unique<storage::SequentialPrefetcher>(
-          config.prefetch_depth, object_manager_->NumPages() - 1));
+      // The bound follows the page space: Drop() moves it after a
+      // relocation appends pages.
+      auto prefetcher = std::make_unique<storage::SequentialPrefetcher>(
+          config.prefetch_depth, object_manager_->NumPages() - 1);
+      prefetcher_ = prefetcher.get();
+      buffer_->SetPrefetcher(std::move(prefetcher));
     }
   }
 }
 
 void BufferingManagerActor::AccessObject(ocb::Oid oid, bool write,
-                                         std::function<void()> done) {
+                                         desp::Scheduler::Action done) {
   AccessSpan(object_manager_->Resolve(oid, write), write, std::move(done));
 }
 
 void BufferingManagerActor::AccessSpan(storage::PageSpan span, bool write,
-                                       std::function<void()> done) {
+                                       desp::Scheduler::Action done) {
   VOODB_CHECK_MSG(span.count >= 1, "empty page span");
-  AccessSpanStep(span, 0, write, std::move(done));
+  if (span.count == 1) {
+    AccessPage(span.first, write, std::move(done));
+    return;
+  }
+  const uint32_t walk = walks_.Alloc();
+  walks_[walk] = Walk{span, 0, write, std::move(done)};
+  WalkStep(walk);
 }
 
-void BufferingManagerActor::AccessSpanStep(storage::PageSpan span,
-                                           uint32_t index, bool write,
-                                           std::function<void()> done) {
-  if (index >= span.count) {
+void BufferingManagerActor::WalkStep(uint32_t walk) {
+  Walk& w = walks_[walk];
+  if (w.index >= w.span.count) {
+    desp::Scheduler::Action done = std::move(w.done);
+    walks_.Free(walk);
     done();
     return;
   }
-  AccessPage(span.first + index, write,
-             [this, span, index, write, done = std::move(done)]() mutable {
-               AccessSpanStep(span, index + 1, write, std::move(done));
-             });
+  const storage::PageId page = w.span.first + w.index++;
+  AccessPage(page, w.write, [this, walk]() { WalkStep(walk); });
 }
 
 void BufferingManagerActor::SetRecorder(trace::Recorder* recorder) {
@@ -72,17 +79,17 @@ trace::TraceCounters BufferingManagerActor::TraceCountersNow() const {
 }
 
 void BufferingManagerActor::AccessPage(storage::PageId page, bool write,
-                                       std::function<void()> done) {
+                                       desp::Scheduler::Action done) {
   ++requests_;
   // The database buffer records inside AccessInto; the VM model has no
   // recorder hook of its own, so the actor reports its page stream.
   if (vm_ != nullptr && recorder_ != nullptr) {
     recorder_->OnPage(page, write);
   }
-  storage::AccessOutcome outcome = vm_ != nullptr
-                                       ? vm_->Touch(page, write)
-                                       : buffer_->Access(page, write);
-  if (outcome.hit) {
+  ios_.clear();
+  const bool hit = vm_ != nullptr ? vm_->TouchInto(page, write, ios_)
+                                  : buffer_->AccessInto(page, write, ios_);
+  if (hit) {
     ++hits_;
     done();
     return;
@@ -92,20 +99,20 @@ void BufferingManagerActor::AccessPage(storage::PageId page, bool write,
     // for every page referenced from it; evictions caused by the
     // reservations produce swap writes the disk must absorb.
     for (storage::PageId ref : object_manager_->ReferencedPages(page)) {
-      for (storage::PageIo& io : vm_->Reserve(ref)) {
-        outcome.ios.push_back(io);
-      }
+      vm_->ReserveInto(ref, ios_);
     }
   }
-  io_->Execute(std::move(outcome.ios), std::move(done));
+  io_->Execute(ios_, std::move(done));
 }
 
-void BufferingManagerActor::Flush(std::function<void()> done) {
+void BufferingManagerActor::Flush(desp::Scheduler::Action done) {
   if (vm_ != nullptr) {
     done();
     return;
   }
-  io_->Execute(buffer_->FlushAll(), std::move(done));
+  ios_.clear();
+  buffer_->FlushAll(ios_);
+  io_->Execute(ios_, std::move(done));
 }
 
 bool BufferingManagerActor::Contains(storage::PageId page) const {
@@ -122,6 +129,9 @@ void BufferingManagerActor::Drop() {
     vm_->DropAll();
   } else {
     buffer_->DropAll();
+  }
+  if (prefetcher_ != nullptr) {
+    prefetcher_->set_max_page(object_manager_->NumPages() - 1);
   }
 }
 

@@ -8,12 +8,13 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <vector>
 
 #include "desp/actor.hpp"
 #include "desp/random.hpp"
 #include "desp/scheduler.hpp"
+#include "desp/slot_pool.hpp"
 #include "ocb/types.hpp"
 #include "storage/buffer_manager.hpp"
 #include "trace/recorder.hpp"
@@ -38,15 +39,15 @@ class BufferingManagerActor : public desp::Actor {
   /// Accesses object `oid` (every page of its span in order, plus the
   /// reserve-on-swizzle reservations when the Texas VM model is active),
   /// then calls `done`.
-  void AccessObject(ocb::Oid oid, bool write, std::function<void()> done);
+  void AccessObject(ocb::Oid oid, bool write, desp::Scheduler::Action done);
 
   /// Accesses every page of `span` in order, then calls `done`.
   void AccessSpan(storage::PageSpan span, bool write,
-                  std::function<void()> done);
+                  desp::Scheduler::Action done);
 
   /// Accesses a single page, then calls `done`.
   void AccessPage(storage::PageId page, bool write,
-                  std::function<void()> done);
+                  desp::Scheduler::Action done);
 
   /// Installs an access-trace recorder (not owned; nullptr detaches).
   /// Database-buffer configurations record inside
@@ -64,13 +65,15 @@ class BufferingManagerActor : public desp::Actor {
   /// from bit-exact replay verification (trace::kFlagBufferDrop).
   bool DroppedWhileRecording() const { return dropped_while_recording_; }
 
-  /// Forgets all buffered pages (no write-back).
+  /// Forgets all buffered pages (no write-back).  A relocation drops
+  /// the buffer after growing the page space, so this also moves the
+  /// sequential prefetcher's bound to the current last page.
   void Drop();
 
   /// Writes all dirty pages back through the I/O subsystem, then calls
   /// `done` (no-op completion for the VM-backed configuration, which has
   /// no force point).
-  void Flush(std::function<void()> done);
+  void Flush(desp::Scheduler::Action done);
 
   /// True when `page`'s contents are memory-resident.
   bool Contains(storage::PageId page) const;
@@ -91,13 +94,24 @@ class BufferingManagerActor : public desp::Actor {
   void RegisterMetrics(obs::MetricRegistry& registry) const;
 
  private:
-  void AccessSpanStep(storage::PageSpan span, uint32_t index, bool write,
-                      std::function<void()> done);
+  /// A multi-page span walk in flight (single pages skip the slot).
+  struct Walk {
+    storage::PageSpan span;
+    uint32_t index = 0;
+    bool write = false;
+    desp::Scheduler::Action done;
+  };
+  /// Accesses the walk's next page, or completes the walk.
+  void WalkStep(uint32_t walk);
 
   ObjectManagerActor* object_manager_;
   IoSubsystemActor* io_;
   std::unique_ptr<storage::BufferManager> buffer_;
   std::unique_ptr<storage::VirtualMemoryModel> vm_;
+  /// The buffer's sequential prefetcher (owned by buffer_), or nullptr.
+  storage::SequentialPrefetcher* prefetcher_ = nullptr;
+  desp::SlotPool<Walk> walks_;
+  std::vector<storage::PageIo> ios_;  ///< reused by AccessPage and Flush
   trace::Recorder* recorder_ = nullptr;  ///< VM-model page recording
   bool dropped_while_recording_ = false;
   bool vm_reserve_references_ = false;

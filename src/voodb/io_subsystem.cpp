@@ -14,50 +14,56 @@ IoSubsystemActor::IoSubsystemActor(desp::Scheduler* scheduler,
       disk_(scheduler, "disk", /*capacity=*/1),
       disk_model_(disk_params) {}
 
-void IoSubsystemActor::Execute(std::vector<storage::PageIo> ios,
-                               std::function<void()> done) {
+void IoSubsystemActor::Execute(const std::vector<storage::PageIo>& ios,
+                               desp::Scheduler::Action done) {
   VOODB_CHECK_MSG(static_cast<bool>(done), "Execute needs a continuation");
   if (ios.empty()) {
     done();
     return;
   }
-  auto shared = std::make_shared<std::vector<storage::PageIo>>(std::move(ios));
-  ExecuteNext(std::move(shared), 0, std::move(done));
+  const uint32_t batch = batches_.Alloc();
+  Batch& b = batches_[batch];
+  for (const storage::PageIo& io : ios) ios_.PushBack(b.ios, io);
+  b.done = std::move(done);
+  ExecuteNext(batch);
 }
 
-void IoSubsystemActor::ExecuteNext(
-    std::shared_ptr<std::vector<storage::PageIo>> ios, size_t index,
-    std::function<void()> done) {
-  if (index >= ios->size()) {
+void IoSubsystemActor::ExecuteNext(uint32_t batch) {
+  Batch& b = batches_[batch];
+  if (b.ios.empty()) {
+    desp::Scheduler::Action done = std::move(b.done);
+    batches_.Free(batch);
     done();
     return;
   }
   const double requested_at = Now();
-  disk_.AcquireAction([this, ios = std::move(ios), index,
-                       done = std::move(done), requested_at]() mutable {
-    // Service time is computed at grant time so the head position
-    // reflects the actual execution order under contention.
-    const double service = disk_model_.IoTime((*ios)[index]) + FaultPenalty();
-    service_histogram_.Add(service);
-    if (tracer_ != nullptr) {
-      // The grant runs in the requester's trace context (the resource
-      // restores it), so the leaf lands on the right transaction.
-      tracer_->AmbientLeaf(obs::SpanKind::kIo, (*ios)[index].page,
-                           requested_at, Now() + service);
-    }
-    CallIn(service, &IoSubsystemActor::FinishIo, std::move(ios), index,
-           std::move(done));
-  });
+  disk_.Acquire(
+      [this, batch, requested_at]() { StartIo(batch, requested_at); });
 }
 
-void IoSubsystemActor::FinishIo(
-    std::shared_ptr<std::vector<storage::PageIo>> ios, size_t index,
-    std::function<void()> done) {
+void IoSubsystemActor::StartIo(uint32_t batch, double requested_at) {
+  const storage::PageIo io = ios_.Front(batches_[batch].ios);
+  // Service time is computed at grant time so the head position
+  // reflects the actual execution order under contention.
+  const double service = disk_model_.IoTime(io) + FaultPenalty();
+  service_histogram_.Add(service);
+  if (tracer_ != nullptr) {
+    // The grant runs in the requester's trace context (the resource
+    // restores it), so the leaf lands on the right transaction.
+    tracer_->AmbientLeaf(obs::SpanKind::kIo, io.page, requested_at,
+                         Now() + service);
+  }
+  CallIn(service, &IoSubsystemActor::FinishIo, batch);
+}
+
+void IoSubsystemActor::FinishIo(uint32_t batch) {
   disk_.Release();
-  ExecuteNext(std::move(ios), index + 1, std::move(done));
+  ios_.PopFront(batches_[batch].ios);
+  ExecuteNext(batch);
 }
 
-void IoSubsystemActor::Seize(double duration_ms, std::function<void()> done) {
+void IoSubsystemActor::Seize(double duration_ms,
+                             desp::Scheduler::Action done) {
   VOODB_CHECK_MSG(duration_ms >= 0.0, "seize duration must be >= 0");
   disk_.AcquireFor(duration_ms, std::move(done));
 }

@@ -9,15 +9,15 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "desp/actor.hpp"
 #include "desp/histogram.hpp"
+#include "desp/list_pool.hpp"
 #include "desp/random.hpp"
 #include "desp/resource.hpp"
 #include "desp/scheduler.hpp"
+#include "desp/slot_pool.hpp"
 #include "storage/disk_model.hpp"
 #include "storage/page.hpp"
 
@@ -36,12 +36,14 @@ class IoSubsystemActor : public desp::Actor {
 
   /// Executes `ios` in order (each waits for the disk resource, holds it
   /// for the modelled service time, releases) and then calls `done`.
-  /// Calls `done` immediately when `ios` is empty.
-  void Execute(std::vector<storage::PageIo> ios, std::function<void()> done);
+  /// Calls `done` immediately when `ios` is empty.  The batch is copied
+  /// into pooled storage, so the caller may reuse `ios` at once.
+  void Execute(const std::vector<storage::PageIo>& ios,
+               desp::Scheduler::Action done);
 
   /// Occupies the disk exclusively for `duration_ms` (recovery scans,
   /// log replay), then calls `done`.  Queued I/O waits behind it.
-  void Seize(double duration_ms, std::function<void()> done);
+  void Seize(double duration_ms, desp::Scheduler::Action done);
 
   /// Enables the transient-fault model (paper §5 "benign failures"):
   /// each physical I/O independently fails with probability `fault_prob`
@@ -74,14 +76,26 @@ class IoSubsystemActor : public desp::Actor {
   void SetTracer(obs::SpanTracer* tracer) { tracer_ = tracer; }
 
  private:
-  void ExecuteNext(std::shared_ptr<std::vector<storage::PageIo>> ios,
-                   size_t index, std::function<void()> done);
+  /// One batch in flight: its remaining I/Os (a list in `ios_`, shared
+  /// by all batches) and its completion.  Both pools grow only when the
+  /// number of batches or of queued I/Os reaches a new high, so a
+  /// warmed-up subsystem executes batches without allocating.
+  struct Batch {
+    desp::ListPool<storage::PageIo>::List ios;
+    desp::Scheduler::Action done;
+  };
+
+  /// Requests the disk for the batch's next I/O, or completes the batch.
+  void ExecuteNext(uint32_t batch);
+  /// Disk granted: time the I/O and hold the disk for it.
+  void StartIo(uint32_t batch, double requested_at);
   /// Completion of one physical I/O: release the disk, run the next.
-  void FinishIo(std::shared_ptr<std::vector<storage::PageIo>> ios,
-                size_t index, std::function<void()> done);
+  void FinishIo(uint32_t batch);
   double FaultPenalty();
 
   desp::Resource disk_;
+  desp::SlotPool<Batch> batches_;
+  desp::ListPool<storage::PageIo> ios_;
   storage::DiskModel disk_model_;
   bool faults_enabled_ = false;
   double fault_prob_ = 0.0;

@@ -19,26 +19,28 @@ double NetworkActor::TransferTime(uint64_t bytes) const {
   return static_cast<double>(bytes) / (throughput_mbps_ * 1000.0);
 }
 
-void NetworkActor::Transfer(uint64_t bytes, std::function<void()> done) {
+void NetworkActor::Transfer(uint64_t bytes, desp::Scheduler::Action done) {
   VOODB_CHECK_MSG(static_cast<bool>(done), "Transfer needs a continuation");
   bytes_transferred_ += bytes;
   if (infinite()) {
     done();
     return;
   }
+  const uint32_t slot = transfers_.Alloc();
+  transfers_[slot] = Pending{std::move(done), bytes, Now()};
+  link_.AcquireFor(TransferTime(bytes),
+                   [this, slot]() { FinishTransfer(slot); });
+}
+
+void NetworkActor::FinishTransfer(uint32_t slot) {
+  Pending t = std::move(transfers_[slot]);
+  transfers_.Free(slot);
   if (tracer_ != nullptr) {
-    const double requested_at = Now();
-    link_.AcquireFor(TransferTime(bytes),
-                     [this, bytes, requested_at, done = std::move(done)]() {
-                       // Runs in the requester's trace context (resource
-                       // grants restore it; the service wait inherits).
-                       tracer_->AmbientLeaf(obs::SpanKind::kNet, bytes,
-                                            requested_at, Now());
-                       done();
-                     });
-    return;
+    // Runs in the requester's trace context (resource grants restore it;
+    // the service wait inherits).
+    tracer_->AmbientLeaf(obs::SpanKind::kNet, t.bytes, t.requested_at, Now());
   }
-  link_.AcquireFor(TransferTime(bytes), std::move(done));
+  t.done();
 }
 
 

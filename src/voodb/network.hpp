@@ -8,11 +8,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "desp/actor.hpp"
 #include "desp/resource.hpp"
 #include "desp/scheduler.hpp"
+#include "desp/slot_pool.hpp"
 
 namespace voodb::obs {
 class MetricRegistry;
@@ -28,7 +28,7 @@ class NetworkActor : public desp::Actor {
   NetworkActor(desp::Scheduler* scheduler, double throughput_mbps);
 
   /// Transfers `bytes` and then calls `done`.
-  void Transfer(uint64_t bytes, std::function<void()> done);
+  void Transfer(uint64_t bytes, desp::Scheduler::Action done);
 
   /// Time to move `bytes` (ms), ignoring queueing.
   double TransferTime(uint64_t bytes) const;
@@ -45,7 +45,17 @@ class NetworkActor : public desp::Actor {
   void SetTracer(obs::SpanTracer* tracer) { tracer_ = tracer; }
 
  private:
+  /// A transfer on the link: its completion and its network-leaf label.
+  struct Pending {
+    desp::Scheduler::Action done;
+    uint64_t bytes = 0;
+    double requested_at = 0.0;
+  };
+  /// The link was held for the transfer: emit the leaf, run `done`.
+  void FinishTransfer(uint32_t slot);
+
   desp::Resource link_;
+  desp::SlotPool<Pending> transfers_;
   double throughput_mbps_;
   uint64_t bytes_transferred_ = 0;
   obs::SpanTracer* tracer_ = nullptr;

@@ -81,7 +81,7 @@ struct ShardedVoodb::ShardDriver {
   ShardedVoodb* owner = nullptr;
   size_t shard = 0;
   VoodbSystem* sys = nullptr;
-  ocb::WorkloadGenerator* gen = nullptr;
+  ocb::WorkloadSource* gen = nullptr;
   uint64_t to_issue = 0;
   uint64_t outstanding = 0;
   desp::RandomStream think_rng;
@@ -242,6 +242,12 @@ ShardedVoodb::~ShardedVoodb() {
   }
 }
 
+void ShardedVoodb::SetWorkload(size_t shard, ocb::WorkloadSource* source) {
+  VOODB_CHECK_MSG(shard < shards_.size(), "no shard " << shard);
+  workloads_.resize(shards_.size(), nullptr);
+  workloads_[shard] = source;
+}
+
 double ShardedVoodb::CrossShardDelayMs() const {
   // Finite network: one page on the wire (NetworkActor::TransferTime's
   // formula: MB/s -> 1000 bytes/ms).  Infinite network: the request
@@ -276,7 +282,6 @@ PhaseMetrics ShardedVoodb::Run(uint64_t n, exp::ThreadPool* pool) {
     driver->owner = this;
     driver->shard = s;
     driver->sys = shards_[s].get();
-    driver->gen = generators_.size() > s ? generators_[s].get() : nullptr;
     driver->to_issue = n;
     driver->think_rng = rng_.Derive(
         0x7817 + s * 0x1000 + shards_[s]->transaction_manager().committed());
@@ -290,9 +295,11 @@ PhaseMetrics ShardedVoodb::Run(uint64_t n, exp::ThreadPool* pool) {
       generators_.push_back(std::make_unique<ocb::WorkloadGenerator>(
           &partitions_[s], rng_.Derive(0x6E40000 + s)));
     }
-    for (size_t s = 0; s < num_shards; ++s) {
-      drivers_[s]->gen = generators_[s].get();
-    }
+  }
+  for (size_t s = 0; s < num_shards; ++s) {
+    drivers_[s]->gen = workloads_.size() > s && workloads_[s] != nullptr
+                           ? workloads_[s]
+                           : generators_[s].get();
   }
 
   // Per-partition digests folded in shard order after the drain: the

@@ -66,6 +66,12 @@ class ShardedVoodb {
   /// serially otherwise — bit-identical either way.
   PhaseMetrics Run(uint64_t n, exp::ThreadPool* pool = nullptr);
 
+  /// Replaces shard `shard`'s transaction generator by `source` (not
+  /// owned; nullptr restores the generator) for the following Run()
+  /// calls, e.g. with a pre-generated stream.  The shard's remote
+  /// sub-transactions are drawn from it too (NextOfKind).
+  void SetWorkload(size_t shard, ocb::WorkloadSource* source);
+
   /// Per-shard metrics of the last Run() (shard order).
   const std::vector<PhaseMetrics>& shard_metrics() const {
     return shard_metrics_;
@@ -120,6 +126,8 @@ class ShardedVoodb {
   /// Per-shard generators persist across Run() calls (phase state
   /// carries over, mirroring VoodbSystem).
   std::vector<std::unique_ptr<ocb::WorkloadGenerator>> generators_;
+  /// SetWorkload overrides (nullptr: the shard's generator).
+  std::vector<ocb::WorkloadSource*> workloads_;
   std::vector<std::unique_ptr<ShardDriver>> drivers_;
   std::unique_ptr<obs::SimProfiler> profiler_;
   std::vector<PhaseMetrics> shard_metrics_;

@@ -76,7 +76,7 @@ void TransactionManagerActor::FreeInFlight(Handle h) {
 }
 
 void TransactionManagerActor::Submit(ocb::Transaction txn,
-                                     std::function<void()> done) {
+                                     desp::Scheduler::Action done) {
   VOODB_CHECK_MSG(static_cast<bool>(done), "Submit needs a continuation");
   const Handle h = AllocInFlight();
   InFlight& state = At(h);
@@ -87,7 +87,7 @@ void TransactionManagerActor::Submit(ocb::Transaction txn,
   // submissions, and the stitch belongs to THIS transaction.
   const uint64_t trace_parent =
       tracer_ != nullptr ? tracer_->TakePendingParent() : 0;
-  db_scheduler_.AcquireAction([this, h, submitted_at, trace_parent]() {
+  db_scheduler_.Acquire([this, h, submitted_at, trace_parent]() {
     InFlight& s = At(h);
     s.admitted_at = submitted_at;  // response time includes queueing
     s.txn_id = next_txn_id_++;

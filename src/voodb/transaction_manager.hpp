@@ -18,13 +18,14 @@
 ///
 /// In-flight transaction state lives in a generation-counted slot pool
 /// (the DES arena discipline): continuations capture an 8-byte handle,
-/// not a `shared_ptr`, so the steady-state hot path performs no
-/// allocation per attempt and the pool size is bounded by the
-/// multiprogramming level, not the run length.
+/// and every continuation the manager hands down (resources, protocol,
+/// buffering, network) is a `desp::Scheduler::Action` that holds that
+/// capture inline, so the steady-state hot path performs no allocation
+/// per attempt and the pool size is bounded by the multiprogramming
+/// level, not the run length.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -65,7 +66,7 @@ class TransactionManagerActor : public desp::Actor {
 
   /// Executes `txn` to commit, then calls `done`.  Transactions beyond
   /// the multiprogramming level queue at the database scheduler.
-  void Submit(ocb::Transaction txn, std::function<void()> done);
+  void Submit(ocb::Transaction txn, desp::Scheduler::Action done);
 
   uint64_t committed() const { return committed_; }
   uint64_t object_operations() const { return object_operations_; }
@@ -118,7 +119,7 @@ class TransactionManagerActor : public desp::Actor {
     uint64_t attempts = 0;        // 1 + restarts of this transaction
     uint32_t trace = 0;           // span-tracer context (0 = untraced)
     double backoff_started = 0.0;  // restart backoff span begin
-    std::function<void()> done;
+    desp::Scheduler::Action done;
   };
   /// Generation-counted reference into the slot pool.  Continuations
   /// capture this by value and re-resolve on fire, so pool growth never

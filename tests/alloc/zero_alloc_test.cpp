@@ -1,0 +1,198 @@
+/// \file zero_alloc_test.cpp
+/// \brief The simulation's steady state performs no heap allocation.
+///
+/// This executable replaces the global `operator new` with a counting
+/// version, which is why it is not part of `voodb_tests`: the counter
+/// stays out of the library and out of the main suite, and sanitizer
+/// builds keep their own allocator there.
+///
+/// Each test runs a model on a pre-generated transaction stream (so
+/// workload generation is outside the count).  The stream notes the
+/// allocation counter when its `from`-th and its `to`-th transactions
+/// are drawn: after the warm-up the window in between, mid-run, must
+/// allocate nothing at all — no transaction, restart, lock wait, disk
+/// I/O, network transfer, span or cross-shard message.  The model's
+/// pools may still grow when their total occupancy reaches a new high
+/// (geometrically, so rarely); each window sits after its
+/// configuration's warm-up has passed those highs.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <utility>
+#include <vector>
+
+#include "cluster/dstc.hpp"
+#include "ocb/object_base.hpp"
+#include "ocb/workload.hpp"
+#include "util/check.hpp"
+#include "voodb/catalog.hpp"
+#include "voodb/sharded.hpp"
+#include "voodb/system.hpp"
+
+namespace {
+
+std::atomic<uint64_t> g_allocations{0};
+
+void* CountedAlloc(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+// Out of line: inlined into a caller, free() would meet a pointer GCC
+// knows came from operator new (-Wmismatched-new-delete).
+[[gnu::noinline]] void Release(void* p) noexcept { std::free(p); }
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  void* p = CountedAlloc(size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+void* operator new[](std::size_t size) {
+  void* p = CountedAlloc(size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size);
+}
+void operator delete(void* p) noexcept { Release(p); }
+void operator delete[](void* p) noexcept { Release(p); }
+void operator delete(void* p, std::size_t) noexcept { Release(p); }
+void operator delete[](void* p, std::size_t) noexcept { Release(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { Release(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  Release(p);
+}
+
+namespace voodb::core {
+namespace {
+
+/// A fixed, pre-generated transaction stream that notes the allocation
+/// counter when its `from`-th and `to`-th transactions are drawn.
+/// Forced kinds are ignored: the stream holds the kind its consumer
+/// asks for.
+class StreamSource final : public ocb::WorkloadSource {
+ public:
+  StreamSource(ocb::WorkloadSource& gen, uint64_t n, uint64_t from,
+               uint64_t to, const ocb::TransactionKind* kind = nullptr)
+      : from_(from), to_(to) {
+    txns_.reserve(n);
+    for (uint64_t i = 0; i < n; ++i) {
+      txns_.push_back(kind != nullptr ? gen.NextOfKind(*kind) : gen.Next());
+    }
+  }
+  ocb::Transaction Next() override {
+    VOODB_CHECK_MSG(next_ < txns_.size(), "pre-generated stream exhausted");
+    if (next_ == from_) at_from_ = g_allocations.load();
+    if (next_ == to_) at_to_ = g_allocations.load();
+    return std::move(txns_[next_++]);
+  }
+  ocb::Transaction NextOfKind(ocb::TransactionKind) override { return Next(); }
+
+  /// Allocations between the two marked draws.
+  uint64_t WindowAllocations() const {
+    VOODB_CHECK_MSG(next_ > to_, "the window was not reached");
+    return at_to_ - at_from_;
+  }
+
+ private:
+  std::vector<ocb::Transaction> txns_;
+  size_t next_ = 0;
+  uint64_t from_;
+  uint64_t to_;
+  uint64_t at_from_ = 0;
+  uint64_t at_to_ = 0;
+};
+
+TEST(ZeroAlloc, ContendedWaitDieSystem) {
+  ocb::OcbParameters p;
+  p.num_classes = 20;
+  p.num_objects = 4000;
+  p.p_set = p.p_simple = p.p_hierarchy = p.p_stochastic = 0.0;
+  p.p_random_access = 1.0;
+  p.random_access_count = 8;
+  p.p_update = 0.25;
+  const ocb::ObjectBase base = ocb::ObjectBase::Generate(p);
+  VoodbConfig cfg;
+  cfg.system_class = SystemClass::kCentralized;
+  cfg.buffer_pages = 256;
+  cfg.use_lock_manager = true;
+  cfg.cc_protocol = cc::ProtocolKind::kWaitDie;
+  cfg.num_users = 256;
+  cfg.multiprogramming_level = 256;
+  VoodbSystem sys(cfg, &base, nullptr, 11);
+  ocb::WorkloadGenerator gen(&base, desp::RandomStream(11));
+  StreamSource stream(gen, 6000, 3000, 5000);
+  const PhaseMetrics m = sys.RunTransactions(stream, 6000);
+  ASSERT_EQ(m.transactions, 6000u);
+  EXPECT_GT(m.transaction_restarts, 0u);
+  EXPECT_EQ(stream.WindowAllocations(), 0u);
+}
+
+TEST(ZeroAlloc, TexasWithDstcClustering) {
+  ocb::OcbParameters p;
+  p.num_classes = 50;
+  p.num_objects = 8000;
+  p.hierarchy_depth = 3;
+  p.root_region = 30;
+  const ocb::ObjectBase base = ocb::ObjectBase::Generate(p);
+  VoodbSystem sys(SystemCatalog::TexasWithMemory(2.0), &base,
+                  std::make_unique<cluster::DstcPolicy>(), 5);
+  ASSERT_TRUE(sys.buffering_manager().uses_virtual_memory());
+  ocb::WorkloadGenerator gen(&base, desp::RandomStream(5));
+  const auto kind = ocb::TransactionKind::kHierarchyTraversal;
+  // Usage, reorganization, restart: the measured run is on the
+  // clustered base.
+  StreamSource usage(gen, 500, 0, 1, &kind);
+  sys.RunTransactionsOfKind(usage, kind, 500);
+  ASSERT_TRUE(sys.TriggerClustering().reorganized);
+  sys.DropBuffer();
+  StreamSource stream(gen, 2000, 1000, 1900, &kind);
+  const PhaseMetrics m = sys.RunTransactionsOfKind(stream, kind, 2000);
+  ASSERT_EQ(m.transactions, 2000u);
+  EXPECT_GT(m.reads, 0u);
+  EXPECT_GT(m.writes, 0u);
+  EXPECT_EQ(stream.WindowAllocations(), 0u);
+}
+
+TEST(ZeroAlloc, TwoShardSerialShardedVoodb) {
+  ocb::OcbParameters p;
+  p.num_classes = 20;
+  p.num_objects = 4000;
+  p.think_time_ms = 1.0;
+  const ocb::ObjectBase base = ocb::ObjectBase::Generate(p);
+  VoodbConfig cfg;
+  cfg.system_class = SystemClass::kCentralized;
+  cfg.buffer_pages = 256;
+  cfg.network_throughput_mbps = 1.0;
+  cfg.num_users = 3;
+  cfg.multi_partition_pct = 0.2;
+  cfg.shards = 2;
+  cfg.sim_threads = 1;
+  ShardedVoodb sys(cfg, &base, 9);
+  // Each shard's stream also feeds the sub-transactions it serves for
+  // the other shard, hence the headroom; the window is on shard 0.
+  std::vector<std::unique_ptr<StreamSource>> streams;
+  for (size_t s = 0; s < sys.shards(); ++s) {
+    ocb::WorkloadGenerator gen(&sys.shard(s).object_manager().base(),
+                               desp::RandomStream(9 + s));
+    streams.push_back(std::make_unique<StreamSource>(gen, 4000, 1500, 2500));
+    sys.SetWorkload(s, streams.back().get());
+  }
+  const PhaseMetrics m = sys.Run(3000);
+  EXPECT_GE(m.transactions, 6000u);
+  EXPECT_GT(sys.remote_subtxns(), 0u);
+  EXPECT_EQ(streams[0]->WindowAllocations(), 0u);
+}
+
+}  // namespace
+}  // namespace voodb::core

@@ -77,10 +77,13 @@ TEST(BufferManager, FlushAllWritesDirtyOnly) {
   buf.Access(1, true);
   buf.Access(2, false);
   buf.Access(3, true);
-  const std::vector<PageIo> flushed = buf.FlushAll();
+  std::vector<PageIo> flushed;
+  buf.FlushAll(flushed);
   EXPECT_EQ(flushed.size(), 2u);
   // Second flush: nothing dirty.
-  EXPECT_TRUE(buf.FlushAll().empty());
+  std::vector<PageIo> again;
+  buf.FlushAll(again);
+  EXPECT_TRUE(again.empty());
   EXPECT_EQ(buf.resident_pages(), 3u);  // pages stay resident
 }
 

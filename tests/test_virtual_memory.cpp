@@ -2,6 +2,11 @@
 /// \brief Tests for the Texas OS virtual-memory model.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <list>
+#include <unordered_map>
+
+#include "desp/random.hpp"
 #include "storage/virtual_memory.hpp"
 #include "util/check.hpp"
 
@@ -161,6 +166,176 @@ TEST(VirtualMemory, RejectsZeroFrames) {
   EXPECT_THROW(VirtualMemoryModel(Params(0)), util::Error);
   VirtualMemoryModel vm(Params(4));
   EXPECT_THROW(vm.Resize(0), util::Error);
+}
+
+/// The VM model as it was before the frame-array rewrite: an LRU
+/// `std::list` of frames plus an `unordered_map` page -> iterator.  Kept
+/// as the reference the flat model must match operation by operation.
+class ReferenceVm {
+ public:
+  explicit ReferenceVm(VmParameters params) : params_(params) {}
+
+  AccessOutcome Touch(PageId page, bool write) {
+    AccessOutcome outcome;
+    ++stats_.touches;
+    const auto it = where_.find(page);
+    if (it != where_.end() && it->second->state == State::kLoaded) {
+      ++stats_.soft_hits;
+      outcome.hit = true;
+      it->second->dirty = it->second->dirty || write;
+      frames_.splice(frames_.begin(), frames_, it->second);
+      return outcome;
+    }
+    ++stats_.faults;
+    if (it != where_.end()) {
+      it->second->state = State::kLoaded;
+      it->second->dirty = params_.dirty_on_load || write;
+      frames_.splice(frames_.begin(), frames_, it->second);
+    } else {
+      Allocate(page, State::kLoaded, params_.dirty_on_load || write,
+               outcome.ios);
+    }
+    ++stats_.reads;
+    outcome.ios.push_back(PageIo{PageIo::Kind::kRead, page});
+    return outcome;
+  }
+
+  std::vector<PageIo> Reserve(PageId page) {
+    std::vector<PageIo> ios;
+    if (where_.count(page) != 0) return ios;
+    if (params_.reservations_enter_hot) {
+      Allocate(page, State::kReserved, false, ios);
+    } else {
+      while (frames_.size() >= params_.memory_pages) EvictOne(ios);
+      frames_.push_back(Frame{page, State::kReserved, false});
+      where_[page] = std::prev(frames_.end());
+    }
+    ++stats_.reservations;
+    return ios;
+  }
+
+  void DropAll() {
+    frames_.clear();
+    where_.clear();
+  }
+
+  std::vector<PageIo> Resize(uint64_t memory_pages) {
+    params_.memory_pages = memory_pages;
+    std::vector<PageIo> ios;
+    while (frames_.size() > params_.memory_pages) EvictOne(ios);
+    return ios;
+  }
+
+  bool IsLoaded(PageId page) const {
+    const auto it = where_.find(page);
+    return it != where_.end() && it->second->state == State::kLoaded;
+  }
+  uint64_t resident_frames() const { return frames_.size(); }
+  uint64_t DirtyFrames() const {
+    uint64_t n = 0;
+    for (const Frame& f : frames_) n += f.dirty ? 1 : 0;
+    return n;
+  }
+  const VmStats& stats() const { return stats_; }
+
+ private:
+  enum class State { kLoaded, kReserved };
+  struct Frame {
+    PageId page;
+    State state;
+    bool dirty;
+  };
+
+  void EvictOne(std::vector<PageIo>& ios) {
+    const Frame victim = frames_.back();
+    where_.erase(victim.page);
+    frames_.pop_back();
+    if (victim.state == State::kReserved) {
+      ++stats_.reserved_evictions;
+      return;
+    }
+    if (victim.dirty) {
+      ++stats_.swap_writes;
+      ios.push_back(PageIo{PageIo::Kind::kWrite, victim.page});
+    }
+  }
+
+  void Allocate(PageId page, State state, bool dirty,
+                std::vector<PageIo>& ios) {
+    while (frames_.size() >= params_.memory_pages) EvictOne(ios);
+    frames_.push_front(Frame{page, state, dirty});
+    where_[page] = frames_.begin();
+  }
+
+  VmParameters params_;
+  std::list<Frame> frames_;  // MRU at front
+  std::unordered_map<PageId, std::list<Frame>::iterator> where_;
+  VmStats stats_;
+};
+
+void ExpectSameIos(const std::vector<PageIo>& want,
+                   const std::vector<PageIo>& got, int step) {
+  ASSERT_EQ(want.size(), got.size()) << "step " << step;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].kind, got[i].kind) << "step " << step << " io " << i;
+    EXPECT_EQ(want[i].page, got[i].page) << "step " << step << " io " << i;
+  }
+}
+
+void ExpectSameStats(const VmStats& want, const VmStats& got) {
+  EXPECT_EQ(want.touches, got.touches);
+  EXPECT_EQ(want.soft_hits, got.soft_hits);
+  EXPECT_EQ(want.faults, got.faults);
+  EXPECT_EQ(want.reads, got.reads);
+  EXPECT_EQ(want.swap_writes, got.swap_writes);
+  EXPECT_EQ(want.reservations, got.reservations);
+  EXPECT_EQ(want.reserved_evictions, got.reserved_evictions);
+}
+
+// Random Touch / Reserve / Resize / DropAll sequences drive the flat
+// model and the std::list reference side by side: every operation must
+// imply the same I/Os in the same order, and the counters must agree.
+TEST(VirtualMemory, MatchesTheListReferenceOnRandomOperations) {
+  for (const bool hot : {false, true}) {
+    for (const bool dirty_on_load : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "reservations_enter_hot=" << hot
+                                        << " dirty_on_load=" << dirty_on_load);
+      desp::RandomStream rng(hot ? 17 : 5);
+      VirtualMemoryModel vm(Params(24, dirty_on_load, hot));
+      ReferenceVm ref(Params(24, dirty_on_load, hot));
+      std::vector<PageIo> ios;
+      for (int step = 0; step < 20000; ++step) {
+        const double op = rng.Uniform(0.0, 1.0);
+        const auto page = static_cast<PageId>(rng.UniformInt(0, 63));
+        if (op < 0.6) {
+          const bool write = rng.Bernoulli(0.3);
+          ios.clear();
+          const bool hit = vm.TouchInto(page, write, ios);
+          const AccessOutcome want = ref.Touch(page, write);
+          ASSERT_EQ(want.hit, hit) << "step " << step;
+          ExpectSameIos(want.ios, ios, step);
+        } else if (op < 0.97) {
+          ios.clear();
+          vm.ReserveInto(page, ios);
+          ExpectSameIos(ref.Reserve(page), ios, step);
+        } else if (op < 0.995) {
+          const auto frames = static_cast<uint64_t>(rng.UniformInt(1, 40));
+          ExpectSameIos(ref.Resize(frames), vm.Resize(frames), step);
+        } else {
+          ref.DropAll();
+          vm.DropAll();
+        }
+        ASSERT_EQ(ref.resident_frames(), vm.resident_frames())
+            << "step " << step;
+        ASSERT_EQ(ref.IsLoaded(page), vm.IsLoaded(page)) << "step " << step;
+      }
+      EXPECT_EQ(ref.DirtyFrames(), vm.DirtyFrames());
+      ExpectSameStats(ref.stats(), vm.stats());
+      EXPECT_GT(vm.stats().swap_writes, 0u);
+      EXPECT_GT(vm.stats().reserved_evictions, 0u);
+      EXPECT_GT(vm.stats().soft_hits, 0u);
+    }
+  }
 }
 
 }  // namespace

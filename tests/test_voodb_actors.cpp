@@ -204,6 +204,34 @@ TEST(BufferingManagerActor, SpansAccessEveryPage) {
   EXPECT_TRUE(buf.Contains(4));
 }
 
+TEST(BufferingManagerActor, SequentialPrefetchReadsAheadIntoRelocatedPages) {
+  const ocb::ObjectBase base = SmallBase();
+  desp::Scheduler sched;
+  VoodbConfig cfg = TinyConfig(false);
+  cfg.prefetch = PrefetchPolicy::kSequential;
+  cfg.prefetch_depth = 2;
+  ObjectManagerActor om(&sched, &base, cfg.page_size,
+                        storage::PlacementPolicy::kSequential, 1.0);
+  IoSubsystemActor io(&sched, cfg.disk);
+  BufferingManagerActor buf(&sched, cfg, &om, &io, desp::RandomStream(1));
+  // A relocation appends fresh tail pages, then drops the buffer (as the
+  // clustering manager does).
+  const uint64_t pages_before = om.NumPages();
+  std::vector<ocb::Oid> moved;
+  for (ocb::Oid oid = 0; oid < 60; ++oid) moved.push_back(oid);
+  om.ApplyRelocation(moved);
+  buf.Drop();
+  ASSERT_GE(om.NumPages(), pages_before + 3);
+  bool done = false;
+  buf.AccessPage(pages_before, false, [&] { done = true; });
+  sched.Run();
+  EXPECT_TRUE(done);
+  // The miss on the first relocated page reads ahead into the next two.
+  EXPECT_TRUE(buf.Contains(pages_before + 1));
+  EXPECT_TRUE(buf.Contains(pages_before + 2));
+  EXPECT_EQ(io.reads(), 3u);
+}
+
 TEST(BufferingManagerActor, VmModeReservesReferencedPages) {
   const ocb::ObjectBase base = SmallBase();
   desp::Scheduler sched;
