@@ -13,10 +13,8 @@
 #include "cluster/gay_gruenwald.hpp"
 #include "desp/random.hpp"
 #include "emu/texas_emulator.hpp"
-#include "exp/executor.hpp"
 #include "harness.hpp"
 #include "micro_cc.hpp"
-#include "micro_parallel.hpp"
 #include "micro_trace.hpp"
 #include "ocb/workload.hpp"
 #include "sweeps.hpp"
@@ -730,15 +728,10 @@ void RegisterShardScale() {
   s.title = "Sharded VOODB on the conservative parallel kernel";
   s.description =
       "N hash-partitioned storage-server stacks (shards) under the "
-      "conservative window protocol, swept over shards x sim_threads "
-      "with the total transaction count held constant.  Every "
-      "sim_threads > 1 cell is digest-checked against its serial "
-      "reference — the scenario FAILS on any divergence, so the "
-      "identity contract (bit-identical results at any thread count) is "
-      "enforced on every run, on every machine.  Wall-clock speedup "
-      "additionally needs free cores.  --set multi_partition_pct=... "
-      "steers the cross-shard traffic; --transactions=N is the total "
-      "workload across shards.";
+      "conservative window protocol, swept over shards with the total "
+      "transaction count held constant; the windows run on one thread.  "
+      "--set multi_partition_pct=... steers the cross-shard traffic; "
+      "--transactions=N is the total workload across shards.";
   {
     ocb::OcbParameters wl;
     wl.num_classes = 20;
@@ -751,71 +744,39 @@ void RegisterShardScale() {
   s.base.system.network_throughput_mbps = 1.0;
   s.base.system.num_users = 3;
   s.base.system.multi_partition_pct = 0.2;
-  s.swept = {"shards", "sim_threads"};
+  s.swept = {"shards"};
   s.run = [](const ScenarioContext& ctx) {
     const exp::ScenarioOptions& options = ctx.options;
     const ocb::ObjectBase base =
         ocb::ObjectBase::Generate(ctx.config.workload);
     ScenarioResult result;
-    util::TextTable table({"Shards", "Threads", "Txns", "Mean I/Os",
-                           "Remote", "Windows", "Wall (ms)", "Identical"});
+    util::TextTable table({"Shards", "Txns", "Mean I/Os", "Remote",
+                           "Windows", "Wall (ms)"});
     for (const uint32_t shards : {1u, 2u, 4u, 8u}) {
       // Total workload held constant: per-shard share of --transactions.
       const uint64_t per_shard =
           std::max<uint64_t>(1, options.transactions / shards);
       core::VoodbConfig cfg = ctx.config.system;
       cfg.shards = shards;
-      uint64_t reference_digest = 0;
-      core::PhaseMetrics reference;
-      for (const size_t threads : {1u, 2u, 4u, 8u}) {
-        if (shards == 1 && threads > 1) continue;  // no partitions to farm
-        core::PhaseMetrics m;
-        uint64_t digest = 0;
-        uint64_t remote = 0;
-        uint64_t windows = 0;
-        const double wall_ms = WallClockMs([&] {
-          core::ShardedVoodb sys(cfg, &base, options.seed);
-          if (threads > 1) {
-            exp::ThreadPool pool({threads});
-            m = sys.Run(per_shard, &pool);
-          } else {
-            m = sys.Run(per_shard);
-          }
-          digest = sys.TraceDigest();
-          remote = sys.remote_subtxns();
-          windows = sys.kernel().Windows();
-        });
-        const bool is_reference = threads == 1;
-        if (is_reference) {
-          reference_digest = digest;
-          reference = m;
-        } else {
-          // The acceptance gate: bit-identical to the serial run.
-          VOODB_CHECK_MSG(
-              digest == reference_digest &&
-                  m.transactions == reference.transactions &&
-                  m.total_ios == reference.total_ios &&
-                  m.sim_time_ms == reference.sim_time_ms,
-              "shard_scale identity violated at " << shards << " shards / "
-                                                  << threads << " threads");
-        }
-        const std::string cell = std::to_string(shards) + "s_" +
-                                 std::to_string(threads) + "t";
-        Note(result, "shard_scale", cell, "total_ios",
-             Estimate{static_cast<double>(m.total_ios), 0.0});
-        Note(result, "shard_scale", cell, "wall_ms", Estimate{wall_ms, 0.0});
-        table.AddRow({std::to_string(shards), std::to_string(threads),
-                      std::to_string(m.transactions),
-                      std::to_string(m.total_ios), std::to_string(remote),
-                      std::to_string(windows),
-                      util::FormatDouble(wall_ms, 1),
-                      is_reference ? "ref" : "yes"});
-      }
+      core::PhaseMetrics m;
+      uint64_t remote = 0;
+      uint64_t windows = 0;
+      const double wall_ms = WallClockMs([&] {
+        core::ShardedVoodb sys(cfg, &base, options.seed);
+        m = sys.Run(per_shard);
+        remote = sys.remote_subtxns();
+        windows = sys.kernel().Windows();
+      });
+      // "<shards>s_1t": the cell's shards on one simulation thread.
+      const std::string cell = std::to_string(shards) + "s_1t";
+      Note(result, "shard_scale", cell, "total_ios",
+           Estimate{static_cast<double>(m.total_ios), 0.0});
+      Note(result, "shard_scale", cell, "wall_ms", Estimate{wall_ms, 0.0});
+      table.AddRow({std::to_string(shards), std::to_string(m.transactions),
+                    std::to_string(m.total_ios), std::to_string(remote),
+                    std::to_string(windows), util::FormatDouble(wall_ms, 1)});
     }
-    PrintTable(ctx.options, ctx.scenario->title, table,
-               "Identical=yes means the cell's event digest and metrics "
-               "matched the serial reference bit-for-bit (enforced; the "
-               "scenario throws otherwise).");
+    PrintTable(ctx.options, ctx.scenario->title, table, nullptr);
     return result;
   };
   Register(std::move(s));
@@ -864,9 +825,7 @@ void RegisterCcAbyss() {
       "BENCH_cc_abyss.json.  Every cell (<users>/<protocol>, the "
       "--cell label of `voodb profile|explain|trace record`) is "
       "replicated on the farm with 95 % Student-t CIs, like every other "
-      "model scenario; a second leg re-runs every protocol under "
-      "shards=2 at sim_threads 1 vs 2 and FAILS unless the event digests "
-      "and metrics are bit-identical.  --set num_users=N caps the user "
+      "model scenario.  --set num_users=N caps the user "
       "grid (CI runs a tiny grid this way); --transactions=N is the "
       "floor on transactions per cell (raised to one per user).";
   {
@@ -909,7 +868,6 @@ void RegisterCcAbyss() {
     return cells;
   };
   s.run = [](const ScenarioContext& ctx) {
-    const exp::ScenarioOptions& options = ctx.options;
     ScenarioResult result;
     util::TextTable table(ContentionHeader({"NUSERS", "Protocol"}));
     for (const auto& [cell, replicated] : exp::RunCells(ctx)) {
@@ -930,60 +888,6 @@ void RegisterCcAbyss() {
                "never block (aborts are write-write only); OCC collapses "
                "once the validation window fills with conflicting "
                "commits.");
-
-    // Identity leg: every protocol must stay bit-identical under the
-    // sharded driver at sim_threads > 1 (the subsystem's determinism
-    // contract, enforced on every run).
-    const ocb::ObjectBase base =
-        ocb::ObjectBase::Generate(ctx.config.workload);
-    util::TextTable identity({"Protocol", "Shards", "Txns/shard", "Digest",
-                              "Identical"});
-    for (const cc::ProtocolKind kind : kCcProtocols) {
-      core::VoodbConfig cfg = ctx.config.system;
-      cfg.use_lock_manager = true;
-      cfg.cc_protocol = kind;
-      cfg.num_users = 8;
-      cfg.multiprogramming_level = 8;
-      cfg.shards = 2;
-      const uint64_t per_shard =
-          std::max<uint64_t>(1, options.transactions / 4);
-      core::PhaseMetrics serial;
-      uint64_t serial_digest = 0;
-      {
-        core::ShardedVoodb sys(cfg, &base, options.seed);
-        serial = sys.Run(per_shard);
-        serial_digest = sys.TraceDigest();
-      }
-      core::PhaseMetrics pooled;
-      uint64_t pooled_digest = 0;
-      {
-        core::ShardedVoodb sys(cfg, &base, options.seed);
-        exp::ThreadPool pool({2});
-        pooled = sys.Run(per_shard, &pool);
-        pooled_digest = sys.TraceDigest();
-      }
-      const std::string name = cc::ToString(kind);
-      VOODB_CHECK_MSG(
-          pooled_digest == serial_digest &&
-              pooled.transactions == serial.transactions &&
-              pooled.transaction_restarts == serial.transaction_restarts &&
-              pooled.total_ios == serial.total_ios &&
-              pooled.sim_time_ms == serial.sim_time_ms,
-          "protocol " << name
-                      << " diverged between sim_threads 1 and 2 under "
-                         "shards=2 — the cc determinism contract is broken");
-      identity.AddRow({name, "2", std::to_string(per_shard),
-                       util::FormatDouble(
-                           static_cast<double>(serial_digest % 100000), 0),
-                       "yes"});
-      result["identity/" + name + "/sharded/ok"] = 1.0;
-    }
-    PrintTable(ctx.options,
-               "Sharded determinism per protocol (sim_threads 1 vs 2)",
-               identity,
-               "Identical=yes means event digest, transactions, restarts, "
-               "I/Os and simulated time all matched bit-for-bit (enforced; "
-               "the scenario throws otherwise).");
     return result;
   };
   Register(std::move(s));
@@ -1058,22 +962,6 @@ void RegisterYcsbZipf() {
 // --- Micro benches -----------------------------------------------------------
 
 void RegisterMicroBenches() {
-  {
-    Scenario s;
-    s.name = "micro_parallel";
-    s.title = "Micro: conservative parallel kernel speedup + identity";
-    s.description =
-        "A multi-partition event workload (per-partition chains plus "
-        "cross-partition pings under a fixed lookahead) executed "
-        "serially and on growing thread pools; every pooled run is "
-        "digest-checked against the serial reference and the scenario "
-        "fails on divergence.  Protocol knobs: --transactions=N sizes "
-        "the chain count, --replications=N timed trials per cell.  "
-        "Model parameters are not used.";
-    s.system_config_used = false;
-    s.run = RunMicroParallelScenario;
-    Register(std::move(s));
-  }
   {
     Scenario s;
     s.name = "micro_cc";

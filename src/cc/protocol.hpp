@@ -18,8 +18,8 @@
 /// Determinism contract: a protocol may interact with the run only
 /// through its scheduler (decisions fire as zero-delay scheduled events)
 /// and must never iterate an unordered container where the order can leak
-/// into event order — the whole subsystem stays bit-identical at any
-/// `sim_threads`.
+/// into event order — so a run stays a pure function of its seed, sharded
+/// or not.
 #pragma once
 
 #include <cstdint>

@@ -1,35 +1,34 @@
 /// \file parallel_scheduler.hpp
-/// \brief Conservative parallel discrete-event execution over partitioned
-/// schedulers.
+/// \brief Conservative window execution over partitioned schedulers.
 ///
-/// One big VOODB run is a single event-ordered stream, so it cannot be
-/// farmed out the way replications are.  What it *can* exploit is the
-/// model's fixed latency constants: every cross-partition interaction
-/// (shipping a page between storage servers, a remote sub-transaction
-/// request) takes at least the disk-service + network-transfer time that
-/// the configuration pins down.  That minimum is guaranteed *lookahead*
-/// in the Chandy–Misra sense, and it licenses a window protocol:
+/// A sharded VOODB run is N event-ordered streams that interact only
+/// through the model's fixed latency constants: every cross-partition
+/// interaction (a remote sub-transaction request, its ack) takes at least
+/// one network page transfer, or one disk service under an infinite
+/// network.  That minimum is guaranteed *lookahead* in the Chandy–Misra
+/// sense, and it licenses a window protocol:
 ///
 ///   1. Let T be the earliest pending event across all partitions and W
 ///      the minimum cross-partition delay.  No partition can receive a
 ///      new event with time < T + W.
 ///   2. Every partition therefore executes its events with time in
-///      [T, T+W) independently — on a crew of threads, no locks on the hot
-///      path.
+///      [T, T+W) independently of the others.
 ///   3. Cross-partition sends are buffered in per-edge mailboxes during
 ///      the window and delivered at the barrier, in a fixed order
 ///      (target ascending, then stable (time, priority) with per-edge
 ///      FIFO preserved), before the next window starts.
 ///
-/// Because each partition's intra-window execution is the ordinary serial
-/// `Scheduler` (deterministic by `(time, priority, seq)`), and barrier
-/// delivery order depends only on mailbox *contents* — never on thread
-/// timing — the execution is bit-identical to a 1-thread run at any
-/// thread count: same event keys, same clocks, same per-partition seq
-/// assignment.  The farm's identity contract extends to single runs.
+/// The windows run one after another on the calling thread, partitions
+/// in index order.  Each partition is the ordinary serial `Scheduler`
+/// (deterministic by `(time, priority, seq)`) and barrier delivery order
+/// depends only on mailbox contents, so a run is a pure function of its
+/// inputs: same event keys, same clocks, same per-partition seq
+/// assignment.  (Running the partitions of a window on a thread crew
+/// gave the same results but never ran faster: a window holds ~30
+/// events of the sharded model, about the cost of the barrier.)
 ///
 /// The scheduler's zero-delay fast lane composes with the protocol
-/// unchanged: `NextEventTime`/`RunWindow` are lane-aware, and a lane
+/// unchanged: `PeekNextTime`/`RunWindow` are lane-aware, and a lane
 /// event whose timestamp sits at or past a window's `end` (possible when
 /// another partition's earlier events defined the window start) waits
 /// for a window that strictly covers it — exactly as a queued event
@@ -43,14 +42,10 @@
 
 #include "desp/scheduler.hpp"
 
-namespace voodb::exp {
-class ThreadPool;
-}  // namespace voodb::exp
-
 namespace voodb::desp {
 
 /// N partitioned Schedulers executed under a conservative time-window
-/// protocol.  Partitions share nothing on the hot path: each keeps its
+/// protocol.  Partitions share nothing but the mailboxes: each keeps its
 /// own event queue, slab arena, clock, and seq counter.
 class ParallelScheduler {
  public:
@@ -87,27 +82,18 @@ class ParallelScheduler {
 
   /// Sends `action` to partition `to`, firing `delay` after partition
   /// `from`'s current clock.  Must be called from code executing inside
-  /// partition `from` (its thread owns the mailbox row during a window).
+  /// partition `from`.
   /// `delay` must be >= the registered edge delay, which keeps delivery
   /// outside the current window.  `from == to` degenerates to a local
   /// Schedule().
   void SendTo(size_t from, size_t to, SimTime delay, Scheduler::Action action,
               int priority = 0);
 
-  /// Runs windows until every partition drains and no mail is pending;
-  /// returns the number of events executed.  The windows run on a crew
-  /// of min(partitions, pool threads, hardware threads) members that
-  /// lives for this call: the calling thread is member 0, and partition
-  /// `p` always runs on member `p % crew`.  Between windows member 0
-  /// delivers the mail and publishes the next window's end; idle members
-  /// spin briefly, then yield their core for a while, then park.  A null `pool`, a single partition or a
-  /// one-member crew run the same loop on the calling thread alone —
-  /// bit-identical to the pooled run.  A cancelled pool contributes no
-  /// members.  An error thrown inside a window is rethrown here, on the
-  /// calling thread, once the crew has left the pool: the one from the
-  /// lowest failing partition, as a serial run would throw it.  The pool
-  /// must be dedicated to this call.
-  uint64_t Run(exp::ThreadPool* pool = nullptr);
+  /// Runs windows on the calling thread until every partition drains
+  /// and no mail is pending; returns the number of events executed.  An
+  /// error thrown inside a window propagates at once, from the lowest
+  /// partition that throws.
+  uint64_t Run();
 
   /// Max partition clock — how far simulated time has advanced.
   SimTime MaxNow() const;
@@ -125,20 +111,9 @@ class ParallelScheduler {
     Scheduler::Action action;
   };
 
-  /// Per-Run() barrier state shared by the crew (parallel_scheduler.cpp).
-  struct Crew;
-
   /// Drains every mailbox into its target partition, in deterministic
-  /// order.  Single-threaded (between windows).
+  /// order (between windows).
   void DeliverMail();
-
-  /// Member 0's loop: mail, window bounds, its own share, the barrier.
-  void LeadWindows(Crew& crew);
-  /// Members 1..crew-1: run their share of each window until disbanded.
-  void FollowWindows(Crew& crew, size_t member);
-  /// Runs `member`'s partitions up to the published window end,
-  /// recording the first error instead of letting it escape.
-  void RunShare(Crew& crew, size_t member);
 
   static constexpr SimTime kInfinity = std::numeric_limits<SimTime>::infinity();
 

@@ -304,18 +304,6 @@ uint64_t Scheduler::RunWindow(SimTime end) {
   return executed;
 }
 
-bool Scheduler::HasNextEvent() {
-  SimTime next;
-  return PeekNextTime(&next);
-}
-
-SimTime Scheduler::NextEventTime() {
-  SimTime next;
-  VOODB_CHECK_MSG(PeekNextTime(&next),
-                  "NextEventTime() on an empty event list");
-  return next;
-}
-
 void Scheduler::RunUntil(SimTime deadline) {
   VOODB_CHECK_MSG(deadline >= now_,
                   "cannot run until a time in the past (deadline="
@@ -323,8 +311,7 @@ void Scheduler::RunUntil(SimTime deadline) {
   stopped_ = false;
   while (!stopped_) {
     SimTime next;
-    if (!PeekNextTime(&next)) return;
-    if (next > deadline) {
+    if (!PeekNextTime(&next) || next > deadline) {
       now_ = deadline;
       return;
     }

@@ -114,8 +114,9 @@ class Scheduler {
   /// Runs until the event list drains or Stop() is called.
   void Run();
 
-  /// Runs until the clock would pass `deadline` (events at exactly
-  /// `deadline` are executed), the list drains, or Stop() is called.
+  /// Executes every event up to `deadline` (events at exactly `deadline`
+  /// included) and leaves the clock at `deadline`, also when the list
+  /// drains first; Stop() leaves it at the last executed event instead.
   /// `deadline` must not lie before Now(): the clock never runs backwards.
   void RunUntil(SimTime deadline);
 
@@ -127,12 +128,11 @@ class Scheduler {
   /// conservative parallel protocol (see parallel_scheduler.hpp).
   uint64_t RunWindow(SimTime end);
 
-  /// True if a live (non-cancelled) event is queued.  Skims lazily-
-  /// deleted entries, so it is non-const.
-  bool HasNextEvent();
-
-  /// Time of the next live event; HasNextEvent() must be true.
-  SimTime NextEventTime();
+  /// Stores the time of the next live (non-cancelled) event in `*time`
+  /// and returns true, or returns false when none is queued.  Merges the
+  /// lane and the heap, and skims lazily-deleted entries, so it is
+  /// non-const.
+  bool PeekNextTime(SimTime* time);
 
   /// Makes Run()/RunUntil() return after the current event completes.
   void Stop() { stopped_ = true; }
@@ -281,8 +281,6 @@ class Scheduler {
   /// Removes and returns the merged (lane vs heap) minimum into `out`;
   /// false when no live event remains.
   bool PopNext(QueuedEvent* out);
-  /// Time of the merged next live event; false when none remains.
-  bool PeekNextTime(SimTime* time);
 
   friend class EventHandle;
 

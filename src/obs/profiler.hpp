@@ -12,9 +12,8 @@
 ///
 /// One profiler can observe several schedulers at once — the partitions of
 /// a `desp::ParallelScheduler` attach individually, each recording into its
-/// own arrays (a partition runs on exactly one thread per window, so the
-/// hot path stays lock-free), and the reports merge per-tag-name in
-/// deterministic name order regardless of thread count.
+/// own arrays, and the reports merge per-tag-name in deterministic name
+/// order.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +57,7 @@ class SimProfiler {
 
   /// Per-tag breakdown merged across every attached scheduler by tag
   /// name, sorted by ascending name — a deterministic order whatever the
-  /// partition or thread count; tags that never fired are omitted.
+  /// partition count; tags that never fired are omitted.
   std::vector<TagStat> Stats() const;
 
   uint64_t total_events() const;

@@ -148,9 +148,8 @@ struct VoodbConfig {
   /// driven by `ShardedVoodb` on one scheduler partition each.  1 = the
   /// ordinary single-server model (every existing scenario).
   uint32_t shards = 1;
-  /// Worker threads executing scheduler partitions inside ONE run (the
-  /// conservative window protocol; results are bit-identical at any
-  /// value).  1 = serial execution on the calling thread.
+  /// No effect: the scheduler partitions of one run execute on the
+  /// calling thread.  Kept until the next benchmark change.
   uint32_t sim_threads = 1;
   /// Explicit window width (ms) for the conservative protocol; 0 derives
   /// it from the minimum cross-shard delay (disk service + network

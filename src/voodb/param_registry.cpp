@@ -617,9 +617,7 @@ ParamRegistry::ParamRegistry() {
            "object base (1 = the single-server model)")
       .Range(1);
   b.System("sim_threads", &VoodbConfig::sim_threads,
-           "threads executing scheduler partitions, the calling thread "
-           "included, capped at the hardware threads; results are "
-           "bit-identical at any value (pure perf knob)")
+           "no effect; kept until the next benchmark change")
       .Range(1);
   b.System("sim_window", &VoodbConfig::sim_window,
            "explicit conservative-window width ms; 0 derives it from the "

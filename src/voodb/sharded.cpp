@@ -8,31 +8,17 @@
 
 namespace voodb::core {
 
+void EventDigest::Hook(void* ctx, const desp::EventKey& key) {
+  auto* d = static_cast<EventDigest*>(ctx);
+  uint64_t bits;
+  static_assert(sizeof(bits) == sizeof(key.time), "SimTime is not 64-bit");
+  std::memcpy(&bits, &key.time, sizeof(bits));
+  d->Fold(bits);
+  d->Fold(static_cast<uint64_t>(static_cast<int64_t>(key.priority)));
+  d->Fold(key.seq);
+}
+
 namespace {
-
-/// FNV-1a over the raw bytes of every executed event's key — the
-/// cheapest order-sensitive witness of "same events, same order, same
-/// clocks".
-struct Digest {
-  uint64_t h = 0xcbf29ce484222325ull;
-
-  void Fold(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xFF;
-      h *= 0x100000001b3ull;
-    }
-  }
-
-  static void Hook(void* ctx, const desp::EventKey& key) {
-    auto* d = static_cast<Digest*>(ctx);
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(key.time), "SimTime is not 64-bit");
-    std::memcpy(&bits, &key.time, sizeof(bits));
-    d->Fold(bits);
-    d->Fold(static_cast<uint64_t>(static_cast<int64_t>(key.priority)));
-    d->Fold(key.seq);
-  }
-};
 
 /// Shard-order reduction of per-shard phase metrics: counters sum,
 /// simulated time is the slowest shard's (shards advance concurrently),
@@ -212,7 +198,6 @@ ShardedVoodb::ShardedVoodb(VoodbConfig config, const ocb::ObjectBase* base,
   for (size_t s = 0; s < n; ++s) {
     VoodbConfig shard_config = config_;
     shard_config.shards = 1;
-    shard_config.sim_threads = 1;
     shard_config.sim_window = 0.0;
     shard_config.multi_partition_pct = 0.0;
     // The aggregate buffer budget matches a single-server run.
@@ -266,8 +251,14 @@ double ShardedVoodb::CrossShardDelayMs() const {
   return delay;
 }
 
-PhaseMetrics ShardedVoodb::Run(uint64_t n, exp::ThreadPool* pool) {
+PhaseMetrics ShardedVoodb::Run(uint64_t n, exp::ThreadPool* /*pool*/) {
   const size_t num_shards = shards_.size();
+
+  // The previous phase left each shard's clock at its own last event.
+  const desp::SimTime start = kernel_->MaxNow();
+  for (size_t s = 0; s < num_shards; ++s) {
+    kernel_->partition(s).RunUntil(start);
+  }
 
   std::vector<VoodbSystem::Snapshot> before;
   before.reserve(num_shards);
@@ -302,11 +293,10 @@ PhaseMetrics ShardedVoodb::Run(uint64_t n, exp::ThreadPool* pool) {
                            : generators_[s].get();
   }
 
-  // Per-partition digests folded in shard order after the drain: the
-  // bit-identity witness across sim_threads values.
-  std::vector<Digest> digests(num_shards);
+  // Per-partition digests, folded in shard order after the drain.
+  std::vector<EventDigest> digests(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
-    kernel_->partition(s).SetTraceHook(&Digest::Hook, &digests[s]);
+    kernel_->partition(s).SetTraceHook(&EventDigest::Hook, &digests[s]);
   }
 
   for (size_t s = 0; s < num_shards; ++s) {
@@ -314,7 +304,7 @@ PhaseMetrics ShardedVoodb::Run(uint64_t n, exp::ThreadPool* pool) {
         std::min<uint64_t>(config_.num_users, n));
     for (uint32_t u = 0; u < active_users; ++u) drivers_[s]->UserLoop(u);
   }
-  kernel_->Run(pool);
+  kernel_->Run();
 
   for (size_t s = 0; s < num_shards; ++s) {
     kernel_->partition(s).SetTraceHook(nullptr, nullptr);
@@ -324,15 +314,13 @@ PhaseMetrics ShardedVoodb::Run(uint64_t n, exp::ThreadPool* pool) {
     remote_subtxns_ += drivers_[s]->served_remote;
   }
 
-  trace_digest_ = 0xcbf29ce484222325ull;
+  EventDigest fold;
   shard_metrics_.clear();
   for (size_t s = 0; s < num_shards; ++s) {
     shard_metrics_.push_back(shards_[s]->Delta(before[s]));
-    Digest fold;
-    fold.h = trace_digest_;
     fold.Fold(digests[s].h);
-    trace_digest_ = fold.h;
   }
+  trace_digest_ = fold.h;
   return MergeShardMetrics(shard_metrics_);
 }
 

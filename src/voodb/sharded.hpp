@@ -1,10 +1,10 @@
 /// \file sharded.hpp
-/// \brief ShardedVoodb — N independent VOODB stacks on one parallel kernel.
+/// \brief ShardedVoodb — N independent VOODB stacks on one windowed kernel.
 ///
-/// The multi-shard harness the conservative parallel kernel
-/// (`desp::ParallelScheduler`) was built to drive: `shards` complete
-/// ObjectManager/BufferManager/TransactionManager stacks, each over its
-/// own hash-partition of the OCB object base, each riding one scheduler
+/// The multi-shard model on the conservative window kernel
+/// (`desp::ParallelScheduler`): `shards` complete ObjectManager/
+/// BufferManager/TransactionManager stacks, each over its own
+/// hash-partition of the OCB object base, each riding one scheduler
 /// partition.  Shards are fully independent except for *multi-partition
 /// transactions*: a configurable fraction of each user's transactions
 /// runs a sub-transaction on a second shard, shipped through the home
@@ -15,14 +15,14 @@
 /// before one network page transfer completes (or, under an infinite
 /// network, before the disk could service a page), so the window the
 /// kernel derives from these edge delays never reorders causally related
-/// events — and the run is bit-identical at any `sim_threads`.
+/// events.
 ///
-/// Determinism contract: `Run()` produces byte-identical `PhaseMetrics`
-/// (and trace-hook digests) for any `sim_threads` value, including the
-/// serial `sim_threads = 1` path.  `shard_scale` in the scenario catalog
-/// enforces this every run.
+/// Determinism contract: `Run()` is a pure function of (config, base,
+/// seed, earlier phases).  Its `PhaseMetrics` and event digest are pinned
+/// bit for bit by golden values in `tests/test_sharded.cpp`.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -40,6 +40,43 @@ class ThreadPool;
 }  // namespace voodb::exp
 
 namespace voodb::core {
+
+/// FNV-1a over the raw bytes of every executed event's key: the time's
+/// bits, the sign-extended priority and the seq, 8 bytes each, low byte
+/// first.  The cheapest order-sensitive witness of "same events, same
+/// order, same clocks".
+struct EventDigest {
+  static constexpr uint64_t kOffsetBasis = 0xcbf29ce484222325ull;
+  static constexpr uint64_t kPrime = 0x100000001b3ull;
+
+  uint64_t h = kOffsetBasis;
+
+  /// Folds the 8 bytes of `v`.  A zero byte only multiplies `h` by the
+  /// prime, so the zero bytes above `v`'s highest set byte fold as one
+  /// multiply by a power of the prime: a zero priority costs one
+  /// multiply, not eight.
+  void Fold(uint64_t v) {
+    int zero_bytes = 8;
+    for (; v != 0; v >>= 8, --zero_bytes) {
+      h ^= v & 0xFF;
+      h *= kPrime;
+    }
+    h *= kPrimePowers[zero_bytes];
+  }
+
+  /// A `desp::Scheduler` trace hook; `ctx` is the EventDigest.
+  static void Hook(void* ctx, const desp::EventKey& key);
+
+ private:
+  static constexpr std::array<uint64_t, 9> kPrimePowers = [] {
+    std::array<uint64_t, 9> powers{};
+    powers[0] = 1;
+    for (size_t k = 1; k < powers.size(); ++k) {
+      powers[k] = powers[k - 1] * kPrime;
+    }
+    return powers;
+  }();
+};
 
 /// N hash-partitioned VOODB stacks under the conservative window protocol.
 class ShardedVoodb {
@@ -62,8 +99,11 @@ class ShardedVoodb {
   /// reduced in shard order.  `config.multi_partition_pct` of the
   /// transactions additionally run a forced-kind sub-transaction on a
   /// deterministic remote shard and wait for its ack before the issuing
-  /// user continues.  Executes on `pool` when given (sim_threads > 1),
-  /// serially otherwise — bit-identical either way.
+  /// user continues.  The phase starts with every shard's clock at the
+  /// latest one of the previous phase, so no shard can mail into
+  /// another's past.  The partitions run on the calling thread; `pool`
+  /// is unused, kept for existing callers until the next benchmark
+  /// change.
   PhaseMetrics Run(uint64_t n, exp::ThreadPool* pool = nullptr);
 
   /// Replaces shard `shard`'s transaction generator by `source` (not
@@ -77,21 +117,19 @@ class ShardedVoodb {
     return shard_metrics_;
   }
 
-  /// FNV-1a digest over every shard's executed-event keys of the last
-  /// Run(), folded in shard order — the bit-identity witness the
-  /// `shard_scale` scenario compares across `sim_threads` values.
+  /// EventDigest over every shard's executed-event keys of the last
+  /// Run(), each shard's digest folded in shard order.
   uint64_t TraceDigest() const { return trace_digest_; }
 
   /// Multi-partition sub-transactions completed (all Run() calls).
   uint64_t remote_subtxns() const { return remote_subtxns_; }
 
   /// Every shard's metric registry snapshotted and merged, in shard
-  /// order — deterministic at any `sim_threads`.
+  /// order.
   obs::MetricSnapshot MergedMetrics() const;
 
   /// Every shard's tail exemplars merged in shard order, keeping the
-  /// `trace_exemplars` slowest — deterministic at any `sim_threads`.
-  /// Empty unless `trace_spans`.
+  /// `trace_exemplars` slowest.  Empty unless `trace_spans`.
   std::vector<obs::Exemplar> MergedExemplars() const;
 
   /// SpanTracer::RecordTrees on every shard's tracer (no-op unless

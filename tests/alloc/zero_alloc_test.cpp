@@ -177,7 +177,6 @@ TEST(ZeroAlloc, TwoShardSerialShardedVoodb) {
   cfg.num_users = 3;
   cfg.multi_partition_pct = 0.2;
   cfg.shards = 2;
-  cfg.sim_threads = 1;
   ShardedVoodb sys(cfg, &base, 9);
   // Each shard's stream also feeds the sub-transactions it serves for
   // the other shard, hence the headroom; the window is on shard 0.

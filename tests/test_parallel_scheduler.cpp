@@ -1,6 +1,6 @@
 /// \file test_parallel_scheduler.cpp
-/// \brief Conservative parallel kernel: window semantics, mailbox
-/// determinism, and the bit-identity contract at every thread count.
+/// \brief Conservative window kernel: window semantics, mailbox order,
+/// and golden event streams of multi-partition runs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,7 +10,6 @@
 
 #include "desp/parallel_scheduler.hpp"
 #include "desp/random.hpp"
-#include "exp/executor.hpp"
 #include "util/check.hpp"
 
 namespace voodb::desp {
@@ -107,10 +106,11 @@ TEST_P(RunWindowTest, NextEventTimeSkipsCancelledEntries) {
   EventHandle doomed = post.Post(1.0, [] {});
   post.Post(2.0, [] {});
   s.Cancel(doomed);
-  ASSERT_TRUE(s.HasNextEvent());
-  EXPECT_DOUBLE_EQ(s.NextEventTime(), 2.0);
+  SimTime next = 0.0;
+  ASSERT_TRUE(s.PeekNextTime(&next));
+  EXPECT_DOUBLE_EQ(next, 2.0);
   Scheduler empty;
-  EXPECT_FALSE(empty.HasNextEvent());
+  EXPECT_FALSE(empty.PeekNextTime(&next));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllQueues, RunWindowTest,
@@ -190,25 +190,51 @@ TEST(ParallelScheduler, CrossPartitionDeliveryHonorsTimePriorityAndSource) {
   EXPECT_EQ(ps.CrossEvents(), 3u);
 }
 
-// --- Bit-identity: serial vs pooled execution ------------------------------
-
-struct KeyTrace {
-  std::vector<EventKey> keys;
-  static void Record(void* ctx, const EventKey& key) {
-    static_cast<KeyTrace*>(ctx)->keys.push_back(key);
-  }
-};
-
-bool SameKeys(const std::vector<EventKey>& a, const std::vector<EventKey>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (std::memcmp(&a[i].time, &b[i].time, sizeof(SimTime)) != 0 ||
-        a[i].priority != b[i].priority || a[i].seq != b[i].seq) {
-      return false;
+TEST(ParallelScheduler, TiedMailKeepsSourceThenSendOrder) {
+  // Enough mail tied on (time, priority) that an unstable sort would
+  // shuffle it: delivery must be source-ascending, then per-edge FIFO.
+  ParallelScheduler::Options options;
+  options.partitions = 3;
+  ParallelScheduler ps(options);
+  ps.SetUniformEdgeDelay(1.0);
+  std::vector<int> order;
+  for (const size_t from : {2u, 1u}) {
+    for (int i = 0; i < 20; ++i) {
+      const int tag = static_cast<int>(from) * 100 + i;
+      ps.SendTo(from, 0, 3.0, [&order, tag] { order.push_back(tag); });
     }
   }
-  return true;
+  ps.Run();
+  std::vector<int> expected;
+  for (const int from : {1, 2}) {
+    for (int i = 0; i < 20; ++i) expected.push_back(from * 100 + i);
+  }
+  EXPECT_EQ(order, expected);
 }
+
+// --- Goldens: the window loop's exact event stream ------------------------
+
+/// FNV-1a over the bytes of every executed event key (time bits,
+/// sign-extended priority, seq).
+struct KeyDigest {
+  uint64_t h = 0xcbf29ce484222325ull;
+
+  void Fold(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (i * 8)) & 0xFF;
+      h *= 0x100000001b3ull;
+    }
+  }
+
+  static void Hook(void* ctx, const EventKey& key) {
+    auto* d = static_cast<KeyDigest*>(ctx);
+    uint64_t bits;
+    std::memcpy(&bits, &key.time, sizeof(bits));
+    d->Fold(bits);
+    d->Fold(static_cast<uint64_t>(static_cast<int64_t>(key.priority)));
+    d->Fold(key.seq);
+  }
+};
 
 /// A ring workload: every partition runs self-rescheduling chains with
 /// pseudo-random delays; every few hops it mails the next partition,
@@ -260,41 +286,34 @@ class RingWorkload {
 };
 
 struct RingRun {
-  std::vector<std::vector<EventKey>> traces;
-  std::vector<double> clocks;
-  std::vector<uint64_t> counts;
+  std::vector<uint64_t> digests;  ///< per partition
   uint64_t executed = 0;
   uint64_t windows = 0;
   uint64_t cross = 0;
   uint64_t lane_pops = 0;
+  uint64_t hops = 0;  ///< the workloads' own count of fired hops
 };
 
-/// Runs `rounds` ring workloads back to back on one kernel and `pool`
-/// (null: serial); each round is scheduled after the previous Run()
-/// drained.  `counts` sums the rounds.
-RingRun RunRingOn(size_t partitions, exp::ThreadPool* pool, EventPath path,
-                  int rounds = 1) {
+/// Runs `rounds` ring workloads back to back on one kernel; each round
+/// is scheduled after the previous Run() drained.
+RingRun RunRing(size_t partitions, EventPath path, int rounds = 1) {
   ParallelScheduler::Options options;
   options.partitions = partitions;
   ParallelScheduler ps(options);
   const double lookahead = 1.5;
   ps.SetUniformEdgeDelay(lookahead);
-  std::vector<KeyTrace> traces(partitions);
+  std::vector<KeyDigest> digests(partitions);
   for (size_t p = 0; p < partitions; ++p) {
-    ps.partition(p).SetTraceHook(&KeyTrace::Record, &traces[p]);
+    ps.partition(p).SetTraceHook(&KeyDigest::Hook, &digests[p]);
   }
   RingRun run;
-  run.counts.assign(partitions, 0);
   for (int round = 0; round < rounds; ++round) {
     RingWorkload workload(&ps, lookahead, path);
-    run.executed += ps.Run(pool);
-    for (size_t p = 0; p < partitions; ++p) {
-      run.counts[p] += workload.counts()[p];
-    }
+    run.executed += ps.Run();
+    for (const uint64_t count : workload.counts()) run.hops += count;
   }
   for (size_t p = 0; p < partitions; ++p) {
-    run.traces.push_back(std::move(traces[p].keys));
-    run.clocks.push_back(ps.partition(p).Now());
+    run.digests.push_back(digests[p].h);
     run.lane_pops += ps.partition(p).queue_stats().lane_pops;
   }
   run.windows = ps.Windows();
@@ -302,80 +321,88 @@ RingRun RunRingOn(size_t partitions, exp::ThreadPool* pool, EventPath path,
   return run;
 }
 
-RingRun RunRing(size_t partitions, size_t threads, EventPath path,
-                int rounds = 1) {
-  if (threads <= 1) return RunRingOn(partitions, nullptr, path, rounds);
-  exp::ExecutorOptions eo;
-  eo.threads = threads;
-  exp::ThreadPool pool(eo);
-  return RunRingOn(partitions, &pool, path, rounds);
-}
+/// A ring run's expected counters and per-partition digests.
+struct RingGolden {
+  uint64_t executed;
+  uint64_t windows;
+  uint64_t cross;
+  uint64_t lane_pops;
+  std::vector<uint64_t> digests;
+};
 
-/// Expects `pooled` to be bit-identical to `serial`.
-void ExpectSameRun(const RingRun& pooled, const RingRun& serial,
-                   const std::string& label) {
-  EXPECT_EQ(pooled.executed, serial.executed) << label;
-  EXPECT_EQ(pooled.windows, serial.windows) << label;
-  EXPECT_EQ(pooled.cross, serial.cross) << label;
-  EXPECT_EQ(pooled.lane_pops, serial.lane_pops) << label;
-  EXPECT_EQ(pooled.counts, serial.counts) << label;
-  ASSERT_EQ(pooled.traces.size(), serial.traces.size()) << label;
-  for (size_t p = 0; p < serial.traces.size(); ++p) {
-    EXPECT_TRUE(SameKeys(pooled.traces[p], serial.traces[p]))
-        << "partition " << p << " diverged: " << label;
-    EXPECT_EQ(std::memcmp(&pooled.clocks[p], &serial.clocks[p],
-                          sizeof(double)),
-              0)
-        << "partition " << p << " clock diverged: " << label;
+void ExpectGolden(const RingRun& run, const RingGolden& golden) {
+  EXPECT_EQ(run.executed, golden.executed);
+  EXPECT_EQ(run.windows, golden.windows);
+  EXPECT_EQ(run.cross, golden.cross);
+  EXPECT_EQ(run.lane_pops, golden.lane_pops);
+  // Every chain hop and every delivered ping ran exactly once; the lane
+  // path adds one trigger per lane-bound hop.
+  EXPECT_EQ(run.hops + run.lane_pops, run.executed);
+  ASSERT_EQ(run.digests.size(), golden.digests.size());
+  for (size_t p = 0; p < golden.digests.size(); ++p) {
+    EXPECT_EQ(run.digests[p], golden.digests[p]) << "partition " << p;
   }
 }
+
+// Recorded from the thread-crew kernel this loop replaced, whose runs at
+// 2, 3, 4 and 8 threads were bit-identical to its serial run: the window
+// loop must reproduce that event stream exactly.
+const RingGolden kOneRound[] = {
+    // EventPath::kHeap
+    {200, 28, 40, 0,
+     {0xf71d9c507d9070ddull, 0x501f96acac94473dull, 0xc1ddac9793c351e2ull,
+      0xed8a54ffed788ef4ull}},
+    // EventPath::kLane
+    {360, 28, 40, 160,
+     {0xcd22650c31a08871ull, 0x6cbd66d592e8a0b3ull, 0xd6bdd21a1f853b3eull,
+      0x3cc9f3af71b8f607ull}},
+    // EventPath::kMixed
+    {280, 28, 40, 80,
+     {0x4418615e5814ae38ull, 0x4e4ed2643e3289e1ull, 0xe51b7015d4504941ull,
+      0xb37d77246be0c7a6ull}},
+};
+const RingGolden kTwoRounds[] = {
+    {400, 56, 80, 0,
+     {0x5888dd20065f413dull, 0x945f9f342d1df1b2ull, 0xe9ad68f02837a9d1ull,
+      0x69e20bbadeca6b04ull}},
+    {720, 56, 80, 320,
+     {0x2c3e6f2aee9c6792ull, 0x8cf5a9ef25ed099eull, 0x7ecd4661bba80927ull,
+      0xe182cc15e82bf24aull}},
+    {560, 56, 80, 160,
+     {0xba109709d6f4c2c2ull, 0xad4a44852f1d3199ull, 0x429c04077983233eull,
+      0xd6a9ec6176cfcd89ull}},
+};
 
 class ParallelIdentityTest : public ::testing::TestWithParam<EventPath> {};
 
 TEST_P(ParallelIdentityTest, PooledRunsAreBitIdenticalToSerial) {
-  const size_t partitions = 4;
-  const RingRun serial = RunRing(partitions, 1, GetParam());
-  ASSERT_GT(serial.executed, 160u);  // chains + cross deliveries all ran
-  ASSERT_GT(serial.cross, 0u);
-  ASSERT_GT(serial.windows, 1u);  // the window protocol actually engaged
-  // The hops took the path under test.
-  ASSERT_EQ(serial.lane_pops > 0, GetParam() != EventPath::kHeap);
-  // 3 threads split 4 partitions unevenly across the crew (given 3
-  // hardware threads; the crew never outnumbers them).
-  for (const size_t threads : {2u, 3u, 4u, 8u}) {
-    ExpectSameRun(RunRing(partitions, threads, GetParam()), serial,
-                  std::to_string(threads) + " threads");
-  }
+  const RingRun run = RunRing(4, GetParam());
+  ASSERT_GT(run.windows, 1u);  // the window protocol actually engaged
+  ExpectGolden(run, kOneRound[static_cast<int>(GetParam())]);
 }
 
 TEST_P(ParallelIdentityTest, RunTwiceOnOnePoolMatchesSerial) {
-  const size_t partitions = 4;
-  const RingRun serial = RunRing(partitions, 1, GetParam(), /*rounds=*/2);
-  ASSERT_GT(serial.executed, 320u);  // both rounds ran
-  for (const size_t threads : {2u, 3u, 4u}) {
-    ExpectSameRun(RunRing(partitions, threads, GetParam(), /*rounds=*/2),
-                  serial, std::to_string(threads) + " threads, two Run()s");
-  }
+  // The second round starts from the first one's drained clocks.
+  ExpectGolden(RunRing(4, GetParam(), /*rounds=*/2),
+               kTwoRounds[static_cast<int>(GetParam())]);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllQueues, ParallelIdentityTest,
                          ::testing::Values(EventPath::kHeap, EventPath::kLane,
                                            EventPath::kMixed));
 
-TEST(ParallelScheduler, CancelledPoolStillDrainsBitIdentically) {
-  const RingRun serial = RunRing(4, 1, EventPath::kMixed);
-  exp::ExecutorOptions eo;
-  eo.threads = 4;
-  exp::ThreadPool pool(eo);
-  pool.Cancel();  // accepts no crew member: the calling thread runs all
-  ExpectSameRun(RunRingOn(4, &pool, EventPath::kMixed), serial,
-                "cancelled pool");
+TEST(ParallelScheduler, EightPartitionRingMatchesGolden) {
+  ExpectGolden(RunRing(8, EventPath::kMixed),
+               {560, 30, 80, 160,
+                {0xf5dfa559cf8a68d2ull, 0x43b407c6635f5449ull,
+                 0x028491f58e1c8df1ull, 0x364fcadb830001b2ull,
+                 0x2d0e98857f127a03ull, 0x612021a56daee0f0ull,
+                 0x0f2c364c3f038c8full, 0xb4c41050f6e0fecfull}});
 }
 
-/// Four partitions with pending work, where partitions 1 and 3 each make
-/// a SendTo below the edge delay in the first window.  Returns the
-/// message Run() throws, or "" if it returns.
-std::string FailingRunMessage(exp::ThreadPool* pool) {
+TEST(ParallelScheduler, PooledWindowRethrowsLikeSerial) {
+  // Four partitions with pending work, where partitions 1 and 3 each
+  // make a SendTo below the edge delay in the first window.
   ParallelScheduler::Options options;
   options.partitions = 4;
   ParallelScheduler ps(options);
@@ -386,26 +413,13 @@ std::string FailingRunMessage(exp::ThreadPool* pool) {
   ps.partition(1).Schedule(1.5, [&ps] { ps.SendTo(1, 2, 0.5, [] {}); });
   ps.partition(3).Schedule(1.5, [&ps] { ps.SendTo(3, 0, 0.5, [] {}); });
   try {
-    ps.Run(pool);
+    ps.Run();
+    FAIL() << "Run() returned";
   } catch (const util::Error& e) {
-    return e.what();
-  }
-  return "";
-}
-
-TEST(ParallelScheduler, PooledWindowRethrowsLikeSerial) {
-  const std::string serial = FailingRunMessage(nullptr);
-  // The serial loop reaches partition 1 first.
-  ASSERT_NE(serial.find("(1 -> 2)"), std::string::npos) << serial;
-  for (const size_t threads : {2u, 4u, 8u}) {
-    exp::ExecutorOptions eo;
-    eo.threads = threads;
-    exp::ThreadPool pool(eo);
-    EXPECT_EQ(FailingRunMessage(&pool), serial) << threads << " threads";
-    // The crew left the pool: it still runs a clean workload.
-    ExpectSameRun(RunRingOn(4, &pool, EventPath::kHeap),
-                  RunRing(4, 1, EventPath::kHeap),
-                  std::to_string(threads) + " threads after a throw");
+    // The window runs partitions in index order: partition 1 throws
+    // first, and the error propagates at once.
+    const std::string message = e.what();
+    EXPECT_NE(message.find("(1 -> 2)"), std::string::npos) << message;
   }
 }
 

@@ -45,9 +45,8 @@ TEST(ScenarioCatalog, RegistersEveryPaperFigureTableAndAblation) {
       "ablation_placement",  "ablation_sysclass",
       "ablation_vm_model",   "shard_scale",
       "cc_abyss",            "ycsb_zipf",
-      "micro_parallel",      "micro_cc",
-      "trace_mrc",           "fig08_mrc",
-      "micro_trace"};
+      "micro_cc",            "trace_mrc",
+      "fig08_mrc",           "micro_trace"};
   EXPECT_EQ(exp::ScenarioRegistry::Instance().Names(), expected);
 }
 

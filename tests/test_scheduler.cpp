@@ -113,6 +113,18 @@ TEST_P(SchedulerTest, RunUntilStopsAtDeadline) {
   EXPECT_EQ(times.size(), 4u);
 }
 
+TEST_P(SchedulerTest, RunUntilAdvancesTheClockPastADrainedList) {
+  // The clock reaches the deadline even when no event lies before it, so
+  // a caller can align idle schedulers on one clock.
+  Scheduler s;
+  s.RunUntil(3.0);
+  EXPECT_DOUBLE_EQ(s.Now(), 3.0);
+  s.Schedule(1.0, [] {});
+  s.RunUntil(7.5);
+  EXPECT_EQ(s.ExecutedEvents(), 1u);
+  EXPECT_DOUBLE_EQ(s.Now(), 7.5);
+}
+
 TEST_P(SchedulerTest, RunUntilExecutesEventsExactlyAtDeadline) {
   Scheduler s;
   bool ran = false;

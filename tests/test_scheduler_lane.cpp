@@ -217,8 +217,9 @@ TEST_P(SchedulerLaneTest, RunWindowLeavesLaneEventsExactlyAtTheDeadline) {
 
   EXPECT_EQ(s.RunWindow(10.0), 0u);  // end == lane time: not due yet
   EXPECT_EQ(order, (std::vector<int>{0}));
-  EXPECT_TRUE(s.HasNextEvent());
-  EXPECT_DOUBLE_EQ(s.NextEventTime(), 10.0);
+  SimTime next = 0.0;
+  EXPECT_TRUE(s.PeekNextTime(&next));
+  EXPECT_DOUBLE_EQ(next, 10.0);
 
   EXPECT_EQ(s.RunWindow(10.5), 2u);  // now strictly inside the window
   EXPECT_EQ(order, (std::vector<int>{0, 2, 1}));
