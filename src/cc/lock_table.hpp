@@ -25,7 +25,8 @@
 /// The Transaction Manager issues accesses strictly one at a time, so a
 /// transaction is parked on at most one object; the table tracks it, and
 /// releasing a transaction touches only the objects it holds plus that
-/// one queue.
+/// one queue.  Object ids are dense, so an object's entry is found by a
+/// direct table load (util::IdIndex), not a hash probe.
 #pragma once
 
 #include <cstdint>
@@ -104,10 +105,11 @@ class LockTable final : public Protocol {
   };
 
   /// The entry of `oid`, created on first use.  Entries live in a flat
-  /// slot pool found through an IdIndex, their holders and waiters in
-  /// two shared list pools, and idle entries are retired to a free list:
-  /// every structure grows geometrically with the table's total
-  /// occupancy, so once that has peaked, locking an object allocates
+  /// slot pool found through an IdIndex (a direct table indexed by oid),
+  /// their holders and waiters in two shared list pools, and idle
+  /// entries are retired to a free list.  The pools grow geometrically
+  /// with the table's total occupancy and the index with the largest oid
+  /// locked, so once both have peaked, locking an object allocates
   /// nothing.  A returned reference is valid until the next EntryFor.
   Entry& EntryFor(ocb::Oid oid);
   /// The entry of `oid`, or nullptr when nobody holds or awaits it.

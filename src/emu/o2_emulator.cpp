@@ -15,7 +15,8 @@ O2Emulator::O2Emulator(O2Config config, const ocb::ObjectBase* base,
                                            config.storage_overhead)) {
   VOODB_CHECK_MSG(base_ != nullptr, "emulator needs an object base");
   cache_ = std::make_unique<storage::BufferManager>(
-      config_.cache_pages, config_.replacement, desp::RandomStream(seed));
+      config_.cache_pages, config_.replacement, desp::RandomStream(seed),
+      /*lru_k=*/2, placement_.NumPages());
 }
 
 core::PhaseMetrics O2Emulator::RunTransactions(ocb::WorkloadSource& workload,

@@ -10,12 +10,11 @@
 namespace voodb::storage {
 
 BufferManager::BufferManager(uint64_t capacity_pages, ReplacementPolicy policy,
-                             desp::RandomStream rng, uint32_t lru_k)
-    : capacity_(capacity_pages),
-      engine_(policy, rng, lru_k),
-      index_(capacity_pages) {
+                             desp::RandomStream rng, uint32_t lru_k,
+                             uint64_t num_pages)
+    : capacity_(capacity_pages), engine_(policy, rng, lru_k) {
   VOODB_CHECK_MSG(capacity_ >= 1, "buffer capacity must be >= 1 page");
-  frames_.reserve(capacity_);
+  frames_.reserve(std::min(capacity_, num_pages));
 }
 
 void BufferManager::SetPrefetcher(std::unique_ptr<Prefetcher> prefetcher) {
@@ -82,7 +81,6 @@ std::vector<PageIo> BufferManager::Resize(uint64_t capacity_pages) {
   VOODB_CHECK_MSG(capacity_pages >= 1, "buffer capacity must be >= 1 page");
   std::vector<PageIo> ios;
   capacity_ = capacity_pages;
-  frames_.reserve(capacity_);
   while (index_.size() > capacity_) EvictOne(ios);
   return ios;
 }

@@ -11,10 +11,11 @@
 ///
 /// The cache is data-oriented: resident pages live in one flat `Frame`
 /// array that holds the page id, the dirty bit and the replacement-policy
-/// state intrusively, found through an open-addressing `FrameTable`
-/// (PageId -> frame index).  A hit is one hash probe plus one cache-line
-/// update; evictions recycle frames through a free list and never
-/// allocate.
+/// state intrusively, found through a `FrameTable`: a direct table
+/// indexed by PageId that holds the frame index.  A hit is one table
+/// load plus one cache-line update; evictions recycle frames through a
+/// free list and never allocate.  Page state is sized by the pages that
+/// exist, not by the capacity, so an oversized buffer costs nothing.
 #pragma once
 
 #include <cstdint>
@@ -55,9 +56,12 @@ class BufferManager {
   /// \param policy        PGREP
   /// \param rng           stream for the RANDOM policy
   /// \param lru_k         K for the LRU-K policy
+  /// \param num_pages     pages of the database, when known: frames for
+  ///                      min(capacity, num_pages) are reserved up front
+  ///                      (a buffer larger than the database never fills)
   BufferManager(uint64_t capacity_pages, ReplacementPolicy policy,
                 desp::RandomStream rng = desp::RandomStream(7),
-                uint32_t lru_k = 2);
+                uint32_t lru_k = 2, uint64_t num_pages = 0);
 
   /// Installs a prefetcher (nullptr = PREFETCH None).
   void SetPrefetcher(std::unique_ptr<Prefetcher> prefetcher);

@@ -7,11 +7,11 @@
 /// default.  The buffer is data-oriented: all per-page state — the page
 /// id, the dirty bit and the replacement-policy bookkeeping — lives in
 /// one `Frame` record of a single flat array, and residency is resolved
-/// through an open-addressing `FrameTable` that maps PageId to a frame
-/// index.  A hit therefore costs one hash probe plus one cache-line
-/// update (LRU relinks its intrusive chain, CLOCK bumps a weight, LFU
-/// bumps a counter) and evictions recycle frames through a free list
-/// without allocating.
+/// through a `FrameTable`, a direct table indexed by PageId that holds
+/// the frame index.  A hit therefore costs one table load plus one
+/// cache-line update (LRU relinks its intrusive chain, CLOCK bumps a
+/// weight, LFU bumps a counter) and evictions recycle frames through a
+/// free list without allocating.
 ///
 /// Policies that need an ordered victim scan (LFU, LRU-K) keep
 /// lazily-invalidated heaps on the side so all operations stay
@@ -64,7 +64,8 @@ struct Frame {
   bool dirty = false;        ///< page modified since load
 };
 
-/// Resident-page index PageId -> frame index (see util::IdIndex).
+/// Resident-page index PageId -> frame index (a direct table, see
+/// util::IdIndex).
 using FrameTable = util::IdIndex;
 
 /// The replacement policies, operating intrusively on the shared frame

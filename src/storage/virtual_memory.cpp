@@ -10,8 +10,7 @@ void VmParameters::Validate() const {
   VOODB_CHECK_MSG(memory_pages >= 1, "VM needs at least one frame");
 }
 
-VirtualMemoryModel::VirtualMemoryModel(VmParameters params)
-    : params_(params), index_(params.memory_pages) {
+VirtualMemoryModel::VirtualMemoryModel(VmParameters params) : params_(params) {
   params_.Validate();
 }
 

@@ -24,8 +24,10 @@
 /// Loaded (contents present) or Reserved (frame held, contents absent).
 /// Like the database buffer it is data-oriented: frames live in one flat
 /// array threaded by an intrusive LRU chain, recycled through a free
-/// list, and found through a `FrameTable` (PageId -> frame index), so a
-/// warmed-up model touches, faults and evicts without allocating.
+/// list, and found through a `FrameTable` (a direct table from PageId
+/// to frame index).  Frames and the table grow with the pages actually
+/// mapped, never with `memory_pages`, and a warmed-up model touches,
+/// faults and evicts without allocating.
 #pragma once
 
 #include <cstdint>

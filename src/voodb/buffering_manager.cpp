@@ -27,7 +27,8 @@ BufferingManagerActor::BufferingManagerActor(desp::Scheduler* scheduler,
     vm_ = std::make_unique<storage::VirtualMemoryModel>(vm_params);
   } else {
     buffer_ = std::make_unique<storage::BufferManager>(
-        config.buffer_pages, config.page_replacement, rng, config.lru_k);
+        config.buffer_pages, config.page_replacement, rng, config.lru_k,
+        object_manager_->NumPages());
     if (config.prefetch == PrefetchPolicy::kSequential) {
       // The bound follows the page space: Drop() moves it after a
       // relocation appends pages.

@@ -41,18 +41,15 @@ bool ClusteringManagerActor::ShouldTrigger() const {
   return policy_->ShouldTrigger();
 }
 
-void ClusteringManagerActor::PerformClustering(
-    std::function<void(ClusteringMetrics)> done) {
+void ClusteringManagerActor::PerformClustering(desp::Scheduler::Action done) {
   VOODB_CHECK_MSG(static_cast<bool>(done), "needs a continuation");
   const double started = Now();
   cluster::ClusteringOutcome outcome = policy_->Recluster(
       object_manager_->base(), object_manager_->placement());
-  ClusteringMetrics metrics;
-  metrics.reorganized = outcome.reorganized;
-  metrics.num_clusters = outcome.NumClusters();
-  metrics.mean_cluster_size = outcome.MeanClusterSize();
+  last_metrics_ = ClusteringMetrics{outcome.reorganized, outcome.NumClusters(),
+                                    outcome.MeanClusterSize()};
   if (!outcome.reorganized) {
-    done(metrics);
+    done();
     return;
   }
 
@@ -75,14 +72,13 @@ void ClusteringManagerActor::PerformClustering(
   // phase starts from disk, exactly like a post-reorganization restart.
   buffering_->Drop();
 
-  metrics.overhead_ios = ios.size();
+  last_metrics_.overhead_ios = ios.size();
   total_overhead_ios_ += ios.size();
   ++reorganizations_;
-  io_->Execute(std::move(ios),
-               [this, metrics, started, done = std::move(done)]() mutable {
-                 metrics.duration_ms = Now() - started;
-                 done(metrics);
-               });
+  io_->Execute(ios, [this, started, done = std::move(done)]() mutable {
+    last_metrics_.duration_ms = Now() - started;
+    done();
+  });
 }
 
 

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "cluster/policy.hpp"
@@ -47,9 +46,12 @@ class ClusteringManagerActor : public desp::Actor {
   /// Automatic-trigger test.
   bool ShouldTrigger() const;
 
-  /// Runs the reclustering; `done` receives the metrics once the
-  /// reorganization I/O has completed on the disk.
-  void PerformClustering(std::function<void(ClusteringMetrics)> done);
+  /// Runs the reclustering and calls `done` once the reorganization I/O
+  /// has completed on the disk; last_metrics() then describes it.
+  void PerformClustering(desp::Scheduler::Action done);
+  /// Metrics of the latest PerformClustering, complete once its `done`
+  /// has run.
+  const ClusteringMetrics& last_metrics() const { return last_metrics_; }
 
   const cluster::ClusteringPolicy& policy() const { return *policy_; }
   bool enabled() const;
@@ -66,6 +68,7 @@ class ClusteringManagerActor : public desp::Actor {
   ObjectManagerActor* object_manager_;
   BufferingManagerActor* buffering_;
   IoSubsystemActor* io_;
+  ClusteringMetrics last_metrics_;
   uint64_t total_overhead_ios_ = 0;
   uint64_t reorganizations_ = 0;
 };

@@ -150,7 +150,7 @@ struct ShardedVoodb::ShardDriver {
     if (sys->config().auto_clustering &&
         sys->clustering_manager().ShouldTrigger()) {
       sys->clustering_manager().PerformClustering(
-          [this, user](ClusteringMetrics) { UserLoop(user); });
+          [this, user] { UserLoop(user); });
       return;
     }
     UserLoop(user);

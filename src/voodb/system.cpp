@@ -250,8 +250,7 @@ PhaseMetrics VoodbSystem::Drive(ocb::WorkloadSource& external_workload,
       // Automatic triggering happens at transaction boundaries.
       if (sys->config_.auto_clustering &&
           sys->clustering_->ShouldTrigger()) {
-        sys->clustering_->PerformClustering(
-            [this, user](ClusteringMetrics) { UserLoop(user); });
+        sys->clustering_->PerformClustering([this, user] { UserLoop(user); });
         return;
       }
       UserLoop(user);
@@ -284,18 +283,14 @@ void VoodbSystem::RecordTxnEnd() {
 }
 
 ClusteringMetrics VoodbSystem::TriggerClustering() {
-  ClusteringMetrics metrics;
   bool finished = false;
-  clustering_->PerformClustering([&](ClusteringMetrics m) {
-    metrics = m;
-    finished = true;
-  });
+  clustering_->PerformClustering([&finished] { finished = true; });
   // Step (don't drain): armed hazard events may outlive the
   // reorganization.
   while (!finished && scheduler_->Step()) {
   }
   VOODB_CHECK_MSG(finished, "clustering did not complete");
-  return metrics;
+  return clustering_->last_metrics();
 }
 
 VoodbSystem::Snapshot VoodbSystem::Take() const {

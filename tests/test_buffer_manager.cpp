@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "desp/random.hpp"
 #include "storage/buffer_manager.hpp"
 #include "util/check.hpp"
 
@@ -235,6 +236,26 @@ TEST(BufferManager, AccountingIdentityHolds) {
   EXPECT_EQ(s.hits + s.misses, s.accesses);
   EXPECT_LE(buf.resident_pages(), buf.capacity());
   EXPECT_EQ(s.misses - buf.resident_pages(), s.evictions);
+}
+
+TEST(BufferManager, CapacityFarBeyondThePagesCostsNothing) {
+  // Page state is sized by the pages touched, never by the capacity: a
+  // 2^40-page buffer over 200 pages serves its accesses in a few KB.
+  constexpr uint64_t kHuge = uint64_t{1} << 40;
+  BufferManager buf(kHuge, ReplacementPolicy::kLru, desp::RandomStream(7),
+                    /*lru_k=*/2, /*num_pages=*/200);
+  desp::RandomStream rng(3);
+  std::set<PageId> touched;
+  for (int i = 0; i < 500; ++i) {
+    const auto page = static_cast<PageId>(rng.UniformInt(0, 199));
+    buf.Access(page, rng.Bernoulli(0.3));
+    touched.insert(page);
+  }
+  EXPECT_EQ(buf.resident_pages(), touched.size());
+  EXPECT_EQ(buf.stats().misses, touched.size());
+  EXPECT_EQ(buf.stats().evictions, 0u);
+  EXPECT_TRUE(buf.Resize(kHuge * 2).empty());
+  EXPECT_TRUE(buf.Access(*touched.begin(), false).hit);
 }
 
 TEST(BufferManager, RejectsZeroCapacity) {

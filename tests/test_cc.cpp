@@ -2,7 +2,7 @@
 /// \brief Tests for the pluggable concurrency-control subsystem (src/cc):
 /// per-protocol unit semantics, pooled transaction tables, the factory,
 /// end-to-end VOODB runs under every protocol with determinism, and
-/// golden outputs pinning the 2PL lock table's event stream.
+/// golden outputs pinning every protocol's event stream.
 #include <gtest/gtest.h>
 
 #include "cc/lock_table.hpp"
@@ -652,6 +652,77 @@ TEST(CcGolden, TwoPhaseRunsReproduceRecordedOutputs) {
     if (g.kind == ProtocolKind::kWaitDie) {
       EXPECT_EQ(stats.upgrades, g.upgrades) << cell;
     }
+  }
+}
+
+/// Simulated outputs of the same contended runs under the two
+/// optimistic protocols, recorded from the binary that preceded the
+/// direct-table id index.  MVCC pins its write-intent collisions, its
+/// commit-time read validation and its version install/prune counts;
+/// OCC pins its backward validation.  Any change to an access decision,
+/// a validation outcome or the event order moves at least one of them.
+struct OptimisticGolden {
+  ProtocolKind kind;
+  uint32_t users;
+  uint64_t seed;
+  uint64_t transactions;
+  uint64_t restarts;
+  double sim_time_ms;
+  uint64_t total_ios;
+  uint64_t requests;
+  uint64_t commits;
+  uint64_t immediate_grants;
+  uint64_t waits;
+  uint64_t write_conflicts;
+  uint64_t validation_failures;
+  uint64_t aborts;
+  uint64_t versions_installed;
+  uint64_t versions_pruned;
+  double mean_response_ms;
+};
+
+constexpr OptimisticGolden kOptimisticGoldens[] = {
+    {ProtocolKind::kMvcc, 8, 13, 200, 2008, 9399.3113420823574, 75, 34806,
+     200, 32889, 0, 1917, 91, 2008, 3720, 3355, 369.1883246388125},
+    {ProtocolKind::kMvcc, 8, 29, 200, 1850, 8740.7726272584532, 75, 31819,
+     200, 30047, 0, 1772, 78, 1850, 3600, 3203, 343.22967887618768},
+    {ProtocolKind::kMvcc, 32, 13, 200, 55332, 56802.917486463331, 75, 267647,
+     200, 212345, 0, 55302, 30, 55332, 3720, 3324, 8758.0109179298706},
+    {ProtocolKind::kOcc, 8, 13, 200, 493, 13153.193776945242, 75, 53158, 200,
+     53158, 0, 0, 493, 493, 0, 0, 513.55908303043896},
+    {ProtocolKind::kOcc, 8, 29, 200, 501, 12810.89417604657, 75, 51690, 200,
+     51690, 0, 0, 501, 501, 0, 0, 498.87573528071681},
+    {ProtocolKind::kOcc, 32, 13, 200, 2037, 37183.489636364691, 75, 172051,
+     200, 172051, 0, 0, 2037, 2037, 0, 0, 5398.1005482029841},
+};
+
+TEST(CcGolden, OptimisticRunsReproduceRecordedOutputs) {
+  const ocb::ObjectBase base = ocb::ObjectBase::Generate(ContendedWorkload());
+  for (const OptimisticGolden& g : kOptimisticGoldens) {
+    core::VoodbConfig cfg = ProtocolConfig(g.kind);
+    cfg.num_users = g.users;
+    cfg.multiprogramming_level = g.users;
+    core::VoodbSystem sys(cfg, &base, nullptr, g.seed);
+    ocb::WorkloadGenerator gen(&base, desp::RandomStream(g.seed));
+    const core::PhaseMetrics m = sys.RunTransactions(gen, g.transactions);
+    const CcStats& stats = sys.transaction_manager().cc_protocol()->stats();
+    const std::string cell = std::string(ToString(g.kind)) + " users=" +
+                             std::to_string(g.users) +
+                             " seed=" + std::to_string(g.seed);
+    EXPECT_EQ(m.transactions, g.transactions) << cell;
+    EXPECT_EQ(m.transaction_restarts, g.restarts) << cell;
+    EXPECT_EQ(m.sim_time_ms, g.sim_time_ms) << cell;
+    EXPECT_EQ(m.total_ios, g.total_ios) << cell;
+    EXPECT_EQ(stats.requests, g.requests) << cell;
+    EXPECT_EQ(stats.commits, g.commits) << cell;
+    EXPECT_EQ(stats.immediate_grants, g.immediate_grants) << cell;
+    EXPECT_EQ(stats.waits, g.waits) << cell;
+    EXPECT_EQ(stats.aborts_write_conflict, g.write_conflicts) << cell;
+    EXPECT_EQ(stats.validation_failures, g.validation_failures) << cell;
+    EXPECT_EQ(stats.TotalAborts(), g.aborts) << cell;
+    EXPECT_EQ(stats.versions_installed, g.versions_installed) << cell;
+    EXPECT_EQ(stats.versions_pruned, g.versions_pruned) << cell;
+    EXPECT_EQ(m.mean_response_ms, g.mean_response_ms) << cell;
   }
 }
 

@@ -1,11 +1,12 @@
 /// \file test_replacement.cpp
 /// \brief Tests for the buffer replacement policies (PGREP) and the
-/// open-addressing frame table they run on.
+/// direct frame table they run on.
 #include <gtest/gtest.h>
 
 #include <list>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "desp/random.hpp"
@@ -82,10 +83,10 @@ TEST(FrameTable, InsertFindErase) {
   EXPECT_EQ(table.size(), 1u);
 }
 
-TEST(FrameTable, SurvivesGrowthAndBackwardShiftDeletion) {
-  // Dense keys force long probe chains and exercise rehashing plus the
-  // backward-shift deletion path; a std::map shadows the truth.
-  FrameTable table(4);
+TEST(FrameTable, SurvivesGrowthAndChurn) {
+  // Random insert/erase churn over dense keys grows the table past its
+  // first size many times over; a std::map shadows the truth.
+  FrameTable table;
   std::map<PageId, uint32_t> reference;
   desp::RandomStream rng(5);
   for (int step = 0; step < 20000; ++step) {
@@ -106,6 +107,80 @@ TEST(FrameTable, SurvivesGrowthAndBackwardShiftDeletion) {
       ASSERT_EQ(table.size(), reference.size());
     }
   }
+}
+
+TEST(FrameTable, FindPastTheEndIsAbsent) {
+  FrameTable table;
+  EXPECT_EQ(table.Find(0), kNoFrame);
+  table.Insert(3, 5);
+  EXPECT_EQ(table.Find(4), kNoFrame);
+  EXPECT_EQ(table.Find(1'000'000), kNoFrame);
+  EXPECT_EQ(table.Find(kNullPage), kNoFrame);
+}
+
+TEST(FrameTable, GrowthKeepsEveryMapping) {
+  FrameTable table;
+  // Ascending, then a jump far past the end: each growth must carry the
+  // earlier mappings over.
+  for (PageId page = 0; page < 300; ++page) {
+    table.Insert(page, static_cast<uint32_t>(page * 7));
+  }
+  table.Insert(100'000, 1);
+  EXPECT_EQ(table.size(), 301u);
+  for (PageId page = 0; page < 300; ++page) {
+    ASSERT_EQ(table.Find(page), page * 7);
+  }
+  EXPECT_EQ(table.Find(100'000), 1u);
+  EXPECT_EQ(table.Find(99'999), kNoFrame);
+}
+
+TEST(FrameTable, EraseThenReinsert) {
+  FrameTable table;
+  table.Insert(42, 1);
+  table.Erase(42);
+  EXPECT_EQ(table.Find(42), kNoFrame);
+  EXPECT_EQ(table.size(), 0u);
+  table.Insert(42, 2);
+  EXPECT_EQ(table.Find(42), 2u);
+  EXPECT_EQ(table.size(), 1u);
+}
+
+TEST(FrameTable, ClearForgetsEverything) {
+  FrameTable table;
+  for (PageId page = 0; page < 100; ++page) {
+    table.Insert(page, static_cast<uint32_t>(page));
+  }
+  table.Clear();
+  EXPECT_EQ(table.size(), 0u);
+  for (PageId page = 0; page < 100; ++page) {
+    ASSERT_EQ(table.Find(page), kNoFrame);
+  }
+  table.Insert(7, 3);  // usable again after Clear
+  EXPECT_EQ(table.Find(7), 3u);
+}
+
+TEST(FrameTable, RejectsDuplicateInsertAndAbsentErase) {
+  FrameTable table;
+  table.Insert(9, 0);
+  EXPECT_THROW(table.Insert(9, 1), util::Error);
+  EXPECT_EQ(table.Find(9), 0u);
+  EXPECT_THROW(table.Erase(10), util::Error);
+  EXPECT_THROW(table.Erase(1'000'000), util::Error);
+  EXPECT_EQ(table.size(), 1u);
+}
+
+TEST(FrameTable, RejectsSparseIdNamingIt) {
+  FrameTable table;
+  try {
+    table.Insert(kNullPage, 0);
+    FAIL() << "kNullPage was indexed";
+  } catch (const util::Error& e) {
+    EXPECT_NE(std::string(e.what()).find(std::to_string(kNullPage)),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(table.Insert(uint64_t{1} << 32, 0), util::Error);
+  EXPECT_EQ(table.size(), 0u);
 }
 
 TEST(Lru, EvictsLeastRecentlyUsed) {

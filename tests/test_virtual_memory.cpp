@@ -162,6 +162,27 @@ TEST(VirtualMemory, StatsAccounting) {
   EXPECT_EQ(s.reads, s.faults);
 }
 
+TEST(VirtualMemory, MemoryFarBeyondThePagesCostsNothing) {
+  // Frames and the page table grow with the pages mapped, never with
+  // memory_pages: 2^40 frames of "memory" over 300 pages is a few KB.
+  constexpr uint64_t kHuge = uint64_t{1} << 40;
+  VirtualMemoryModel vm(Params(kHuge));
+  desp::RandomStream rng(4);
+  std::vector<PageIo> ios;
+  for (int i = 0; i < 300; ++i) {
+    const auto page = static_cast<PageId>(rng.UniformInt(0, 299));
+    vm.TouchInto(page, rng.Bernoulli(0.3), ios);
+    vm.ReserveInto(static_cast<PageId>(rng.UniformInt(0, 299)), ios);
+  }
+  const VmStats& s = vm.stats();
+  EXPECT_EQ(s.touches, 300u);
+  EXPECT_EQ(s.swap_writes, 0u);
+  EXPECT_EQ(s.reserved_evictions, 0u);
+  EXPECT_EQ(Writes(ios), 0u);
+  EXPECT_LE(vm.resident_frames(), 300u);
+  EXPECT_TRUE(vm.Resize(kHuge * 2).empty());
+}
+
 TEST(VirtualMemory, RejectsZeroFrames) {
   EXPECT_THROW(VirtualMemoryModel(Params(0)), util::Error);
   VirtualMemoryModel vm(Params(4));

@@ -267,9 +267,11 @@ TEST(ClusteringManagerActor, NoPolicyMeansDisabled) {
   ClusteringManagerActor cm(&sched, nullptr, &om, &buf, &io);
   EXPECT_FALSE(cm.enabled());
   EXPECT_FALSE(cm.ShouldTrigger());
-  ClusteringMetrics metrics;
-  cm.PerformClustering([&](ClusteringMetrics m) { metrics = m; });
+  bool done = false;
+  cm.PerformClustering([&done] { done = true; });
   sched.Run();
+  ASSERT_TRUE(done);
+  const ClusteringMetrics& metrics = cm.last_metrics();
   EXPECT_FALSE(metrics.reorganized);
   EXPECT_EQ(cm.reorganizations(), 0u);
 }
@@ -294,9 +296,11 @@ TEST(ClusteringManagerActor, DstcReorganizationChargesIo) {
     cm.OnTransactionEnd();
   }
   const uint64_t pages_before = om.NumPages();
-  ClusteringMetrics metrics;
-  cm.PerformClustering([&](ClusteringMetrics m) { metrics = m; });
+  bool done = false;
+  cm.PerformClustering([&done] { done = true; });
   sched.Run();
+  ASSERT_TRUE(done);
+  const ClusteringMetrics& metrics = cm.last_metrics();
   EXPECT_TRUE(metrics.reorganized);
   EXPECT_EQ(metrics.num_clusters, 1u);
   EXPECT_GT(metrics.overhead_ios, 0u);

@@ -45,6 +45,22 @@ TEST(VoodbSystem, RunsRequestedTransactions) {
   EXPECT_EQ(m.buffer_requests, m.buffer_hits + m.reads);
 }
 
+TEST(VoodbSystem, BufferFarLargerThanTheBaseCommits) {
+  // buffer_pages has no upper bound: a 2^40-page buffer must cost what
+  // the base's pages cost, not what its capacity would.
+  ocb::OcbParameters p = SmallWorkload();
+  p.num_objects = 2000;
+  const ocb::ObjectBase base = ocb::ObjectBase::Generate(p);
+  VoodbConfig cfg = SmallConfig();
+  cfg.buffer_pages = uint64_t{1} << 40;
+  VoodbSystem sys(cfg, &base, nullptr, 1);
+  ocb::WorkloadGenerator gen(&base, desp::RandomStream(2));
+  const PhaseMetrics m = sys.RunTransactions(gen, 50);
+  EXPECT_EQ(m.transactions, 50u);
+  EXPECT_EQ(m.writes, 0u);  // nothing is ever evicted
+  EXPECT_EQ(m.buffer_requests, m.buffer_hits + m.reads);
+}
+
 TEST(VoodbSystem, PhasesAccumulateState) {
   const ocb::ObjectBase base = ocb::ObjectBase::Generate(SmallWorkload());
   VoodbSystem sys(SmallConfig(), &base, nullptr, 1);
