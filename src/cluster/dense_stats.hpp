@@ -5,10 +5,9 @@
 /// Every clustering technique in this module observes the same two kinds
 /// of statistics: per-object access frequencies (DSTC's Tfa filter,
 /// Gay-Gruenwald's heat) and pairwise transition counts (DSTC's directed
-/// links, graph partitioning's undirected edges).  The collection hot
-/// path runs on *every object access* of the simulation, so instead of
-/// an `unordered_map<Oid, ...>` per statistic the state lives in dense
-/// Oid-indexed arrays:
+/// links).  The collection hot path runs on *every object access* of the
+/// simulation, so instead of an `unordered_map<Oid, ...>` per statistic
+/// the state lives in dense Oid-indexed arrays:
 ///
 /// * `freq_[oid]` — access count, grown on demand (OIDs are dense);
 /// * a pooled adjacency list for links: `head_[oid]` chains into one
@@ -49,16 +48,6 @@ class DenseStats {
     if (head_[from] == kNoLink) source_of_.push_back(from);
     links_.push_back(Link{to, head_[from], 1});
     head_[from] = static_cast<uint32_t>(links_.size() - 1);
-  }
-
-  /// Strengthens the undirected edge {a, b} (stored with the smaller
-  /// endpoint as the source).
-  void AddEdge(ocb::Oid a, ocb::Oid b) {
-    if (a > b) {
-      AddLink(b, a);
-    } else {
-      AddLink(a, b);
-    }
   }
 
   /// Access count of `oid` (0 when never seen).

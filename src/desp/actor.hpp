@@ -62,8 +62,8 @@ class Actor {
 
   /// Typed helper: schedules `(self->*method)(bound...)` to run `delay`
   /// time units from now, where `self` is this actor downcast to the
-  /// concrete type naming `method`.  Bound arguments are moved into the
-  /// event and moved out again when it fires.
+  /// concrete type naming `method`.  Bound arguments travel in the event's
+  /// arena record and are moved out to the method when it fires.
   template <typename Self, typename... Args, typename... Bound>
   EventHandle CallIn(SimTime delay, void (Self::*method)(Args...),
                      Bound&&... bound) {
@@ -91,9 +91,10 @@ class Actor {
   }
 
  private:
+  /// The bound call as a lambda (not an Action), so the scheduler builds
+  /// it directly in the event's arena record.
   template <typename Self, typename Method, typename... Bound>
-  static Scheduler::Action BindMethod(Self* self, Method method,
-                                      Bound&&... bound) {
+  static auto BindMethod(Self* self, Method method, Bound&&... bound) {
     return [self, method,
             args = std::make_tuple(std::forward<Bound>(bound)...)]() mutable {
       std::apply(

@@ -1,5 +1,6 @@
 #include "desp/scheduler.hpp"
 
+#include <sstream>
 #include <utility>
 
 namespace voodb::desp {
@@ -8,20 +9,30 @@ bool EventHandle::pending() const {
   return scheduler_ != nullptr && scheduler_->IsPending(slot_, generation_);
 }
 
-EventHandle Scheduler::Schedule(SimTime delay, Action action, int priority) {
-  VOODB_CHECK_MSG(delay >= 0.0, "cannot schedule into the past (delay="
-                                    << delay << ")");
-  return ScheduleAt(now_ + delay, std::move(action), priority);
+void Scheduler::RejectDelay(SimTime delay) const {
+  std::ostringstream os;
+  os << "cannot schedule into the past (delay=" << delay << ")";
+  util::detail::ThrowCheckFailure("delay >= 0.0", __FILE__, __LINE__,
+                                  os.str());
 }
 
-EventHandle Scheduler::ScheduleAt(SimTime when, Action action, int priority) {
-  VOODB_CHECK_MSG(when >= now_, "cannot schedule into the past (when="
-                                    << when << ", now=" << now_ << ")");
-  VOODB_CHECK_MSG(static_cast<bool>(action), "event action must be callable");
-  const uint32_t slot = AllocSlot();
-  EventRecord& record = arena_[slot];
+void Scheduler::RejectTime(SimTime when) const {
+  std::ostringstream os;
+  os << "cannot schedule into the past (when=" << when << ", now=" << now_
+     << ")";
+  util::detail::ThrowCheckFailure("when >= now_", __FILE__, __LINE__,
+                                  os.str());
+}
+
+void Scheduler::RejectEmpty(uint32_t slot) {
+  FreeSlot(slot);
+  util::detail::ThrowCheckFailure("static_cast<bool>(action)", __FILE__,
+                                  __LINE__, "event action must be callable");
+}
+
+EventHandle Scheduler::Enqueue(uint32_t slot, SimTime when, int priority) {
+  EventRecord& record = Record(slot);
   record.key = EventKey{when, priority, next_seq_++};
-  record.action = std::move(action);
   record.cancelled = false;
   record.in_queue = true;
   record.tag = current_tag_;
@@ -57,8 +68,8 @@ uint16_t Scheduler::RegisterProfileTag(const std::string& name) {
 }
 
 bool Scheduler::IsPending(uint32_t slot, uint32_t generation) const {
-  if (slot >= arena_.size()) return false;
-  const EventRecord& record = arena_[slot];
+  if (slot >= arena_used_) return false;
+  const EventRecord& record = Record(slot);
   return record.in_queue && record.generation == generation &&
          !record.cancelled;
 }
@@ -68,7 +79,7 @@ bool Scheduler::Cancel(EventHandle& handle) {
                                               handle.generation_)) {
     return false;  // empty, fired, cancelled or moved-from: safe no-op
   }
-  EventRecord& record = arena_[handle.slot_];
+  EventRecord& record = Record(handle.slot_);
   record.cancelled = true;
   record.action.Reset();  // release captured resources eagerly
   --pending_;
@@ -90,22 +101,24 @@ bool Scheduler::Cancel(EventHandle& handle) {
   return true;
 }
 
-uint32_t Scheduler::AllocSlot() {
-  if (free_head_ != kNoSlot) {
-    const uint32_t slot = free_head_;
-    free_head_ = arena_[slot].next_free;
-    return slot;
+uint32_t Scheduler::GrowSlot() {
+  VOODB_CHECK_MSG(arena_used_ < kNoSlot, "event arena exhausted");
+  if (arena_used_ == ArenaCapacity()) {
+    chunks_.push_back(std::make_unique<EventRecord[]>(kChunkRecords));
   }
-  VOODB_CHECK_MSG(arena_.size() < kNoSlot, "event arena exhausted");
-  arena_.emplace_back();
-  return static_cast<uint32_t>(arena_.size() - 1);
+  return arena_used_++;
 }
 
 void Scheduler::FreeSlot(uint32_t slot) {
-  EventRecord& record = arena_[slot];
-  record.action.Reset();
+  EventRecord& record = Record(slot);
   record.in_queue = false;
   ++record.generation;  // invalidates every outstanding handle
+  RecycleSlot(slot);
+}
+
+void Scheduler::RecycleSlot(uint32_t slot) {
+  EventRecord& record = Record(slot);
+  record.action.Reset();
   record.next_free = free_head_;
   free_head_ = slot;
 }
@@ -115,7 +128,7 @@ void Scheduler::Compact() {
   live.reserve(pending_);
   while (!queue_.Empty()) {
     const QueuedEvent event = queue_.PopMin();
-    if (arena_[event.slot].cancelled) {
+    if (Record(event.slot).cancelled) {
       FreeSlot(event.slot);
     } else {
       live.push_back(event);
@@ -130,7 +143,7 @@ void Scheduler::SkimCancelled() {
   if (cancelled_in_queue_ == 0) return;  // the common, branch-only case
   while (!queue_.Empty()) {
     const QueuedEvent min = queue_.Min();
-    if (!arena_[min.slot].cancelled) return;
+    if (!Record(min.slot).cancelled) return;
     queue_.PopMin();
     FreeSlot(min.slot);
     --cancelled_in_queue_;
@@ -180,7 +193,7 @@ Scheduler::LaneRing* Scheduler::LaneHead() {
   for (LaneRing& ring : lanes_) {
     while (ring.head != ring.tail) {
       const uint32_t slot = ring.slots[ring.head & (ring.slots.size() - 1)];
-      if (!arena_[slot].cancelled) return &ring;
+      if (!Record(slot).cancelled) return &ring;
       ++ring.head;
       --lane_size_;
       --lane_cancelled_;
@@ -198,7 +211,7 @@ void Scheduler::CompactLane() {
     size_t out = ring.head;
     for (size_t i = ring.head; i != ring.tail; ++i) {
       const uint32_t slot = ring.slots[i & mask];
-      if (arena_[slot].cancelled) {
+      if (Record(slot).cancelled) {
         FreeSlot(slot);
         --lane_size_;
       } else {
@@ -219,7 +232,7 @@ bool Scheduler::PopNext(QueuedEvent* out) {
     for (;;) {
       if (queue_.Empty()) return false;
       const QueuedEvent event = queue_.PopMin();
-      if (arena_[event.slot].cancelled) {
+      if (Record(event.slot).cancelled) {
         FreeSlot(event.slot);
         --cancelled_in_queue_;
         ++stats_.skims;
@@ -236,7 +249,7 @@ bool Scheduler::PopNext(QueuedEvent* out) {
   // time — reachable only once the lane is empty — every lane entry
   // still satisfies time == now_ when it surfaces here.
   const uint32_t slot = ring->slots[ring->head & (ring->slots.size() - 1)];
-  const EventKey lane_key = arena_[slot].key;
+  const EventKey lane_key = Record(slot).key;
   SkimCancelled();
   if (!queue_.Empty() && FiresBefore(queue_.Min().key, lane_key)) {
     *out = queue_.PopMin();
@@ -255,7 +268,8 @@ bool Scheduler::PeekNextTime(SimTime* time) {
   if (ring != nullptr) {
     // == Now(), which is <= every heap entry, so the lane head time is
     // the merged minimum whenever the lane is non-empty.
-    *time = arena_[ring->slots[ring->head & (ring->slots.size() - 1)]].key.time;
+    const uint32_t slot = ring->slots[ring->head & (ring->slots.size() - 1)];
+    *time = Record(slot).key.time;
     return true;
   }
   SkimCancelled();
@@ -267,19 +281,29 @@ bool Scheduler::PeekNextTime(SimTime* time) {
 bool Scheduler::Step() {
   QueuedEvent event;
   if (!PopNext(&event)) return false;
-  EventRecord& record = arena_[event.slot];
+  EventRecord& record = Record(event.slot);
   --pending_;
   const SimTime advance = event.key.time - now_;
   now_ = event.key.time;
   const uint16_t tag = record.tag;
   current_tag_ = tag;  // events scheduled by the action inherit it
   current_trace_ = record.trace;  // trace context inherits the same way
-  Action action = std::move(record.action);
-  FreeSlot(event.slot);  // the action may recycle the slot immediately
+  // The running event's handle reads as fired (Cancel is a no-op), but
+  // its slot stays off the free list until the action returns: the
+  // action runs in place, and chunks never move, so scheduling more
+  // events from inside it cannot disturb it.  The guard recycles the
+  // slot also when the action throws.
+  record.in_queue = false;
+  ++record.generation;
+  struct Recycle {
+    Scheduler* scheduler;
+    uint32_t slot;
+    ~Recycle() { scheduler->RecycleSlot(slot); }
+  } recycle{this, event.slot};
   if (trace_ != nullptr) trace_(trace_ctx_, event.key);
   if (profile_ != nullptr) profile_(profile_ctx_, tag, now_, advance);
   ++executed_;
-  action();
+  record.action();
   return true;
 }
 
@@ -320,7 +344,11 @@ void Scheduler::RunUntil(SimTime deadline) {
 }
 
 void Scheduler::Reserve(size_t events) {
-  arena_.reserve(events);
+  const size_t chunks = (events + kChunkRecords - 1) / kChunkRecords;
+  chunks_.reserve(chunks);
+  while (chunks_.size() < chunks) {
+    chunks_.push_back(std::make_unique<EventRecord[]>(kChunkRecords));
+  }
   queue_.Reserve(events);
   if (events == 0) return;
   // Pre-size the default-priority ring: a same-timestamp burst can

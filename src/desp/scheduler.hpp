@@ -8,11 +8,14 @@
 /// seq), which makes runs fully deterministic.
 ///
 /// The schedule/fire hot path is allocation-free: event records live in a
-/// pooled slab arena and are referenced by intrusive, generation-counted
-/// `EventHandle`s (no per-event `shared_ptr`), the action is a
-/// small-buffer-optimized callable (no `std::function` heap spill for
-/// actor-sized captures), and the event list itself is a binary heap
-/// (`EventQueue`, held by value) moving 32-byte (key, slot) entries.
+/// pooled slab arena of fixed chunks and are referenced by intrusive,
+/// generation-counted `EventHandle`s (no per-event `shared_ptr`), the
+/// action is a small-buffer-optimized callable (no `std::function` heap
+/// spill for actor-sized captures), and the event list itself is a binary
+/// heap (`EventQueue`, held by value) moving 32-byte (key, slot) entries.
+/// Each action is built once, in its arena record, and runs there: chunks
+/// never move, so an action may schedule (and grow the arena) freely, and
+/// its slot is recycled only after it returns.
 ///
 /// Beside the heap sits a *zero-delay fast lane* (a calendar-queue-style
 /// "now bucket"): events scheduled at exactly `Now()` — the dominant
@@ -26,7 +29,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "desp/event_queue.hpp"
@@ -95,11 +100,30 @@ class Scheduler {
   Scheduler& operator=(const Scheduler&) = delete;
 
   /// Schedules `action` to run `delay` time units from now.
-  /// Higher `priority` fires first among simultaneous events.
-  EventHandle Schedule(SimTime delay, Action action, int priority = 0);
+  /// Higher `priority` fires first among simultaneous events.  `action`
+  /// is any `void()` callable (or an `Action`); it is built directly in
+  /// the event's arena record.
+  template <typename F>
+  EventHandle Schedule(SimTime delay, F&& action, int priority = 0) {
+    if (!(delay >= 0.0)) RejectDelay(delay);
+    return ScheduleAt(now_ + delay, std::forward<F>(action), priority);
+  }
 
   /// Schedules `action` at absolute time `when` (>= Now()).
-  EventHandle ScheduleAt(SimTime when, Action action, int priority = 0);
+  template <typename F>
+  EventHandle ScheduleAt(SimTime when, F&& action, int priority = 0) {
+    if (!(when >= now_)) RejectTime(when);
+    const uint32_t slot = AllocSlot();
+    Action& stored = Record(slot).action;
+    try {
+      stored.Emplace(std::forward<F>(action));
+    } catch (...) {
+      FreeSlot(slot);
+      throw;
+    }
+    if (!stored) RejectEmpty(slot);
+    return Enqueue(slot, when, priority);
+  }
 
   /// Cancels a pending event; returns false (a safe no-op) if it already
   /// fired, was already cancelled, or the handle is empty/moved-from.
@@ -154,14 +178,18 @@ class Scheduler {
   /// Exposed for tests and diagnostics.
   size_t LaneEntries() const { return lane_size_; }
 
-  /// Pre-sizes the slab arena, the binary heap, and the fast lane for
-  /// roughly `events` concurrently pending events, so steady-state runs
-  /// never reallocate on the schedule/fire hot path.  Purely a capacity
-  /// hint; never changes behavior.
+  /// Pre-sizes the slab arena (in whole chunks), the binary heap, and the
+  /// fast lane for roughly `events` concurrently pending events, so
+  /// steady-state runs never allocate on the schedule/fire hot path.
+  /// Purely a capacity hint; never changes behavior.
   void Reserve(size_t events);
 
-  /// Capacity of the slab arena (for tests of Reserve).
-  size_t ArenaCapacity() const { return arena_.capacity(); }
+  /// Records the slab arena holds without allocating (for tests of
+  /// Reserve): allocated chunks times kChunkRecords.
+  size_t ArenaCapacity() const { return chunks_.size() * kChunkRecords; }
+
+  /// Event records per arena chunk.
+  static constexpr uint32_t kChunkRecords = 256;
 
   /// Event-list operation counters (see QueueStats).  The cells are
   /// stable for the scheduler's lifetime, so observability code can
@@ -259,8 +287,31 @@ class Scheduler {
     size_t tail = 0;
   };
 
-  uint32_t AllocSlot();
+  EventRecord& Record(uint32_t slot) {
+    return chunks_[slot / kChunkRecords][slot % kChunkRecords];
+  }
+  const EventRecord& Record(uint32_t slot) const {
+    return chunks_[slot / kChunkRecords][slot % kChunkRecords];
+  }
+  uint32_t AllocSlot() {
+    if (free_head_ == kNoSlot) return GrowSlot();
+    const uint32_t slot = free_head_;
+    free_head_ = Record(slot).next_free;
+    return slot;
+  }
+  /// Hands out the next never-used slot, adding a chunk when all are taken.
+  uint32_t GrowSlot();
+  /// Invalidates every handle to `slot`, then recycles it.
   void FreeSlot(uint32_t slot);
+  /// Destroys `slot`'s action and pushes the slot on the free list.
+  void RecycleSlot(uint32_t slot);
+  /// Stamps the key, lane/heap placement and ambient metadata of the
+  /// event whose action was just built in `slot`, and queues it.
+  EventHandle Enqueue(uint32_t slot, SimTime when, int priority);
+  [[noreturn]] void RejectDelay(SimTime delay) const;
+  [[noreturn]] void RejectTime(SimTime when) const;
+  /// Frees `slot` and throws: its action was empty.
+  [[noreturn]] void RejectEmpty(uint32_t slot);
   bool IsPending(uint32_t slot, uint32_t generation) const;
   /// Rebuilds the heap keeping only live entries.
   void Compact();
@@ -298,7 +349,10 @@ class Scheduler {
   size_t lane_cancelled_ = 0;
   QueueStats stats_;
   EventQueue queue_;
-  std::vector<EventRecord> arena_;
+  /// The slab arena: fixed chunks of kChunkRecords records that never
+  /// move, so a running action stays put while it schedules more events.
+  std::vector<std::unique_ptr<EventRecord[]>> chunks_;
+  uint32_t arena_used_ = 0;  ///< slots ever handed out (the rest are fresh)
   uint32_t free_head_ = kNoSlot;
   TraceFn trace_ = nullptr;
   void* trace_ctx_ = nullptr;

@@ -9,7 +9,9 @@
 /// continuation type of the model: events, resource grants, protocol
 /// decisions and the actors' completion callbacks all use it, so a
 /// continuation handed down through several layers is moved, never
-/// wrapped.
+/// wrapped.  `Emplace` builds a callable straight into an existing
+/// SmallFunction, which is how the scheduler constructs each event's
+/// action in its arena record without an intermediate move.
 #pragma once
 
 #include <cstddef>
@@ -38,22 +40,40 @@ class SmallFunction {
                 !std::is_same_v<std::decay_t<F>, SmallFunction> &&
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   SmallFunction(F&& f) {  // NOLINT(runtime/explicit)
+    Emplace(std::forward<F>(f));
+  }
+
+  /// Replaces the stored callable with `f`, built directly in this
+  /// function's storage.  Emplacing a SmallFunction moves it; emplacing
+  /// `nullptr` or an empty wrapped callable (default-constructed
+  /// std::function, null function pointer) leaves this function empty,
+  /// so callers' static_cast<bool> checks keep rejecting it instead of
+  /// throwing bad_function_call when it is invoked.
+  template <typename F>
+  void Emplace(F&& f) {
     using Fn = std::decay_t<F>;
-    // An empty wrapped callable (default-constructed std::function, null
-    // function pointer) becomes an empty SmallFunction, so callers'
-    // static_cast<bool> checks keep rejecting it at schedule time instead
-    // of throwing bad_function_call when the event fires.
-    if constexpr (std::is_constructible_v<bool, Fn&>) {
-      if (!f) return;
-    }
-    if constexpr (sizeof(Fn) <= kInlineBytes &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(buffer_)) Fn(std::forward<F>(f));
-      ops_ = &InlineOps<Fn>::ops;
+    if constexpr (std::is_same_v<Fn, SmallFunction>) {
+      static_assert(!std::is_lvalue_reference_v<F>,
+                    "SmallFunction is move-only: emplace an rvalue");
+      *this = std::move(f);
+    } else if constexpr (std::is_same_v<Fn, std::nullptr_t>) {
+      Reset();
     } else {
-      *reinterpret_cast<Fn**>(buffer_) = new Fn(std::forward<F>(f));
-      ops_ = &HeapOps<Fn>::ops;
+      static_assert(std::is_invocable_r_v<void, Fn&>,
+                    "SmallFunction holds void() callables");
+      Reset();
+      if constexpr (std::is_constructible_v<bool, Fn&>) {
+        if (!f) return;
+      }
+      if constexpr (sizeof(Fn) <= kInlineBytes &&
+                    alignof(Fn) <= alignof(std::max_align_t) &&
+                    std::is_nothrow_move_constructible_v<Fn>) {
+        ::new (static_cast<void*>(buffer_)) Fn(std::forward<F>(f));
+        ops_ = &InlineOps<Fn>::ops;
+      } else {
+        *reinterpret_cast<Fn**>(buffer_) = new Fn(std::forward<F>(f));
+        ops_ = &HeapOps<Fn>::ops;
+      }
     }
   }
 
@@ -79,7 +99,7 @@ class SmallFunction {
   /// Destroys the stored callable (releasing captured resources eagerly).
   void Reset() {
     if (ops_ != nullptr) {
-      ops_->destroy(buffer_);
+      if (ops_->destroy != nullptr) ops_->destroy(buffer_);
       ops_ = nullptr;
     }
   }
@@ -89,6 +109,8 @@ class SmallFunction {
     void (*invoke)(void*);
     /// Move-constructs dst from src and destroys src.
     void (*relocate)(void* dst, void* src);
+    /// Null for trivially destructible inline callables, so releasing
+    /// the common pointer-and-index captures costs no indirect call.
     void (*destroy)(void*);
   };
 
@@ -101,7 +123,9 @@ class SmallFunction {
       from->~Fn();
     }
     static void Destroy(void* p) { static_cast<Fn*>(p)->~Fn(); }
-    static constexpr Ops ops = {&Invoke, &Relocate, &Destroy};
+    static constexpr Ops ops = {
+        &Invoke, &Relocate,
+        std::is_trivially_destructible_v<Fn> ? nullptr : &Destroy};
   };
 
   template <typename Fn>

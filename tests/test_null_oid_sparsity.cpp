@@ -15,7 +15,6 @@
 
 #include "cluster/dstc.hpp"
 #include "cluster/gay_gruenwald.hpp"
-#include "cluster/graph_partitioning.hpp"
 #include "ocb/workload.hpp"
 #include "storage/placement.hpp"
 
@@ -117,13 +116,6 @@ TEST(NullOidSparsity, GayGruenwaldExpandsAcrossDanglingSlots) {
   cluster::GayGruenwaldParameters params;
   params.observation_period = 10;
   cluster::GayGruenwaldPolicy policy(params);
-  ExercisePolicy(policy);
-}
-
-TEST(NullOidSparsity, GraphPartitioningIgnoresDanglingSlots) {
-  cluster::GraphPartitioningParameters params;
-  params.observation_period = 10;
-  cluster::GraphPartitioningPolicy policy(params);
   ExercisePolicy(policy);
 }
 

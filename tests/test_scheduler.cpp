@@ -154,12 +154,37 @@ TEST_P(SchedulerTest, RejectsSchedulingInThePast) {
   s.Step();
   EXPECT_THROW(s.ScheduleAt(4.0, [] {}), util::Error);
   EXPECT_THROW(s.Schedule(-1.0, [] {}), util::Error);
-  EXPECT_THROW(s.Schedule(1.0, nullptr), util::Error);
-  // An empty std::function is rejected at schedule time, not at fire
-  // time (the SmallFunction wrapper preserves its emptiness).
-  EXPECT_THROW(s.Schedule(1.0, std::function<void()>{}), util::Error);
-  EXPECT_THROW(s.Schedule(1.0, static_cast<void (*)()>(nullptr)),
-               util::Error);
+  bool fired = false;
+  s.Schedule(1.0, [&fired] { fired = true; });
+  s.Schedule(0.0, [] {});  // one lane entry as well as one heap entry
+  const size_t pending = s.PendingEvents();
+  const size_t entries = s.QueueEntries();
+  const size_t capacity = s.ArenaCapacity();
+  struct ThrowsOnCopy {
+    ThrowsOnCopy() = default;
+    ThrowsOnCopy(const ThrowsOnCopy&) { throw util::Error("copy"); }
+    ThrowsOnCopy(ThrowsOnCopy&&) noexcept = default;
+    void operator()() {}
+  };
+  const ThrowsOnCopy throws_on_copy;
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_THROW(s.Schedule(1.0, nullptr), util::Error);
+    // An empty std::function is rejected at schedule time, not at fire
+    // time (the SmallFunction wrapper preserves its emptiness).
+    EXPECT_THROW(s.Schedule(1.0, std::function<void()>{}), util::Error);
+    EXPECT_THROW(s.ScheduleAt(6.0, static_cast<void (*)()>(nullptr)),
+                 util::Error);
+    EXPECT_THROW(s.Schedule(0.0, Scheduler::Action{}), util::Error);
+    // A callable that throws while being built in its record frees it.
+    EXPECT_THROW(s.Schedule(1.0, throws_on_copy), util::Error);
+  }
+  // A rejected action leaves no trace: its slot goes back to the arena.
+  EXPECT_EQ(s.PendingEvents(), pending);
+  EXPECT_EQ(s.QueueEntries(), entries);
+  EXPECT_EQ(s.ArenaCapacity(), capacity);
+  s.Run();
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(s.ExecutedEvents(), 3u);
 }
 
 TEST_P(SchedulerTest, RunUntilRejectsADeadlineInThePast) {
@@ -294,6 +319,107 @@ TEST_P(SchedulerTest, ManyEventsStressDeterminism) {
     return trace;
   };
   EXPECT_EQ(run(), run());
+}
+
+/// A capture that counts how often it is move-constructed.
+struct MoveCounter {
+  explicit MoveCounter(int* moves) : moves(moves) {}
+  MoveCounter(const MoveCounter&) = default;
+  MoveCounter(MoveCounter&& other) noexcept : moves(other.moves) {
+    ++*moves;
+  }
+  MoveCounter& operator=(const MoveCounter&) = delete;
+  MoveCounter& operator=(MoveCounter&&) = delete;
+  int* moves;
+};
+
+TEST_P(SchedulerTest, ActionsRunWhereTheyAreBuilt) {
+  // Each action is built once, in its arena record, and invoked there:
+  // neither scheduling nor firing moves it.  A copied-in callable is
+  // therefore never moved, and a moved-in one exactly once (into its
+  // record).
+  Scheduler s;
+  int moves = 0;
+  std::vector<int> seen;
+  MoveCounter counter(&moves);  // non-const, so the capture can move
+  const auto action = [counter, &seen] { seen.push_back(*counter.moves); };
+  s.Schedule(1.0, action);
+  s.ScheduleAt(2.0, action, 3);
+  s.Schedule(2.0, [&s, &action] {
+    s.Schedule(0.0, action);  // the fast lane builds in place as well
+    s.ScheduleAt(s.Now(), action, 1);
+  });
+  s.Run();
+  EXPECT_EQ(seen, (std::vector<int>{0, 0, 0, 0}));
+  seen.clear();
+  moves = 0;
+  s.Schedule(1.0, [counter, &seen] { seen.push_back(*counter.moves); });
+  s.Run();
+  EXPECT_EQ(seen, (std::vector<int>{1}));
+}
+
+TEST_P(SchedulerTest, ActionSurvivesArenaGrowthItCauses) {
+  // An action that schedules far more events than the arena holds forces
+  // it to grow while the action runs in place; its captures must stay
+  // valid afterwards (ASan reports a heap-use-after-free otherwise).
+  Scheduler s;
+  s.Reserve(8);
+  const size_t capacity = s.ArenaCapacity();
+  std::array<uint64_t, 6> payload{1, 2, 3, 4, 5, 6};
+  uint64_t sum = 0;
+  int fired = 0;
+  s.Schedule(1.0, [&s, &sum, &fired, payload] {
+    for (int i = 0; i < 10000; ++i) {
+      s.Schedule(i % 2 == 0 ? 0.0 : 1.0 + i, [&fired] { ++fired; });
+    }
+    for (uint64_t v : payload) sum += v;
+  });
+  s.Run();
+  EXPECT_GT(s.ArenaCapacity(), capacity);
+  EXPECT_EQ(sum, 21u);
+  EXPECT_EQ(fired, 10000);
+}
+
+TEST_P(SchedulerTest, RunningEventsHandleReadsAsFired) {
+  for (const double delay : {0.0, 1.0}) {  // fast lane and heap
+    Scheduler s;
+    EventHandle self;
+    bool pending_inside = true;
+    bool cancelled_inside = true;
+    int fired = 0;
+    self = s.Schedule(delay, [&] {
+      pending_inside = self.pending();
+      cancelled_inside = s.Cancel(self);
+      ++fired;
+    });
+    EXPECT_TRUE(self.pending());
+    s.Run();
+    EXPECT_FALSE(pending_inside) << delay;
+    EXPECT_FALSE(cancelled_inside) << delay;
+    EXPECT_EQ(fired, 1);
+    EXPECT_FALSE(self.pending());
+    EXPECT_EQ(s.PendingEvents(), 0u);
+  }
+}
+
+TEST_P(SchedulerTest, ThrowingActionsFreeTheirSlots) {
+  Scheduler s;
+  auto token = std::make_shared<int>(0);
+  for (int i = 0; i < 1000; ++i) {
+    s.Schedule(i % 2 == 0 ? 0.0 : 1.0,
+               [token] { throw util::Error("boom"); });
+    EXPECT_THROW(s.Step(), util::Error);
+    // The slot's action, with its captures, is destroyed on the way out.
+    EXPECT_EQ(token.use_count(), 1);
+  }
+  EXPECT_EQ(s.PendingEvents(), 0u);
+  EXPECT_EQ(s.QueueEntries(), 0u);
+  EXPECT_LE(s.ArenaCapacity(), size_t{Scheduler::kChunkRecords});
+  EXPECT_EQ(s.ExecutedEvents(), 1000u);
+  bool fired = false;
+  s.Schedule(1.0, [&fired] { fired = true; });
+  s.Run();
+  EXPECT_TRUE(fired);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, SchedulerTest,

@@ -62,7 +62,9 @@ TEST(TraceFormat, WriterReaderRoundTripIsBitIdentical) {
       original.push_back({RecordKind::kObject, oid, write});
       original.push_back({RecordKind::kPage, oid * 37 % 4001, write});
     }
-    original.push_back({RecordKind::kTxnEnd, 0, false});
+    // Every fourth attempt ends in a concurrency-control abort (v3).
+    original.push_back(
+        {t % 4 == 3 ? RecordKind::kTxnAbort : RecordKind::kTxnEnd, 0, false});
   }
   ASSERT_GT(original.size(), kChunkRecords)  // forces multiple chunks
       << "test stream too short to cover chunk boundaries";
@@ -77,6 +79,9 @@ TEST(TraceFormat, WriterReaderRoundTripIsBitIdentical) {
         break;
       case RecordKind::kTxnEnd:
         recorder.OnTxnEnd();
+        break;
+      case RecordKind::kTxnAbort:
+        recorder.OnTxnAbort();
         break;
       case RecordKind::kObject:
         recorder.OnObject(r.id, r.write);
