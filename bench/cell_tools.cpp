@@ -104,6 +104,14 @@ int RunCellTool(const char* tool, const char* usage,
 
 bool Off(const std::string& path) { return path == "off" || path == "none"; }
 
+/// "cell <label> " plus the reported phase of a phased cell; empty for a
+/// scenario's base config.
+std::string CellNote(const exp::Cell& cell) {
+  if (cell.label.empty()) return "";
+  return "cell " + cell.label +
+         (cell.clustering_phases ? " (post-clustering phase) " : " ");
+}
+
 constexpr char kProfileUsage[] =
     "usage:\n"
     "  voodb profile <scenario> [--cell=LABEL] [--transactions=N] "
@@ -153,14 +161,15 @@ core::PhaseMetrics ProfileCell(const CellRun& run,
 
   const ocb::ObjectBase base =
       ocb::ObjectBase::Generate(run.cell.config.workload);
-  core::VoodbSystem sys(config, &base, nullptr, run.seed);
+  core::VoodbSystem sys(config, &base, exp::MakeClusteringPolicy(run.cell),
+                        run.seed);
   ocb::WorkloadGenerator gen(&base, desp::RandomStream(run.seed).Derive(1));
   const core::PhaseMetrics metrics =
-      sys.RunTransactions(gen, run.cell.transactions);
+      exp::RunCellPhases(run.cell, sys, gen).measured;
 
   std::cout << "profiled " << run.cell.transactions << " transactions of '"
             << run.scenario << "' "
-            << (run.cell.label.empty() ? "" : "cell " + run.cell.label + " ")
+            << CellNote(run.cell)
             << "(seed " << run.seed << "): "
             << util::FormatDouble(metrics.sim_time_ms, 1)
             << " ms simulated, " << sys.scheduler().ExecutedEvents()
@@ -204,16 +213,22 @@ core::PhaseMetrics ExplainCell(const CellRun& run, uint32_t top,
   core::PhaseMetrics metrics;
   std::vector<obs::Exemplar> exemplars;
   if (config.shards > 1) {
+    VOODB_CHECK_MSG(!run.cell.clustering_phases,
+                    "parameter 'shards' > 1 cannot run the clustering "
+                    "phases of cell '"
+                        << run.cell.label
+                        << "': core::ShardedVoodb has no clustering manager");
     core::ShardedVoodb sharded(config, &base, run.seed);
     sharded.RecordTrees(true);
     metrics = sharded.Run(run.cell.transactions);
     exemplars = sharded.MergedExemplars();
   } else {
-    core::VoodbSystem sys(config, &base, nullptr, run.seed);
+    core::VoodbSystem sys(config, &base, exp::MakeClusteringPolicy(run.cell),
+                          run.seed);
     sys.span_tracer()->RecordTrees(true);
     ocb::WorkloadGenerator gen(&base,
                                desp::RandomStream(run.seed).Derive(1));
-    metrics = sys.RunTransactions(gen, run.cell.transactions);
+    metrics = exp::RunCellPhases(run.cell, sys, gen).measured;
     exemplars = sys.span_tracer()->exemplars();
   }
 
@@ -228,7 +243,7 @@ core::PhaseMetrics ExplainCell(const CellRun& run, uint32_t top,
 
   std::cout << "explained " << metrics.transactions << " transactions of '"
             << run.scenario << "' "
-            << (run.cell.label.empty() ? "" : "cell " + run.cell.label + " ")
+            << CellNote(run.cell)
             << "(seed " << run.seed << "): "
             << util::FormatDouble(metrics.sim_time_ms, 1)
             << " ms simulated, mean response "

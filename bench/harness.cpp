@@ -205,21 +205,17 @@ Estimate EstimateOf(const desp::Tally& tally) {
 
 Estimate Replicate(const exp::ScenarioOptions& options, uint64_t base_seed,
                    const std::function<double(uint64_t)>& model) {
-  return EstimateOf(
-      ReplicateResult(options, base_seed,
-                      [&model](uint64_t seed, desp::MetricSink& sink) {
-                        sink.Observe("value", model(seed));
-                      })
-          .Metric("value"));
-}
-
-desp::ReplicationResult ReplicateResult(
-    const exp::ScenarioOptions& options, uint64_t base_seed,
-    const exp::ReplicationFarm::Model& model) {
   exp::FarmOptions farm_options;
   farm_options.threads = options.threads;
   farm_options.base_seed = base_seed;
-  return exp::ReplicationFarm(model, farm_options).Run(options.replications);
+  return EstimateOf(
+      exp::ReplicationFarm(
+          [&model](uint64_t seed, desp::MetricSink& sink) {
+            sink.Observe("value", model(seed));
+          },
+          farm_options)
+          .Run(options.replications)
+          .Metric("value"));
 }
 
 std::map<std::string, Estimate> EstimatesOf(
@@ -239,57 +235,6 @@ void RecordEstimate(const std::string& section, const std::string& x,
 std::string WithCi(const Estimate& e, int precision) {
   return util::FormatDouble(e.mean, precision) + " ±" +
          util::FormatDouble(e.half_width, precision);
-}
-
-FigureReport::FigureReport(std::string title, std::string x_label)
-    : title_(std::move(title)),
-      table_({std::move(x_label), "Benchmark(emu)", "Simulation(VOODB)",
-              "Sim/Bench", "Paper bench*", "Paper sim*"}) {}
-
-void FigureReport::AddPoint(const std::string& x, const Estimate& bench,
-                            const Estimate& sim, double paper_bench,
-                            double paper_sim) {
-  RecordEstimate(title_, x, "benchmark", bench);
-  RecordEstimate(title_, x, "simulation", sim);
-  table_.AddRow({x, WithCi(bench), WithCi(sim),
-                 util::FormatDouble(bench.mean > 0 ? sim.mean / bench.mean
-                                                   : 0.0,
-                                    3),
-                 util::FormatDouble(paper_bench, 0),
-                 util::FormatDouble(paper_sim, 0)});
-}
-
-LatencyReport::LatencyReport(std::string title, std::string x_label)
-    : title_(std::move(title)),
-      table_({std::move(x_label), "Count", "p50", "p95", "p99", "p999",
-              "Max"}) {}
-
-void LatencyReport::AddPoint(const std::string& x,
-                             const desp::LogHistogram& histogram) {
-  const double p50 = histogram.Quantile(0.50);
-  const double p95 = histogram.Quantile(0.95);
-  const double p99 = histogram.Quantile(0.99);
-  const double p999 = histogram.Quantile(0.999);
-  RecordEstimate(title_, x, "p50", {p50, 0.0});
-  RecordEstimate(title_, x, "p95", {p95, 0.0});
-  RecordEstimate(title_, x, "p99", {p99, 0.0});
-  RecordEstimate(title_, x, "p999", {p999, 0.0});
-  RecordEstimate(title_, x, "max", {histogram.max(), 0.0});
-  table_.AddRow({x, std::to_string(histogram.count()),
-                 util::FormatDouble(p50, 2), util::FormatDouble(p95, 2),
-                 util::FormatDouble(p99, 2), util::FormatDouble(p999, 2),
-                 util::FormatDouble(histogram.max(), 2)});
-}
-
-void LatencyReport::Print(const exp::ScenarioOptions& options) const {
-  PrintTable(options, title_, table_, "");
-}
-
-void FigureReport::Print(const exp::ScenarioOptions& options) const {
-  PrintTable(options, title_, table_,
-             "(*) paper series read off the published figure; "
-             "approximate.  Shapes, not absolute values, are the "
-             "reproduction target (see EXPERIMENTS.md).\n");
 }
 
 void PrintTable(const exp::ScenarioOptions& options,

@@ -3,11 +3,11 @@
 ///
 /// Every figure/table scenario of the catalog (`voodb run <scenario>`)
 /// regenerates one figure or table of the paper's evaluation section
-/// (§4).  The "Benchmark" series is produced by the direct-execution
-/// emulators (src/emu), the "Simulation" series by the VOODB
-/// discrete-event model (src/voodb); the paper's own numbers are
-/// embedded for side-by-side comparison (values read off the published
-/// figures are approximate and labelled as such).
+/// (§4) from its table cells (`exp::RunCells`).  The "Benchmark" series
+/// is a cell's direct-execution emulator leg (src/emu), the "Simulation"
+/// series its VOODB discrete-event model (src/voodb); the paper's own
+/// numbers are embedded for side-by-side comparison (values read off the
+/// published figures are approximate and labelled as such).
 ///
 /// Replications run on the exp/ replication farm: all worker threads by
 /// default, bit-identical results at any thread count.  Unless disabled,
@@ -63,18 +63,10 @@ struct Estimate {
 };
 
 /// Runs `model` on the replication farm (options.threads workers, seeds
-/// derived from `base_seed`) and aggregates the returned scalar.
+/// derived from `base_seed`) and aggregates the returned scalar.  For
+/// emulator-only studies; model scenarios declare cells (`exp::RunCells`).
 Estimate Replicate(const exp::ScenarioOptions& options, uint64_t base_seed,
                    const std::function<double(uint64_t seed)>& model);
-
-/// Multi-metric variant: the model observes any number of named metrics
-/// (and farm-merged LogHistograms via `sink.ObserveHistogram`) into the
-/// sink; returns the reduced ReplicationResult (`EstimatesOf` gives one
-/// Estimate per metric).  The reduction runs in replication order, so
-/// scalars *and* histograms are bit-identical at any thread count.
-desp::ReplicationResult ReplicateResult(
-    const exp::ScenarioOptions& options, uint64_t base_seed,
-    const exp::ReplicationFarm::Model& model);
 
 /// One Estimate per scalar metric of a reduced result.
 std::map<std::string, Estimate> EstimatesOf(
@@ -88,8 +80,7 @@ std::string WithCi(const Estimate& e, int precision = 1);
 
 /// Records an estimate into this run's BENCH_<scenario>.json (grouped as
 /// section -> point x -> series).  No-op before RunScenarioMain or when
-/// the JSON report is disabled.  FigureReport records its points itself;
-/// hand-rolled tables call this directly.
+/// the JSON report is disabled.
 void RecordEstimate(const std::string& section, const std::string& x,
                     const std::string& series, const Estimate& e);
 
@@ -98,45 +89,5 @@ void RecordEstimate(const std::string& section, const std::string& x,
 void PrintTable(const exp::ScenarioOptions& options,
                 const std::string& heading, const util::TextTable& table,
                 const char* footer);
-
-/// Prints the standard five-column comparison row layout used by the
-/// figure harnesses and renders the table.
-class FigureReport {
- public:
-  /// \param x_label the sweep axis ("Instances", "Cache (MB)", ...)
-  FigureReport(std::string title, std::string x_label);
-
-  void AddPoint(const std::string& x, const Estimate& bench,
-                const Estimate& sim, double paper_bench, double paper_sim);
-
-  /// Renders to stdout (aligned text or CSV per options).
-  void Print(const exp::ScenarioOptions& options) const;
-
- private:
-  std::string title_;
-  util::TextTable table_;
-};
-
-/// Tail-latency table: one row per point with the end-to-end p50 / p95 /
-/// p99 / p999 (and max) of a farm-merged LogHistogram.  Every row's
-/// percentiles are also recorded into BENCH_<name>.json under `title` as
-/// series p50/p95/p99/p999/max, so the latency trajectory is tracked
-/// alongside the mean-I/O one.  Percentiles come from the merged
-/// distribution (bucket-exact reduction), not from averaging
-/// per-replication percentiles — and are therefore bit-identical at any
-/// farm thread count.
-class LatencyReport {
- public:
-  LatencyReport(std::string title, std::string x_label);
-
-  void AddPoint(const std::string& x, const desp::LogHistogram& histogram);
-
-  /// Renders to stdout (aligned text or CSV per options).
-  void Print(const exp::ScenarioOptions& options) const;
-
- private:
-  std::string title_;
-  util::TextTable table_;
-};
 
 }  // namespace voodb::bench

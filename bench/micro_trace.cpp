@@ -11,7 +11,6 @@
 #include "emu/o2_emulator.hpp"
 #include "harness.hpp"
 #include "ocb/workload.hpp"
-#include "sweeps.hpp"
 #include "trace/mrc.hpp"
 #include "trace/reader.hpp"
 #include "trace/recorder.hpp"
@@ -53,15 +52,18 @@ void NoteExact(ScenarioResult& result, const std::string& section,
 
 }  // namespace
 
+const std::vector<double>& MemoryPoints() {
+  static const std::vector<double> points = {8, 12, 16, 24, 32, 64};
+  return points;
+}
+
 ScenarioResult RunTraceMrcScenario(const ScenarioContext& ctx) {
   const ocb::ObjectBase base = ocb::ObjectBase::Generate(ctx.config.workload);
   const std::string path = ctx.config.system.trace_path.empty()
                                ? "trace_mrc.vtrc"
                                : ctx.config.system.trace_path;
-  core::VoodbConfig cfg = ctx.config.system;
-  cfg.trace_path.clear();  // RecordSimulationTrace sets record+path
   const trace::TraceCounters recorded = RecordSimulationTrace(
-      cfg, base, ctx.options.transactions, ctx.options.seed, path);
+      exp::FindCell(ctx, ""), base, ctx.options.seed, path);
 
   // Replay must reproduce the recorded run bit-exactly before the
   // analytics mean anything (skipped for configurations whose buffer

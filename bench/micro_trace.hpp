@@ -21,9 +21,15 @@
 ///               and per-size simulations.
 #pragma once
 
+#include <vector>
+
 #include "exp/scenario.hpp"
 
 namespace voodb::bench {
+
+/// The six memory points (MB) of Figures 8/11, the cache sizes fig08_mrc
+/// and the micro bench evaluate.
+const std::vector<double>& MemoryPoints();
 
 exp::ScenarioResult RunTraceMrcScenario(const exp::ScenarioContext& ctx);
 exp::ScenarioResult RunFig08MrcScenario(const exp::ScenarioContext& ctx);

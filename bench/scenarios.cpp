@@ -17,7 +17,6 @@
 #include "micro_cc.hpp"
 #include "micro_trace.hpp"
 #include "ocb/workload.hpp"
-#include "sweeps.hpp"
 #include "util/check.hpp"
 #include "util/table.hpp"
 #include "voodb/catalog.hpp"
@@ -71,30 +70,6 @@ std::function<std::vector<exp::Cell>(const ScenarioContext&)> CellsOver(
   };
 }
 
-ScenarioResult FigurePointsResult(const std::vector<FigurePoint>& points) {
-  ScenarioResult result;
-  for (const FigurePoint& p : points) {
-    const std::string key = "figure/" + p.x;
-    result[key + "/benchmark/mean"] = p.bench.mean;
-    result[key + "/benchmark/hw"] = p.bench.half_width;
-    result[key + "/simulation/mean"] = p.sim.mean;
-    result[key + "/simulation/hw"] = p.sim.half_width;
-  }
-  return result;
-}
-
-/// Values of the scenario's declared grid axis `name`.
-std::vector<double> AxisValues(const ScenarioContext& ctx,
-                               const std::string& name) {
-  for (const auto& [axis, values] : ctx.scenario->grid.axes()) {
-    if (axis == name) return values;
-  }
-  VOODB_CHECK_MSG(false, "scenario '" << ctx.scenario->name
-                                      << "' declares no axis '" << name
-                                      << "'");
-  return {};
-}
-
 ocb::OcbParameters FigureWorkload(uint32_t num_classes, uint64_t num_objects) {
   ocb::OcbParameters p;  // Table 5 defaults (PSET..STODEPTH = OCB values)
   p.num_classes = num_classes;
@@ -120,7 +95,71 @@ void Register(Scenario s) {
 
 // --- Validation figures (fig06..fig11) --------------------------------------
 
-void RegisterInstanceFigure(const char* name, TargetSystem system,
+/// The six NO points of Figures 6/7/9/10.
+constexpr uint64_t kInstancePoints[] = {500, 1000, 2000, 5000, 10000, 20000};
+
+/// Adds the latency row of `x` (the "<prefix>p50_ms" .. "<prefix>max_ms"
+/// cell estimates over `count` responses) to `table` and notes it as
+/// series p50/p95/p99/p999/max of `section`.
+void NoteLatency(ScenarioResult& result, util::TextTable& table,
+                 const std::string& section, const std::string& x,
+                 uint64_t count, const std::map<std::string, Estimate>& metrics,
+                 const std::string& prefix) {
+  std::vector<std::string> row = {x, std::to_string(count)};
+  for (const char* series : {"p50", "p95", "p99", "p999", "max"}) {
+    const Estimate& e = metrics.at(prefix + series + "_ms");
+    Note(result, section, x, series, e);
+    row.push_back(util::FormatDouble(e.mean, 2));
+  }
+  table.AddRow(std::move(row));
+}
+
+util::TextTable LatencyTable(const std::string& x_label) {
+  return util::TextTable(
+      {x_label, "Count", "p50", "p95", "p99", "p999", "Max"});
+}
+
+/// Runs a figure's cells and prints the paper's layout: Benchmark(emu)
+/// vs Simulation(VOODB) per x, then the simulation's response-time
+/// percentiles.
+ScenarioResult RunFigure(const ScenarioContext& ctx,
+                         const std::string& x_label,
+                         const std::vector<double>& paper_bench,
+                         const std::vector<double>& paper_sim) {
+  const std::string& title = ctx.scenario->title;
+  const std::string latency_title = title + " — response time (ms, sim)";
+  ScenarioResult result;
+  util::TextTable figure({x_label, "Benchmark(emu)", "Simulation(VOODB)",
+                          "Sim/Bench", "Paper bench*", "Paper sim*"});
+  util::TextTable latency = LatencyTable(x_label);
+  const std::vector<exp::CellResult> cells = exp::RunCells(ctx);
+  VOODB_CHECK(cells.size() == paper_bench.size() &&
+              cells.size() == paper_sim.size());
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const auto& [cell, replicated] = cells[i];
+    const std::map<std::string, Estimate> metrics = EstimatesOf(replicated);
+    const Estimate& bench = metrics.at("emu_total_ios");
+    const Estimate& sim = metrics.at("total_ios");
+    Note(result, title, cell.label, "benchmark", bench);
+    Note(result, title, cell.label, "simulation", sim);
+    figure.AddRow({cell.label, WithCi(bench), WithCi(sim),
+                   util::FormatDouble(
+                       bench.mean > 0 ? sim.mean / bench.mean : 0.0, 3),
+                   util::FormatDouble(paper_bench[i], 0),
+                   util::FormatDouble(paper_sim[i], 0)});
+    NoteLatency(result, latency, latency_title, cell.label,
+                replicated.replications() * cell.transactions, metrics, "");
+  }
+  PrintTable(ctx.options, title, figure,
+             "(*) paper series read off the published figure; "
+             "approximate.  Shapes, not absolute values, are the "
+             "reproduction target (see README.md and "
+             "tests/test_paper_validation.cpp).\n");
+  PrintTable(ctx.options, latency_title, latency, "");
+  return result;
+}
+
+void RegisterInstanceFigure(const char* name, exp::EmulatorKind system,
                             uint32_t num_classes, const char* title,
                             const char* description,
                             std::vector<double> paper_bench,
@@ -132,23 +171,29 @@ void RegisterInstanceFigure(const char* name, TargetSystem system,
   s.base.workload = FigureWorkload(num_classes, 20000);
   // Default memory budgets of §4.2.1: O2's 16 MB server cache, Texas'
   // 64 MB host.
-  const double memory_mb = system == TargetSystem::kO2 ? 16.0 : 64.0;
-  s.base.system = system == TargetSystem::kO2
+  const double memory_mb = system == exp::EmulatorKind::kO2 ? 16.0 : 64.0;
+  s.base.system = system == exp::EmulatorKind::kO2
                       ? core::SystemCatalog::O2WithCache(memory_mb)
                       : core::SystemCatalog::TexasWithMemory(memory_mb);
-  s.grid.Axis("num_objects", InstancePoints());
   s.swept = {"num_objects"};
-  s.run = [system, memory_mb, paper_bench = std::move(paper_bench),
+  s.cells = [system, memory_mb](const ScenarioContext& ctx) {
+    std::vector<exp::Cell> cells;
+    for (const uint64_t no : kInstancePoints) {
+      exp::Cell cell{std::to_string(no), ctx.config, ctx.options.transactions,
+                     system, memory_mb};
+      cell.config.workload.num_objects = no;
+      cells.push_back(std::move(cell));
+    }
+    return cells;
+  };
+  s.run = [paper_bench = std::move(paper_bench),
            paper_sim = std::move(paper_sim)](const ScenarioContext& ctx) {
-    return FigurePointsResult(RunInstanceSweep(
-        ctx.options, system, ctx.config.workload, memory_mb,
-        ctx.config.system, AxisValues(ctx, "num_objects"),
-        ctx.scenario->title.c_str(), paper_bench, paper_sim));
+    return RunFigure(ctx, "Instances", paper_bench, paper_sim);
   };
   Register(std::move(s));
 }
 
-void RegisterMemoryFigure(const char* name, TargetSystem system,
+void RegisterMemoryFigure(const char* name, exp::EmulatorKind system,
                           const char* title, const char* description,
                           std::vector<double> paper_bench,
                           std::vector<double> paper_sim) {
@@ -157,52 +202,61 @@ void RegisterMemoryFigure(const char* name, TargetSystem system,
   s.title = title;
   s.description = description;
   s.base.workload = FigureWorkload(50, 20000);
-  s.base.system = system == TargetSystem::kO2
+  s.base.system = system == exp::EmulatorKind::kO2
                       ? core::SystemCatalog::O2WithCache(16.0)
                       : core::SystemCatalog::TexasWithMemory(64.0);
-  s.grid.Axis("memory_mb", MemoryPoints());
   s.swept = {"buffer_pages"};
-  s.run = [system, paper_bench = std::move(paper_bench),
+  // The memory budget drives both legs: the emulator's cache (O2) or
+  // host memory (Texas) in MB, and the catalog-rescaled simulation
+  // buffer.
+  s.cells = [system](const ScenarioContext& ctx) {
+    std::vector<exp::Cell> cells;
+    for (const double mb : MemoryPoints()) {
+      exp::Cell cell{util::FormatDouble(mb, 0), ctx.config,
+                     ctx.options.transactions, system, mb};
+      if (system == exp::EmulatorKind::kO2) {
+        core::SystemCatalog::SetO2Cache(cell.config.system, mb);
+      } else {
+        core::SystemCatalog::SetTexasMemory(cell.config.system, mb);
+      }
+      cells.push_back(std::move(cell));
+    }
+    return cells;
+  };
+  s.run = [x_label = system == exp::EmulatorKind::kO2 ? "Cache (MB)"
+                                                 : "Memory (MB)",
+           paper_bench = std::move(paper_bench),
            paper_sim = std::move(paper_sim)](const ScenarioContext& ctx) {
-    return FigurePointsResult(RunMemorySweep(
-        ctx.options, system, ctx.config.workload, ctx.config.system,
-        AxisValues(ctx, "memory_mb"), ctx.scenario->title.c_str(),
-        paper_bench, paper_sim));
+    return RunFigure(ctx, x_label, paper_bench, paper_sim);
   };
   Register(std::move(s));
 }
 
 // --- DSTC tables (table6..table8) -------------------------------------------
 
-ScenarioResult DstcResult(const DstcComparison& cmp) {
-  ScenarioResult result;
-  auto note = [&result](const char* row, const char* series,
-                        const Estimate& e) {
-    result["dstc/" + std::string(row) + "/" + series + "/mean"] = e.mean;
-    result["dstc/" + std::string(row) + "/" + series + "/hw"] = e.half_width;
-  };
-  const std::pair<const char*, const DstcAggregate*> sides[] = {
-      {"benchmark", &cmp.bench}, {"simulation", &cmp.sim}};
-  for (const auto& [series, agg] : sides) {
-    note("pre_clustering_ios", series, agg->pre);
-    note("clustering_overhead_ios", series, agg->overhead);
-    note("post_clustering_ios", series, agg->post);
-    note("gain", series, agg->gain);
-    note("clusters", series, agg->clusters);
-    note("mean_cluster_size", series, agg->cluster_size);
-  }
-  return result;
+/// A cell of `ctx` running the clustering phases under the CLUSTP module
+/// `make_policy` builds (none when empty).
+exp::Cell ClusteringCell(std::string label, const ScenarioContext& ctx,
+                         core::ClusteringFactory make_policy) {
+  exp::Cell cell{std::move(label), ctx.config, ctx.options.transactions};
+  cell.config.make_policy = std::move(make_policy);
+  cell.clustering_phases = true;
+  return cell;
+}
+
+std::unique_ptr<cluster::ClusteringPolicy> MakeDstc() {
+  return std::make_unique<cluster::DstcPolicy>();
 }
 
 double Ratio(const Estimate& a, const Estimate& b) {
   return b.mean > 0.0 ? a.mean / b.mean : 0.0;
 }
 
-/// A printed row of a DSTC table: label, metric, and the paper's
+/// A printed row of a DSTC table: label, cell metric, and the paper's
 /// benchmark / simulation / ratio values.
 struct DstcRow {
   const char* label;
-  const Estimate DstcAggregate::*field;
+  const char* metric;
   const char* paper_bench;
   const char* paper_sim;
   const char* paper_ratio;
@@ -217,21 +271,51 @@ void RegisterDstcTable(const char* name, double memory_mb, const char* title,
   s.description = description;
   s.base.workload = DstcWorkload();
   s.base.system = core::SystemCatalog::TexasWithMemory(memory_mb);
-  s.run = [memory_mb, rows = std::move(rows),
-           footer](const ScenarioContext& ctx) {
-    const DstcComparison cmp = RunDstcExperiment(
-        ctx.options, memory_mb, ctx.config.workload, ctx.config.system);
+  // One cell: the Texas emulator (physical OIDs) beside the VOODB
+  // simulation (logical OIDs), both through the DSTC phase protocol.
+  s.cells = [memory_mb](const ScenarioContext& ctx) {
+    exp::Cell cell = ClusteringCell("dstc", ctx, MakeDstc);
+    cell.emulator = exp::EmulatorKind::kTexas;
+    cell.emulator_mb = memory_mb;
+    return std::vector<exp::Cell>{std::move(cell)};
+  };
+  s.run = [rows = std::move(rows), footer](const ScenarioContext& ctx) {
+    const exp::CellResult cell = std::move(exp::RunCells(ctx).front());
+    const std::map<std::string, Estimate> metrics =
+        EstimatesOf(cell.result);
+    ScenarioResult result;
+    const std::pair<const char*, const char*> series[] = {
+        {"pre_clustering_ios", "pre_ios"},
+        {"clustering_overhead_ios", "overhead_ios"},
+        {"post_clustering_ios", "post_ios"},
+        {"gain", "gain"},
+        {"clusters", "clusters"},
+        {"mean_cluster_size", "cluster_size"}};
+    for (const auto& [x, metric] : series) {
+      Note(result, "dstc", x, "benchmark",
+           metrics.at(std::string("emu_") + metric));
+      Note(result, "dstc", x, "simulation", metrics.at(metric));
+    }
+    const std::string latency_title = "dstc — response time (ms, sim)";
+    util::TextTable latency = LatencyTable("Phase");
+    const uint64_t count =
+        cell.result.replications() * cell.cell.transactions;
+    NoteLatency(result, latency, latency_title, "pre_clustering", count,
+                metrics, "pre_");
+    NoteLatency(result, latency, latency_title, "post_clustering", count,
+                metrics, "");
+    PrintTable(ctx.options, latency_title, latency, "");
     util::TextTable table({"Row", "Bench.", "Sim.", "Ratio", "Paper bench",
                            "Paper sim", "Paper ratio"});
     for (const DstcRow& row : rows) {
-      const Estimate& bench = cmp.bench.*row.field;
-      const Estimate& sim = cmp.sim.*row.field;
+      const Estimate& bench = metrics.at(std::string("emu_") + row.metric);
+      const Estimate& sim = metrics.at(row.metric);
       table.AddRow({row.label, WithCi(bench), WithCi(sim),
                     util::FormatDouble(Ratio(bench, sim), 4), row.paper_bench,
                     row.paper_sim, row.paper_ratio});
     }
     PrintTable(ctx.options, ctx.scenario->title, table, footer);
-    return DstcResult(cmp);
+    return result;
   };
   Register(std::move(s));
 }
@@ -281,65 +365,31 @@ void RegisterAblationClustering() {
       "goal is to compare different clustering strategies\").";
   s.base.workload = DstcWorkload();
   s.base.system = core::SystemCatalog::Texas();
-  s.run = [](const ScenarioContext& ctx) {
-    const exp::ScenarioOptions& options = ctx.options;
-    const ocb::ObjectBase base =
-        ocb::ObjectBase::Generate(ctx.config.workload);
-    auto make_policy =
-        [](int which) -> std::unique_ptr<cluster::ClusteringPolicy> {
-      switch (which) {
-        case 1:
-          return std::make_unique<cluster::DstcPolicy>();
-        case 2:
+  s.cells = [](const ScenarioContext& ctx) {
+    return std::vector<exp::Cell>{
+        ClusteringCell("NONE", ctx, nullptr),
+        ClusteringCell("DSTC", ctx, MakeDstc),
+        ClusteringCell("GAY_GRUENWALD", ctx, [] {
           return std::make_unique<cluster::GayGruenwaldPolicy>();
-        default:
-          return nullptr;  // None
-      }
-    };
-    auto policy_name = [](int which) {
-      switch (which) {
-        case 1:
-          return "DSTC";
-        case 2:
-          return "GAY_GRUENWALD";
-        default:
-          return "NONE";
-      }
-    };
+        })};
+  };
+  s.run = [](const ScenarioContext& ctx) {
     ScenarioResult result;
     util::TextTable table({"CLUSTP", "Pre I/Os", "Overhead I/Os", "Post I/Os",
                            "Gain", "Clusters"});
-    for (const int which : {0, 1, 2}) {
-      const auto metrics = EstimatesOf(ReplicateResult(
-          options, options.seed, [&](uint64_t seed, desp::MetricSink& sink) {
-            core::VoodbSystem sys(ctx.config.system, &base,
-                                  make_policy(which), seed);
-            ocb::WorkloadGenerator gen(&base,
-                                       desp::RandomStream(seed).Derive(1));
-            const double pre_ios = static_cast<double>(
-                sys.RunTransactionsOfKind(
-                       gen, ocb::TransactionKind::kHierarchyTraversal,
-                       options.transactions)
-                    .total_ios);
-            const core::ClusteringMetrics cm = sys.TriggerClustering();
-            sys.DropBuffer();
-            const double post_ios = static_cast<double>(
-                sys.RunTransactionsOfKind(
-                       gen, ocb::TransactionKind::kHierarchyTraversal,
-                       options.transactions)
-                    .total_ios);
-            sink.Observe("pre_ios", pre_ios);
-            sink.Observe("overhead", static_cast<double>(cm.overhead_ios));
-            sink.Observe("clusters", static_cast<double>(cm.num_clusters));
-            sink.Observe("post_ios", post_ios);
-            sink.Observe("gain", post_ios > 0.0 ? pre_ios / post_ios : 0.0);
-          }));
-      const Estimate pre = metrics.at("pre_ios");
-      for (const auto& [metric, estimate] : metrics) {
-        Note(result, "clustp", policy_name(which), metric, estimate);
+    for (const auto& [cell, replicated] : exp::RunCells(ctx)) {
+      const std::map<std::string, Estimate> metrics = EstimatesOf(replicated);
+      const std::pair<const char*, const char*> series[] = {
+          {"clusters", "clusters"},
+          {"gain", "gain"},
+          {"overhead", "overhead_ios"},
+          {"post_ios", "post_ios"},
+          {"pre_ios", "pre_ios"}};
+      for (const auto& [name, metric] : series) {
+        Note(result, "clustp", cell.label, name, metrics.at(metric));
       }
-      table.AddRow({policy_name(which), WithCi(pre),
-                    util::FormatDouble(metrics.at("overhead").mean, 0),
+      table.AddRow({cell.label, WithCi(metrics.at("pre_ios")),
+                    util::FormatDouble(metrics.at("overhead_ios").mean, 0),
                     util::FormatDouble(metrics.at("post_ios").mean, 0),
                     util::FormatDouble(metrics.at("gain").mean, 2),
                     util::FormatDouble(metrics.at("clusters").mean, 0)});
@@ -1015,7 +1065,6 @@ void RegisterTraceScenarios() {
         "MRC-vs-N-simulations speedup.";
     s.base.workload = FigureWorkload(50, 20000);
     s.base.system = core::SystemCatalog::O2WithCache(16.0);
-    s.grid.Axis("memory_mb", MemoryPoints());
     s.swept = {"buffer_pages"};
     s.system_config_used = false;  // runs the O2 emulator only
     s.run = RunFig08MrcScenario;
@@ -1042,40 +1091,40 @@ void RegisterTraceScenarios() {
 
 void RegisterAll() {
   RegisterInstanceFigure(
-      "fig06", TargetSystem::kO2, 20, "Figure 6: O2, NC=20, I/Os vs NO",
+      "fig06", exp::EmulatorKind::kO2, 20, "Figure 6: O2, NC=20, I/Os vs NO",
       "Mean number of I/Os depending on the number of instances "
       "(500..20000) on a 20-class schema; the O2 page server with a 16 MB "
       "server cache vs its VOODB simulation.",
       {260, 480, 840, 1600, 2700, 4300}, {230, 450, 800, 1500, 2500, 4000});
   RegisterInstanceFigure(
-      "fig07", TargetSystem::kO2, 50, "Figure 7: O2, NC=50, I/Os vs NO",
+      "fig07", exp::EmulatorKind::kO2, 50, "Figure 7: O2, NC=50, I/Os vs NO",
       "Mean number of I/Os depending on the number of instances "
       "(500..20000) on a 50-class schema; the O2 page server with a 16 MB "
       "server cache vs its VOODB simulation.",
       {420, 800, 1450, 2700, 4200, 6400}, {380, 740, 1350, 2500, 3900, 6000});
   RegisterMemoryFigure(
-      "fig08", TargetSystem::kO2, "Figure 8: O2, I/Os vs cache size (MB)",
+      "fig08", exp::EmulatorKind::kO2, "Figure 8: O2, I/Os vs cache size (MB)",
       "Mean number of I/Os depending on the server cache size (8..64 MB) "
       "on the NC=50 / NO=20000 base (~28 MB in O2): linear degradation "
       "once the base outgrows the cache.",
       {52000, 45000, 38000, 26000, 15000, 7000},
       {50000, 43000, 36000, 24000, 14000, 6500});
   RegisterInstanceFigure(
-      "fig09", TargetSystem::kTexas, 20,
+      "fig09", exp::EmulatorKind::kTexas, 20,
       "Figure 9: Texas, NC=20, I/Os vs NO",
       "Mean number of I/Os depending on the number of instances "
       "(500..20000) on a 20-class schema; the Texas persistent store on a "
       "64 MB host vs its VOODB simulation.",
       {150, 280, 500, 950, 1600, 2400}, {140, 260, 470, 900, 1500, 2300});
   RegisterInstanceFigure(
-      "fig10", TargetSystem::kTexas, 50,
+      "fig10", exp::EmulatorKind::kTexas, 50,
       "Figure 10: Texas, NC=50, I/Os vs NO",
       "Mean number of I/Os depending on the number of instances "
       "(500..20000) on a 50-class schema; the Texas persistent store on a "
       "64 MB host vs its VOODB simulation.",
       {280, 520, 950, 1900, 3100, 4700}, {260, 490, 900, 1800, 2900, 4500});
   RegisterMemoryFigure(
-      "fig11", TargetSystem::kTexas,
+      "fig11", exp::EmulatorKind::kTexas,
       "Figure 11: Texas, I/Os vs main memory (MB)",
       "Mean number of I/Os depending on the host main memory (8..64 MB) "
       "on the NC=50 / NO=20000 base (~21 MB in Texas): *exponential* "
@@ -1093,22 +1142,22 @@ void RegisterAll() {
       "physical OIDs force a full database scan plus reference patching "
       "during reorganization; the Simulation column runs VOODB with "
       "logical OIDs — the paper analyses exactly this asymmetry.",
-      {{"Pre-clustering usage", &DstcAggregate::pre, "1890.70", "1878.80",
+      {{"Pre-clustering usage", "pre_ios", "1890.70", "1878.80",
         "1.0063"},
-       {"Clustering overhead", &DstcAggregate::overhead, "12799.60",
+       {"Clustering overhead", "overhead_ios", "12799.60",
         "354.50", "36.1060"},
-       {"Post-clustering usage", &DstcAggregate::post, "330.60", "350.50",
+       {"Post-clustering usage", "post_ios", "330.60", "350.50",
         "0.9432"},
-       {"Gain", &DstcAggregate::gain, "5.71", "5.36", "1.0652"}},
+       {"Gain", "gain", "5.71", "5.36", "1.0652"}},
       "Reproduction targets: usage rows bench~sim (ratio ~1); overhead "
       "bench >> sim (physical vs logical OIDs); gain substantially > 1.");
   RegisterDstcTable(
       "table7", 64.0, "Table 7: DSTC clustering",
       "DSTC clustering statistics — number of clusters built and mean "
       "objects per cluster, real system (emulator) vs simulation.",
-      {{"Mean number of clusters", &DstcAggregate::clusters, "82.23",
+      {{"Mean number of clusters", "clusters", "82.23",
         "84.01", "0.9788"},
-       {"Mean number of obj./clust.", &DstcAggregate::cluster_size, "12.83",
+       {"Mean number of obj./clust.", "cluster_size", "12.83",
         "13.73", "0.9344"}},
       "Reproduction target: benchmark and simulation agree (ratio ~1), "
       "demonstrating the simulated Clustering Manager behaves like the "
@@ -1121,11 +1170,11 @@ void RegisterAll() {
       "8 MB so the base no longer fits: the clustering gain rises "
       "dramatically (paper: from ~5.7 to ~29.5) because under memory "
       "pressure unclustered pages are evicted almost immediately.",
-      {{"Pre-clustering usage", &DstcAggregate::pre, "12504.60", "12547.80",
+      {{"Pre-clustering usage", "pre_ios", "12504.60", "12547.80",
         "0.9965"},
-       {"Post-clustering usage", &DstcAggregate::post, "424.30", "441.50",
+       {"Post-clustering usage", "post_ios", "424.30", "441.50",
         "0.9610"},
-       {"Gain", &DstcAggregate::gain, "29.47", "28.42", "1.0369"}},
+       {"Gain", "gain", "29.47", "28.42", "1.0369"}},
       "Reproduction targets: bench~sim on every row; gain far larger than "
       "the mid-sized case of Table 6.");
   RegisterAblationBufferPolicy();

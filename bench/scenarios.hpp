@@ -5,10 +5,10 @@
 /// The catalog covers the paper's whole evaluation section: the O2 and
 /// Texas validation figures (fig06..fig11), the DSTC clustering tables
 /// (table6..table8), and the Table 3 / §5 ablations.  Each scenario's
-/// base `ExperimentConfig` carries the exact parameter values the old
-/// hand-wired bench binaries froze in code, so `voodb run <name>` is
-/// bit-identical to the legacy binaries under identical seeds — and
-/// `--set` can now steer every registered parameter.
+/// base `ExperimentConfig` carries the paper's parameter values, `--set`
+/// steers every registered parameter, and every model scenario but
+/// `ablation_vm_model` and `shard_scale` reports its table from declared
+/// cells (`exp::RunCells`), so the tools reach every number it prints.
 #pragma once
 
 namespace voodb::bench {

@@ -107,15 +107,16 @@ int TraceRecord(int argc, const char* const* argv) {
   if (system_kind == "sim") {
     // Serial recording (one user) keeps the transaction markers nested,
     // so the trace replays as a workload, not just a page stream.
-    core::VoodbConfig cfg = run.cell.config.system;
-    if (cfg.num_users > 1) {
+    exp::Cell cell = run.cell;
+    uint32_t& users = cell.config.system.num_users;
+    if (users > 1) {
       std::cout << "note: recording with num_users=1 so transaction "
                    "markers nest (was "
-                << cfg.num_users << ")\n";
-      cfg.num_users = 1;
+                << users << ")\n";
+      users = 1;
     }
-    const trace::TraceCounters counters = RecordSimulationTrace(
-        cfg, base, run.cell.transactions, run.seed, out);
+    const trace::TraceCounters counters =
+        RecordSimulationTrace(cell, base, run.seed, out);
     std::cout << "recorded " << run.cell.transactions
               << " simulated transactions to "
               << out << "\n";
@@ -349,16 +350,16 @@ void RecordO2Trace(const emu::O2Config& config, const ocb::ObjectBase& base,
   writer.Finish(o2.TraceCountersNow());
 }
 
-trace::TraceCounters RecordSimulationTrace(core::VoodbConfig system,
+trace::TraceCounters RecordSimulationTrace(exp::Cell cell,
                                            const ocb::ObjectBase& base,
-                                           uint64_t transactions,
                                            uint64_t seed,
                                            const std::string& path) {
-  system.trace_record = true;
-  system.trace_path = path;
-  core::VoodbSystem sys(system, &base, nullptr, seed);
+  cell.config.system.trace_record = true;
+  cell.config.system.trace_path = path;
+  core::VoodbSystem sys(cell.config.system, &base,
+                        exp::MakeClusteringPolicy(cell), seed);
   ocb::WorkloadGenerator gen(&base, desp::RandomStream(seed).Derive(1));
-  sys.RunTransactions(gen, transactions);
+  exp::RunCellPhases(cell, sys, gen);
   const trace::TraceCounters counters =
       sys.buffering_manager().TraceCountersNow();
   sys.FinishTrace();

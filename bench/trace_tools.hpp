@@ -27,6 +27,7 @@
 #include <string>
 
 #include "emu/o2_emulator.hpp"
+#include "exp/scenario.hpp"
 #include "trace/format.hpp"
 #include "voodb/config.hpp"
 
@@ -51,12 +52,12 @@ trace::Header O2TraceHeader(const emu::O2Config& config,
 void RecordO2Trace(const emu::O2Config& config, const ocb::ObjectBase& base,
                    uint64_t transactions, uint64_t seed, std::ostream& os);
 
-/// Records a VOODB simulation run to `path` by running `transactions`
-/// transactions over `base` with `system` (trace_record / trace_path
-/// are set here).  Returns the finished trace's counters.
-trace::TraceCounters RecordSimulationTrace(core::VoodbConfig system,
+/// Records replication `seed` of `cell`'s simulation over `base` to
+/// `path` (trace_record / trace_path are set here): its phases as
+/// `voodb run` drives them (`exp::RunCellPhases`).  Returns the finished
+/// trace's counters.
+trace::TraceCounters RecordSimulationTrace(exp::Cell cell,
                                            const ocb::ObjectBase& base,
-                                           uint64_t transactions,
                                            uint64_t seed,
                                            const std::string& path);
 

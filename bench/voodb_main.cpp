@@ -84,15 +84,6 @@ int DescribeScenario(const std::string& name) {
       voodb::exp::ScenarioRegistry::Instance().At(name);
   std::cout << s.name << " — " << s.title << "\n\n" << s.description
             << "\n\n";
-  if (s.grid.NumAxes() > 0) {
-    std::cout << "Sweep axes:\n";
-    for (const auto& [axis, values] : s.grid.axes()) {
-      std::cout << "  " << axis << " =";
-      for (const double v : values) std::cout << " " << v;
-      std::cout << "\n";
-    }
-    std::cout << "\n";
-  }
   if (s.cells) {
     std::cout << "Table cells (--cell=<label> of profile, explain and trace "
                  "record):";

@@ -9,13 +9,6 @@ void MetricSink::Observe(const std::string& name, double value) {
                   "metric '" << name << "' observed twice in one replication");
 }
 
-void MetricSink::ObserveHistogram(const std::string& name,
-                                  const LogHistogram& histogram) {
-  VOODB_CHECK_MSG(
-      histograms_.emplace(name, histogram).second,
-      "histogram '" << name << "' observed twice in one replication");
-}
-
 const Tally& ReplicationResult::Metric(const std::string& name) const {
   const auto it = tallies_.find(name);
   VOODB_CHECK_MSG(it != tallies_.end(), "unknown metric '" << name << "'");
@@ -36,25 +29,6 @@ std::vector<std::string> ReplicationResult::MetricNames() const {
 ConfidenceInterval ReplicationResult::Interval(const std::string& name,
                                                double level) const {
   return StudentConfidenceInterval(Metric(name), level);
-}
-
-const LogHistogram& ReplicationResult::Histogram(
-    const std::string& name) const {
-  const auto it = histograms_.find(name);
-  VOODB_CHECK_MSG(it != histograms_.end(),
-                  "unknown histogram metric '" << name << "'");
-  return it->second;
-}
-
-bool ReplicationResult::HasHistogram(const std::string& name) const {
-  return histograms_.count(name) != 0;
-}
-
-std::vector<std::string> ReplicationResult::HistogramNames() const {
-  std::vector<std::string> names;
-  names.reserve(histograms_.size());
-  for (const auto& [name, histogram] : histograms_) names.push_back(name);
-  return names;
 }
 
 }  // namespace voodb::desp

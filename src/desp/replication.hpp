@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "desp/histogram.hpp"
 #include "desp/stats.hpp"
 
 namespace voodb::exp {
@@ -24,25 +23,19 @@ class ReplicationFarm;
 
 namespace voodb::desp {
 
-/// Collects named scalar and distribution observations from one replication.
+/// Collects named scalar observations from one replication.  A
+/// distribution enters as scalars estimated once per replication (a
+/// percentile, a maximum), so it gets a CI across replications like any
+/// other metric.
 class MetricSink {
  public:
   /// Records one value for `name` (one call per replication per metric).
   void Observe(const std::string& name, double value);
 
-  /// Records one full distribution for `name` (one call per replication per
-  /// name).  Histograms of the same name are merged bucket-by-bucket across
-  /// replications, so their bucketing must match.
-  void ObserveHistogram(const std::string& name, const LogHistogram& histogram);
-
   const std::map<std::string, double>& values() const { return values_; }
-  const std::map<std::string, LogHistogram>& histograms() const {
-    return histograms_;
-  }
 
  private:
   std::map<std::string, double> values_;
-  std::map<std::string, LogHistogram> histograms_;
 };
 
 /// Aggregated results of a replicated experiment.
@@ -57,19 +50,11 @@ class ReplicationResult {
   ConfidenceInterval Interval(const std::string& name,
                               double level = 0.95) const;
 
-  /// Distribution metrics merged across replications (bucket counts and
-  /// moments combine exactly, so the merged histogram is bit-identical at
-  /// any thread count).
-  const LogHistogram& Histogram(const std::string& name) const;
-  bool HasHistogram(const std::string& name) const;
-  std::vector<std::string> HistogramNames() const;
-
   uint64_t replications() const { return replications_; }
 
  private:
   friend class exp::ReplicationFarm;
   std::map<std::string, Tally> tallies_;
-  std::map<std::string, LogHistogram> histograms_;
   uint64_t replications_ = 0;
 };
 

@@ -42,32 +42,10 @@ desp::ReplicationResult ReplicationFarm::Reduce(
   return result;
 }
 
-desp::ReplicationResult ReplicationFarm::Reduce(
-    const std::vector<desp::MetricSink>& per_replication) {
-  desp::ReplicationResult result;
-  for (const desp::MetricSink& sink : per_replication) {
-    for (const auto& [name, value] : sink.values()) {
-      desp::Tally single;
-      single.Add(value);
-      result.tallies_[name].Merge(single);
-    }
-    for (const auto& [name, histogram] : sink.histograms()) {
-      const auto it = result.histograms_.find(name);
-      if (it == result.histograms_.end()) {
-        result.histograms_.emplace(name, histogram);
-      } else {
-        it->second.Merge(histogram);
-      }
-    }
-    ++result.replications_;
-  }
-  return result;
-}
-
 desp::ReplicationResult ReplicationFarm::Run(uint64_t n) const {
   VOODB_CHECK_MSG(n >= 1, "need at least one replication");
   const std::vector<uint64_t> seeds = DeriveSeeds(options_.base_seed, n);
-  std::vector<desp::MetricSink> observations(n);
+  std::vector<std::map<std::string, double>> observations(n);
 
   const size_t hw =
       options_.threads == 0 ? ThreadPool::HardwareThreads() : options_.threads;
@@ -76,7 +54,7 @@ desp::ReplicationResult ReplicationFarm::Run(uint64_t n) const {
   auto run_one = [&](uint64_t i) {
     desp::MetricSink sink;
     model_(seeds[i], sink);
-    observations[i] = std::move(sink);
+    observations[i] = sink.values();
   };
 
   if (threads <= 1) {

@@ -17,6 +17,11 @@
 /// thread and a run with N threads produce bit-identical
 /// `desp::ReplicationResult`s (every metric's count, mean, variance,
 /// min and max).
+///
+/// Metrics are scalars.  A distribution enters as statistics estimated
+/// once per replication (a percentile, a maximum), so the reduction gives
+/// each a mean and a Student-t CI across replications (Law & Kelton,
+/// *Simulation Modeling and Analysis*, ch. 9) like any other metric.
 #pragma once
 
 #include <cstdint>
@@ -71,12 +76,6 @@ class ReplicationFarm {
   /// (slot i = replication i) into a result, in replication order.
   static desp::ReplicationResult Reduce(
       const std::vector<std::map<std::string, double>>& per_replication);
-
-  /// As above, but reduces full sinks: scalar observations into tallies and
-  /// histogram observations into merged histograms, both in replication
-  /// order (slot i = replication i), so thread count never matters.
-  static desp::ReplicationResult Reduce(
-      const std::vector<desp::MetricSink>& per_replication);
 
   const FarmOptions& options() const { return options_; }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 
 #include "desp/random.hpp"
+#include "emu/o2_emulator.hpp"
+#include "emu/texas_emulator.hpp"
 #include "ocb/workload.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
@@ -144,10 +146,77 @@ Cell FindCell(const ScenarioContext& ctx, const std::string& label) {
   return {};
 }
 
+std::unique_ptr<cluster::ClusteringPolicy> MakeClusteringPolicy(
+    const Cell& cell) {
+  return cell.config.make_policy ? cell.config.make_policy() : nullptr;
+}
+
 namespace {
 
-void ObserveCell(const core::PhaseMetrics& m, core::VoodbSystem& sys,
-                 desp::MetricSink& sink) {
+/// The usage phases of the clustering protocol: "very characteristic
+/// transactions (namely, depth-3 hierarchy traversals)" (§4.4).
+constexpr ocb::TransactionKind kUsage =
+    ocb::TransactionKind::kHierarchyTraversal;
+
+}  // namespace
+
+CellPhases RunCellPhases(const Cell& cell, core::VoodbSystem& sys,
+                         ocb::WorkloadSource& workload) {
+  CellPhases phases;
+  if (!cell.clustering_phases) {
+    phases.measured = sys.RunTransactions(workload, cell.transactions);
+    return phases;
+  }
+  phases.pre = sys.RunTransactionsOfKind(workload, kUsage, cell.transactions);
+  phases.clustering = sys.TriggerClustering();
+  sys.DropBuffer();
+  phases.measured =
+      sys.RunTransactionsOfKind(workload, kUsage, cell.transactions);
+  return phases;
+}
+
+namespace {
+
+/// The end-to-end latency series of one phase: "<prefix>p50_ms" ..
+/// "<prefix>max_ms".
+void ObserveLatency(const core::PhaseMetrics& m, const std::string& prefix,
+                    desp::MetricSink& sink) {
+  const std::pair<const char*, double> observations[] = {
+      {"p50_ms", m.ResponseQuantileMs(0.50)},
+      {"p95_ms", m.ResponseQuantileMs(0.95)},
+      {"p99_ms", m.ResponseQuantileMs(0.99)},
+      {"p999_ms", m.ResponseQuantileMs(0.999)},
+      {"max_ms", m.max_response_ms},
+  };
+  for (const auto& [name, value] : observations) {
+    sink.Observe(prefix + name, value);
+  }
+}
+
+/// The clustering protocol's series: "<prefix>pre_ios" ..
+/// "<prefix>cluster_size".
+void ObserveClustering(uint64_t pre_ios, uint64_t overhead_ios,
+                       uint64_t post_ios, uint64_t clusters,
+                       double cluster_size, const std::string& prefix,
+                       desp::MetricSink& sink) {
+  const double pre = static_cast<double>(pre_ios);
+  const double post = static_cast<double>(post_ios);
+  const std::pair<const char*, double> observations[] = {
+      {"pre_ios", pre},
+      {"overhead_ios", static_cast<double>(overhead_ios)},
+      {"post_ios", post},
+      {"gain", post > 0.0 ? pre / post : 0.0},
+      {"clusters", static_cast<double>(clusters)},
+      {"cluster_size", cluster_size},
+  };
+  for (const auto& [name, value] : observations) {
+    sink.Observe(prefix + name, value);
+  }
+}
+
+void ObserveCell(const CellPhases& phases, bool clustering_phases,
+                 core::VoodbSystem& sys, desp::MetricSink& sink) {
+  const core::PhaseMetrics& m = phases.measured;
   const double restarts = static_cast<double>(m.transaction_restarts);
   const double attempts = static_cast<double>(m.transactions) + restarts;
   const core::FailureInjectorActor* injector = sys.failure_injector();
@@ -168,14 +237,55 @@ void ObserveCell(const core::PhaseMetrics& m, core::VoodbSystem& sys,
        injector ? injector->stats().total_recovery_ms / 1000.0 : 0.0},
       {"throughput_tps", m.ThroughputTps()},
       {"abort_rate", attempts == 0.0 ? 0.0 : restarts / attempts},
-      {"p50_ms", m.ResponseQuantileMs(0.50)},
-      {"p99_ms", m.ResponseQuantileMs(0.99)},
       {"restarts", restarts},
       {"lock_wait_p99_ms", comp.lock_wait.Quantile(0.99)},
       {"io_p99_ms", comp.io.Quantile(0.99)},
       {"retry_ms", comp.retry.mean()},
   };
   for (const auto& [name, value] : observations) sink.Observe(name, value);
+  ObserveLatency(m, "", sink);
+  if (clustering_phases) {
+    ObserveLatency(phases.pre, "pre_", sink);
+    ObserveClustering(phases.pre.total_ios, phases.clustering.overhead_ios,
+                      m.total_ios, phases.clustering.num_clusters,
+                      phases.clustering.mean_cluster_size, "", sink);
+  }
+}
+
+/// The cell's emulator leg for one replication: the emulator over `base`
+/// with `seed`, its workload drawn from `RandomStream(seed)`.
+void ObserveEmulator(const Cell& cell, const ocb::ObjectBase& base,
+                     uint64_t seed, desp::MetricSink& sink) {
+  ocb::WorkloadGenerator gen(&base, desp::RandomStream(seed));
+  if (cell.emulator == EmulatorKind::kO2) {
+    emu::O2Config cfg;
+    cfg.cache_pages =
+        static_cast<uint64_t>(cell.emulator_mb * 1024 * 1024 / cfg.page_size);
+    emu::O2Emulator o2(cfg, &base, seed);
+    sink.Observe("emu_total_ios", static_cast<double>(
+                                      o2.RunTransactions(gen, cell.transactions)
+                                          .total_ios));
+    return;
+  }
+  emu::TexasConfig cfg;
+  cfg.memory_pages =
+      emu::TexasConfig::FramesForMemory(cell.emulator_mb, cfg.page_size);
+  emu::TexasEmulator texas(cfg, &base, seed);
+  if (!cell.clustering_phases) {
+    sink.Observe("emu_total_ios",
+                 static_cast<double>(
+                     texas.RunTransactions(gen, cell.transactions).total_ios));
+    return;
+  }
+  texas.SetClusteringPolicy(MakeClusteringPolicy(cell));
+  const uint64_t pre_ios =
+      texas.RunTransactionsOfKind(gen, kUsage, cell.transactions).total_ios;
+  const emu::TexasClusteringMetrics cm = texas.PerformClustering();
+  texas.DropMemory();
+  const uint64_t post_ios =
+      texas.RunTransactionsOfKind(gen, kUsage, cell.transactions).total_ios;
+  ObserveClustering(pre_ios, cm.overhead_ios, post_ios, cm.num_clusters,
+                    cm.mean_cluster_size, "emu_", sink);
 }
 
 }  // namespace
@@ -189,6 +299,11 @@ std::vector<CellResult> RunCells(const ScenarioContext& ctx) {
   std::vector<ocb::OcbParameters> workloads;
   std::vector<double> indices;
   for (const Cell& cell : cells) {
+    VOODB_CHECK_MSG(!cell.clustering_phases ||
+                        cell.emulator != EmulatorKind::kO2,
+                    "cell '" << cell.label
+                             << "': the clustering phases need the Texas "
+                                "emulator (O2 has no clustering module)");
     indices.push_back(static_cast<double>(workloads.size()));
     workloads.push_back(cell.config.workload);
   }
@@ -204,11 +319,15 @@ std::vector<CellResult> RunCells(const ScenarioContext& ctx) {
         const Cell& cell = cells[point.index];
         const ocb::ObjectBase* base = bases[point.index].get();
         return [&cell, base](uint64_t seed, desp::MetricSink& sink) {
-          core::VoodbSystem sys(cell.config.system, base, nullptr, seed);
+          if (cell.emulator != EmulatorKind::kNone) {
+            ObserveEmulator(cell, *base, seed, sink);
+          }
+          core::VoodbSystem sys(cell.config.system, base,
+                                MakeClusteringPolicy(cell), seed);
           ocb::WorkloadGenerator gen(base,
                                      desp::RandomStream(seed).Derive(1));
-          ObserveCell(sys.RunTransactions(gen, cell.transactions), sys,
-                      sink);
+          ObserveCell(RunCellPhases(cell, sys, gen), cell.clustering_phases,
+                      sys, sink);
         };
       },
       ctx.options.replications, options);

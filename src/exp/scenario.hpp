@@ -5,7 +5,7 @@
 /// experiment's value is its parameterization surface: every figure,
 /// table and ablation is just the generic model steered by a different
 /// parameter set.  A `Scenario` captures one such experiment as a value —
-/// name, description, base `ExperimentConfig`, sweep grid, and a run
+/// name, description, base `ExperimentConfig`, table cells and a run
 /// hook — and the `ScenarioRegistry` makes the whole catalog addressable
 /// by name from one driver (`voodb list | describe | run`).
 ///
@@ -16,14 +16,17 @@
 /// accepts exactly the overrides a run accepts.
 ///
 /// A scenario may also declare its table cells: each cell is one fully
-/// resolved configuration.  `RunCells` farms (cell x replication) on one
-/// pool; the tools run replication 0 of one cell (`FindCell`), so a tool
-/// instruments exactly the run that produced a table row.
+/// resolved configuration, optionally with a direct-execution emulator
+/// leg and the DSTC clustering phase protocol.  `RunCells` farms (cell x
+/// replication) on one pool; the tools run replication 0 of one cell
+/// (`FindCell`) through the same phase driver (`RunCellPhases`), so a
+/// tool instruments exactly the run that produced a table row.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -70,20 +73,50 @@ struct ScenarioContext {
 
 using ScenarioRunner = std::function<ScenarioResult(const ScenarioContext&)>;
 
+/// The direct-execution emulator a cell runs beside its simulation (the
+/// "Benchmark(emu)" series of the validation figures and DSTC tables).
+enum class EmulatorKind { kNone, kO2, kTexas };
+
 /// One table cell of a scenario: a fully resolved configuration (`--set`
 /// already applied) and its per-replication transaction count.
 struct Cell {
   std::string label;  ///< table row key, e.g. "64/wait_die"; `--cell=`
+  /// The simulated system and workload; `make_policy` is the CLUSTP
+  /// module (none when empty).
   core::ExperimentConfig config;
   uint64_t transactions = 0;
+  /// Optional emulator leg: the O2 emulator with an `emulator_mb` cache
+  /// or the Texas emulator on an `emulator_mb` host, over the same object
+  /// base as the simulation.
+  EmulatorKind emulator = EmulatorKind::kNone;
+  double emulator_mb = 0.0;
+  /// The DSTC phase protocol (§4.4) instead of one mixed-workload phase:
+  /// hierarchy-traversal usage, trigger clustering, drop the buffer,
+  /// usage again.  The emulator leg, if any, must be Texas.
+  bool clustering_phases = false;
+};
+
+/// One cell replication's simulation phases (`RunCellPhases`).
+struct CellPhases {
+  core::PhaseMetrics pre;              ///< phased cells: usage before
+  core::ClusteringMetrics clustering;  ///< phased cells: the trigger
+  /// The cell's reported phase: its transactions, or the post-clustering
+  /// usage of a phased cell.
+  core::PhaseMetrics measured;
 };
 
 /// One cell's replicated result.  A cell replication builds a VoodbSystem
-/// from the cell's config, runs its transactions and observes
-/// "total_ios", "hit_rate", "network_mb", "mean_response_ms",
-/// "disk_util", "faults", "sim_s", "crashes", "recovery_s",
-/// "throughput_tps", "abort_rate", "p50_ms", "p99_ms", "restarts",
-/// "lock_wait_p99_ms", "io_p99_ms" and "retry_ms".
+/// from the cell's config (with its CLUSTP module), runs its phases
+/// (`RunCellPhases`) and observes, on the reported phase, "total_ios",
+/// "hit_rate", "network_mb", "mean_response_ms", "disk_util", "faults",
+/// "sim_s", "crashes", "recovery_s", "throughput_tps", "abort_rate",
+/// "p50_ms", "p95_ms", "p99_ms", "p999_ms", "max_ms", "restarts",
+/// "lock_wait_p99_ms", "io_p99_ms" and "retry_ms".  A phased cell adds
+/// "pre_ios", "overhead_ios", "post_ios", "gain", "clusters",
+/// "cluster_size" and the pre-clustering phase's "pre_p50_ms" ..
+/// "pre_max_ms".  An emulator leg adds "emu_total_ios", or for a phased
+/// cell "emu_pre_ios" .. "emu_cluster_size".  Percentiles are estimated
+/// once per replication, so each gets a Student-t CI like every scalar.
 struct CellResult {
   Cell cell;
   desp::ReplicationResult result;
@@ -98,14 +131,6 @@ struct Scenario {
   /// Defaults for every model parameter; `--set` overrides resolve into
   /// a copy of this through the parameter registry.
   core::ExperimentConfig base;
-  /// The scenario's sweep axes (empty for single-point experiments).
-  /// Axis names are scenario-defined labels interpreted by the run hook
-  /// — usually registry parameter names ("num_objects"), but a scenario
-  /// spanning surfaces beyond the registry may use its own (fig08's
-  /// "memory_mb" drives both the emulator's cache in MB and the
-  /// catalog-rescaled simulation buffer).  Do not feed this grid to
-  /// `RunExperimentGrid` unless every axis is a registry parameter.
-  SweepGrid grid;
   /// Registry parameters the run hook itself varies (its compared /
   /// swept knobs, e.g. `system_class` for the SYSCLASS ablation, or
   /// `buffer_pages` for a memory sweep).  `--set` of one of these is
@@ -167,10 +192,24 @@ ScenarioResult RunScenario(const Scenario& scenario,
 /// nearest one.
 Cell FindCell(const ScenarioContext& ctx, const std::string& label);
 
+/// The cell's CLUSTP module for one system (nullptr: none).
+std::unique_ptr<cluster::ClusteringPolicy> MakeClusteringPolicy(
+    const Cell& cell);
+
+/// Runs `cell`'s simulation phases on `sys` (built from the cell's config
+/// and CLUSTP module) over `workload`: its transactions, or the
+/// clustering phase protocol.  `RunCells` and the tools share it, so a
+/// tool runs the phases a table reports.
+CellPhases RunCellPhases(const Cell& cell, core::VoodbSystem& sys,
+                         ocb::WorkloadSource& workload);
+
 /// Runs `ctx.options.replications` replications of every cell of the
 /// scenario on one pool (`RunGrid` over the cell index), with the run's
-/// seed chain.  Cells with equal workload parameters share one object
-/// base.  Results are in cell order and bit-identical at any thread count.
+/// seed chain: replication i's emulator leg draws its workload from
+/// `RandomStream(seed_i)`, its simulation from
+/// `RandomStream(seed_i).Derive(1)`.  Cells with equal workload
+/// parameters share one object base.  Results are in cell order and
+/// bit-identical at any thread count.
 std::vector<CellResult> RunCells(const ScenarioContext& ctx);
 
 }  // namespace voodb::exp

@@ -2,6 +2,7 @@
 /// \brief Metrics reported by one workload phase of a VOODB run.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "desp/histogram.hpp"
@@ -26,8 +27,8 @@ struct PhaseMetrics {
   uint64_t network_bytes = 0;
   double sim_time_ms = 0.0;        ///< simulated wall-clock of the phase
   double mean_response_ms = 0.0;   ///< mean transaction response time
-  /// Largest response observed (sourced from the response histogram's
-  /// tracked maximum; run-cumulative when the phase is a delta).
+  /// Largest response observed in this phase (the Transaction Manager's
+  /// phase maximum; `response_histogram.max()` is run-cumulative).
   double max_response_ms = 0.0;
 
   /// Full distributions for this phase (bucket-exact deltas between the
@@ -41,9 +42,11 @@ struct PhaseMetrics {
   /// unless trace_spans is on.
   obs::ComponentHistograms component_histograms;
 
-  /// Response-time percentile (ms); 0 when no transaction committed.
+  /// Response-time percentile (ms); 0 when no transaction committed.  At
+  /// most `max_response_ms`: a later phase's histogram clamps its
+  /// in-bucket interpolation to the run's maximum, not the phase's.
   double ResponseQuantileMs(double q) const {
-    return response_histogram.Quantile(q);
+    return std::min(response_histogram.Quantile(q), max_response_ms);
   }
 
   double HitRate() const {

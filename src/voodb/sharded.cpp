@@ -22,8 +22,8 @@ namespace {
 
 /// Shard-order reduction of per-shard phase metrics: counters sum,
 /// simulated time is the slowest shard's (shards advance concurrently),
-/// the mean response is transaction-weighted, distributions merge
-/// bucket-exactly.
+/// the mean response is transaction-weighted, the maximum is the
+/// largest shard's, distributions merge bucket-exactly.
 PhaseMetrics MergeShardMetrics(const std::vector<PhaseMetrics>& per_shard) {
   PhaseMetrics m;
   double response_weighted = 0.0;
@@ -38,6 +38,7 @@ PhaseMetrics MergeShardMetrics(const std::vector<PhaseMetrics>& per_shard) {
     m.buffer_requests += s.buffer_requests;
     m.network_bytes += s.network_bytes;
     m.sim_time_ms = std::max(m.sim_time_ms, s.sim_time_ms);
+    m.max_response_ms = std::max(m.max_response_ms, s.max_response_ms);
     response_weighted +=
         s.mean_response_ms * static_cast<double>(s.transactions);
     m.response_histogram.Merge(s.response_histogram);
@@ -49,7 +50,6 @@ PhaseMetrics MergeShardMetrics(const std::vector<PhaseMetrics>& per_shard) {
                            ? 0.0
                            : response_weighted /
                                  static_cast<double>(m.transactions);
-  m.max_response_ms = m.response_histogram.max();
   return m;
 }
 

@@ -293,7 +293,12 @@ ClusteringMetrics VoodbSystem::TriggerClustering() {
   return clustering_->last_metrics();
 }
 
-VoodbSystem::Snapshot VoodbSystem::Take() const {
+VoodbSystem::Snapshot VoodbSystem::Take() {
+  tm_->StartPhase();
+  return Read();
+}
+
+VoodbSystem::Snapshot VoodbSystem::Read() const {
   Snapshot s;
   s.ios = io_->total_ios();
   s.reads = io_->reads();
@@ -317,7 +322,7 @@ VoodbSystem::Snapshot VoodbSystem::Take() const {
 }
 
 PhaseMetrics VoodbSystem::Delta(const Snapshot& before) const {
-  const Snapshot after = Take();
+  const Snapshot after = Read();
   PhaseMetrics m;
   m.transactions = after.committed - before.committed;
   m.object_accesses = after.operations - before.operations;
@@ -343,10 +348,9 @@ PhaseMetrics VoodbSystem::Delta(const Snapshot& before) const {
       after.disk_service_histogram.DeltaSince(before.disk_service_histogram);
   m.component_histograms =
       after.component_histograms.DeltaSince(before.component_histograms);
-  // The histogram's tracked max is authoritative (run-cumulative: the
-  // per-bucket counts are exact deltas, min/max carry over — see
-  // desp::LogHistogram::DeltaSince).
-  m.max_response_ms = m.response_histogram.max();
+  // The phase's own maximum: the delta histogram's tracked max carries
+  // over the whole run (desp::LogHistogram::DeltaSince).
+  m.max_response_ms = tm_->phase_max_response_ms();
   return m;
 }
 

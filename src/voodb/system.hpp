@@ -122,7 +122,8 @@ class VoodbSystem {
 
   /// Counter snapshot for computing phase deltas.  Public so external
   /// drivers (ShardedVoodb) can frame their own phases without going
-  /// through RunTransactions.
+  /// through RunTransactions.  `Take` starts a phase: the Transaction
+  /// Manager's phase maximum restarts, and `Delta` reports it.
   struct Snapshot {
     uint64_t ios = 0;
     uint64_t reads = 0;
@@ -141,7 +142,7 @@ class VoodbSystem {
     desp::LogHistogram disk_service_histogram;
     obs::ComponentHistograms component_histograms;
   };
-  Snapshot Take() const;
+  Snapshot Take();
   PhaseMetrics Delta(const Snapshot& before) const;
 
   /// Frames the marker stream and, for sharded drivers, per-user
@@ -152,6 +153,8 @@ class VoodbSystem {
  private:
   PhaseMetrics Drive(ocb::WorkloadSource& workload,
                      const ocb::TransactionKind* forced_kind, uint64_t n);
+  /// The counters now, without starting a phase.
+  Snapshot Read() const;
   /// Builds the metric registry from every actor's cells.
   void RegisterMetrics();
 

@@ -1,5 +1,6 @@
 #include "voodb/transaction_manager.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -298,6 +299,7 @@ void TransactionManagerActor::Commit(Handle h) {
           const double response = Now() - s.admitted_at;
           response_times_.Add(response);
           response_histogram_.Add(response);
+          phase_max_response_ms_ = std::max(phase_max_response_ms_, response);
           if (tracer_ != nullptr) {
             if (s.trace != 0) {
               tracer_->Close(s.trace, Now());  // kCommit

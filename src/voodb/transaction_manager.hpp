@@ -78,6 +78,11 @@ class TransactionManagerActor : public desp::Actor {
   const desp::LogHistogram& response_histogram() const {
     return response_histogram_;
   }
+  /// Largest response (ms) since the last `StartPhase` (construction, if
+  /// none): a phase's own maximum, where the histogram's tracked maximum
+  /// is run-cumulative.
+  double phase_max_response_ms() const { return phase_max_response_ms_; }
+  void StartPhase() { phase_max_response_ms_ = 0.0; }
   double SchedulerUtilization() const { return db_scheduler_.Utilization(); }
   /// The concurrency-control protocol (nullptr unless use_lock_manager).
   const cc::Protocol* cc_protocol() const { return protocol_.get(); }
@@ -173,6 +178,7 @@ class TransactionManagerActor : public desp::Actor {
   uint64_t restarts_ = 0;
   desp::Tally response_times_;
   desp::LogHistogram response_histogram_;
+  double phase_max_response_ms_ = 0.0;
   /// Restarts per committed transaction (cc.retries) when a protocol is
   /// active.
   desp::LogHistogram retry_histogram_;

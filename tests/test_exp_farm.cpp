@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "desp/histogram.hpp"
 #include "desp/random.hpp"
 #include "exp/farm.hpp"
 #include "util/check.hpp"
@@ -33,20 +34,6 @@ void ExpectBitIdentical(const desp::ReplicationResult& a,
     EXPECT_EQ(ta.min(), tb.min()) << name;
     EXPECT_EQ(ta.max(), tb.max()) << name;
   }
-  const std::vector<std::string> histograms = a.HistogramNames();
-  ASSERT_EQ(histograms, b.HistogramNames());
-  for (const std::string& name : histograms) {
-    const desp::LogHistogram& ha = a.Histogram(name);
-    const desp::LogHistogram& hb = b.Histogram(name);
-    EXPECT_EQ(ha.buckets(), hb.buckets()) << name;
-    EXPECT_EQ(ha.underflow(), hb.underflow()) << name;
-    EXPECT_EQ(ha.overflow(), hb.overflow()) << name;
-    EXPECT_EQ(ha.count(), hb.count()) << name;
-    EXPECT_EQ(ha.mean(), hb.mean()) << name;
-    EXPECT_EQ(ha.stddev(), hb.stddev()) << name;
-    EXPECT_EQ(ha.min(), hb.min()) << name;
-    EXPECT_EQ(ha.max(), hb.max()) << name;
-  }
 }
 
 /// A model with real floating-point work and several metrics; the value
@@ -60,14 +47,16 @@ void NoisyModel(uint64_t seed, desp::MetricSink& sink) {
   sink.Observe("uniform", rng.Uniform(-1.0, 1.0));
 }
 
-/// NoisyModel plus a per-replication latency distribution, so the
-/// histogram reduction path is exercised alongside the scalar one.
+/// NoisyModel plus percentiles of a per-replication latency
+/// distribution, estimated once per replication as the scenarios do.
 void HistogramModel(uint64_t seed, desp::MetricSink& sink) {
   NoisyModel(seed, sink);
   desp::RandomStream rng(seed ^ 0xD157);
   desp::LogHistogram latency;
   for (int i = 0; i < 300; ++i) latency.Add(rng.Exponential(25.0));
-  sink.ObserveHistogram("latency_ms", latency);
+  sink.Observe("latency_p50_ms", latency.Quantile(0.5));
+  sink.Observe("latency_p99_ms", latency.Quantile(0.99));
+  sink.Observe("latency_max_ms", latency.max());
 }
 
 TEST(ReplicationFarm, SeedChainMatchesSerialDerivation) {
@@ -253,16 +242,18 @@ TEST(TallyMerge, EmptySidesAreIdentity) {
 }
 
 TEST(ReplicationFarm, HistogramsBitIdenticalAcrossThreadCounts) {
-  // The merged LogHistograms — the source of every reported percentile —
-  // must be bit-identical at any farm width, exactly like the tallies.
+  // Per-replication percentiles — the source of every reported latency
+  // series — must be bit-identical at any farm width, and vary across
+  // replications (a real CI, not a zero half-width).
   FarmOptions serial_options;
   serial_options.threads = 1;
   serial_options.base_seed = 321;
   const desp::ReplicationResult serial =
       ReplicationFarm(HistogramModel, serial_options).Run(40);
-  EXPECT_EQ(serial.Histogram("latency_ms").count(), 40u * 300u);
-  EXPECT_GT(serial.Histogram("latency_ms").Quantile(0.99),
-            serial.Histogram("latency_ms").Quantile(0.5));
+  EXPECT_EQ(serial.Metric("latency_p99_ms").count(), 40u);
+  EXPECT_GT(serial.Metric("latency_p99_ms").mean(),
+            serial.Metric("latency_p50_ms").mean());
+  EXPECT_GT(serial.Interval("latency_p99_ms").half_width, 0.0);
   for (const size_t threads : {2u, 5u, 16u}) {
     FarmOptions options;
     options.threads = threads;
@@ -283,29 +274,6 @@ TEST(ReplicationFarm, HistogramsMatchSerialFarm) {
   const desp::ReplicationResult parallel =
       ReplicationFarm(HistogramModel, options).Run(25);
   ExpectBitIdentical(serial, parallel);
-}
-
-TEST(ReplicationFarmReduce, SinkReductionMergesHistogramsInOrder) {
-  // The MetricSink-based Reduce overload: scalars fold into tallies and
-  // histograms merge, both in replication-index order regardless of the
-  // order replications completed in.
-  std::vector<desp::MetricSink> sinks(3);
-  for (size_t i = 0; i < sinks.size(); ++i) {
-    sinks[i].Observe("m", static_cast<double>(i + 1));
-    desp::LogHistogram h;
-    h.Add(static_cast<double>(10 * (i + 1)));
-    sinks[i].ObserveHistogram("h", h);
-  }
-  const desp::ReplicationResult result = ReplicationFarm::Reduce(sinks);
-  EXPECT_EQ(result.replications(), 3u);
-  EXPECT_EQ(result.Metric("m").count(), 3u);
-  EXPECT_DOUBLE_EQ(result.Metric("m").mean(), 2.0);
-  EXPECT_EQ(result.Histogram("h").count(), 3u);
-  EXPECT_DOUBLE_EQ(result.Histogram("h").min(), 10.0);
-  EXPECT_DOUBLE_EQ(result.Histogram("h").max(), 30.0);
-  EXPECT_TRUE(result.HasHistogram("h"));
-  EXPECT_FALSE(result.HasHistogram("missing"));
-  EXPECT_THROW(result.Histogram("missing"), util::Error);
 }
 
 TEST(ReplicationFarmReduce, OrderedReductionIsExact) {

@@ -1,9 +1,8 @@
 /// \file test_scenario.cpp
 /// \brief Tests for the scenario catalog and the single-driver run path:
 /// catalog completeness, override resolution through the parameter
-/// registry, the driver's error paths, and bit-identical parity between
-/// `voodb run` scenarios and the hand-wired sweep code under identical
-/// seeds.
+/// registry, the driver's error paths, the tools reaching every table
+/// cell, and recorded goldens of the paper's figures and DSTC tables.
 #include <gtest/gtest.h>
 
 #include <iterator>
@@ -14,8 +13,9 @@
 #include "cell_tools.hpp"
 #include "exp/scenario.hpp"
 #include "harness.hpp"
+#include "micro_trace.hpp"
 #include "scenarios.hpp"
-#include "sweeps.hpp"
+#include "util/table.hpp"
 #include "trace_tools.hpp"
 #include "util/check.hpp"
 #include "voodb/catalog.hpp"
@@ -120,10 +120,13 @@ TEST(ScenarioCatalog, ProfileRejectsMoreThanOneShard) {
   // `voodb profile` runs one VoodbSystem; a sharded configuration must
   // fail instead of profiling one unsharded server as if it were the run.
   RegisterBenchScenarios();
-  const char* argv[] = {"profile", "fig08", "--set", "shards=4", "--set",
-                        "num_objects=500", "--transactions=10",
-                        "--trace=off", "--metrics=off"};
+  const char* argv[] = {"profile", "fig08", "--cell=16", "--set",
+                        "shards=4", "--set", "num_objects=500",
+                        "--transactions=10", "--trace=off", "--metrics=off"};
+  testing::internal::CaptureStderr();
   EXPECT_EQ(RunProfileCommand(static_cast<int>(std::size(argv)), argv), 1);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("shards"), std::string::npos) << err;
 }
 
 // --- Cells: the tools run exactly the cell a table reports ------------------
@@ -148,6 +151,35 @@ TEST(ScenarioCells, ExplainAndProfileReproduceTheTableCell) {
   EXPECT_EQ(ExplainCell(run, 3, "off").ResponseQuantileMs(0.99), p99);
   EXPECT_EQ(ProfileCell(run, "off", "off").ResponseQuantileMs(0.99),
             p99);
+
+  // A figure cell (emulator leg beside the simulation) and a DSTC table's
+  // phased cell, whose tools report the post-clustering phase.
+  const auto& registry = exp::ScenarioRegistry::Instance();
+  struct ToolCell {
+    const char* scenario;
+    const char* label;
+    std::string p99_key;  ///< the table's p99 of that cell
+  };
+  const ToolCell cells[] = {
+      {"fig08", "16",
+       registry.At("fig08").title + " — response time (ms, sim)/16/p99/mean"},
+      {"table6", "dstc",
+       "dstc — response time (ms, sim)/post_clustering/p99/mean"},
+  };
+  options.transactions = 20;
+  for (const ToolCell& c : cells) {
+    const exp::Scenario& scenario = registry.At(c.scenario);
+    const double cell_p99 = RunScenario(scenario, options).at(c.p99_key);
+    EXPECT_GT(cell_p99, 0.0) << c.scenario;
+    const CellRun cell_run = ResolveCellRun(
+        scenario, c.label, options.transactions, options.seed, {});
+    EXPECT_EQ(ExplainCell(cell_run, 3, "off").ResponseQuantileMs(0.99),
+              cell_p99)
+        << c.scenario;
+    EXPECT_EQ(ProfileCell(cell_run, "off", "off").ResponseQuantileMs(0.99),
+              cell_p99)
+        << c.scenario;
+  }
 }
 
 TEST(ScenarioCells, ToolsRejectASweptSetLikeRun) {
@@ -217,9 +249,10 @@ TEST(ScenarioCells, UnknownOrMissingCellNamesTheLabels) {
                 "did you mean '64/wait_die'"),
             std::string::npos);
   // A scenario without cells runs its base config and takes no --cell.
-  const exp::Scenario& fig08 = registry.At("fig08");
-  EXPECT_EQ(ResolveCellRun(fig08, "", 10, 42, {}).cell.transactions, 10u);
-  EXPECT_THROW(ResolveCellRun(fig08, "8", 10, 42, {}), util::Error);
+  const exp::Scenario& shard_scale = registry.At("shard_scale");
+  EXPECT_EQ(ResolveCellRun(shard_scale, "", 10, 42, {}).cell.transactions,
+            10u);
+  EXPECT_THROW(ResolveCellRun(shard_scale, "8", 10, 42, {}), util::Error);
 }
 
 TEST(ScenarioCatalog, EveryScenarioIsDescribedAndValid) {
@@ -315,81 +348,131 @@ TEST(RunScenario, RejectsOverridesTheScenarioWouldDiscard) {
                util::Error);
 }
 
-// --- Parity: `voodb run` vs the legacy bench code path ----------------------
+// --- Recorded goldens: the ported figures and tables ------------------------
 //
-// The legacy binaries froze their workload and system configuration in
-// code and called the sweep directly.  The catalog path must reproduce
-// their metrics bit-identically under identical seeds.
+// Recorded from the hand-wired sweeps these scenarios ran on before they
+// declared cells (2 replications, seed 42, one thread).  The emulator
+// legs and the DSTC tables' simulation keep the run's seed chain, so
+// their series reproduce bit-exactly; a figure's simulation series and
+// the latency sections changed by design (common seed chain, percentiles
+// estimated per replication).
 
-TEST(ScenarioParity, Fig08MatchesLegacyBenchPath) {
+TEST(ScenarioGolden, Fig08BenchmarkSeriesMatchesRecording) {
   RegisterBenchScenarios();
   const exp::Scenario& s = exp::ScenarioRegistry::Instance().At("fig08");
-  const uint64_t transactions = 20;
-  const exp::ScenarioResult via_catalog =
-      RunScenario(s, SmallOptions(transactions));
-
-  // The hand-wired Figure 8 configuration the catalog entry replaced:
-  // the NC=50 / NO=20000 OCB base, the O2 preset rescaled per memory
-  // point, paper's six points.
-  ocb::OcbParameters workload;  // Table 5 defaults
-  workload.num_classes = 50;
-  workload.num_objects = 20000;
-  const std::vector<FigurePoint> legacy = RunMemorySweep(
-      SmallOptions(transactions), TargetSystem::kO2, workload,
-      core::SystemCatalog::O2WithCache(16.0), MemoryPoints(),
-      "fig08 legacy parity", std::vector<double>(6, 0.0),
-      std::vector<double>(6, 0.0));
-
-  ASSERT_EQ(legacy.size(), 6u);
-  for (const FigurePoint& point : legacy) {
-    const std::string key = "figure/" + point.x;
-    ASSERT_EQ(via_catalog.count(key + "/benchmark/mean"), 1u) << point.x;
-    EXPECT_EQ(via_catalog.at(key + "/benchmark/mean"), point.bench.mean)
-        << point.x;
-    EXPECT_EQ(via_catalog.at(key + "/benchmark/hw"), point.bench.half_width)
-        << point.x;
-    EXPECT_EQ(via_catalog.at(key + "/simulation/mean"), point.sim.mean)
-        << point.x;
-    EXPECT_EQ(via_catalog.at(key + "/simulation/hw"), point.sim.half_width)
-        << point.x;
-    EXPECT_GT(point.bench.mean, 0.0) << point.x;
-    EXPECT_GT(point.sim.mean, 0.0) << point.x;
+  const exp::ScenarioResult result = RunScenario(s, SmallOptions(20));
+  for (const char* x : {"8", "12", "16", "24", "32", "64"}) {
+    const std::string key = s.title + "/" + x + "/benchmark/";
+    EXPECT_EQ(result.at(key + "mean"), 913.5) << x;
+    EXPECT_EQ(result.at(key + "hw"), 628.9571344405321) << x;
+    EXPECT_GT(result.at(s.title + "/" + x + "/simulation/mean"), 0.0) << x;
   }
 }
 
-TEST(ScenarioParity, Table6MatchesLegacyBenchPath) {
+TEST(ScenarioGolden, Table6DstcSeriesMatchRecording) {
   RegisterBenchScenarios();
   const exp::Scenario& s = exp::ScenarioRegistry::Instance().At("table6");
-  const uint64_t transactions = 10;
-  const exp::ScenarioResult via_catalog =
-      RunScenario(s, SmallOptions(transactions));
+  const exp::ScenarioResult result = RunScenario(s, SmallOptions(10));
+  struct Golden {
+    const char* key;
+    double mean;
+    double hw;
+  };
+  const Golden goldens[] = {
+      {"pre_clustering_ios/benchmark", 403, 38.118614208517094},
+      {"pre_clustering_ios/simulation", 336, 520.9543941830669},
+      {"clustering_overhead_ios/benchmark", 9449.5, 209.65237814684406},
+      {"clustering_overhead_ios/simulation", 8, 101.64963788937895},
+      {"post_clustering_ios/benchmark", 380, 127.06204736172367},
+      {"post_clustering_ios/simulation", 389.5, 82.59033078512037},
+      {"gain/benchmark", 1.0610533610533612, 0.25447631107095026},
+      {"gain/simulation", 0.8611275944826858, 1.1549000803762437},
+      {"clusters/benchmark", 18, 127.06204736172367},
+      {"clusters/simulation", 3.5, 44.47171657660328},
+      {"mean_cluster_size/benchmark", 8.633928571428571, 9.416205295556304},
+      {"mean_cluster_size/simulation", 5.071428571428571, 64.43860973344556},
+  };
+  for (const Golden& g : goldens) {
+    const std::string key = std::string("dstc/") + g.key;
+    EXPECT_EQ(result.at(key + "/mean"), g.mean) << g.key;
+    EXPECT_EQ(result.at(key + "/hw"), g.hw) << g.key;
+  }
+}
 
-  // The hand-wired Table 6 configuration the catalog entry replaced: the
-  // DSTC hot-set workload on the mid-sized base, Texas with 64 MB.
-  ocb::OcbParameters workload;
-  workload.num_classes = 50;
-  workload.num_objects = 20000;
-  workload.hierarchy_depth = 3;
-  workload.root_region = 30;
-  const DstcComparison legacy = RunDstcExperiment(
-      SmallOptions(transactions), 64.0, workload,
-      core::SystemCatalog::TexasWithMemory(64.0));
+TEST(ScenarioGolden, AblationClusteringMatchesRecording) {
+  RegisterBenchScenarios();
+  const exp::ScenarioResult result = RunScenario(
+      exp::ScenarioRegistry::Instance().At("ablation_clustering"),
+      SmallOptions(10));
+  struct Golden {
+    const char* key;
+    double mean;
+    double hw;
+  };
+  const Golden goldens[] = {
+      {"NONE/clusters", 0, 0},
+      {"NONE/gain", 0.8611275944826858, 1.1549000803762437},
+      {"NONE/overhead", 0, 0},
+      {"NONE/post_ios", 389.5, 82.59033078512037},
+      {"NONE/pre_ios", 336, 520.9543941830669},
+      {"DSTC/clusters", 3.5, 44.47171657660328},
+      {"DSTC/gain", 0.8611275944826858, 1.1549000803762437},
+      {"DSTC/overhead", 8, 101.64963788937895},
+      {"DSTC/post_ios", 389.5, 82.59033078512037},
+      {"DSTC/pre_ios", 336, 520.9543941830669},
+      {"GAY_GRUENWALD/clusters", 2, 25.412409472344738},
+      {"GAY_GRUENWALD/gain", 0.8611275944826858, 1.1549000803762437},
+      {"GAY_GRUENWALD/overhead", 8.5, 108.00274025746509},
+      {"GAY_GRUENWALD/post_ios", 389.5, 82.59033078512037},
+      {"GAY_GRUENWALD/pre_ios", 336, 520.9543941830669},
+  };
+  for (const Golden& g : goldens) {
+    const std::string key = std::string("clustp/") + g.key;
+    EXPECT_EQ(result.at(key + "/mean"), g.mean) << g.key;
+    EXPECT_EQ(result.at(key + "/hw"), g.hw) << g.key;
+  }
+}
 
-  const std::pair<const char*, const DstcAggregate*> sides[] = {
-      {"benchmark", &legacy.bench}, {"simulation", &legacy.sim}};
-  for (const auto& [series, agg] : sides) {
-    const std::string key = std::string("/") + series + "/mean";
-    EXPECT_EQ(via_catalog.at("dstc/pre_clustering_ios" + key),
-              agg->pre.mean);
-    EXPECT_EQ(via_catalog.at("dstc/clustering_overhead_ios" + key),
-              agg->overhead.mean);
-    EXPECT_EQ(via_catalog.at("dstc/post_clustering_ios" + key),
-              agg->post.mean);
-    EXPECT_EQ(via_catalog.at("dstc/gain" + key), agg->gain.mean);
-    EXPECT_EQ(via_catalog.at("dstc/clusters" + key), agg->clusters.mean);
-    EXPECT_EQ(via_catalog.at("dstc/mean_cluster_size" + key),
-              agg->cluster_size.mean);
-    EXPECT_GT(agg->pre.mean, 0.0);
+// --- Honest half-widths ------------------------------------------------------
+
+TEST(ScenarioCells, LatencyPercentilesCarryConfidenceIntervals) {
+  // Percentiles are estimated once per replication, so they vary across
+  // replications and get a Student-t CI; a percentile read off one
+  // histogram merged across replications has none.
+  RegisterBenchScenarios();
+  const auto& registry = exp::ScenarioRegistry::Instance();
+  exp::ScenarioOptions options = SmallOptions(20);
+  options.replications = 3;
+  const exp::Scenario& fig08 = registry.At("fig08");
+  const exp::ScenarioResult figure = RunScenario(fig08, options);
+  for (const double mb : MemoryPoints()) {
+    const std::string x = util::FormatDouble(mb, 0);
+    EXPECT_GT(figure.at(fig08.title + " — response time (ms, sim)/" + x +
+                        "/p99/hw"),
+              0.0)
+        << x;
+  }
+  const exp::ScenarioResult table8 =
+      RunScenario(registry.At("table8"), options);
+  for (const char* phase : {"pre_clustering", "post_clustering"}) {
+    EXPECT_GT(table8.at(std::string("dstc — response time (ms, sim)/") +
+                        phase + "/p99/hw"),
+              0.0)
+        << phase;
+  }
+}
+
+TEST(ScenarioCells, FigureAndTableAreThreadCountInvariant) {
+  RegisterBenchScenarios();
+  const auto& registry = exp::ScenarioRegistry::Instance();
+  for (const char* name : {"fig08", "table6"}) {
+    exp::ScenarioOptions options = SmallOptions(10);
+    const exp::ScenarioResult serial = RunScenario(registry.At(name), options);
+    options.threads = 4;
+    const exp::ScenarioResult parallel =
+        RunScenario(registry.At(name), options);
+    EXPECT_FALSE(serial.empty()) << name;
+    EXPECT_EQ(serial, parallel) << name;
   }
 }
 

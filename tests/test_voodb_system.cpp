@@ -2,10 +2,12 @@
 /// \brief End-to-end tests of the wired VOODB evaluation model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "cluster/dstc.hpp"
 #include "util/check.hpp"
+#include "voodb/catalog.hpp"
 #include "voodb/system.hpp"
 
 namespace voodb::core {
@@ -219,6 +221,44 @@ TEST(VoodbSystem, ExternalClusteringTriggerReorganizes) {
   EXPECT_TRUE(cm.reorganized);
   EXPECT_GT(cm.num_clusters, 0u);
   EXPECT_GT(cm.overhead_ios, 0u);
+}
+
+TEST(VoodbSystem, LaterPhaseReportsItsOwnMaxResponse) {
+  // The DSTC protocol (usage, clustering, cold buffer, usage): the
+  // post-clustering phase's max_response_ms is the largest response of
+  // that phase, not of the run.  Every transaction is kept as an
+  // exemplar, so the phase's responses are known one by one.
+  ocb::OcbParameters wl;
+  wl.num_classes = 50;
+  wl.num_objects = 2000;
+  wl.hierarchy_depth = 3;
+  wl.root_region = 30;
+  const ocb::ObjectBase base = ocb::ObjectBase::Generate(wl);
+  VoodbConfig cfg = SystemCatalog::TexasWithMemory(64.0);
+  cfg.trace_spans = true;
+  cfg.trace_exemplars = 400;
+  VoodbSystem sys(cfg, &base, std::make_unique<cluster::DstcPolicy>(), 7);
+  ocb::WorkloadGenerator gen(&base, desp::RandomStream(7).Derive(1));
+  constexpr auto kUsage = ocb::TransactionKind::kHierarchyTraversal;
+  const PhaseMetrics pre = sys.RunTransactionsOfKind(gen, kUsage, 100);
+  sys.TriggerClustering();
+  sys.DropBuffer();
+  const double post_start = sys.scheduler().Now();
+  const PhaseMetrics post = sys.RunTransactionsOfKind(gen, kUsage, 100);
+
+  double post_max = 0.0;
+  uint64_t post_count = 0;
+  for (const obs::Exemplar& e : sys.span_tracer()->exemplars()) {
+    if (e.admitted_at_ms < post_start) continue;
+    post_max = std::max(post_max, e.response_ms);
+    ++post_count;
+  }
+  ASSERT_EQ(post_count, 100u);
+  EXPECT_EQ(post.max_response_ms, post_max);
+  EXPECT_EQ(pre.max_response_ms, pre.response_histogram.max());
+  // The protocol's point: the pre-clustering tail is longer, so a
+  // run-cumulative maximum would misreport the post phase.
+  EXPECT_GT(pre.max_response_ms, post_max);
 }
 
 TEST(VoodbSystem, AutoClusteringFiresAtTransactionBoundaries) {
