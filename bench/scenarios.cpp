@@ -132,7 +132,8 @@ ScenarioResult RunFigure(const ScenarioContext& ctx,
   util::TextTable figure({x_label, "Benchmark(emu)", "Simulation(VOODB)",
                           "Sim/Bench", "Paper bench*", "Paper sim*"});
   util::TextTable latency = LatencyTable(x_label);
-  const std::vector<exp::CellResult> cells = exp::RunCells(ctx);
+  const std::vector<exp::CellResult> cells =
+      exp::RunCells(ctx.scenario->cells(ctx), ctx.options);
   VOODB_CHECK(cells.size() == paper_bench.size() &&
               cells.size() == paper_sim.size());
   for (size_t i = 0; i < cells.size(); ++i) {
@@ -280,7 +281,8 @@ void RegisterDstcTable(const char* name, double memory_mb, const char* title,
     return std::vector<exp::Cell>{std::move(cell)};
   };
   s.run = [rows = std::move(rows), footer](const ScenarioContext& ctx) {
-    const exp::CellResult cell = std::move(exp::RunCells(ctx).front());
+    const exp::CellResult cell =
+        std::move(exp::RunCells(ctx.scenario->cells(ctx), ctx.options).front());
     const std::map<std::string, Estimate> metrics =
         EstimatesOf(cell.result);
     ScenarioResult result;
@@ -340,7 +342,8 @@ void RegisterAblationBufferPolicy() {
   s.run = [](const ScenarioContext& ctx) {
     ScenarioResult result;
     util::TextTable table({"PGREP", "Mean I/Os", "Hit rate"});
-    for (const auto& [cell, replicated] : exp::RunCells(ctx)) {
+    for (const auto& [cell, replicated] :
+         exp::RunCells(ctx.scenario->cells(ctx), ctx.options)) {
       const std::map<std::string, Estimate> metrics = EstimatesOf(replicated);
       const char* x = ToString(cell.config.system.page_replacement);
       NoteMetrics(result, "pgrep", x, metrics, {"total_ios", "hit_rate"});
@@ -377,7 +380,8 @@ void RegisterAblationClustering() {
     ScenarioResult result;
     util::TextTable table({"CLUSTP", "Pre I/Os", "Overhead I/Os", "Post I/Os",
                            "Gain", "Clusters"});
-    for (const auto& [cell, replicated] : exp::RunCells(ctx)) {
+    for (const auto& [cell, replicated] :
+         exp::RunCells(ctx.scenario->cells(ctx), ctx.options)) {
       const std::map<std::string, Estimate> metrics = EstimatesOf(replicated);
       const std::pair<const char*, const char*> series[] = {
           {"clusters", "clusters"},
@@ -445,7 +449,8 @@ void RegisterAblationFailures() {
     util::TextTable fault_table({"Fault prob", "Sim time (s)", "Faults",
                                  "I/Os"});
     double healthy_ios = 0.0;
-    for (const auto& [cell, replicated] : exp::RunCells(ctx)) {
+    for (const auto& [cell, replicated] :
+         exp::RunCells(ctx.scenario->cells(ctx), ctx.options)) {
       const std::map<std::string, Estimate> metrics = EstimatesOf(replicated);
       const std::string x = cell.label.substr(cell.label.find('/') + 1);
       const double ios = metrics.at("total_ios").mean;
@@ -515,7 +520,8 @@ void RegisterAblationLocking() {
     ScenarioResult result;
     util::TextTable table({"PUPDATE", "Lock model", "Throughput (tps)",
                            "Restarts", "p50 (ms)", "p99 (ms)"});
-    for (const auto& [cell, replicated] : exp::RunCells(ctx)) {
+    for (const auto& [cell, replicated] :
+         exp::RunCells(ctx.scenario->cells(ctx), ctx.options)) {
       const std::map<std::string, Estimate> metrics = EstimatesOf(replicated);
       const std::string p_update =
           util::FormatDouble(cell.config.workload.p_update, 1);
@@ -563,7 +569,8 @@ void RegisterAblationMultiprog() {
     ScenarioResult result;
     util::TextTable table({"MULTILVL", "Throughput (tps)", "Resp (ms)",
                            "Disk util", "Mean I/Os"});
-    for (const auto& [cell, replicated] : exp::RunCells(ctx)) {
+    for (const auto& [cell, replicated] :
+         exp::RunCells(ctx.scenario->cells(ctx), ctx.options)) {
       const std::map<std::string, Estimate> metrics = EstimatesOf(replicated);
       NoteMetrics(result, "multilvl", cell.label, metrics,
                   {"disk_util", "mean_response_ms", "throughput_tps",
@@ -627,7 +634,8 @@ void RegisterAblationPlacement() {
   s.run = [](const ScenarioContext& ctx) {
     ScenarioResult result;
     util::TextTable table({"System", "INITPL", "Mean I/Os", "Hit rate"});
-    for (const auto& [cell, replicated] : exp::RunCells(ctx)) {
+    for (const auto& [cell, replicated] :
+         exp::RunCells(ctx.scenario->cells(ctx), ctx.options)) {
       const std::map<std::string, Estimate> metrics = EstimatesOf(replicated);
       const std::string system = cell.label.substr(0, cell.label.find('/'));
       const char* placement = ToString(cell.config.system.initial_placement);
@@ -671,7 +679,8 @@ void RegisterAblationSysclass() {
     ScenarioResult result;
     util::TextTable table({"SYSCLASS", "Mean I/Os", "Net MB", "Resp (ms)",
                            "Throughput (tps)"});
-    for (const auto& [cell, replicated] : exp::RunCells(ctx)) {
+    for (const auto& [cell, replicated] :
+         exp::RunCells(ctx.scenario->cells(ctx), ctx.options)) {
       const std::map<std::string, Estimate> metrics = EstimatesOf(replicated);
       const char* x = ToString(cell.config.system.system_class);
       NoteMetrics(result, "sysclass", x, metrics,
@@ -920,7 +929,8 @@ void RegisterCcAbyss() {
   s.run = [](const ScenarioContext& ctx) {
     ScenarioResult result;
     util::TextTable table(ContentionHeader({"NUSERS", "Protocol"}));
-    for (const auto& [cell, replicated] : exp::RunCells(ctx)) {
+    for (const auto& [cell, replicated] :
+         exp::RunCells(ctx.scenario->cells(ctx), ctx.options)) {
       const std::string x = std::to_string(cell.config.system.num_users);
       const std::string name = cc::ToString(cell.config.system.cc_protocol);
       const std::map<std::string, Estimate> metrics = EstimatesOf(replicated);
@@ -990,7 +1000,8 @@ void RegisterYcsbZipf() {
   s.run = [](const ScenarioContext& ctx) {
     ScenarioResult result;
     util::TextTable table(ContentionHeader({"Skew", "Read pct"}));
-    for (const auto& [cell, replicated] : exp::RunCells(ctx)) {
+    for (const auto& [cell, replicated] :
+         exp::RunCells(ctx.scenario->cells(ctx), ctx.options)) {
       const std::map<std::string, Estimate> metrics = EstimatesOf(replicated);
       NoteMetrics(result, "ycsb", cell.label, metrics,
                   {"abort_rate", "io_p99_ms", "lock_wait_p99_ms", "p99_ms",

@@ -3,7 +3,7 @@
 /// parameter registry.
 ///
 ///   voodb list                      scenario catalog (name + title)
-///   voodb describe <scenario>       base parameters, grid axes, protocol
+///   voodb describe <scenario>       base parameters, table cells, swept
 ///   voodb params [--markdown|--csv] the full parameter table
 ///   voodb run <scenario> [flags]    run a scenario; `--set name=value`
 ///                                   overrides any registered parameter

@@ -1,29 +1,33 @@
 /// \file parallel_sweep.cpp
-/// \brief The experiment farm in ~60 lines: declare a cartesian sweep
-/// grid over VOODB parameters, run every (cell × replication) work item
-/// concurrently on all cores, and export machine-readable results.
+/// \brief The experiment farm in ~60 lines: build a 3×3 list of cells
+/// over VOODB parameters by their `--set` names and run every (cell ×
+/// replication) work item concurrently on all cores.
 ///
 /// The farm is bit-deterministic: rerun this with --threads=1 and the
 /// table is identical, digit for digit (same seeds, same ordered
-/// reduction — see src/exp/farm.hpp).
+/// reduction — see src/exp/farm.hpp).  For machine-readable results,
+/// run a scenario: `voodb run <scenario> --json=PATH`.
 ///
 /// Build & run:
 ///   cmake -B build -S . && cmake --build build -j
-///   ./build/parallel_sweep [--threads=N]
+///   ./build/parallel_sweep [--threads=N] [--replications=N]
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "exp/executor.hpp"
-#include "exp/grid.hpp"
-#include "exp/report.hpp"
+#include "exp/scenario.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
+#include "voodb/param_registry.hpp"
 
 int main(int argc, char** argv) {
   using namespace voodb;
 
   util::CliArgs args(argc, argv);
-  const auto threads = static_cast<size_t>(args.GetInt("threads", 0));
-  const auto replications =
+  exp::ScenarioOptions options;
+  options.threads = static_cast<size_t>(args.GetInt("threads", 0));
+  options.replications =
       static_cast<uint64_t>(args.GetInt("replications", 10));
   args.RejectUnknown();
 
@@ -33,45 +37,44 @@ int main(int argc, char** argv) {
   ec.system.system_class = core::SystemClass::kCentralized;
   ec.workload.num_classes = 20;
   ec.workload.num_objects = 5000;
-  ec.workload.hot_transactions = 300;
-  ec.replications = replications;
-  ec.base_seed = 42;
 
-  // 2. The sweep: buffer size × multiprogramming level, by name.
-  exp::SweepGrid grid;
-  grid.Axis("buffer_pages", {120, 500, 2000})
-      .Axis("multiprogramming_level", {1, 4, 8});
+  // 2. The sweep: buffer size × multiprogramming level, by name, each
+  //    value in its `--set` spelling; 300 measured transactions a cell.
+  std::vector<exp::Cell> cells;
+  for (const char* pages : {"120", "500", "2000"}) {
+    for (const char* level : {"1", "4", "8"}) {
+      exp::Cell cell{std::string("buffer_pages=") + pages +
+                         " multiprogramming_level=" + level,
+                     ec, 300};
+      const core::ParamTarget target{&cell.config.system,
+                                     &cell.config.workload};
+      core::ParamRegistry::Instance().Set(target, "buffer_pages", pages);
+      core::ParamRegistry::Instance().Set(target, "multiprogramming_level",
+                                          level);
+      cells.push_back(std::move(cell));
+    }
+  }
 
   // 3. Run all 9 cells × replications work items on one thread pool.
-  std::cout << "Running " << grid.NumPoints() << " cells x " << replications
-            << " replications on "
-            << (threads == 0 ? exp::ThreadPool::HardwareThreads() : threads)
+  std::cout << "Running " << cells.size() << " cells x "
+            << options.replications << " replications on "
+            << (options.threads == 0 ? exp::ThreadPool::HardwareThreads()
+                                     : options.threads)
             << " threads...\n";
-  const std::vector<exp::GridCell> cells =
-      exp::RunExperimentGrid(ec, grid, threads);
+  const std::vector<exp::CellResult> results =
+      exp::RunCells(std::move(cells), options);
 
-  // 4. Human-readable summary...
+  // 4. The summary.
   util::TextTable table(
       {"Cell", "Mean I/Os", "±CI", "Hit rate", "Resp (ms)"});
-  for (const exp::GridCell& cell : cells) {
-    const desp::ConfidenceInterval ci = cell.result.Interval("total_ios");
-    table.AddRow({cell.point.Label(), util::FormatDouble(ci.mean, 1),
+  for (const auto& [cell, result] : results) {
+    const desp::ConfidenceInterval ci = result.Interval("total_ios");
+    table.AddRow({cell.label, util::FormatDouble(ci.mean, 1),
                   util::FormatDouble(ci.half_width, 1),
-                  util::FormatDouble(cell.result.Metric("hit_rate").mean(), 3),
+                  util::FormatDouble(result.Metric("hit_rate").mean(), 3),
                   util::FormatDouble(
-                      cell.result.Metric("mean_response_ms").mean(), 2)});
+                      result.Metric("mean_response_ms").mean(), 2)});
   }
   table.Print(std::cout);
-
-  // 5. ...and the machine-readable export (manifest + every metric).
-  exp::RunManifest manifest;
-  manifest.name = "parallel_sweep_demo";
-  manifest.base_seed = ec.base_seed;
-  manifest.replications = replications;
-  manifest.threads = threads;
-  manifest.notes.emplace_back("workload", "OCB NC=20 NO=5000 HOTN=300");
-  exp::WriteFile("parallel_sweep.json", exp::GridToJson(manifest, cells));
-  exp::WriteFile("parallel_sweep.csv", exp::GridToCsv(cells, 0.95));
-  std::cout << "Wrote parallel_sweep.json and parallel_sweep.csv\n";
   return 0;
 }

@@ -2,7 +2,8 @@
 /// \brief Direct-execution emulator of the O2 page server.
 ///
 /// Stand-in for the real O2 v5.0 installation of the paper's validation
-/// experiments (§4.2.1) — see DESIGN.md for the substitution rationale.
+/// experiments (§4.2.1) — README.md "Design notes" gives the substitution
+/// rationale.
 /// The emulator *executes* the OCB workload against a functional page
 /// server: logical OIDs resolved through the placement, a server page
 /// cache with LRU replacement, and a disk that only counts I/Os (the

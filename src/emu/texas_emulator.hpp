@@ -2,8 +2,8 @@
 /// \brief Direct-execution emulator of the Texas persistent store (+DSTC).
 ///
 /// Stand-in for the paper's Texas v0.5 prototype on Linux 2.0.30 (§4.2.1);
-/// see DESIGN.md for the substitution rationale.  Three Texas-specific
-/// behaviours the paper's analysis relies on are emulated:
+/// README.md "Design notes" gives the substitution rationale.  Three
+/// Texas-specific behaviours the paper's analysis relies on are emulated:
 ///
 /// * the store lives on **OS virtual memory** (no database buffer): page
 ///   faults and swap writes are the I/Os of Figures 9-11;

@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
-#include <sstream>
 
 #include "util/check.hpp"
 
@@ -135,111 +133,6 @@ JsonWriter& JsonWriter::Null() {
   Separate();
   out_ += "null";
   return *this;
-}
-
-namespace {
-
-void ManifestJson(JsonWriter& w, const RunManifest& m) {
-  w.Key("name").Value(m.name);
-  w.Key("base_seed").Value(m.base_seed);
-  w.Key("replications").Value(m.replications);
-  w.Key("threads").Value(static_cast<uint64_t>(m.threads));
-  w.Key("wall_clock_ms").Value(m.wall_clock_ms);
-  w.Key("ci_level").Value(m.ci_level);
-  if (!m.notes.empty()) {
-    w.Key("notes").BeginObject();
-    for (const auto& [key, value] : m.notes) w.Key(key).Value(value);
-    w.EndObject();
-  }
-}
-
-}  // namespace
-
-namespace detail {
-
-void MetricsJson(JsonWriter& w, const desp::ReplicationResult& result,
-                 double ci_level) {
-  w.BeginObject();
-  for (const std::string& name : result.MetricNames()) {
-    const desp::Tally& tally = result.Metric(name);
-    w.Key(name).BeginObject();
-    w.Key("count").Value(tally.count());
-    w.Key("mean").Value(tally.mean());
-    if (tally.count() >= 1) {
-      w.Key("ci_half_width")
-          .Value(desp::StudentConfidenceInterval(tally, ci_level).half_width);
-    } else {
-      w.Key("ci_half_width").Null();
-    }
-    w.Key("stddev").Value(tally.stddev());
-    w.Key("min").Value(tally.min());
-    w.Key("max").Value(tally.max());
-    w.EndObject();
-  }
-  w.EndObject();
-}
-
-}  // namespace detail
-
-std::string ResultToJson(const RunManifest& manifest,
-                         const desp::ReplicationResult& result) {
-  JsonWriter w;
-  w.BeginObject();
-  ManifestJson(w, manifest);
-  w.Key("metrics");
-  detail::MetricsJson(w, result, manifest.ci_level);
-  w.EndObject();
-  return w.str();
-}
-
-std::string GridToJson(const RunManifest& manifest,
-                       const std::vector<GridCell>& cells) {
-  JsonWriter w;
-  w.BeginObject();
-  ManifestJson(w, manifest);
-  w.Key("cells").BeginArray();
-  for (const GridCell& cell : cells) {
-    w.BeginObject();
-    w.Key("index").Value(static_cast<uint64_t>(cell.point.index));
-    w.Key("label").Value(cell.point.Label());
-    w.Key("coords").BeginObject();
-    for (const auto& [axis, value] : cell.point.coords) {
-      w.Key(axis).Value(value);
-    }
-    w.EndObject();
-    w.Key("metrics");
-    detail::MetricsJson(w, cell.result, manifest.ci_level);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
-  return w.str();
-}
-
-std::string GridToCsv(const std::vector<GridCell>& cells, double ci_level) {
-  std::ostringstream os;
-  if (cells.empty()) return "";
-  for (const auto& [axis, value] : cells.front().point.coords) {
-    os << axis << ",";
-  }
-  os << "metric,count,mean,ci_half_width,stddev,min,max\n";
-  os.precision(std::numeric_limits<double>::max_digits10);
-  for (const GridCell& cell : cells) {
-    for (const std::string& name : cell.result.MetricNames()) {
-      const desp::Tally& tally = cell.result.Metric(name);
-      for (const auto& [axis, value] : cell.point.coords) {
-        os << value << ",";
-      }
-      const double half_width =
-          tally.count() >= 1
-              ? desp::StudentConfidenceInterval(tally, ci_level).half_width
-              : std::numeric_limits<double>::quiet_NaN();
-      os << name << "," << tally.count() << "," << tally.mean() << ","
-         << half_width << "," << tally.stddev() << "," << tally.min() << ","
-         << tally.max() << "\n";
-    }
-  }
-  return os.str();
 }
 
 void WriteFile(const std::string& path, const std::string& content) {

@@ -1,22 +1,19 @@
 /// \file report.hpp
-/// \brief Machine-readable experiment results: run manifests, JSON, CSV.
+/// \brief The JSON writer and file sink behind every machine-readable
+/// output.
 ///
 /// Darmont's benchmark-methodology line of work stresses reproducible
 /// protocols: a result is only comparable when the parameters that
-/// produced it travel with it.  `RunManifest` carries those parameters
-/// (name, seed, replication count, thread count, wall clock, free-form
-/// notes); the emitters below serialize a manifest plus per-metric
-/// statistics so the bench harnesses can drop `BENCH_<name>.json` files
-/// that downstream tooling diffs across PRs.
+/// produced it travel with it.  `voodb run` writes each scenario's
+/// `BENCH_<name>.json` (its seed, replications, transactions and threads
+/// beside every series) through `JsonWriter`; the metric snapshot and the
+/// profiler's Chrome trace use it too.  `WriteFile` puts any of them (and
+/// the span tracer's Perfetto export) on disk and fails loudly.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
-
-#include "desp/replication.hpp"
-#include "exp/grid.hpp"
 
 namespace voodb::exp {
 
@@ -51,40 +48,7 @@ class JsonWriter {
   bool after_key_ = false;
 };
 
-/// Identifies one run for the record.
-struct RunManifest {
-  std::string name;           ///< experiment / bench identifier
-  uint64_t base_seed = 0;
-  uint64_t replications = 0;  ///< requested replications per point
-  size_t threads = 0;         ///< 0 = all hardware threads
-  double wall_clock_ms = 0.0;
-  double ci_level = 0.95;
-  /// Free-form (key, value) pairs, e.g. {"transactions", "1000"}.
-  std::vector<std::pair<std::string, std::string>> notes;
-};
-
-/// Serializes a replicated result: manifest + one entry per metric with
-/// count, mean, ci_half_width (null when undefined), stddev, min, max.
-std::string ResultToJson(const RunManifest& manifest,
-                         const desp::ReplicationResult& result);
-
-/// Serializes a sweep-grid run: manifest + one entry per cell (axis
-/// coordinates, label, per-metric statistics).
-std::string GridToJson(const RunManifest& manifest,
-                       const std::vector<GridCell>& cells);
-
-/// CSV flattening of a grid: one row per (cell, metric) with columns
-/// <axis...>, metric, count, mean, ci_half_width, stddev, min, max.
-std::string GridToCsv(const std::vector<GridCell>& cells, double ci_level);
-
 /// Writes `content` to `path` (throws voodb::util::Error on failure).
 void WriteFile(const std::string& path, const std::string& content);
-
-namespace detail {
-/// Appends the per-metric statistics object for `result` to `w` (callers
-/// bracket it with Key/Begin as needed).
-void MetricsJson(JsonWriter& w, const desp::ReplicationResult& result,
-                 double ci_level);
-}  // namespace detail
 
 }  // namespace voodb::exp

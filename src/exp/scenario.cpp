@@ -1,10 +1,12 @@
 #include "exp/scenario.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "desp/random.hpp"
 #include "emu/o2_emulator.hpp"
 #include "emu/texas_emulator.hpp"
+#include "exp/grid.hpp"
 #include "ocb/workload.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
@@ -84,9 +86,6 @@ ScenarioContext ResolveScenario(const Scenario& scenario,
                  name, value);
   }
   ctx.overrides = overrides;
-  ctx.config.replications = options.replications;
-  ctx.config.base_seed = options.seed;
-  ctx.config.threads = options.threads;
   // Replicated runs build one system per replication — possibly
   // concurrently on the farm — and every one of them would truncate the
   // same trace_path.  Recording is a single-run affair.
@@ -162,6 +161,9 @@ constexpr ocb::TransactionKind kUsage =
 
 CellPhases RunCellPhases(const Cell& cell, core::VoodbSystem& sys,
                          ocb::WorkloadSource& workload) {
+  // COLDN: warm the system up, unmeasured, from the same stream.
+  const uint32_t cold = cell.config.workload.cold_transactions;
+  if (cold > 0) sys.RunTransactions(workload, cold);
   CellPhases phases;
   if (!cell.clustering_phases) {
     phases.measured = sys.RunTransactions(workload, cell.transactions);
@@ -257,11 +259,14 @@ void ObserveCell(const CellPhases& phases, bool clustering_phases,
 void ObserveEmulator(const Cell& cell, const ocb::ObjectBase& base,
                      uint64_t seed, desp::MetricSink& sink) {
   ocb::WorkloadGenerator gen(&base, desp::RandomStream(seed));
+  // COLDN warms the emulator up as `RunCellPhases` warms the simulation.
+  const uint32_t cold = cell.config.workload.cold_transactions;
   if (cell.emulator == EmulatorKind::kO2) {
     emu::O2Config cfg;
     cfg.cache_pages =
         static_cast<uint64_t>(cell.emulator_mb * 1024 * 1024 / cfg.page_size);
     emu::O2Emulator o2(cfg, &base, seed);
+    if (cold > 0) o2.RunTransactions(gen, cold);
     sink.Observe("emu_total_ios", static_cast<double>(
                                       o2.RunTransactions(gen, cell.transactions)
                                           .total_ios));
@@ -271,13 +276,18 @@ void ObserveEmulator(const Cell& cell, const ocb::ObjectBase& base,
   cfg.memory_pages =
       emu::TexasConfig::FramesForMemory(cell.emulator_mb, cfg.page_size);
   emu::TexasEmulator texas(cfg, &base, seed);
+  // The clustering module observes from the first transaction, as the
+  // simulation's does.
+  if (cell.clustering_phases) {
+    texas.SetClusteringPolicy(MakeClusteringPolicy(cell));
+  }
+  if (cold > 0) texas.RunTransactions(gen, cold);
   if (!cell.clustering_phases) {
     sink.Observe("emu_total_ios",
                  static_cast<double>(
                      texas.RunTransactions(gen, cell.transactions).total_ios));
     return;
   }
-  texas.SetClusteringPolicy(MakeClusteringPolicy(cell));
   const uint64_t pre_ios =
       texas.RunTransactionsOfKind(gen, kUsage, cell.transactions).total_ios;
   const emu::TexasClusteringMetrics cm = texas.PerformClustering();
@@ -288,36 +298,59 @@ void ObserveEmulator(const Cell& cell, const ocb::ObjectBase& base,
                     cm.mean_cluster_size, "emu_", sink);
 }
 
+/// One object base per entry of `workloads`, generated serially in order;
+/// entries with equal workload parameters share one base.
+std::vector<std::shared_ptr<const ocb::ObjectBase>> GenerateBases(
+    const std::vector<ocb::OcbParameters>& workloads) {
+  const core::ParamRegistry& registry = core::ParamRegistry::Instance();
+  // Equal workloads generate equal bases: every workload parameter (the
+  // registry covers every OcbParameters field, all numeric) matches.
+  auto same = [&registry](const ocb::OcbParameters& a,
+                          const ocb::OcbParameters& b) {
+    for (const core::ParamDescriptor& d : registry.descriptors()) {
+      if (d.domain == core::ParamDomain::kWorkload &&
+          d.getter(core::ConstParamTarget{nullptr, &a}) !=
+              d.getter(core::ConstParamTarget{nullptr, &b})) {
+        return false;
+      }
+    }
+    return true;
+  };
+  std::vector<std::shared_ptr<const ocb::ObjectBase>> bases;
+  bases.reserve(workloads.size());
+  for (size_t i = 0; i < workloads.size(); ++i) {
+    size_t j = 0;
+    while (j < i && !same(workloads[j], workloads[i])) ++j;
+    bases.push_back(j < i ? bases[j]
+                          : std::make_shared<const ocb::ObjectBase>(
+                                ocb::ObjectBase::Generate(workloads[i])));
+  }
+  return bases;
+}
+
 }  // namespace
 
-std::vector<CellResult> RunCells(const ScenarioContext& ctx) {
-  VOODB_CHECK_MSG(static_cast<bool>(ctx.scenario->cells),
-                  "scenario '" << ctx.scenario->name
-                               << "' declares no cells");
-  std::vector<Cell> cells = ctx.scenario->cells(ctx);
+std::vector<CellResult> RunCells(std::vector<Cell> cells,
+                                 const ScenarioOptions& options) {
   if (cells.empty()) return {};  // e.g. a --set cap below every cell
   std::vector<ocb::OcbParameters> workloads;
-  std::vector<double> indices;
   for (const Cell& cell : cells) {
     VOODB_CHECK_MSG(!cell.clustering_phases ||
                         cell.emulator != EmulatorKind::kO2,
                     "cell '" << cell.label
                              << "': the clustering phases need the Texas "
                                 "emulator (O2 has no clustering module)");
-    indices.push_back(static_cast<double>(workloads.size()));
     workloads.push_back(cell.config.workload);
   }
   const auto bases = GenerateBases(workloads);
-  SweepGrid grid;
-  grid.Axis("cell", indices);
-  FarmOptions options;
-  options.threads = ctx.options.threads;
-  options.base_seed = ctx.options.seed;
-  std::vector<GridCell> grid_cells = RunGrid(
-      grid,
-      [&](const GridPoint& point) -> ReplicationFarm::Model {
-        const Cell& cell = cells[point.index];
-        const ocb::ObjectBase* base = bases[point.index].get();
+  FarmOptions farm;
+  farm.threads = options.threads;
+  farm.base_seed = options.seed;
+  std::vector<desp::ReplicationResult> replicated = RunGrid(
+      cells.size(),
+      [&](size_t c) -> ReplicationFarm::Model {
+        const Cell& cell = cells[c];
+        const ocb::ObjectBase* base = bases[c].get();
         return [&cell, base](uint64_t seed, desp::MetricSink& sink) {
           if (cell.emulator != EmulatorKind::kNone) {
             ObserveEmulator(cell, *base, seed, sink);
@@ -330,11 +363,11 @@ std::vector<CellResult> RunCells(const ScenarioContext& ctx) {
                       sys, sink);
         };
       },
-      ctx.options.replications, options);
+      options.replications, farm);
   std::vector<CellResult> results;
   results.reserve(cells.size());
   for (size_t i = 0; i < cells.size(); ++i) {
-    results.push_back({std::move(cells[i]), std::move(grid_cells[i].result)});
+    results.push_back({std::move(cells[i]), std::move(replicated[i])});
   }
   return results;
 }

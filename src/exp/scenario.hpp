@@ -18,9 +18,11 @@
 /// A scenario may also declare its table cells: each cell is one fully
 /// resolved configuration, optionally with a direct-execution emulator
 /// leg and the DSTC clustering phase protocol.  `RunCells` farms (cell x
-/// replication) on one pool; the tools run replication 0 of one cell
-/// (`FindCell`) through the same phase driver (`RunCellPhases`), so a
-/// tool instruments exactly the run that produced a table row.
+/// replication) on one pool — it is the one way to run a replicated
+/// VOODB experiment, for scenarios, examples and tests alike; the tools
+/// run replication 0 of one cell (`FindCell`) through the same phase
+/// driver (`RunCellPhases`), so a tool instruments exactly the run that
+/// produced a table row.
 #pragma once
 
 #include <cstdint>
@@ -31,14 +33,18 @@
 #include <utility>
 #include <vector>
 
-#include "exp/grid.hpp"
+#include "desp/replication.hpp"
 #include "voodb/experiment.hpp"
+#include "voodb/metrics.hpp"
+#include "voodb/system.hpp"
 
 namespace voodb::exp {
 
 /// Per-invocation knobs of the experiment protocol (how long / how wide
 /// to run), as opposed to model parameters (which live in the scenario's
-/// `ExperimentConfig` and are overridden via `--set`).
+/// `ExperimentConfig` and are overridden via `--set`).  `RunCells` reads
+/// `replications`, `seed` and `threads`; a cell carries its own
+/// transaction count.
 struct ScenarioOptions {
   uint64_t replications = 10;   ///< the paper used 100
   uint64_t transactions = 1000; ///< measured transactions per replication
@@ -61,8 +67,7 @@ using ParamOverride = std::pair<std::string, std::string>;
 /// The resolved inputs a scenario runs with.
 struct ScenarioContext {
   const Scenario* scenario = nullptr;
-  /// Scenario base config after `--set` overrides; `replications`,
-  /// `base_seed` and `threads` mirror `options`.
+  /// Scenario base config after `--set` overrides.
   core::ExperimentConfig config;
   ScenarioOptions options;
   /// The raw overrides, already applied to `config`.  Run hooks that
@@ -82,8 +87,11 @@ enum class EmulatorKind { kNone, kO2, kTexas };
 struct Cell {
   std::string label;  ///< table row key, e.g. "64/wait_die"; `--cell=`
   /// The simulated system and workload; `make_policy` is the CLUSTP
-  /// module (none when empty).
+  /// module (none when empty).  The workload's `cold_transactions`
+  /// (COLDN) run unmeasured before the first reported phase.
   core::ExperimentConfig config;
+  /// Measured transactions per replication (per usage phase of a phased
+  /// cell).
   uint64_t transactions = 0;
   /// Optional emulator leg: the O2 emulator with an `emulator_mb` cache
   /// or the Texas emulator on an `emulator_mb` host, over the same object
@@ -141,8 +149,8 @@ struct Scenario {
   /// are rejected (workload overrides still apply).
   bool system_config_used = true;
   /// Optional: the scenario's table cells, from its resolved context.  A
-  /// scenario that declares them reduces `RunCells(ctx)` into its table
-  /// in `run`, and the tools select one with `--cell=<label>`.
+  /// scenario that declares them reduces `RunCells` of them into its
+  /// table in `run`, and the tools select one with `--cell=<label>`.
   std::function<std::vector<Cell>(const ScenarioContext&)> cells;
   ScenarioRunner run;
 };
@@ -174,8 +182,7 @@ class ScenarioRegistry {
 /// Resolves the inputs `scenario` runs with: copies its base config,
 /// applies `overrides` through the parameter registry (values may be enum
 /// names; parameters the scenario sweeps itself, and system parameters of
-/// an emulator-only scenario, are rejected), mirrors `options` into the
-/// config and validates.
+/// an emulator-only scenario, are rejected) and validates.
 ScenarioContext ResolveScenario(const Scenario& scenario,
                                 const ScenarioOptions& options,
                                 const std::vector<ParamOverride>& overrides);
@@ -197,19 +204,22 @@ std::unique_ptr<cluster::ClusteringPolicy> MakeClusteringPolicy(
     const Cell& cell);
 
 /// Runs `cell`'s simulation phases on `sys` (built from the cell's config
-/// and CLUSTP module) over `workload`: its transactions, or the
+/// and CLUSTP module) over `workload`: first its workload's
+/// `cold_transactions` unmeasured, then its transactions or the
 /// clustering phase protocol.  `RunCells` and the tools share it, so a
 /// tool runs the phases a table reports.
 CellPhases RunCellPhases(const Cell& cell, core::VoodbSystem& sys,
                          ocb::WorkloadSource& workload);
 
-/// Runs `ctx.options.replications` replications of every cell of the
-/// scenario on one pool (`RunGrid` over the cell index), with the run's
-/// seed chain: replication i's emulator leg draws its workload from
-/// `RandomStream(seed_i)`, its simulation from
+/// Runs `options.replications` replications of every cell on one pool
+/// (`RunGrid` over the cell index, `options.threads` workers), with the
+/// seed chain of `options.seed`: replication i's emulator leg draws its
+/// workload from `RandomStream(seed_i)`, its simulation from
 /// `RandomStream(seed_i).Derive(1)`.  Cells with equal workload
 /// parameters share one object base.  Results are in cell order and
-/// bit-identical at any thread count.
-std::vector<CellResult> RunCells(const ScenarioContext& ctx);
+/// bit-identical at any thread count.  A scenario's run hook passes
+/// `ctx.scenario->cells(ctx)` and `ctx.options`.
+std::vector<CellResult> RunCells(std::vector<Cell> cells,
+                                 const ScenarioOptions& options);
 
 }  // namespace voodb::exp

@@ -20,9 +20,9 @@ const char* ToString(Distribution d);
 ///
 /// Database-structure parameters mirror the OCB publication (NC, MAXNREF,
 /// BASESIZE, NO, NREFT, locality windows); workload parameters mirror
-/// Table 5 of the VOODB paper (COLDN, HOTN, PSET/SETDEPTH,
-/// PSIMPLE/SIMDEPTH, PHIER/HIEDEPTH, PSTOCH/STODEPTH).  Defaults are the
-/// paper's defaults wherever the paper states them.
+/// Table 5 of the VOODB paper (COLDN, PSET/SETDEPTH, PSIMPLE/SIMDEPTH,
+/// PHIER/HIEDEPTH, PSTOCH/STODEPTH; HOTN is a cell's transaction count).
+/// Defaults are the paper's defaults wherever the paper states them.
 struct OcbParameters {
   // --- Database structure -------------------------------------------------
   /// NC: number of classes in the schema.
@@ -33,8 +33,9 @@ struct OcbParameters {
   /// BASESIZE: base instance size in bytes.  The instance size of class c
   /// is BASESIZE * (1 + c) when `class_size_growth` is set (so schemas
   /// with more classes hold larger objects).  The default is calibrated
-  /// so the paper's reference base (NC=50, NO=20000) occupies ~21 MB in
-  /// Texas and ~28 MB in O2, as §4.3 reports; see DESIGN.md.
+  /// against the ~21 MB (Texas) and ~28 MB (O2) that §4.3 reports for the
+  /// reference base (NC=50, NO=20000); README.md "Design notes" gives the
+  /// arithmetic and the sizes it yields.
   uint32_t base_instance_size = 32;
   /// Whether instance size grows linearly with the class index.
   bool class_size_growth = true;
@@ -54,10 +55,10 @@ struct OcbParameters {
   double zipf_skew = 0.8;
 
   // --- Workload ------------------------------------------------------------
-  /// COLDN: transactions executed before measurements start.
+  /// COLDN: transactions executed, unmeasured, before every cell's first
+  /// reported phase.  HOTN, the measured count, is the cell's
+  /// `transactions` (`voodb run --transactions`).
   uint32_t cold_transactions = 0;
-  /// HOTN: measured transactions.
-  uint32_t hot_transactions = 1000;
   /// PSET / SETDEPTH: set-oriented access probability and depth.
   double p_set = 0.25;
   uint32_t set_depth = 3;

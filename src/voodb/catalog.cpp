@@ -30,8 +30,9 @@ VoodbConfig SystemCatalog::Texas() {
   cfg.page_size = 4096;
   // Frames available to the store's mapping on the 64 MB host.  Table 4
   // prints "3275 pages", but that figure cannot reproduce Figures 10-11
-  // (the ~21 MB = ~5400-page base shows *no* thrashing at 64 MB), so we
-  // derive frames from physical memory instead; see DESIGN.md.
+  // (the reference base, ~4700 pages here, shows *no* thrashing at
+  // 64 MB), so we derive frames from physical memory instead; see
+  // README.md "Design notes".
   cfg.buffer_pages = 13107;  // 0.8 * 64 MB / 4 KB
   cfg.page_replacement = storage::ReplacementPolicy::kLru;
   cfg.prefetch = PrefetchPolicy::kNone;

@@ -448,7 +448,7 @@ class Builder {
         d.max_value = 1.0;
         break;
       case ParamType::kInt:
-        // Cap at the field width so a --set/axis value can never wrap or
+        // Cap at the field width so a --set value can never wrap or
         // hit UB in the double -> unsigned cast; 2^53 bounds 64-bit
         // fields because larger integers are not exact in a double.
         if constexpr (std::is_integral_v<T>) {
@@ -689,9 +689,8 @@ ParamRegistry::ParamRegistry() {
              "Zipf skew used by zipf distributions")
       .Range(0.0);
   b.Workload("cold_transactions", &ocb::OcbParameters::cold_transactions,
-             "COLDN: transactions before measurement starts");
-  b.Workload("hot_transactions", &ocb::OcbParameters::hot_transactions,
-             "HOTN: measured transactions");
+             "COLDN: unmeasured warm-up transactions before every cell's "
+             "reported phases");
   b.Workload("p_set", &ocb::OcbParameters::p_set,
              "PSET: set-oriented access probability")
       .Range(0.0, 1.0);

@@ -9,9 +9,10 @@
 /// and `ocb::OcbParameters` has exactly one descriptor carrying its name,
 /// type, doc string, valid range, typed accessors, and string <-> enum
 /// mapping.  Everything that addresses a parameter by name resolves
-/// through here: sweep-grid axes (`exp::ApplyAxis`), the `voodb run
-/// --set key=value` driver, config validation (range errors name the
-/// offending parameter), and the generated parameter table (`voodb
+/// through here: the `voodb run --set key=value` driver, the cells a
+/// scenario or example sweeps (each cell applies its value in the same
+/// `--set` spelling through `Set`), config validation (range errors name
+/// the offending parameter), and the generated parameter table (`voodb
 /// params`, README).
 #pragma once
 
@@ -35,7 +36,7 @@ enum class ParamType {
   kEnum,
   /// Free-form text (e.g. a trace file path).  String parameters travel
   /// through the dedicated text accessors — they have no numeric value,
-  /// cannot be sweep axes, and carry no range.
+  /// have no numeric `Set`, and carry no range.
   kString,
 };
 
@@ -121,8 +122,7 @@ class ParamRegistry {
 
   double Get(const ConstParamTarget& target, const std::string& name) const;
   /// Range-checks then writes; errors name the parameter.  Rejects
-  /// string parameters (they have no numeric value — this is also what
-  /// keeps them out of sweep grids).
+  /// string parameters (they have no numeric value).
   void Set(const ParamTarget& target, const std::string& name,
            double value) const;
   /// String-aware Set: `value` may be an enum/bool spelling, a number,

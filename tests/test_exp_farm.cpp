@@ -12,8 +12,8 @@
 #include "desp/histogram.hpp"
 #include "desp/random.hpp"
 #include "exp/farm.hpp"
+#include "exp/scenario.hpp"
 #include "util/check.hpp"
-#include "voodb/experiment.hpp"
 
 namespace voodb::exp {
 namespace {
@@ -101,7 +101,8 @@ TEST(ReplicationFarm, FullVoodbExperimentIsThreadCountInvariant) {
   // Cross-layer determinism: an actual discrete-event simulation (buffer
   // manager, transactions, disk model) replicated serially and on the
   // farm must agree on every metric, bit for bit.
-  core::ExperimentConfig ec;
+  Cell cell{"small", {}, /*transactions=*/30};
+  core::ExperimentConfig& ec = cell.config;
   ec.system.system_class = core::SystemClass::kCentralized;
   ec.system.page_size = 1024;
   ec.system.buffer_pages = 16;
@@ -110,15 +111,15 @@ TEST(ReplicationFarm, FullVoodbExperimentIsThreadCountInvariant) {
   ec.workload.num_objects = 300;
   ec.workload.max_refs_per_class = 3;
   ec.workload.base_instance_size = 60;
-  ec.workload.hot_transactions = 30;
   ec.workload.seed = 71;
-  ec.replications = 12;
-  ec.threads = 1;
-  const ocb::ObjectBase base = ocb::ObjectBase::Generate(ec.workload);
-  const desp::ReplicationResult serial = core::Experiment::RunOnBase(ec, base);
-  ec.threads = 6;
+  ScenarioOptions options;
+  options.replications = 12;
+  options.threads = 1;
+  const desp::ReplicationResult serial =
+      RunCells({cell}, options).front().result;
+  options.threads = 6;
   const desp::ReplicationResult parallel =
-      core::Experiment::RunOnBase(ec, base);
+      RunCells({cell}, options).front().result;
   ExpectBitIdentical(serial, parallel);
   EXPECT_GT(serial.Metric("total_ios").mean(), 0.0);
 }

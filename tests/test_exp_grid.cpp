@@ -1,60 +1,24 @@
 /// \file test_exp_grid.cpp
-/// \brief Tests for cartesian sweep grids and the grid runner.
+/// \brief Tests for the grid runner and the cell runner on top of it: a
+/// point (a cell) is bit-identical to a standalone farm run of its model,
+/// at any thread count, and a cell's COLDN warm-up runs before its
+/// reported phase.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "desp/random.hpp"
+#include "emu/o2_emulator.hpp"
 #include "exp/grid.hpp"
+#include "exp/scenario.hpp"
+#include "ocb/workload.hpp"
 #include "util/check.hpp"
+#include "voodb/param_registry.hpp"
+#include "voodb/system.hpp"
 
 namespace voodb::exp {
 namespace {
-
-TEST(SweepGrid, EnumeratesCartesianProductRowMajor) {
-  SweepGrid grid;
-  grid.Axis("a", {1, 2}).Axis("b", {10, 20, 30});
-  EXPECT_EQ(grid.NumAxes(), 2u);
-  EXPECT_EQ(grid.NumPoints(), 6u);
-  // First axis slowest: (1,10) (1,20) (1,30) (2,10) (2,20) (2,30).
-  const std::vector<GridPoint> points = grid.Points();
-  ASSERT_EQ(points.size(), 6u);
-  EXPECT_DOUBLE_EQ(points[0].Get("a"), 1.0);
-  EXPECT_DOUBLE_EQ(points[0].Get("b"), 10.0);
-  EXPECT_DOUBLE_EQ(points[2].Get("a"), 1.0);
-  EXPECT_DOUBLE_EQ(points[2].Get("b"), 30.0);
-  EXPECT_DOUBLE_EQ(points[3].Get("a"), 2.0);
-  EXPECT_DOUBLE_EQ(points[3].Get("b"), 10.0);
-  EXPECT_DOUBLE_EQ(points[5].Get("b"), 30.0);
-  EXPECT_EQ(points[4].index, 4u);
-  EXPECT_EQ(points[1].Label(), "a=1 b=20");
-}
-
-TEST(SweepGrid, AxislessGridHasOneEmptyPoint) {
-  const SweepGrid grid;
-  EXPECT_EQ(grid.NumPoints(), 1u);
-  EXPECT_TRUE(grid.Point(0).coords.empty());
-  EXPECT_THROW(grid.Point(1), util::Error);
-}
-
-TEST(SweepGrid, RejectsBadAxes) {
-  SweepGrid grid;
-  grid.Axis("a", {1});
-  EXPECT_THROW(grid.Axis("a", {2}), util::Error);  // duplicate name
-  EXPECT_THROW(grid.Axis("b", {}), util::Error);   // empty values
-  EXPECT_THROW(grid.Axis("", {1}), util::Error);   // empty name
-  EXPECT_THROW(grid.Point(1).Get("nope"), util::Error);
-}
-
-TEST(GridPoint, GetAndHas) {
-  SweepGrid grid;
-  grid.Axis("x", {5});
-  const GridPoint p = grid.Point(0);
-  EXPECT_TRUE(p.Has("x"));
-  EXPECT_FALSE(p.Has("y"));
-  EXPECT_DOUBLE_EQ(p.Get("x"), 5.0);
-  EXPECT_THROW(p.Get("y"), util::Error);
-}
 
 ReplicationFarm::Model ScaledModel(double scale) {
   return [scale](uint64_t seed, desp::MetricSink& sink) {
@@ -63,76 +27,50 @@ ReplicationFarm::Model ScaledModel(double scale) {
   };
 }
 
+const double kScales[] = {1, 10, 100};
+
 TEST(RunGrid, CellsMatchStandaloneFarmRuns) {
-  // Common random numbers: every cell uses the same seed chain, so a cell
-  // must reproduce a standalone farm run of its model bit for bit.
-  SweepGrid grid;
-  grid.Axis("scale", {1, 10, 100});
+  // Common random numbers: every point uses the same seed chain, so a
+  // point must reproduce a standalone farm run of its model bit for bit.
   FarmOptions options;
   options.threads = 4;
   options.base_seed = 77;
-  const std::vector<GridCell> cells = RunGrid(
-      grid, [](const GridPoint& p) { return ScaledModel(p.Get("scale")); },
-      20, options);
-  ASSERT_EQ(cells.size(), 3u);
-  for (const GridCell& cell : cells) {
+  const std::vector<desp::ReplicationResult> results = RunGrid(
+      3, [](size_t p) { return ScaledModel(kScales[p]); }, 20, options);
+  ASSERT_EQ(results.size(), 3u);
+  for (size_t p = 0; p < results.size(); ++p) {
     FarmOptions solo;
     solo.threads = 1;
     solo.base_seed = 77;
     const desp::ReplicationResult standalone =
-        ReplicationFarm(ScaledModel(cell.point.Get("scale")), solo).Run(20);
-    EXPECT_EQ(cell.result.replications(), standalone.replications());
-    EXPECT_EQ(cell.result.Metric("v").mean(), standalone.Metric("v").mean());
-    EXPECT_EQ(cell.result.Metric("v").variance(),
+        ReplicationFarm(ScaledModel(kScales[p]), solo).Run(20);
+    EXPECT_EQ(results[p].replications(), standalone.replications());
+    EXPECT_EQ(results[p].Metric("v").mean(), standalone.Metric("v").mean());
+    EXPECT_EQ(results[p].Metric("v").variance(),
               standalone.Metric("v").variance());
   }
 }
 
 TEST(RunGrid, ThreadCountInvariant) {
-  SweepGrid grid;
-  grid.Axis("scale", {1, 3}).Axis("unused", {0, 1});
-  auto run = [&grid](size_t threads) {
+  auto run = [](size_t threads) {
     FarmOptions options;
     options.threads = threads;
     options.base_seed = 5;
     return RunGrid(
-        grid, [](const GridPoint& p) { return ScaledModel(p.Get("scale")); },
-        15, options);
+        4, [](size_t p) { return ScaledModel(1.0 + 2.0 * (p / 2)); }, 15,
+        options);
   };
-  const std::vector<GridCell> serial = run(1);
-  const std::vector<GridCell> parallel = run(8);
+  const std::vector<desp::ReplicationResult> serial = run(1);
+  const std::vector<desp::ReplicationResult> parallel = run(8);
   ASSERT_EQ(serial.size(), parallel.size());
   for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].result.Metric("v").mean(),
-              parallel[i].result.Metric("v").mean());
-    EXPECT_EQ(serial[i].result.Metric("v").variance(),
-              parallel[i].result.Metric("v").variance());
+    EXPECT_EQ(serial[i].Metric("v").mean(), parallel[i].Metric("v").mean());
+    EXPECT_EQ(serial[i].Metric("v").variance(),
+              parallel[i].Metric("v").variance());
   }
 }
 
-TEST(ApplyAxisTest, BindsKnownAxesAndRejectsUnknown) {
-  core::ExperimentConfig config;
-  ApplyAxis(config, "buffer_pages", 256);
-  ApplyAxis(config, "multiprogramming_level", 4);
-  ApplyAxis(config, "num_objects", 1000);
-  ApplyAxis(config, "think_time_ms", 2.5);
-  ApplyAxis(config, "cc_protocol", 4);
-  EXPECT_EQ(config.system.buffer_pages, 256u);
-  EXPECT_EQ(config.system.multiprogramming_level, 4u);
-  EXPECT_EQ(config.workload.num_objects, 1000u);
-  EXPECT_DOUBLE_EQ(config.workload.think_time_ms, 2.5);
-  EXPECT_EQ(config.system.cc_protocol, cc::ProtocolKind::kOcc);
-  EXPECT_THROW(ApplyAxis(config, "no_such_axis", 1.0), util::Error);
-  EXPECT_THROW(ApplyAxis(config, "cc_protocol", 5.0), util::Error);
-  EXPECT_FALSE(IsWorkloadAxis("cc_protocol"));
-  // Integral fields reject fractional or negative sweep values.
-  EXPECT_THROW(ApplyAxis(config, "buffer_pages", 0.5), util::Error);
-  EXPECT_THROW(ApplyAxis(config, "buffer_pages", -1.0), util::Error);
-  EXPECT_TRUE(IsWorkloadAxis("num_objects"));
-  EXPECT_FALSE(IsWorkloadAxis("buffer_pages"));
-}
-
-TEST(RunExperimentGrid, RunsFullExperimentsPerCell) {
+core::ExperimentConfig SmallConfig() {
   core::ExperimentConfig ec;
   ec.system.system_class = core::SystemClass::kCentralized;
   ec.system.page_size = 1024;
@@ -140,28 +78,110 @@ TEST(RunExperimentGrid, RunsFullExperimentsPerCell) {
   ec.workload.num_objects = 300;
   ec.workload.max_refs_per_class = 3;
   ec.workload.base_instance_size = 60;
-  ec.workload.hot_transactions = 20;
   ec.workload.seed = 71;
-  ec.replications = 4;
+  return ec;
+}
 
-  SweepGrid grid;
-  grid.Axis("buffer_pages", {8, 64});
-  const std::vector<GridCell> cells = RunExperimentGrid(ec, grid, 4);
-  ASSERT_EQ(cells.size(), 2u);
-  for (const GridCell& cell : cells) {
-    EXPECT_EQ(cell.result.replications(), 4u);
-    EXPECT_GT(cell.result.Metric("total_ios").mean(), 0.0);
+/// `config` with registry parameter `name` set to `value` (its `--set`
+/// spelling), as a cell of `transactions`.
+Cell CellWith(const core::ExperimentConfig& config, const std::string& name,
+              const std::string& value, uint64_t transactions) {
+  Cell cell{name + "=" + value, config, transactions};
+  core::ParamRegistry::Instance().Set(
+      core::ParamTarget{&cell.config.system, &cell.config.workload}, name,
+      value);
+  return cell;
+}
+
+/// A cell replication's simulation, built by hand: a VoodbSystem from the
+/// cell's config, its workload from `RandomStream(seed).Derive(1)`, COLDN
+/// unmeasured, then the measured transactions.
+core::PhaseMetrics HandRun(const Cell& cell, const ocb::ObjectBase& base,
+                           uint64_t seed) {
+  core::VoodbSystem sys(cell.config.system, &base, nullptr, seed);
+  ocb::WorkloadGenerator gen(&base, desp::RandomStream(seed).Derive(1));
+  if (cell.config.workload.cold_transactions > 0) {
+    sys.RunTransactions(gen, cell.config.workload.cold_transactions);
+  }
+  return sys.RunTransactions(gen, cell.transactions);
+}
+
+TEST(RunCells, CellEqualsStandaloneFarmRunOfItsModel) {
+  const core::ExperimentConfig config = SmallConfig();
+  const ocb::ObjectBase base = ocb::ObjectBase::Generate(config.workload);
+  std::vector<Cell> cells = {CellWith(config, "buffer_pages", "8", 20),
+                             CellWith(config, "buffer_pages", "64", 20)};
+  ScenarioOptions options;
+  options.replications = 4;
+  options.seed = 42;
+  options.threads = 4;
+  const std::vector<CellResult> results = RunCells(cells, options);
+  ASSERT_EQ(results.size(), 2u);
+  for (size_t c = 0; c < results.size(); ++c) {
+    const desp::ReplicationResult& got = results[c].result;
+    EXPECT_EQ(results[c].cell.label, cells[c].label);
+    EXPECT_EQ(got.replications(), 4u);
+    EXPECT_GT(got.Metric("total_ios").mean(), 0.0);
+    // The cell's model, farmed on its own with the run's seed.
+    FarmOptions solo;
+    solo.threads = 1;
+    solo.base_seed = options.seed;
+    const Cell& cell = cells[c];
+    const desp::ReplicationResult want =
+        ReplicationFarm(
+            [&](uint64_t seed, desp::MetricSink& sink) {
+              const core::PhaseMetrics m = HandRun(cell, base, seed);
+              sink.Observe("total_ios", static_cast<double>(m.total_ios));
+              sink.Observe("hit_rate", m.HitRate());
+              sink.Observe("mean_response_ms", m.mean_response_ms);
+              sink.Observe("throughput_tps", m.ThroughputTps());
+            },
+            solo)
+            .Run(options.replications);
+    for (const std::string& metric : want.MetricNames()) {
+      EXPECT_EQ(got.Metric(metric).mean(), want.Metric(metric).mean())
+          << cell.label << " " << metric;
+      EXPECT_EQ(got.Metric(metric).variance(),
+                want.Metric(metric).variance())
+          << cell.label << " " << metric;
+    }
   }
   // More buffer never costs I/Os on an identical workload.
-  EXPECT_GE(cells[0].result.Metric("total_ios").mean(),
-            cells[1].result.Metric("total_ios").mean());
-  // A cell whose axis value equals the base config reproduces RunOnBase.
-  core::ExperimentConfig direct = ec;
-  direct.system.buffer_pages = 8;
-  direct.threads = 1;
-  const desp::ReplicationResult expected = core::Experiment::Run(direct);
-  EXPECT_EQ(cells[0].result.Metric("total_ios").mean(),
-            expected.Metric("total_ios").mean());
+  EXPECT_GE(results[0].result.Metric("total_ios").mean(),
+            results[1].result.Metric("total_ios").mean());
+}
+
+TEST(RunCells, ColdTransactionsRunBeforeTheReportedPhase) {
+  // COLDN warms the simulation and the emulator leg up, unmeasured, from
+  // the streams the measured transactions then continue.
+  core::ExperimentConfig config = SmallConfig();
+  config.system.buffer_pages = 16;
+  config.workload.cold_transactions = 30;
+  const ocb::ObjectBase base = ocb::ObjectBase::Generate(config.workload);
+  Cell cell{"cold", config, 25};
+  cell.emulator = EmulatorKind::kO2;
+  cell.emulator_mb = 0.02;
+  ScenarioOptions options;
+  options.replications = 1;
+  options.seed = 42;
+  options.threads = 1;
+  const desp::ReplicationResult got = RunCells({cell}, options)[0].result;
+  const uint64_t seed = ReplicationFarm::DeriveSeeds(options.seed, 1)[0];
+
+  const core::PhaseMetrics want = HandRun(cell, base, seed);
+  EXPECT_EQ(got.Metric("total_ios").mean(),
+            static_cast<double>(want.total_ios));
+  EXPECT_EQ(got.Metric("mean_response_ms").mean(), want.mean_response_ms);
+  EXPECT_EQ(got.Metric("sim_s").mean(), want.sim_time_ms / 1000.0);
+
+  emu::O2Config o2_config;
+  o2_config.cache_pages = static_cast<uint64_t>(
+      cell.emulator_mb * 1024 * 1024 / o2_config.page_size);
+  emu::O2Emulator o2(o2_config, &base, seed);
+  ocb::WorkloadGenerator gen(&base, desp::RandomStream(seed));
+  o2.RunTransactions(gen, config.workload.cold_transactions);
+  EXPECT_EQ(got.Metric("emu_total_ios").mean(),
+            static_cast<double>(o2.RunTransactions(gen, 25).total_ios));
 }
 
 }  // namespace

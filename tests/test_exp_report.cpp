@@ -1,5 +1,5 @@
 /// \file test_exp_report.cpp
-/// \brief Tests for the JSON/CSV result emitters and run manifests.
+/// \brief Tests for the JSON writer and the file sink.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -7,8 +7,6 @@
 #include <limits>
 #include <sstream>
 
-#include "desp/random.hpp"
-#include "exp/farm.hpp"
 #include "exp/report.hpp"
 #include "util/check.hpp"
 
@@ -52,85 +50,6 @@ TEST(JsonWriterTest, DoublesRoundTrip) {
   w.BeginArray().Value(0.95).Value(1.0 / 3.0).EndArray();
   // 0.95 prints short, 1/3 prints with enough digits to round-trip.
   EXPECT_EQ(w.str(), "[0.95,0.333333333333333" "31]");
-}
-
-desp::ReplicationResult SampleResult(uint64_t replications) {
-  FarmOptions options;
-  options.threads = 1;
-  options.base_seed = 3;
-  return ReplicationFarm(
-             [](uint64_t seed, desp::MetricSink& sink) {
-               desp::RandomStream rng(seed);
-               sink.Observe("ios", rng.Uniform(100.0, 200.0));
-               sink.Observe("hit_rate", rng.Uniform(0.0, 1.0));
-             },
-             options)
-      .Run(replications);
-}
-
-TEST(ResultToJsonTest, ContainsManifestAndPerMetricStats) {
-  RunManifest manifest;
-  manifest.name = "unit";
-  manifest.base_seed = 3;
-  manifest.replications = 10;
-  manifest.threads = 2;
-  manifest.wall_clock_ms = 12.5;
-  manifest.notes.emplace_back("transactions", "1000");
-  const std::string json = ResultToJson(manifest, SampleResult(10));
-  EXPECT_NE(json.find("\"name\":\"unit\""), std::string::npos);
-  EXPECT_NE(json.find("\"replications\":10"), std::string::npos);
-  EXPECT_NE(json.find("\"notes\":{\"transactions\":\"1000\"}"),
-            std::string::npos);
-  EXPECT_NE(json.find("\"ios\":{\"count\":10,\"mean\":"), std::string::npos);
-  EXPECT_NE(json.find("\"hit_rate\":"), std::string::npos);
-  EXPECT_NE(json.find("\"ci_half_width\":"), std::string::npos);
-}
-
-TEST(ResultToJsonTest, SingleReplicationCiIsNull) {
-  RunManifest manifest;
-  manifest.name = "single";
-  const std::string json = ResultToJson(manifest, SampleResult(1));
-  // n = 1: infinite half-width has no JSON number form.
-  EXPECT_NE(json.find("\"ci_half_width\":null"), std::string::npos);
-}
-
-std::vector<GridCell> SampleCells() {
-  SweepGrid grid;
-  grid.Axis("buffer_pages", {8, 64});
-  FarmOptions options;
-  options.threads = 1;
-  return RunGrid(
-      grid,
-      [](const GridPoint& p) {
-        const double scale = p.Get("buffer_pages");
-        return [scale](uint64_t seed, desp::MetricSink& sink) {
-          desp::RandomStream rng(seed);
-          sink.Observe("ios", scale * rng.Uniform(1.0, 2.0));
-        };
-      },
-      5, options);
-}
-
-TEST(GridToJsonTest, OneEntryPerCellWithCoords) {
-  RunManifest manifest;
-  manifest.name = "grid";
-  const std::string json = GridToJson(manifest, SampleCells());
-  EXPECT_NE(json.find("\"cells\":["), std::string::npos);
-  EXPECT_NE(json.find("\"label\":\"buffer_pages=8\""), std::string::npos);
-  EXPECT_NE(json.find("\"label\":\"buffer_pages=64\""), std::string::npos);
-  EXPECT_NE(json.find("\"coords\":{\"buffer_pages\":8}"), std::string::npos);
-}
-
-TEST(GridToCsvTest, OneRowPerCellMetric) {
-  const std::string csv = GridToCsv(SampleCells(), 0.95);
-  std::istringstream is(csv);
-  std::string line;
-  ASSERT_TRUE(std::getline(is, line));
-  EXPECT_EQ(line, "buffer_pages,metric,count,mean,ci_half_width,stddev,min,max");
-  int rows = 0;
-  while (std::getline(is, line)) ++rows;
-  EXPECT_EQ(rows, 2);  // 2 cells x 1 metric
-  EXPECT_EQ(GridToCsv({}, 0.95), "");
 }
 
 TEST(WriteFileTest, WritesAndFailsLoudly) {

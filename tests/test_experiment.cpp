@@ -1,17 +1,23 @@
 /// \file test_experiment.cpp
-/// \brief Tests for the replicated experiment runner.
+/// \brief Tests for a replicated VOODB experiment, run as a cell: every
+/// replication observes the cell metrics, results are deterministic in
+/// the base seed and vary across replications, COLDN warms the system,
+/// and the CLUSTP factory is called once per replication.
 #include <gtest/gtest.h>
 
-#include "cluster/dstc.hpp"
-#include "util/check.hpp"
-#include "voodb/experiment.hpp"
+#include <memory>
+#include <vector>
 
-namespace voodb::core {
+#include "cluster/dstc.hpp"
+#include "exp/scenario.hpp"
+#include "util/check.hpp"
+
+namespace voodb::exp {
 namespace {
 
-ExperimentConfig SmallExperiment() {
-  ExperimentConfig ec;
-  ec.system.system_class = SystemClass::kCentralized;
+Cell SmallCell() {
+  core::ExperimentConfig ec;
+  ec.system.system_class = core::SystemClass::kCentralized;
   ec.system.page_size = 1024;
   ec.system.buffer_pages = 16;
   ec.system.multiprogramming_level = 1;
@@ -19,19 +25,35 @@ ExperimentConfig SmallExperiment() {
   ec.workload.num_objects = 300;
   ec.workload.max_refs_per_class = 3;
   ec.workload.base_instance_size = 60;
-  ec.workload.hot_transactions = 40;
   ec.workload.cold_transactions = 10;
   ec.workload.seed = 71;
-  ec.replications = 5;
-  return ec;
+  return Cell{"small", ec, /*transactions=*/40};
+}
+
+ScenarioOptions FiveReplications() {
+  ScenarioOptions options;
+  options.replications = 5;
+  options.seed = 42;
+  options.threads = 1;
+  return options;
+}
+
+desp::ReplicationResult RunCell(const Cell& cell,
+                                const ScenarioOptions& options) {
+  return RunCells({cell}, options).front().result;
+}
+
+double MeanTotalIos(const Cell& cell, const ScenarioOptions& options) {
+  return RunCell(cell, options).Metric("total_ios").mean();
 }
 
 TEST(Experiment, RunsAllReplicationsAndMetrics) {
-  const desp::ReplicationResult result = Experiment::Run(SmallExperiment());
+  const desp::ReplicationResult result =
+      RunCell(SmallCell(), FiveReplications());
   EXPECT_EQ(result.replications(), 5u);
   for (const char* metric :
-       {"total_ios", "reads", "writes", "hit_rate", "mean_response_ms",
-        "throughput_tps", "sim_time_ms", "object_accesses"}) {
+       {"total_ios", "hit_rate", "network_mb", "mean_response_ms",
+        "throughput_tps", "sim_s", "abort_rate", "p99_ms"}) {
     EXPECT_TRUE(result.HasMetric(metric)) << metric;
     EXPECT_EQ(result.Metric(metric).count(), 5u) << metric;
   }
@@ -41,23 +63,24 @@ TEST(Experiment, RunsAllReplicationsAndMetrics) {
 }
 
 TEST(Experiment, DeterministicInBaseSeed) {
-  const double a = Experiment::MeanTotalIos(SmallExperiment());
-  const double b = Experiment::MeanTotalIos(SmallExperiment());
+  const double a = MeanTotalIos(SmallCell(), FiveReplications());
+  const double b = MeanTotalIos(SmallCell(), FiveReplications());
   EXPECT_DOUBLE_EQ(a, b);
 }
 
 TEST(Experiment, DifferentBaseSeedsVary) {
-  ExperimentConfig ec = SmallExperiment();
-  const double a = Experiment::MeanTotalIos(ec);
-  ec.base_seed = ec.base_seed + 1;
-  const double b = Experiment::MeanTotalIos(ec);
+  ScenarioOptions options = FiveReplications();
+  const double a = MeanTotalIos(SmallCell(), options);
+  options.seed = options.seed + 1;
+  const double b = MeanTotalIos(SmallCell(), options);
   EXPECT_NE(a, b);
 }
 
 TEST(Experiment, ReplicationsActuallyVary) {
   // With nontrivial workload randomness, per-replication totals differ,
   // so the CI has positive width.
-  const desp::ReplicationResult result = Experiment::Run(SmallExperiment());
+  const desp::ReplicationResult result =
+      RunCell(SmallCell(), FiveReplications());
   EXPECT_GT(result.Metric("total_ios").stddev(), 0.0);
   const desp::ConfidenceInterval ci = result.Interval("total_ios");
   EXPECT_GT(ci.half_width, 0.0);
@@ -65,27 +88,31 @@ TEST(Experiment, ReplicationsActuallyVary) {
 }
 
 TEST(Experiment, RunOnBaseMatchesRun) {
-  const ExperimentConfig ec = SmallExperiment();
-  const ocb::ObjectBase base = ocb::ObjectBase::Generate(ec.workload);
-  const double via_run = Experiment::Run(ec).Metric("total_ios").mean();
-  const double via_base =
-      Experiment::RunOnBase(ec, base).Metric("total_ios").mean();
-  EXPECT_DOUBLE_EQ(via_run, via_base);
+  // Cells with equal workloads run on one shared object base; a cell run
+  // beside another on the shared base equals the cell run on its own.
+  Cell other = SmallCell();
+  other.label = "other";
+  other.config.system.buffer_pages = 64;
+  const std::vector<CellResult> shared =
+      RunCells({other, SmallCell()}, FiveReplications());
+  const double via_run = MeanTotalIos(SmallCell(), FiveReplications());
+  EXPECT_DOUBLE_EQ(shared[1].result.Metric("total_ios").mean(), via_run);
 }
 
 TEST(Experiment, ColdRunWarmsTheBuffer) {
-  ExperimentConfig cold = SmallExperiment();
-  cold.system.buffer_pages = 256;  // everything fits
-  ExperimentConfig no_cold = cold;
-  no_cold.workload.cold_transactions = 0;
-  // With a cold run first, the measured hot phase starts warm and pays
-  // fewer I/Os.
-  EXPECT_LT(Experiment::MeanTotalIos(cold),
-            Experiment::MeanTotalIos(no_cold));
+  Cell cold = SmallCell();
+  cold.config.system.buffer_pages = 256;  // everything fits
+  Cell no_cold = cold;
+  no_cold.config.workload.cold_transactions = 0;
+  // With a cold run first, the measured phase starts warm and pays fewer
+  // I/Os.
+  EXPECT_LT(MeanTotalIos(cold, FiveReplications()),
+            MeanTotalIos(no_cold, FiveReplications()));
 }
 
 TEST(Experiment, ClusteringFactoryIsUsed) {
-  ExperimentConfig ec = SmallExperiment();
+  Cell cell = SmallCell();
+  core::ExperimentConfig& ec = cell.config;
   ec.workload.root_region = 4;
   ec.workload.p_set = 0.0;
   ec.workload.p_simple = 0.0;
@@ -100,15 +127,15 @@ TEST(Experiment, ClusteringFactoryIsUsed) {
     dp.observation_period = 10;
     return std::make_unique<cluster::DstcPolicy>(dp);
   };
-  Experiment::Run(ec);
+  RunCell(cell, FiveReplications());
   EXPECT_EQ(created, 5);  // one policy per replication
 }
 
 TEST(Experiment, RejectsZeroReplications) {
-  ExperimentConfig ec = SmallExperiment();
-  ec.replications = 0;
-  EXPECT_THROW(Experiment::Run(ec), util::Error);
+  ScenarioOptions options = FiveReplications();
+  options.replications = 0;
+  EXPECT_THROW(RunCell(SmallCell(), options), util::Error);
 }
 
 }  // namespace
-}  // namespace voodb::core
+}  // namespace voodb::exp

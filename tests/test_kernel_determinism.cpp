@@ -23,12 +23,17 @@
 #include <vector>
 
 #include "desp/scheduler.hpp"
+#include "exp/scenario.hpp"
 #include "ocb/workload.hpp"
 #include "voodb/experiment.hpp"
 #include "voodb/system.hpp"
 
 namespace voodb::core {
 namespace {
+
+/// Unmeasured (COLDN) then measured transactions of the small experiment.
+constexpr uint32_t kColdTransactions = 10;
+constexpr uint64_t kHotTransactions = 60;
 
 ExperimentConfig SmallExperiment() {
   ExperimentConfig ec;
@@ -42,10 +47,8 @@ ExperimentConfig SmallExperiment() {
   ec.workload.num_objects = 400;
   ec.workload.max_refs_per_class = 3;
   ec.workload.base_instance_size = 60;
-  ec.workload.hot_transactions = 60;
-  ec.workload.cold_transactions = 10;
+  ec.workload.cold_transactions = kColdTransactions;
   ec.workload.seed = 71;
-  ec.replications = 4;
   return ec;
 }
 
@@ -84,8 +87,8 @@ TEST(KernelDeterminism, SmallExperimentTraceMatchesGolden) {
   trace.limit = 10000;
   system.scheduler().SetTraceHook(&TraceDigest::Record, &trace);
   ocb::WorkloadGenerator workload(&base, desp::RandomStream(1234).Derive(1));
-  system.RunTransactions(workload, ec.workload.cold_transactions);
-  system.RunTransactions(workload, ec.workload.hot_transactions);
+  system.RunTransactions(workload, kColdTransactions);
+  system.RunTransactions(workload, kHotTransactions);
   EXPECT_EQ(trace.events, 8815u);
   EXPECT_EQ(trace.hash, 0x723a20625ef907b2ull);
 }
@@ -123,20 +126,20 @@ TEST(KernelDeterminism, ContendedWaitDieTraceMatchesGolden) {
 }
 
 TEST(KernelDeterminism, ExperimentBitIdenticalAcrossThreads) {
-  const ExperimentConfig base_config = SmallExperiment();
-  const ocb::ObjectBase base =
-      ocb::ObjectBase::Generate(base_config.workload);
+  const exp::Cell cell{"small", SmallExperiment(), kHotTransactions};
+  exp::ScenarioOptions options;
+  options.replications = 4;
+  options.seed = 42;
 
   // Reference: serial farm.
-  ExperimentConfig ref = base_config;
-  ref.threads = 1;
+  options.threads = 1;
   const desp::ReplicationResult reference =
-      Experiment::RunOnBase(ref, base);
+      exp::RunCells({cell}, options).front().result;
 
   for (size_t threads : {size_t{2}, size_t{4}}) {
-    ExperimentConfig ec = base_config;
-    ec.threads = threads;
-    const desp::ReplicationResult result = Experiment::RunOnBase(ec, base);
+    options.threads = threads;
+    const desp::ReplicationResult result =
+        exp::RunCells({cell}, options).front().result;
     for (const std::string& metric : reference.MetricNames()) {
       const desp::Tally& want = reference.Metric(metric);
       const desp::Tally& got = result.Metric(metric);

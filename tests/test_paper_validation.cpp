@@ -12,7 +12,6 @@
 #include "emu/o2_emulator.hpp"
 #include "emu/texas_emulator.hpp"
 #include "voodb/catalog.hpp"
-#include "voodb/experiment.hpp"
 #include "voodb/system.hpp"
 
 namespace voodb {
@@ -23,7 +22,6 @@ ocb::OcbParameters ScaledWorkload(uint32_t nc, uint64_t no) {
   ocb::OcbParameters p;
   p.num_classes = nc;
   p.num_objects = no;
-  p.hot_transactions = 200;
   p.seed = 1999;
   return p;
 }

@@ -7,7 +7,6 @@
 #include <set>
 #include <string>
 
-#include "exp/grid.hpp"
 #include "util/check.hpp"
 #include "voodb/experiment.hpp"
 #include "voodb/param_registry.hpp"
@@ -35,7 +34,7 @@ void ExpectErrorMentions(Fn&& fn, const std::string& needle) {
 // Linux) and then these counts.
 constexpr size_t kSystemFields = 43;
 constexpr size_t kDiskFields = 3;
-constexpr size_t kWorkloadFields = 33;
+constexpr size_t kWorkloadFields = 32;
 
 TEST(ParamRegistry, EveryFieldHasExactlyOneDescriptor) {
   size_t system = 0, disk = 0, workload = 0;
@@ -135,8 +134,7 @@ TEST(ParamRegistry, StringParametersTravelThroughTextAccessors) {
   EXPECT_EQ(Registry().GetText(const_target, "trace_path"), "runs/ocb.vtrc");
   EXPECT_FALSE(Registry().IsDefault(const_target,
                                     Registry().At("trace_path")));
-  // Numeric access paths reject string parameters — which is also what
-  // keeps them out of sweep grids.
+  // Numeric access paths reject string parameters.
   ExpectErrorMentions([&] { Registry().Set(target, "trace_path", 1.0); },
                       "trace_path");
   ExpectErrorMentions([&] { Registry().Get(const_target, "trace_path"); },
@@ -145,8 +143,6 @@ TEST(ParamRegistry, StringParametersTravelThroughTextAccessors) {
                       "trace_path");
   ExpectErrorMentions([&] { Registry().ParseValue("trace_path", "x"); },
                       "trace_path");
-  ExperimentConfig config;
-  EXPECT_THROW(exp::ApplyAxis(config, "trace_path", 1.0), util::Error);
   // The numeric-typed trace knobs behave like every other parameter.
   Registry().Set(target, "trace_record", std::string("true"));
   EXPECT_TRUE(system.trace_record);
@@ -279,29 +275,31 @@ TEST(ParamRegistry, MissingDomainTargetIsReported) {
 }
 
 TEST(ApplyAxisRegistry, EveryParameterIsASweepAxis) {
+  // A cell sweeps any parameter, boolean and enum knobs included, by
+  // setting its `--set` spelling (or its numeric value) in the registry.
   ExperimentConfig config;
-  // Previously-unsweepable boolean and enum knobs now bind as axes.
-  exp::ApplyAxis(config, "use_lock_manager", 1);
+  const ParamTarget target{&config.system, &config.workload};
+  Registry().Set(target, "use_lock_manager", std::string("true"));
   EXPECT_TRUE(config.system.use_lock_manager);
-  exp::ApplyAxis(config, "flush_on_commit", 1);
+  Registry().Set(target, "flush_on_commit", 1.0);
   EXPECT_TRUE(config.system.flush_on_commit);
-  exp::ApplyAxis(config, "use_virtual_memory", 1);
+  Registry().Set(target, "use_virtual_memory", std::string("1"));
   EXPECT_TRUE(config.system.use_virtual_memory);
-  exp::ApplyAxis(config, "system_class", 0);
+  Registry().Set(target, "system_class", std::string("centralized"));
   EXPECT_EQ(config.system.system_class, SystemClass::kCentralized);
-  exp::ApplyAxis(config, "page_replacement", 6);
+  Registry().Set(target, "page_replacement", 6.0);
   EXPECT_EQ(config.system.page_replacement,
             storage::ReplacementPolicy::kGclock);
-  exp::ApplyAxis(config, "disk_search_ms", 6.3);
+  Registry().Set(target, "disk_search_ms", std::string("6.3"));
   EXPECT_DOUBLE_EQ(config.system.disk.search_ms, 6.3);
-  exp::ApplyAxis(config, "p_update", 0.25);
+  Registry().Set(target, "p_update", 0.25);
   EXPECT_DOUBLE_EQ(config.workload.p_update, 0.25);
-  // Domain classification drives object-base regeneration in sweeps.
-  EXPECT_TRUE(exp::IsWorkloadAxis("p_update"));
-  EXPECT_TRUE(exp::IsWorkloadAxis("seed"));
-  EXPECT_FALSE(exp::IsWorkloadAxis("disk_search_ms"));
-  EXPECT_FALSE(exp::IsWorkloadAxis("use_lock_manager"));
-  EXPECT_THROW(exp::IsWorkloadAxis("no_such_axis"), util::Error);
+  // The domain decides whether a cell needs an object base of its own.
+  EXPECT_EQ(Registry().At("p_update").domain, ParamDomain::kWorkload);
+  EXPECT_EQ(Registry().At("seed").domain, ParamDomain::kWorkload);
+  EXPECT_EQ(Registry().At("disk_search_ms").domain, ParamDomain::kDisk);
+  EXPECT_EQ(Registry().At("use_lock_manager").domain, ParamDomain::kSystem);
+  ExpectErrorMentions([] { Registry().At("no_such_axis"); }, "no_such_axis");
 }
 
 }  // namespace

@@ -286,8 +286,10 @@ TEST(RunScenario, ResolvesOverridesThroughTheRegistry) {
   s.title = "probe";
   s.description = "probe";
   core::ExperimentConfig seen;
-  s.run = [&seen](const exp::ScenarioContext& ctx) {
+  exp::ScenarioOptions seen_options;
+  s.run = [&seen, &seen_options](const exp::ScenarioContext& ctx) {
     seen = ctx.config;
+    seen_options = ctx.options;
     return exp::ScenarioResult{};
   };
   exp::ScenarioOptions options = SmallOptions(10);
@@ -308,8 +310,8 @@ TEST(RunScenario, ResolvesOverridesThroughTheRegistry) {
   EXPECT_EQ(seen.system.cc_protocol, cc::ProtocolKind::kDeadlockDetect);
   EXPECT_EQ(seen.workload.num_objects, 1234u);
   EXPECT_DOUBLE_EQ(seen.workload.p_update, 0.25);
-  EXPECT_EQ(seen.replications, options.replications);
-  EXPECT_EQ(seen.base_seed, 7u);
+  EXPECT_EQ(seen_options.replications, options.replications);
+  EXPECT_EQ(seen_options.seed, 7u);
 }
 
 TEST(RunScenario, RejectsUnknownAndOutOfRangeOverrides) {
@@ -346,6 +348,34 @@ TEST(RunScenario, RejectsOverridesTheScenarioWouldDiscard) {
   EXPECT_THROW(RunScenario(registry.At("ablation_vm_model"), SmallOptions(5),
                            {{"page_size", "8192"}}),
                util::Error);
+}
+
+TEST(RunScenario, ColdTransactionsWarmEveryCell) {
+  // COLDN runs unmeasured before every cell's reported phase, so
+  // `--set cold_transactions` changes what the table reports.
+  RegisterBenchScenarios();
+  const exp::Scenario& multiprog =
+      exp::ScenarioRegistry::Instance().At("ablation_multiprog");
+  const exp::ScenarioResult plain = RunScenario(multiprog, SmallOptions(20));
+  const exp::ScenarioResult cold = RunScenario(
+      multiprog, SmallOptions(20), {{"cold_transactions", "100"}});
+  ASSERT_EQ(plain.size(), cold.size());
+  EXPECT_NE(plain, cold);
+}
+
+TEST(RunScenario, HotTransactionsIsRejectedByName) {
+  // HOTN is the run's --transactions, so `hot_transactions` is an
+  // unknown parameter and the error names it.
+  RegisterBenchScenarios();
+  try {
+    RunScenario(exp::ScenarioRegistry::Instance().At("ablation_multiprog"),
+                SmallOptions(20), {{"hot_transactions", "5"}});
+    FAIL() << "expected util::Error for --set hot_transactions";
+  } catch (const util::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("hot_transactions"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // --- Recorded goldens: the ported figures and tables ------------------------
