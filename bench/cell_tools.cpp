@@ -30,7 +30,7 @@ CellRun ResolveCellRun(const exp::Scenario& scenario, const std::string& cell,
   const exp::ScenarioContext ctx =
       exp::ResolveScenario(scenario, options, overrides);
   return {scenario.name, exp::FindCell(ctx, cell),
-          exp::ReplicationFarm::DeriveSeeds(seed, 1)[0]};
+          exp::DeriveSeeds(seed, 1)[0]};
 }
 
 namespace {

@@ -8,7 +8,6 @@
 #include <mutex>
 #include <utility>
 
-#include "exp/farm.hpp"
 #include "exp/report.hpp"
 #include "scenarios.hpp"
 #include "util/check.hpp"
@@ -201,21 +200,6 @@ Estimate EstimateOf(const desp::Tally& tally) {
     e.half_width = desp::StudentConfidenceInterval(tally, 0.95).half_width;
   }
   return e;
-}
-
-Estimate Replicate(const exp::ScenarioOptions& options, uint64_t base_seed,
-                   const std::function<double(uint64_t)>& model) {
-  exp::FarmOptions farm_options;
-  farm_options.threads = options.threads;
-  farm_options.base_seed = base_seed;
-  return EstimateOf(
-      exp::ReplicationFarm(
-          [&model](uint64_t seed, desp::MetricSink& sink) {
-            sink.Observe("value", model(seed));
-          },
-          farm_options)
-          .Run(options.replications)
-          .Metric("value"));
 }
 
 std::map<std::string, Estimate> EstimatesOf(

@@ -9,8 +9,8 @@
 /// numbers are embedded for side-by-side comparison (values read off the
 /// published figures are approximate and labelled as such).
 ///
-/// Replications run on the exp/ replication farm: all worker threads by
-/// default, bit-identical results at any thread count.  Unless disabled,
+/// Replications run on `exp::RunGrid` (src/exp/farm.hpp): all worker
+/// threads by default, bit-identical results at any thread count.  Unless disabled,
 /// every run also drops a machine-readable `BENCH_<scenario>.json` (per
 /// point/metric mean, CI half-width, replication count, wall clock) so the
 /// performance trajectory can be tracked across PRs.
@@ -29,13 +29,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "desp/stats.hpp"
-#include "exp/farm.hpp"
 #include "exp/scenario.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -61,12 +59,6 @@ struct Estimate {
   double mean = 0.0;
   double half_width = 0.0;
 };
-
-/// Runs `model` on the replication farm (options.threads workers, seeds
-/// derived from `base_seed`) and aggregates the returned scalar.  For
-/// emulator-only studies; model scenarios declare cells (`exp::RunCells`).
-Estimate Replicate(const exp::ScenarioOptions& options, uint64_t base_seed,
-                   const std::function<double(uint64_t seed)>& model);
 
 /// One Estimate per scalar metric of a reduced result.
 std::map<std::string, Estimate> EstimatesOf(

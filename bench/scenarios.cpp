@@ -1,6 +1,7 @@
 #include "scenarios.hpp"
 
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -13,10 +14,11 @@
 #include "cluster/gay_gruenwald.hpp"
 #include "desp/random.hpp"
 #include "emu/texas_emulator.hpp"
+#include "exp/farm.hpp"
 #include "harness.hpp"
 #include "micro_cc.hpp"
-#include "micro_trace.hpp"
 #include "ocb/workload.hpp"
+#include "trace_tools.hpp"
 #include "util/check.hpp"
 #include "util/table.hpp"
 #include "voodb/catalog.hpp"
@@ -732,32 +734,46 @@ void RegisterAblationVmModel() {
         {"clean loads (no swizzle dirty)", true, true, false},
         {"plain demand paging", false, false, false},
     };
+    const double memories[] = {8.0, 16.0, 64.0};
+    const size_t per_variant = std::size(memories);
+    // One point per (variant, memory), all on one pool and one seed chain.
+    exp::FarmOptions farm;
+    farm.threads = options.threads;
+    farm.base_seed = options.seed;
+    const std::vector<desp::ReplicationResult> replicated = exp::RunGrid(
+        std::size(variants) * per_variant,
+        [&](size_t p) -> exp::Model {
+          const Variant& v = variants[p / per_variant];
+          emu::TexasConfig cfg;
+          cfg.memory_pages = emu::TexasConfig::FramesForMemory(
+              memories[p % per_variant], 4096);
+          cfg.reserve_references = v.reserve;
+          cfg.reservations_enter_hot = v.hot;
+          cfg.dirty_on_load = v.dirty;
+          return [cfg, &base, transactions = options.transactions](
+                     uint64_t seed, desp::MetricSink& sink) {
+            emu::TexasEmulator texas(cfg, &base, seed);
+            ocb::WorkloadGenerator gen(&base, desp::RandomStream(seed));
+            sink.Observe("total_ios",
+                         static_cast<double>(
+                             texas.RunTransactions(gen, transactions)
+                                 .total_ios));
+          };
+        },
+        options.replications, farm);
     ScenarioResult result;
     util::TextTable table({"Variant", "I/Os @8MB", "I/Os @16MB",
                            "I/Os @64MB", "8MB/64MB"});
-    for (const Variant& v : variants) {
+    for (size_t p = 0; p < replicated.size(); p += per_variant) {
+      const char* name = variants[p / per_variant].name;
       double at[3] = {0, 0, 0};
-      const double memories[3] = {8.0, 16.0, 64.0};
-      for (int i = 0; i < 3; ++i) {
-        const Estimate e = Replicate(
-            options, options.seed, [&](uint64_t seed) {
-              emu::TexasConfig cfg;
-              cfg.memory_pages =
-                  emu::TexasConfig::FramesForMemory(memories[i], 4096);
-              cfg.reserve_references = v.reserve;
-              cfg.reservations_enter_hot = v.hot;
-              cfg.dirty_on_load = v.dirty;
-              emu::TexasEmulator texas(cfg, &base, seed);
-              ocb::WorkloadGenerator gen(&base, desp::RandomStream(seed));
-              return static_cast<double>(
-                  texas.RunTransactions(gen, options.transactions)
-                      .total_ios);
-            });
-        Note(result, "vm_model", v.name,
+      for (size_t i = 0; i < per_variant; ++i) {
+        const Estimate e = EstimateOf(replicated[p + i].Metric("total_ios"));
+        Note(result, "vm_model", name,
              "ios_at_" + util::FormatDouble(memories[i], 0) + "mb", e);
         at[i] = e.mean;
       }
-      table.AddRow({v.name, util::FormatDouble(at[0], 0),
+      table.AddRow({name, util::FormatDouble(at[0], 0),
                     util::FormatDouble(at[1], 0),
                     util::FormatDouble(at[2], 0),
                     util::FormatDouble(at[2] > 0 ? at[0] / at[2] : 0, 1)});
@@ -1081,23 +1097,6 @@ void RegisterTraceScenarios() {
     s.run = RunFig08MrcScenario;
     Register(std::move(s));
   }
-  {
-    Scenario s;
-    s.name = "micro_trace";
-    s.title = "Micro: trace record overhead, replay throughput, MRC speedup";
-    s.description =
-        "The trace subsystem's micro bench (BENCH_micro_trace.json): "
-        "recording overhead against an untraced emulator run, page-stream "
-        "replay throughput, and the speedup of one Mattson MRC pass over "
-        "per-cache-size replays and per-cache-size simulations.  "
-        "Protocol knobs: --transactions=N per trial, --replications=N "
-        "timed trials; workload parameters shape the base "
-        "(--set num_objects=...).";
-    s.base.workload = FigureWorkload(50, 20000);
-    s.system_config_used = false;
-    s.run = RunMicroTraceScenario;
-    Register(std::move(s));
-  }
 }
 
 void RegisterAll() {
@@ -1116,7 +1115,7 @@ void RegisterAll() {
   RegisterMemoryFigure(
       "fig08", exp::EmulatorKind::kO2, "Figure 8: O2, I/Os vs cache size (MB)",
       "Mean number of I/Os depending on the server cache size (8..64 MB) "
-      "on the NC=50 / NO=20000 base (~28 MB in O2): linear degradation "
+      "on the NC=50 / NO=20000 base (25.0 MiB in O2): linear degradation "
       "once the base outgrows the cache.",
       {52000, 45000, 38000, 26000, 15000, 7000},
       {50000, 43000, 36000, 24000, 14000, 6500});
@@ -1138,7 +1137,7 @@ void RegisterAll() {
       "fig11", exp::EmulatorKind::kTexas,
       "Figure 11: Texas, I/Os vs main memory (MB)",
       "Mean number of I/Os depending on the host main memory (8..64 MB) "
-      "on the NC=50 / NO=20000 base (~21 MB in Texas): *exponential* "
+      "on the NC=50 / NO=20000 base (18.4 MiB in Texas): *exponential* "
       "degradation under memory pressure driven by Texas' "
       "reserve-on-swizzle object loading policy, unlike the linear O2 "
       "curve of Figure 8.",

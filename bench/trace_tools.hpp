@@ -17,19 +17,25 @@
 ///       hit-ratio curve at every cache size, the reuse-distance
 ///       histogram, working-set size and per-class access skew.
 ///
-/// Shared helpers used by the trace scenarios (`trace_mrc`,
-/// `fig08_mrc`, `micro_trace`) live here too, so the subcommands and the
-/// catalog entries exercise the same code.
+/// The trace scenarios live here too, so the subcommands and the catalog
+/// entries exercise the same code:
+///
+///   trace_mrc   records one fixed-seed VOODB simulation run, replays it
+///               to verify the recorded counters are reproduced
+///               bit-exactly, and prints the one-pass Mattson analytics
+///               (hit-ratio curve, working set, reuse distances, class
+///               skew).
+///   fig08_mrc   Figure 8's cache-size curve computed from ONE recorded
+///               O2 run: a single Mattson pass yields the exact LRU hit
+///               count at every swept cache size, cross-checked (exact
+///               equality enforced) against a trace replay AND a fresh
+///               emulator simulation per size; reports the
+///               MRC-vs-N-simulations speedup.
 #pragma once
 
-#include <cstdint>
-#include <iosfwd>
-#include <string>
+#include <vector>
 
-#include "emu/o2_emulator.hpp"
 #include "exp/scenario.hpp"
-#include "trace/format.hpp"
-#include "voodb/config.hpp"
 
 namespace voodb::bench {
 
@@ -37,28 +43,11 @@ namespace voodb::bench {
 /// word.  Returns a process exit code.
 int RunTraceCommand(int argc, const char* const* argv);
 
-/// Header describing an O2-emulator recording (`num_pages` from the
-/// built emulator's placement).  Shared by the record subcommand, the
-/// micro bench's hand-rolled timing loops, and RecordO2Trace.
-trace::Header O2TraceHeader(const emu::O2Config& config,
-                            const ocb::ObjectBase& base, uint64_t num_pages,
-                            uint64_t seed);
+/// The six memory points (MB) of Figures 8/11, the cache sizes fig08_mrc
+/// evaluates.
+const std::vector<double>& MemoryPoints();
 
-/// Records `transactions` fixed-seed transactions of the O2 emulator
-/// (built from `config` over `base`) onto `os` and finishes the trace
-/// with the emulator's cache counters.  The recorded page stream is
-/// independent of the cache size, so one recording serves every
-/// replayed configuration.
-void RecordO2Trace(const emu::O2Config& config, const ocb::ObjectBase& base,
-                   uint64_t transactions, uint64_t seed, std::ostream& os);
-
-/// Records replication `seed` of `cell`'s simulation over `base` to
-/// `path` (trace_record / trace_path are set here): its phases as
-/// `voodb run` drives them (`exp::RunCellPhases`).  Returns the finished
-/// trace's counters.
-trace::TraceCounters RecordSimulationTrace(exp::Cell cell,
-                                           const ocb::ObjectBase& base,
-                                           uint64_t seed,
-                                           const std::string& path);
+exp::ScenarioResult RunTraceMrcScenario(const exp::ScenarioContext& ctx);
+exp::ScenarioResult RunFig08MrcScenario(const exp::ScenarioContext& ctx);
 
 }  // namespace voodb::bench

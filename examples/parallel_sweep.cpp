@@ -3,9 +3,10 @@
 /// over VOODB parameters by their `--set` names and run every (cell ×
 /// replication) work item concurrently on all cores.
 ///
-/// The farm is bit-deterministic: rerun this with --threads=1 and the
-/// table is identical, digit for digit (same seeds, same ordered
-/// reduction — see src/exp/farm.hpp).  For machine-readable results,
+/// `exp::RunCells` runs the cells as the points of one `exp::RunGrid`,
+/// which is bit-deterministic: rerun this with --threads=1 and the table
+/// is identical, digit for digit (same seeds, same ordered reduction —
+/// see src/exp/farm.hpp).  For machine-readable results,
 /// run a scenario: `voodb run <scenario> --json=PATH`.
 ///
 /// Build & run:

@@ -26,6 +26,16 @@ std::vector<std::string> ReplicationResult::MetricNames() const {
   return names;
 }
 
+void ReplicationResult::AddReplication(
+    const std::map<std::string, double>& observations) {
+  for (const auto& [name, value] : observations) {
+    Tally single;
+    single.Add(value);
+    tallies_[name].Merge(single);
+  }
+  ++replications_;
+}
+
 ConfidenceInterval ReplicationResult::Interval(const std::string& name,
                                                double level) const {
   return StudentConfidenceInterval(Metric(name), level);

@@ -6,8 +6,8 @@
 /// and reports the sample mean with a 95 % Student-t confidence interval,
 /// after a pilot study of n = 10 sized via n* = n.(h/h*)^2.  A *model*
 /// maps a replication seed to named observations recorded into a
-/// `MetricSink`; `exp::ReplicationFarm` runs the replications (serially
-/// with `threads = 1`) and reduces them into a `ReplicationResult`.
+/// `MetricSink`; `exp::RunGrid` runs the replications (serially with
+/// `threads = 1`) and reduces them into a `ReplicationResult`.
 #pragma once
 
 #include <cstdint>
@@ -16,10 +16,6 @@
 #include <vector>
 
 #include "desp/stats.hpp"
-
-namespace voodb::exp {
-class ReplicationFarm;
-}  // namespace voodb::exp
 
 namespace voodb::desp {
 
@@ -52,8 +48,12 @@ class ReplicationResult {
 
   uint64_t replications() const { return replications_; }
 
+  /// Adds one replication's observations; the reduction calls it in
+  /// replication order, so the result does not depend on which thread
+  /// ran which replication.
+  void AddReplication(const std::map<std::string, double>& observations);
+
  private:
-  friend class exp::ReplicationFarm;
   std::map<std::string, Tally> tallies_;
   uint64_t replications_ = 0;
 };

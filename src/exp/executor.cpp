@@ -11,9 +11,7 @@ size_t ThreadPool::HardwareThreads() {
   return hw == 0 ? 1 : static_cast<size_t>(hw);
 }
 
-ThreadPool::ThreadPool(ExecutorOptions options)
-    : queue_capacity_(options.queue_capacity) {
-  VOODB_CHECK_MSG(queue_capacity_ >= 1, "queue capacity must be >= 1");
+ThreadPool::ThreadPool(ExecutorOptions options) {
   const size_t n = options.threads == 0 ? HardwareThreads() : options.threads;
   workers_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -27,43 +25,21 @@ ThreadPool::~ThreadPool() {
     stop_ = true;
   }
   not_empty_.notify_all();
-  not_full_.notify_all();
   for (std::thread& w : workers_) w.join();
 }
 
-bool ThreadPool::Submit(std::function<void()> task) {
+void ThreadPool::Submit(std::function<void()> task) {
   VOODB_CHECK_MSG(static_cast<bool>(task), "task must be callable");
   {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_full_.wait(lock, [this] {
-      return cancelled_ || stop_ || queue_.size() < queue_capacity_;
-    });
-    if (cancelled_ || stop_) return false;
+    std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(task));
   }
   not_empty_.notify_one();
-  return true;
-}
-
-void ThreadPool::Cancel() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    cancelled_ = true;
-    queue_.clear();
-  }
-  not_empty_.notify_all();
-  not_full_.notify_all();
-  idle_.notify_all();
 }
 
 void ThreadPool::Wait() {
   std::unique_lock<std::mutex> lock(mu_);
   idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
-bool ThreadPool::cancelled() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cancelled_;
 }
 
 void ThreadPool::WorkerLoop() {
@@ -77,8 +53,7 @@ void ThreadPool::WorkerLoop() {
       queue_.pop_front();
       ++active_;
     }
-    not_full_.notify_one();
-    task();  // tasks handle their own exceptions (see ReplicationFarm)
+    task();  // tasks handle their own exceptions (see RunGrid)
     {
       std::lock_guard<std::mutex> lock(mu_);
       --active_;

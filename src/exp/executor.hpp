@@ -1,12 +1,12 @@
 /// \file executor.hpp
-/// \brief Thread-pool executor for the experiment farm.
+/// \brief Thread-pool executor for the replication engine.
 ///
 /// The VOODB protocol (paper §4.2.2) runs every experiment as ~100
-/// independent replications; they are embarrassingly parallel, so the farm
-/// schedules them on this pool.  The pool is deliberately small and boring:
-/// a fixed set of workers, a bounded FIFO queue (submission blocks instead
-/// of buffering unbounded closures), and cooperative cancellation that
-/// drops queued-but-unstarted tasks.
+/// independent replications; they are embarrassingly parallel, so
+/// `RunGrid` (farm.hpp) schedules them on this pool.  The pool is
+/// deliberately small and boring: a fixed set of workers and a FIFO
+/// queue.  `RunGrid` submits one self-scheduling task per worker, so the
+/// queue never holds more tasks than there are workers.
 #pragma once
 
 #include <condition_variable>
@@ -23,34 +23,26 @@ namespace voodb::exp {
 struct ExecutorOptions {
   /// Number of worker threads; 0 means ThreadPool::HardwareThreads().
   size_t threads = 0;
-  /// Maximum queued-but-unstarted tasks; Submit blocks while full.
-  size_t queue_capacity = 1024;
 };
 
-/// A fixed-size thread pool with a bounded task queue and cancellation.
+/// A fixed-size thread pool with a FIFO task queue.
 class ThreadPool {
  public:
   explicit ThreadPool(ExecutorOptions options = {});
   /// Drains: finishes every queued and running task, then joins the
-  /// workers.  Call Cancel() first to abandon queued work instead.
+  /// workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues `task`; blocks while the queue is at capacity.  Returns
-  /// false (and drops the task) when the pool has been cancelled.
-  bool Submit(std::function<void()> task);
-
-  /// Drops every queued-but-unstarted task and rejects new submissions.
-  /// Tasks already running are left to finish.
-  void Cancel();
+  /// Enqueues `task` for the next free worker.
+  void Submit(std::function<void()> task);
 
   /// Blocks until the queue is empty and no task is running.
   void Wait();
 
   size_t thread_count() const { return workers_.size(); }
-  bool cancelled() const;
 
   /// std::thread::hardware_concurrency with a floor of 1.
   static size_t HardwareThreads();
@@ -58,16 +50,13 @@ class ThreadPool {
  private:
   void WorkerLoop();
 
-  mutable std::mutex mu_;
-  std::condition_variable not_full_;   // signalled when queue space frees up
+  std::mutex mu_;
   std::condition_variable not_empty_;  // signalled when work (or stop) arrives
   std::condition_variable idle_;       // signalled when the pool drains
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
-  size_t queue_capacity_;
   size_t active_ = 0;    // tasks currently executing
   bool stop_ = false;    // destructor: exit once the queue drains
-  bool cancelled_ = false;
 };
 
 }  // namespace voodb::exp

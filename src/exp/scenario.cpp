@@ -6,7 +6,7 @@
 #include "desp/random.hpp"
 #include "emu/o2_emulator.hpp"
 #include "emu/texas_emulator.hpp"
-#include "exp/grid.hpp"
+#include "exp/farm.hpp"
 #include "ocb/workload.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
@@ -348,7 +348,7 @@ std::vector<CellResult> RunCells(std::vector<Cell> cells,
   farm.base_seed = options.seed;
   std::vector<desp::ReplicationResult> replicated = RunGrid(
       cells.size(),
-      [&](size_t c) -> ReplicationFarm::Model {
+      [&](size_t c) -> Model {
         const Cell& cell = cells[c];
         const ocb::ObjectBase* base = bases[c].get();
         return [&cell, base](uint64_t seed, desp::MetricSink& sink) {

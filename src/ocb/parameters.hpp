@@ -32,10 +32,10 @@ struct OcbParameters {
   uint32_t max_refs_per_class = 10;
   /// BASESIZE: base instance size in bytes.  The instance size of class c
   /// is BASESIZE * (1 + c) when `class_size_growth` is set (so schemas
-  /// with more classes hold larger objects).  The default is calibrated
-  /// against the ~21 MB (Texas) and ~28 MB (O2) that §4.3 reports for the
-  /// reference base (NC=50, NO=20000); README.md "Design notes" gives the
-  /// arithmetic and the sizes it yields.
+  /// with more classes hold larger objects).  The default puts the
+  /// reference base (NC=50, NO=20000) at 18.4 MiB in Texas and 25.0 MiB
+  /// in O2, about 12 % below the ~21 MB and ~28 MB that §4.3 reports;
+  /// README.md "Design notes" gives the arithmetic.
   uint32_t base_instance_size = 32;
   /// Whether instance size grows linearly with the class index.
   bool class_size_growth = true;

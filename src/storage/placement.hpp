@@ -47,7 +47,8 @@ class Placement {
  public:
   /// Builds the initial placement.  `overhead_factor` (>= 1) inflates
   /// object sizes to model per-system storage overhead (e.g. the O2 page
-  /// server stores the same base in ~28 MB where Texas needs ~21 MB).
+  /// server stores the reference base in 25.0 MiB where Texas needs
+  /// 18.4 MiB).
   static Placement Build(const ocb::ObjectBase& base, uint32_t page_size,
                          PlacementPolicy policy,
                          double overhead_factor = 1.0);

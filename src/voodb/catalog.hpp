@@ -16,8 +16,9 @@ class SystemCatalog {
   /// O2 v5.0 as configured in Table 4: page server, infinite network
   /// (server-side measurement), 4 KB pages, 3840-page LRU server cache,
   /// no prefetch, optimized-sequential placement, 6.3/2.99/0.7 ms disk,
-  /// MULTILVL 10, 0.5 ms locks, 1 user.  The ~1.33 storage overhead makes
-  /// the NC=50/NO=20000 OCB base occupy ~28 MB as the paper reports.
+  /// MULTILVL 10, 0.5 ms locks, 1 user.  The ~1.33 storage overhead is the
+  /// paper's O2/Texas size ratio: the NC=50/NO=20000 OCB base occupies
+  /// 25.0 MiB (18.4 MiB in Texas; the paper reports ~28 and ~21 MB).
   static VoodbConfig O2();
 
   /// Texas v0.5 as configured in Table 4: centralized, 4 KB pages,

@@ -111,8 +111,8 @@ struct VoodbConfig {
 
   // --- System-level extras (Table 4 calibration) ---------------------------
   /// Storage overhead factor applied when packing objects into pages
-  /// (O2's page server stores the OCB base in ~28 MB where Texas needs
-  /// ~21 MB; >= 1).
+  /// (O2's page server stores the reference OCB base in 25.0 MiB where
+  /// Texas needs 18.4 MiB; >= 1).
   double storage_overhead = 1.0;
   /// Use the OS virtual-memory model instead of a database buffer
   /// (Texas).  BUFFSIZE is then the number of page frames.

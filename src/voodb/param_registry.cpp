@@ -171,6 +171,11 @@ const ParamDescriptor* ParamRegistry::Find(const std::string& name) const {
 const ParamDescriptor& ParamRegistry::At(const std::string& name) const {
   const ParamDescriptor* d = Find(name);
   if (d == nullptr) {
+    // A retired name gets its replacement: the nearest spelling of
+    // `hot_transactions` is `cold_transactions`, its opposite.
+    VOODB_CHECK_MSG(name != "hot_transactions",
+                    "parameter 'hot_transactions' was retired: HOTN is the "
+                    "run's --transactions flag");
     const std::string nearest = util::NearestMatch(name, Names());
     VOODB_CHECK_MSG(false, "unknown parameter '"
                                << name << "'"

@@ -117,7 +117,8 @@ class ParamRegistry {
   std::vector<std::string> Names() const;
 
   const ParamDescriptor* Find(const std::string& name) const;
-  /// Throws voodb::util::Error with a nearest-name suggestion.
+  /// Throws voodb::util::Error with a nearest-name suggestion, or for a
+  /// retired name, with its replacement.
   const ParamDescriptor& At(const std::string& name) const;
 
   double Get(const ConstParamTarget& target, const std::string& name) const;

@@ -1,7 +1,8 @@
 /// \file test_exp_farm.cpp
-/// \brief Determinism and correctness tests for the parallel replication
-/// farm: same base seed ⇒ bit-identical results at any thread count, on
-/// both synthetic models and full VOODB experiments.
+/// \brief Determinism and correctness tests for the replication engine
+/// (`RunGrid`, `RunToPrecision`): same base seed ⇒ bit-identical results
+/// at any thread count, on both synthetic models and full VOODB
+/// experiments.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -36,6 +37,15 @@ void ExpectBitIdentical(const desp::ReplicationResult& a,
   }
 }
 
+/// `n` replications of `model` on `threads` workers: a one-point grid.
+desp::ReplicationResult RunOne(const Model& model, size_t threads,
+                               uint64_t base_seed, uint64_t n) {
+  FarmOptions options;
+  options.threads = threads;
+  options.base_seed = base_seed;
+  return RunGrid(1, [&](size_t) { return model; }, n, options).front();
+}
+
 /// A model with real floating-point work and several metrics; the value
 /// depends only on the seed, as the farm contract requires.
 void NoisyModel(uint64_t seed, desp::MetricSink& sink) {
@@ -63,38 +73,21 @@ TEST(ReplicationFarm, SeedChainMatchesSerialDerivation) {
   uint64_t sm = 1234;
   std::vector<uint64_t> expected;
   for (int i = 0; i < 10; ++i) expected.push_back(desp::SplitMix64(sm));
-  EXPECT_EQ(ReplicationFarm::DeriveSeeds(1234, 10), expected);
+  EXPECT_EQ(DeriveSeeds(1234, 10), expected);
 }
 
 TEST(ReplicationFarm, BitIdenticalAcrossThreadCounts) {
-  FarmOptions serial_options;
-  serial_options.threads = 1;
-  serial_options.base_seed = 99;
-  const desp::ReplicationResult serial =
-      ReplicationFarm(NoisyModel, serial_options).Run(100);
+  const desp::ReplicationResult serial = RunOne(NoisyModel, 1, 99, 100);
   for (const size_t threads : {2u, 3u, 7u, 16u}) {
-    FarmOptions options;
-    options.threads = threads;
-    options.base_seed = 99;
-    const desp::ReplicationResult parallel =
-        ReplicationFarm(NoisyModel, options).Run(100);
-    ExpectBitIdentical(serial, parallel);
+    ExpectBitIdentical(serial, RunOne(NoisyModel, threads, 99, 100));
   }
 }
 
 TEST(ReplicationFarm, MatchesSerialFarm) {
   // The acceptance bar of the subsystem: a 100-replication parallel run
-  // reports exactly what a serial (threads = 1) farm reports.
-  FarmOptions options;
-  options.threads = 1;
-  options.base_seed = 4242;
-  const desp::ReplicationResult serial =
-      ReplicationFarm(NoisyModel, options).Run(100);
-  options.threads = 8;
-  options.base_seed = 4242;
-  const desp::ReplicationResult parallel =
-      ReplicationFarm(NoisyModel, options).Run(100);
-  ExpectBitIdentical(serial, parallel);
+  // reports exactly what a serial (threads = 1) run reports.
+  ExpectBitIdentical(RunOne(NoisyModel, 1, 4242, 100),
+                     RunOne(NoisyModel, 8, 4242, 100));
 }
 
 TEST(ReplicationFarm, FullVoodbExperimentIsThreadCountInvariant) {
@@ -133,49 +126,43 @@ TEST(ReplicationFarm, RunToPrecisionMatchesSerialFarm) {
   options.threads = 1;
   options.base_seed = 7;
   const desp::ReplicationResult serial =
-      ReplicationFarm(model, options).RunToPrecision("x", 0.05, 10, 200);
+      RunToPrecision(model, options, "x", 0.05, 10, 200);
   options.threads = 4;
   const desp::ReplicationResult parallel =
-      ReplicationFarm(model, options).RunToPrecision("x", 0.05, 10, 200);
+      RunToPrecision(model, options, "x", 0.05, 10, 200);
   ExpectBitIdentical(serial, parallel);
 }
 
 TEST(ReplicationFarm, PropagatesModelExceptions) {
-  FarmOptions options;
-  options.threads = 4;
-  ReplicationFarm farm(
-      [](uint64_t seed, desp::MetricSink& sink) {
-        if (seed % 3 == 0) throw util::Error("boom");
-        sink.Observe("v", 1.0);
-      },
-      options);
-  EXPECT_THROW(farm.Run(64), util::Error);
+  const Model throwing = [](uint64_t seed, desp::MetricSink& sink) {
+    if (seed % 3 == 0) throw util::Error("boom");
+    sink.Observe("v", 1.0);
+  };
+  EXPECT_THROW(RunOne(throwing, 4, 42, 64), util::Error);
 }
 
 TEST(ReplicationFarm, RunsEachReplicationExactlyOnce) {
   std::atomic<int> calls{0};
-  FarmOptions options;
-  options.threads = 8;
-  const desp::ReplicationResult result =
-      ReplicationFarm(
-          [&calls](uint64_t, desp::MetricSink& sink) {
-            ++calls;
-            sink.Observe("v", 1.0);
-          },
-          options)
-          .Run(50);
+  const desp::ReplicationResult result = RunOne(
+      [&calls](uint64_t, desp::MetricSink& sink) {
+        ++calls;
+        sink.Observe("v", 1.0);
+      },
+      8, 42, 50);
   EXPECT_EQ(calls.load(), 50);
   EXPECT_EQ(result.replications(), 50u);
   EXPECT_EQ(result.Metric("v").count(), 50u);
 }
 
 TEST(ReplicationFarm, RejectsBadUsage) {
-  EXPECT_THROW(ReplicationFarm(nullptr), util::Error);
   FarmOptions options;
   options.threads = 2;
-  ReplicationFarm farm(NoisyModel, options);
-  EXPECT_THROW(farm.Run(0), util::Error);
-  EXPECT_THROW(farm.RunToPrecision("sum", 0.0), util::Error);
+  EXPECT_THROW(RunGrid(1, nullptr, 10, options), util::Error);
+  EXPECT_THROW(RunGrid(1, [](size_t) { return Model(); }, 10, options),
+               util::Error);
+  EXPECT_THROW(RunOne(NoisyModel, 2, 42, 0), util::Error);
+  EXPECT_THROW(RunToPrecision(nullptr, options, "sum", 0.05), util::Error);
+  EXPECT_THROW(RunToPrecision(NoisyModel, options, "sum", 0.0), util::Error);
 }
 
 // --- Tally::Merge as a parallel reduction operator -------------------------
@@ -246,35 +233,19 @@ TEST(ReplicationFarm, HistogramsBitIdenticalAcrossThreadCounts) {
   // Per-replication percentiles — the source of every reported latency
   // series — must be bit-identical at any farm width, and vary across
   // replications (a real CI, not a zero half-width).
-  FarmOptions serial_options;
-  serial_options.threads = 1;
-  serial_options.base_seed = 321;
-  const desp::ReplicationResult serial =
-      ReplicationFarm(HistogramModel, serial_options).Run(40);
+  const desp::ReplicationResult serial = RunOne(HistogramModel, 1, 321, 40);
   EXPECT_EQ(serial.Metric("latency_p99_ms").count(), 40u);
   EXPECT_GT(serial.Metric("latency_p99_ms").mean(),
             serial.Metric("latency_p50_ms").mean());
   EXPECT_GT(serial.Interval("latency_p99_ms").half_width, 0.0);
   for (const size_t threads : {2u, 5u, 16u}) {
-    FarmOptions options;
-    options.threads = threads;
-    options.base_seed = 321;
-    const desp::ReplicationResult parallel =
-        ReplicationFarm(HistogramModel, options).Run(40);
-    ExpectBitIdentical(serial, parallel);
+    ExpectBitIdentical(serial, RunOne(HistogramModel, threads, 321, 40));
   }
 }
 
 TEST(ReplicationFarm, HistogramsMatchSerialFarm) {
-  FarmOptions options;
-  options.threads = 1;
-  options.base_seed = 777;
-  const desp::ReplicationResult serial =
-      ReplicationFarm(HistogramModel, options).Run(25);
-  options.threads = 6;
-  const desp::ReplicationResult parallel =
-      ReplicationFarm(HistogramModel, options).Run(25);
-  ExpectBitIdentical(serial, parallel);
+  ExpectBitIdentical(RunOne(HistogramModel, 1, 777, 25),
+                     RunOne(HistogramModel, 6, 777, 25));
 }
 
 TEST(ReplicationFarmReduce, OrderedReductionIsExact) {
@@ -284,7 +255,7 @@ TEST(ReplicationFarmReduce, OrderedReductionIsExact) {
   obs[0] = {{"m", 1.0}};
   obs[1] = {{"m", 2.0}};
   obs[2] = {{"m", 6.0}};
-  const desp::ReplicationResult result = ReplicationFarm::Reduce(obs);
+  const desp::ReplicationResult result = Reduce(obs);
   EXPECT_EQ(result.replications(), 3u);
   EXPECT_EQ(result.Metric("m").count(), 3u);
   EXPECT_DOUBLE_EQ(result.Metric("m").mean(), 3.0);

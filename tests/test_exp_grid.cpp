@@ -1,8 +1,8 @@
 /// \file test_exp_grid.cpp
 /// \brief Tests for the grid runner and the cell runner on top of it: a
-/// point (a cell) is bit-identical to a standalone farm run of its model,
-/// at any thread count, and a cell's COLDN warm-up runs before its
-/// reported phase.
+/// point (a cell) is bit-identical to a one-point grid of its model, at
+/// any thread count, and a cell's COLDN warm-up runs before its reported
+/// phase.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -10,7 +10,7 @@
 
 #include "desp/random.hpp"
 #include "emu/o2_emulator.hpp"
-#include "exp/grid.hpp"
+#include "exp/farm.hpp"
 #include "exp/scenario.hpp"
 #include "ocb/workload.hpp"
 #include "util/check.hpp"
@@ -20,7 +20,7 @@
 namespace voodb::exp {
 namespace {
 
-ReplicationFarm::Model ScaledModel(double scale) {
+Model ScaledModel(double scale) {
   return [scale](uint64_t seed, desp::MetricSink& sink) {
     desp::RandomStream rng(seed);
     sink.Observe("v", scale * rng.Uniform(1.0, 2.0));
@@ -29,9 +29,18 @@ ReplicationFarm::Model ScaledModel(double scale) {
 
 const double kScales[] = {1, 10, 100};
 
+/// `n` serial replications of `model` with `base_seed`: a one-point grid.
+desp::ReplicationResult RunAlone(const Model& model, uint64_t base_seed,
+                                 uint64_t n) {
+  FarmOptions solo;
+  solo.threads = 1;
+  solo.base_seed = base_seed;
+  return RunGrid(1, [&](size_t) { return model; }, n, solo).front();
+}
+
 TEST(RunGrid, CellsMatchStandaloneFarmRuns) {
   // Common random numbers: every point uses the same seed chain, so a
-  // point must reproduce a standalone farm run of its model bit for bit.
+  // point must reproduce a one-point run of its model bit for bit.
   FarmOptions options;
   options.threads = 4;
   options.base_seed = 77;
@@ -39,11 +48,8 @@ TEST(RunGrid, CellsMatchStandaloneFarmRuns) {
       3, [](size_t p) { return ScaledModel(kScales[p]); }, 20, options);
   ASSERT_EQ(results.size(), 3u);
   for (size_t p = 0; p < results.size(); ++p) {
-    FarmOptions solo;
-    solo.threads = 1;
-    solo.base_seed = 77;
     const desp::ReplicationResult standalone =
-        ReplicationFarm(ScaledModel(kScales[p]), solo).Run(20);
+        RunAlone(ScaledModel(kScales[p]), 77, 20);
     EXPECT_EQ(results[p].replications(), standalone.replications());
     EXPECT_EQ(results[p].Metric("v").mean(), standalone.Metric("v").mean());
     EXPECT_EQ(results[p].Metric("v").variance(),
@@ -122,22 +128,17 @@ TEST(RunCells, CellEqualsStandaloneFarmRunOfItsModel) {
     EXPECT_EQ(results[c].cell.label, cells[c].label);
     EXPECT_EQ(got.replications(), 4u);
     EXPECT_GT(got.Metric("total_ios").mean(), 0.0);
-    // The cell's model, farmed on its own with the run's seed.
-    FarmOptions solo;
-    solo.threads = 1;
-    solo.base_seed = options.seed;
+    // The cell's model, run on its own with the run's seed.
     const Cell& cell = cells[c];
-    const desp::ReplicationResult want =
-        ReplicationFarm(
-            [&](uint64_t seed, desp::MetricSink& sink) {
-              const core::PhaseMetrics m = HandRun(cell, base, seed);
-              sink.Observe("total_ios", static_cast<double>(m.total_ios));
-              sink.Observe("hit_rate", m.HitRate());
-              sink.Observe("mean_response_ms", m.mean_response_ms);
-              sink.Observe("throughput_tps", m.ThroughputTps());
-            },
-            solo)
-            .Run(options.replications);
+    const desp::ReplicationResult want = RunAlone(
+        [&](uint64_t seed, desp::MetricSink& sink) {
+          const core::PhaseMetrics m = HandRun(cell, base, seed);
+          sink.Observe("total_ios", static_cast<double>(m.total_ios));
+          sink.Observe("hit_rate", m.HitRate());
+          sink.Observe("mean_response_ms", m.mean_response_ms);
+          sink.Observe("throughput_tps", m.ThroughputTps());
+        },
+        options.seed, options.replications);
     for (const std::string& metric : want.MetricNames()) {
       EXPECT_EQ(got.Metric(metric).mean(), want.Metric(metric).mean())
           << cell.label << " " << metric;
@@ -166,7 +167,7 @@ TEST(RunCells, ColdTransactionsRunBeforeTheReportedPhase) {
   options.seed = 42;
   options.threads = 1;
   const desp::ReplicationResult got = RunCells({cell}, options)[0].result;
-  const uint64_t seed = ReplicationFarm::DeriveSeeds(options.seed, 1)[0];
+  const uint64_t seed = DeriveSeeds(options.seed, 1)[0];
 
   const core::PhaseMetrics want = HandRun(cell, base, seed);
   EXPECT_EQ(got.Metric("total_ios").mean(),

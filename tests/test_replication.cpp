@@ -1,6 +1,6 @@
 /// \file test_replication.cpp
 /// \brief Tests for independent replications (paper §4.2.2) run serially
-/// on the replication farm (`threads = 1`).
+/// by the replication engine (`threads = 1`).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,13 +13,20 @@
 namespace voodb::desp {
 namespace {
 
-/// A farm that runs every replication on the calling thread.
-exp::ReplicationFarm SerialFarm(exp::ReplicationFarm::Model model,
-                                uint64_t base_seed = 42) {
+/// Options that run every replication on the calling thread.
+exp::FarmOptions Serial(uint64_t base_seed = 42) {
   exp::FarmOptions options;
   options.threads = 1;
   options.base_seed = base_seed;
-  return exp::ReplicationFarm(std::move(model), options);
+  return options;
+}
+
+/// `n` serial replications of `model`: a one-point grid.
+ReplicationResult RunSerial(const exp::Model& model, uint64_t n,
+                            uint64_t base_seed = 42) {
+  return exp::RunGrid(1, [&](size_t) { return model; }, n,
+                      Serial(base_seed))
+      .front();
 }
 
 TEST(MetricSink, RejectsDuplicateObservation) {
@@ -30,11 +37,12 @@ TEST(MetricSink, RejectsDuplicateObservation) {
 
 TEST(ReplicationFarmSerial, RunsRequestedReplications) {
   int calls = 0;
-  const auto farm = SerialFarm([&](uint64_t, MetricSink& sink) {
-    ++calls;
-    sink.Observe("v", 1.0);
-  });
-  const ReplicationResult result = farm.Run(7);
+  const ReplicationResult result = RunSerial(
+      [&](uint64_t, MetricSink& sink) {
+        ++calls;
+        sink.Observe("v", 1.0);
+      },
+      7);
   EXPECT_EQ(calls, 7);
   EXPECT_EQ(result.replications(), 7u);
   EXPECT_EQ(result.Metric("v").count(), 7u);
@@ -44,15 +52,15 @@ TEST(ReplicationFarmSerial, SeedsAreDistinctAndDeterministic) {
   std::vector<uint64_t> seeds1;
   std::vector<uint64_t> seeds2;
   auto collect = [](std::vector<uint64_t>* out) {
-    return SerialFarm(
+    RunSerial(
         [out](uint64_t seed, MetricSink& sink) {
           out->push_back(seed);
           sink.Observe("v", 0.0);
         },
-        123);
+        5, 123);
   };
-  collect(&seeds1).Run(5);
-  collect(&seeds2).Run(5);
+  collect(&seeds1);
+  collect(&seeds2);
   EXPECT_EQ(seeds1, seeds2);
   for (size_t i = 0; i < seeds1.size(); ++i) {
     for (size_t j = i + 1; j < seeds1.size(); ++j) {
@@ -64,25 +72,25 @@ TEST(ReplicationFarmSerial, SeedsAreDistinctAndDeterministic) {
 TEST(ReplicationFarmSerial, DifferentBaseSeedsGiveDifferentStreams) {
   auto first_seed = [](uint64_t base) {
     uint64_t got = 0;
-    const auto farm = SerialFarm(
+    RunSerial(
         [&got](uint64_t seed, MetricSink& sink) {
           got = seed;
           sink.Observe("v", 0.0);
         },
-        base);
-    farm.Run(1);
+        1, base);
     return got;
   };
   EXPECT_NE(first_seed(1), first_seed(2));
 }
 
 TEST(ReplicationFarmSerial, AggregatesMetricsAcrossReplications) {
-  const auto farm = SerialFarm([](uint64_t seed, MetricSink& sink) {
-    RandomStream rng(seed);
-    sink.Observe("mean5", rng.Uniform(4.0, 6.0));
-    sink.Observe("constant", 3.0);
-  });
-  const ReplicationResult result = farm.Run(100);
+  const ReplicationResult result = RunSerial(
+      [](uint64_t seed, MetricSink& sink) {
+        RandomStream rng(seed);
+        sink.Observe("mean5", rng.Uniform(4.0, 6.0));
+        sink.Observe("constant", 3.0);
+      },
+      100);
   EXPECT_NEAR(result.Metric("mean5").mean(), 5.0, 0.2);
   EXPECT_DOUBLE_EQ(result.Metric("constant").mean(), 3.0);
   EXPECT_DOUBLE_EQ(result.Metric("constant").stddev(), 0.0);
@@ -93,24 +101,25 @@ TEST(ReplicationFarmSerial, AggregatesMetricsAcrossReplications) {
 }
 
 TEST(ReplicationFarmSerial, ConfidenceIntervalCoversTrueMean) {
-  const auto farm = SerialFarm([](uint64_t seed, MetricSink& sink) {
-    RandomStream rng(seed);
-    // Mean 10 exponential.
-    sink.Observe("x", rng.Exponential(10.0));
-  });
-  const ReplicationResult result = farm.Run(100);
+  const ReplicationResult result = RunSerial(
+      [](uint64_t seed, MetricSink& sink) {
+        RandomStream rng(seed);
+        // Mean 10 exponential.
+        sink.Observe("x", rng.Exponential(10.0));
+      },
+      100);
   const ConfidenceInterval ci = result.Interval("x", 0.95);
   EXPECT_TRUE(ci.Contains(10.0))
       << "[" << ci.lower() << ", " << ci.upper() << "]";
 }
 
 TEST(ReplicationFarmSerial, RunToPrecisionReachesTarget) {
-  const auto farm = SerialFarm([](uint64_t seed, MetricSink& sink) {
+  const exp::Model model = [](uint64_t seed, MetricSink& sink) {
     RandomStream rng(seed);
     sink.Observe("x", rng.Uniform(9.0, 11.0));
-  });
+  };
   const ReplicationResult result =
-      farm.RunToPrecision("x", 0.05, 10, 200);
+      exp::RunToPrecision(model, Serial(), "x", 0.05, 10, 200);
   const ConfidenceInterval ci = result.Interval("x");
   // Within 5% of the sample mean with 95% confidence (the paper's goal).
   EXPECT_LE(ci.half_width, 0.05 * ci.mean * 1.25)  // slack for resampling
@@ -120,20 +129,23 @@ TEST(ReplicationFarmSerial, RunToPrecisionReachesTarget) {
 }
 
 TEST(ReplicationFarmSerial, RunToPrecisionStopsAtPilotWhenPrecise) {
-  const auto farm = SerialFarm([](uint64_t, MetricSink& sink) {
+  const exp::Model model = [](uint64_t, MetricSink& sink) {
     sink.Observe("x", 42.0);  // zero variance
-  });
-  const ReplicationResult result = farm.RunToPrecision("x", 0.05, 10, 100);
+  };
+  const ReplicationResult result =
+      exp::RunToPrecision(model, Serial(), "x", 0.05, 10, 100);
   EXPECT_EQ(result.replications(), 10u);
 }
 
 TEST(ReplicationFarmSerial, RejectsBadUsage) {
-  const auto farm = SerialFarm([](uint64_t, MetricSink& sink) {
+  const exp::Model model = [](uint64_t, MetricSink& sink) {
     sink.Observe("x", 1.0);
-  });
-  EXPECT_THROW(farm.Run(0), util::Error);
-  EXPECT_THROW(farm.RunToPrecision("x", 0.0), util::Error);
-  EXPECT_THROW(SerialFarm(nullptr), util::Error);
+  };
+  EXPECT_THROW(RunSerial(model, 0), util::Error);
+  EXPECT_THROW(exp::RunToPrecision(model, Serial(), "x", 0.0), util::Error);
+  EXPECT_THROW(exp::RunToPrecision(model, Serial(), "x", 0.05, 1),
+               util::Error);
+  EXPECT_THROW(RunSerial(nullptr, 3), util::Error);
 }
 
 }  // namespace
