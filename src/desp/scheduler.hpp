@@ -264,16 +264,17 @@ class Scheduler {
   }
 
  private:
+  /// Fields in falling alignment, so the record packs into 96 bytes.
   struct EventRecord {
-    EventKey key;
     Action action;
+    EventKey key;
     uint32_t generation = 0;
+    uint32_t trace = 0;      ///< trace context (ambient at schedule time)
+    uint32_t next_free = 0;  ///< free-list link when not allocated
+    uint16_t tag = 0;        ///< profiling tag (ambient at schedule time)
     bool cancelled = false;
     bool in_queue = false;   ///< queued (live or lazily-deleted)
     bool in_lane = false;    ///< resident in the fast lane, not the heap
-    uint16_t tag = 0;        ///< profiling tag (ambient at schedule time)
-    uint32_t trace = 0;      ///< trace context (ambient at schedule time)
-    uint32_t next_free = 0;  ///< free-list link when not allocated
   };
 
   /// One FIFO ring of same-priority fast-lane entries.  `slots` has

@@ -26,11 +26,23 @@ class SmallFunction {
  public:
   /// Inline capture budget.  Model continuations bind an object pointer
   /// plus a few words (a pooled slot index or handle, a timestamp, a page
-  /// span): 16-40 bytes.  The largest is a user's think-time submission,
-  /// which carries its `ocb::Transaction` (8 + 4 + 40).  State beyond
-  /// that lives in a `desp::SlotPool` slot rather than in a bigger
-  /// buffer, which would enlarge every queued waiter and event record.
-  static constexpr size_t kInlineBytes = 88;
+  /// span): 16-40 bytes.  The largest fill it exactly: a bound
+  /// `Actor::CallIn` of `Resource::Serve` (`this`, a 16-byte member
+  /// pointer, a slot, a time), the sharded driver's cross-shard hop, a
+  /// granted cc access and a buffered object access.  A submission
+  /// binds only `{this, user}`: the transaction waits in its user's
+  /// recycled buffer.  Parked continuations (a reorganization's `done`,
+  /// an `AcquireFor` completion) wait in a `desp::SlotPool` slot rather
+  /// than in a bigger buffer, which would enlarge every queued waiter
+  /// and event record.  With the ops pointer a SmallFunction is 48 bytes.
+  static constexpr size_t kInlineBytes = 40;
+
+  /// True when `F` is stored in place (no heap allocation).
+  template <typename F>
+  static constexpr bool kFitsInline =
+      sizeof(F) <= kInlineBytes &&
+      alignof(F) <= alignof(std::max_align_t) &&
+      std::is_nothrow_move_constructible_v<F>;
 
   SmallFunction() = default;
   SmallFunction(std::nullptr_t) {}  // NOLINT(runtime/explicit)
@@ -65,9 +77,7 @@ class SmallFunction {
       if constexpr (std::is_constructible_v<bool, Fn&>) {
         if (!f) return;
       }
-      if constexpr (sizeof(Fn) <= kInlineBytes &&
-                    alignof(Fn) <= alignof(std::max_align_t) &&
-                    std::is_nothrow_move_constructible_v<Fn>) {
+      if constexpr (kFitsInline<Fn>) {
         ::new (static_cast<void*>(buffer_)) Fn(std::forward<F>(f));
         ops_ = &InlineOps<Fn>::ops;
       } else {

@@ -46,10 +46,9 @@ core::PhaseMetrics O2Emulator::Drive(ocb::WorkloadSource& workload,
   const uint64_t writes_before = writes_;
   const uint64_t accesses_before = accesses_;
   core::PhaseMetrics m;
+  ocb::Transaction txn;  // one buffer, refilled per transaction
   for (uint64_t i = 0; i < n; ++i) {
-    const ocb::Transaction txn = forced != nullptr
-                                     ? workload.NextOfKind(*forced)
-                                     : workload.Next();
+    workload.NextInto(txn, forced);
     if (recorder_ != nullptr) {
       recorder_->OnTxnBegin(static_cast<uint64_t>(txn.kind));
     }

@@ -1,7 +1,6 @@
 #include "ocb/workload.hpp"
 
 #include <cmath>
-#include <deque>
 
 #include "util/check.hpp"
 
@@ -33,33 +32,43 @@ WorkloadGenerator::WorkloadGenerator(const ObjectBase* base,
 }
 
 Transaction WorkloadGenerator::Next() {
-  const OcbParameters& p = base_->params();
-  const double u = stream_.NextDouble();
-  TransactionKind kind;
-  double cumulative = p.p_set;
-  if (u < cumulative) {
-    kind = TransactionKind::kSetOriented;
-  } else if (u < (cumulative += p.p_simple)) {
-    kind = TransactionKind::kSimpleTraversal;
-  } else if (u < (cumulative += p.p_hierarchy)) {
-    kind = TransactionKind::kHierarchyTraversal;
-  } else if (u < (cumulative += p.p_stochastic)) {
-    kind = TransactionKind::kStochasticTraversal;
-  } else if (u < (cumulative += p.p_random_access)) {
-    kind = TransactionKind::kRandomAccess;
-  } else {
-    kind = TransactionKind::kSequentialScan;
-  }
-  return NextOfKind(kind);
+  Transaction txn;
+  NextInto(txn, nullptr);
+  return txn;
 }
 
 Transaction WorkloadGenerator::NextOfKind(TransactionKind kind) {
-  const OcbParameters& p = base_->params();
   Transaction txn;
-  txn.kind = kind;
+  NextInto(txn, &kind);
+  return txn;
+}
+
+TransactionKind WorkloadGenerator::PickKind() {
+  const OcbParameters& p = base_->params();
+  const double u = stream_.NextDouble();
+  double cumulative = p.p_set;
+  if (u < cumulative) return TransactionKind::kSetOriented;
+  if (u < (cumulative += p.p_simple)) return TransactionKind::kSimpleTraversal;
+  if (u < (cumulative += p.p_hierarchy)) {
+    return TransactionKind::kHierarchyTraversal;
+  }
+  if (u < (cumulative += p.p_stochastic)) {
+    return TransactionKind::kStochasticTraversal;
+  }
+  if (u < (cumulative += p.p_random_access)) {
+    return TransactionKind::kRandomAccess;
+  }
+  return TransactionKind::kSequentialScan;
+}
+
+void WorkloadGenerator::NextInto(Transaction& txn,
+                                 const TransactionKind* forced) {
+  const OcbParameters& p = base_->params();
+  txn.kind = forced != nullptr ? *forced : PickKind();
+  txn.accesses.clear();
   txn.root = PickRoot();
   ++visit_epoch_;
-  switch (kind) {
+  switch (txn.kind) {
     case TransactionKind::kSetOriented:
       GenerateSetOriented(txn, p.set_depth);
       break;
@@ -80,7 +89,6 @@ Transaction WorkloadGenerator::NextOfKind(TransactionKind kind) {
       break;
   }
   generated_accesses_ += txn.accesses.size();
-  return txn;
 }
 
 Oid WorkloadGenerator::PickRoot() {
@@ -131,18 +139,19 @@ bool WorkloadGenerator::MarkVisited(Oid oid) {
 
 void WorkloadGenerator::GenerateSetOriented(Transaction& txn, uint32_t depth) {
   // Breadth-first set access: every distinct object within `depth` levels.
-  std::deque<std::pair<Oid, uint32_t>> frontier;
+  // The queue is a recycled vector read from a moving head, so it keeps
+  // its capacity from one transaction to the next.
+  frontier_.clear();
   MarkVisited(txn.root);
   AppendAccess(txn, txn.root);
-  frontier.emplace_back(txn.root, 0);
-  while (!frontier.empty()) {
-    const auto [oid, level] = frontier.front();
-    frontier.pop_front();
+  frontier_.emplace_back(txn.root, 0);
+  for (size_t head = 0; head < frontier_.size(); ++head) {
+    const auto [oid, level] = frontier_[head];
     if (level >= depth) continue;
     for (Oid ref : base_->References(oid)) {
       if (ref == kNullOid || !MarkVisited(ref)) continue;
       AppendAccess(txn, ref);
-      frontier.emplace_back(ref, level + 1);
+      frontier_.emplace_back(ref, level + 1);
     }
   }
 }
@@ -204,6 +213,7 @@ void WorkloadGenerator::GenerateRandomAccess(Transaction& txn,
   // remaining draws are independent and uniform over the whole base
   // (ignoring the hot-root restriction: random accesses model index or
   // dictionary lookups).
+  txn.accesses.reserve(count == 0 ? 1 : count);
   AppendAccess(txn, txn.root);
   const auto no = static_cast<int64_t>(base_->NumObjects());
   for (uint32_t i = 1; i < count; ++i) {

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "desp/random.hpp"
@@ -27,6 +28,17 @@ class WorkloadSource {
   /// Supplies a transaction of a forced kind (sources that replay a
   /// fixed stream may ignore the request and document doing so).
   virtual Transaction NextOfKind(TransactionKind kind) = 0;
+
+  /// Overwrites `txn` with the next transaction (of `*kind`, when not
+  /// null).  The drivers call this with a buffer they recycle, so a
+  /// source that refills `txn.accesses` in place (clear, then append)
+  /// reuses its capacity and, once the buffer has reached the largest
+  /// transaction of the stream, generates without allocating.  The
+  /// default move-assigns a fresh `Next()`/`NextOfKind()` result, which
+  /// frees that capacity: correct, but not allocation-free.
+  virtual void NextInto(Transaction& txn, const TransactionKind* kind) {
+    txn = kind != nullptr ? NextOfKind(*kind) : Next();
+  }
 };
 
 /// Generates the OCB transaction stream over a given object base.
@@ -57,10 +69,15 @@ class WorkloadGenerator : public WorkloadSource {
   /// experiments, which run pure depth-3 hierarchy traversals).
   Transaction NextOfKind(TransactionKind kind) override;
 
+  /// Generates into `txn`'s recycled buffer; the same draws, in the same
+  /// order, as Next()/NextOfKind().
+  void NextInto(Transaction& txn, const TransactionKind* kind) override;
+
   /// Total object accesses generated so far (all transactions).
   uint64_t GeneratedAccesses() const { return generated_accesses_; }
 
  private:
+  TransactionKind PickKind();
   Oid PickRoot();
   /// Uniform draw among the non-null reference slots of `from`
   /// (kNullOid when every slot dangles).  The shared dangling-slot
@@ -83,6 +100,8 @@ class WorkloadGenerator : public WorkloadSource {
   // Epoch-stamped visited set: O(1) reset per transaction.
   std::vector<uint32_t> visit_stamp_;
   uint32_t visit_epoch_ = 0;
+  /// Set-oriented access's breadth-first queue of (object, level).
+  std::vector<std::pair<Oid, uint32_t>> frontier_;
 };
 
 }  // namespace voodb::ocb

@@ -13,12 +13,20 @@ YcsbZipfWorkload::YcsbZipfWorkload(const ObjectBase* base,
 }
 
 Transaction YcsbZipfWorkload::Next() {
-  const OcbParameters& params = base_->params();
   Transaction txn;
+  NextInto(txn, nullptr);
+  return txn;
+}
+
+Transaction YcsbZipfWorkload::NextOfKind(TransactionKind) { return Next(); }
+
+void YcsbZipfWorkload::NextInto(Transaction& txn, const TransactionKind*) {
+  const OcbParameters& params = base_->params();
   // Point accesses with no graph structure: kRandomAccess is the OCB
   // kind with the same semantics, so downstream accounting (per-kind
   // metrics, trace markers) stays meaningful.
   txn.kind = TransactionKind::kRandomAccess;
+  txn.accesses.clear();
   txn.accesses.reserve(params.ycsb_ops_per_txn);
   for (uint32_t i = 0; i < params.ycsb_ops_per_txn; ++i) {
     ObjectAccess access;
@@ -29,9 +37,6 @@ Transaction YcsbZipfWorkload::Next() {
     txn.accesses.push_back(access);
   }
   txn.root = txn.accesses.empty() ? kNullOid : txn.accesses.front().oid;
-  return txn;
 }
-
-Transaction YcsbZipfWorkload::NextOfKind(TransactionKind) { return Next(); }
 
 }  // namespace voodb::ocb

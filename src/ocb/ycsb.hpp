@@ -35,6 +35,9 @@ class YcsbZipfWorkload : public WorkloadSource {
   /// ignored (documented no-op) and the next transaction is returned.
   Transaction NextOfKind(TransactionKind kind) override;
 
+  /// Refills `txn`'s recycled buffer; the forced kind is ignored.
+  void NextInto(Transaction& txn, const TransactionKind* kind) override;
+
  private:
   const ObjectBase* base_;
   desp::RandomStream stream_;

@@ -20,6 +20,15 @@ TraceWorkload::TraceWorkload(std::istream* is)
 
 ocb::Transaction TraceWorkload::Next() {
   ocb::Transaction txn;
+  NextInto(txn, nullptr);
+  return txn;
+}
+
+void TraceWorkload::NextInto(ocb::Transaction& txn,
+                             const ocb::TransactionKind*) {
+  // `kind` is set by the kTxnBegin marker every returned transaction has.
+  txn.root = ocb::kNullOid;
+  txn.accesses.clear();
   bool in_txn = false;
   Record record;
   while (true) {
@@ -48,7 +57,7 @@ ocb::Transaction TraceWorkload::Next() {
       case RecordKind::kTxnEnd:
         if (in_txn) {
           ++replayed_;
-          return txn;
+          return;
         }
         break;
       case RecordKind::kTxnAbort:

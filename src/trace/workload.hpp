@@ -42,6 +42,9 @@ class TraceWorkload : public ocb::WorkloadSource {
   /// ignored by design.
   ocb::Transaction NextOfKind(ocb::TransactionKind) override { return Next(); }
 
+  /// Refills `txn`'s recycled buffer with the next recorded transaction.
+  void NextInto(ocb::Transaction& txn, const ocb::TransactionKind*) override;
+
   const Header& header() const { return reader_->header(); }
 
   /// Transactions handed out so far (across wrap-arounds).

@@ -75,9 +75,15 @@ void ClusteringManagerActor::PerformClustering(desp::Scheduler::Action done) {
   last_metrics_.overhead_ios = ios.size();
   total_overhead_ios_ += ios.size();
   ++reorganizations_;
-  io_->Execute(ios, [this, started, done = std::move(done)]() mutable {
+  // `done` waits in a slot: bound beside `this` and `started` it would
+  // outgrow the continuation's inline buffer.
+  const uint32_t slot = parked_.Alloc();
+  parked_[slot] = std::move(done);
+  io_->Execute(ios, [this, slot, started] {
     last_metrics_.duration_ms = Now() - started;
-    done();
+    desp::Scheduler::Action resume = std::move(parked_[slot]);
+    parked_.Free(slot);
+    resume();
   });
 }
 

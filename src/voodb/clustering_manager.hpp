@@ -18,6 +18,7 @@
 #include "cluster/policy.hpp"
 #include "desp/actor.hpp"
 #include "desp/scheduler.hpp"
+#include "desp/slot_pool.hpp"
 #include "voodb/buffering_manager.hpp"
 #include "voodb/io_subsystem.hpp"
 #include "voodb/metrics.hpp"
@@ -68,6 +69,8 @@ class ClusteringManagerActor : public desp::Actor {
   ObjectManagerActor* object_manager_;
   BufferingManagerActor* buffering_;
   IoSubsystemActor* io_;
+  /// `done` continuations of reorganizations whose I/O is in flight.
+  desp::SlotPool<desp::Scheduler::Action> parked_;
   ClusteringMetrics last_metrics_;
   uint64_t total_overhead_ios_ = 0;
   uint64_t reorganizations_ = 0;

@@ -74,16 +74,22 @@ struct ShardedVoodb::ShardDriver {
   desp::RandomStream mp_rng;  ///< multi-partition coin + remote pick
   double think_time_ms = 0.0;
   uint64_t served_remote = 0;  ///< sub-transactions run on this shard
+  /// Recycled transaction buffers, as in VoodbSystem: one per user, and
+  /// one that every remote sub-transaction is generated into (Submit
+  /// swaps it away at once).
+  std::vector<ocb::Transaction> user_txns;
+  ocb::Transaction remote_txn;
 
   void UserLoop(uint32_t user) {
     if (to_issue == 0) return;  // natural drain ends the phase
     --to_issue;
     ++outstanding;
-    ocb::Transaction txn = gen->Next();
+    ocb::Transaction& txn = user_txns[user];
+    gen->NextInto(txn, nullptr);
     sys->RecordTxnBegin(txn.kind, user);
-    auto submit = [this, user, txn = std::move(txn)]() mutable {
-      sys->transaction_manager().Submit(
-          std::move(txn), [this, user] { AfterCommit(user); });
+    auto submit = [this, user] {
+      sys->transaction_manager().Submit(user_txns[user],
+                                        [this, user] { AfterCommit(user); });
     };
     if (think_time_ms > 0.0) {
       sys->scheduler().Schedule(think_rng.Exponential(think_time_ms),
@@ -132,13 +138,13 @@ struct ShardedVoodb::ShardDriver {
   /// the requesting shard when it commits.
   void ServeRemote(size_t home, uint32_t user, double hop, uint64_t parent) {
     ++served_remote;
-    ocb::Transaction sub =
-        gen->NextOfKind(ocb::TransactionKind::kSimpleTraversal);
+    const ocb::TransactionKind kind = ocb::TransactionKind::kSimpleTraversal;
+    gen->NextInto(remote_txn, &kind);
     if (parent != 0) {
       sys->transaction_manager().SetNextTraceParent(parent);
     }
     sys->transaction_manager().Submit(
-        std::move(sub), [this, home, user, hop] {
+        remote_txn, [this, home, user, hop] {
           owner->kernel_->SendTo(shard, home, hop, [this, home, user] {
             owner->drivers_[home]->FinishTxn(user);
           });
@@ -299,9 +305,10 @@ PhaseMetrics ShardedVoodb::Run(uint64_t n, exp::ThreadPool* /*pool*/) {
     kernel_->partition(s).SetTraceHook(&EventDigest::Hook, &digests[s]);
   }
 
+  const uint32_t active_users =
+      static_cast<uint32_t>(std::min<uint64_t>(config_.num_users, n));
   for (size_t s = 0; s < num_shards; ++s) {
-    const uint32_t active_users = static_cast<uint32_t>(
-        std::min<uint64_t>(config_.num_users, n));
+    drivers_[s]->user_txns.resize(active_users);
     for (uint32_t u = 0; u < active_users; ++u) drivers_[s]->UserLoop(u);
   }
   kernel_->Run();

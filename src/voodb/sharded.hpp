@@ -109,7 +109,8 @@ class ShardedVoodb {
   /// Replaces shard `shard`'s transaction generator by `source` (not
   /// owned; nullptr restores the generator) for the following Run()
   /// calls, e.g. with a pre-generated stream.  The shard's remote
-  /// sub-transactions are drawn from it too (NextOfKind).
+  /// sub-transactions are drawn from it too (NextInto with a forced
+  /// kind).
   void SetWorkload(size_t shard, ocb::WorkloadSource* source);
 
   /// Per-shard metrics of the last Run() (shard order).

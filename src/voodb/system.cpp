@@ -206,7 +206,9 @@ PhaseMetrics VoodbSystem::Drive(ocb::WorkloadSource& external_workload,
 
   // The Users active resource: NUSERS independent users draw transactions
   // from the shared generator, think, submit, and repeat until the phase's
-  // n transactions have been issued.
+  // n transactions have been issued.  Each user generates into its own
+  // recycled Transaction (`user_txns_`), which Submit swaps for the
+  // in-flight slot's cleared buffer.
   struct UsersDriver {
     VoodbSystem* sys;
     ocb::WorkloadSource* workload;
@@ -226,15 +228,15 @@ PhaseMetrics VoodbSystem::Drive(ocb::WorkloadSource& external_workload,
       }
       --to_issue;
       ++outstanding;
-      ocb::Transaction txn = forced_kind != nullptr
-                                 ? workload->NextOfKind(*forced_kind)
-                                 : workload->Next();
+      ocb::Transaction& txn = sys->user_txns_[user];
+      workload->NextInto(txn, forced_kind);
       // Transaction markers frame the object stream the Object Manager
       // records, carrying the issuing user's id (format v2) so
       // concurrent runs replay as per-user transaction streams.
       sys->RecordTxnBegin(txn.kind, user);
-      auto submit = [this, user, txn = std::move(txn)]() mutable {
-        sys->tm_->Submit(std::move(txn), [this, user]() { AfterCommit(user); });
+      auto submit = [this, user]() {
+        sys->tm_->Submit(sys->user_txns_[user],
+                         [this, user]() { AfterCommit(user); });
       };
       if (think_time_ms > 0.0) {
         sys->scheduler_->Schedule(think_rng.Exponential(think_time_ms),
@@ -266,6 +268,7 @@ PhaseMetrics VoodbSystem::Drive(ocb::WorkloadSource& external_workload,
                      base_->params().think_time_ms};
   const uint32_t active_users =
       static_cast<uint32_t>(std::min<uint64_t>(config_.num_users, n));
+  if (user_txns_.size() < active_users) user_txns_.resize(active_users);
   for (uint32_t u = 0; u < active_users; ++u) driver.UserLoop(u);
   scheduler_->Run();
   VOODB_CHECK_MSG(driver.to_issue == 0 && driver.outstanding == 0,

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "cluster/policy.hpp"
 #include "desp/random.hpp"
@@ -170,6 +171,10 @@ class VoodbSystem {
   std::unique_ptr<ClusteringManagerActor> clustering_;
   std::unique_ptr<TransactionManagerActor> tm_;
   std::unique_ptr<FailureInjectorActor> failures_;
+  /// One transaction buffer per user, kept across phases: a user's next
+  /// transaction is generated into it while the previous one's buffer
+  /// circulates through the Transaction Manager's in-flight pool.
+  std::vector<ocb::Transaction> user_txns_;
 
   // --- observability (obs subsystem) ----------------------------------------
   obs::MetricRegistry metrics_;

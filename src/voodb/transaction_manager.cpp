@@ -62,7 +62,9 @@ void TransactionManagerActor::FreeInFlight(Handle h) {
   Slot& slot = pool_[h.index];
   VOODB_CHECK_MSG(slot.live && slot.generation == h.generation,
                   "double free of in-flight handle");
-  // Recycle keeping heap capacity (txn access vector, done target).
+  // Recycle keeping the access vector's capacity: the next Submit swaps
+  // this cleared buffer out to its caller, which refills it for the
+  // transaction after that.
   slot.state.txn.accesses.clear();
   slot.state.next_access = 0;
   slot.state.response_bytes = 0;
@@ -76,12 +78,12 @@ void TransactionManagerActor::FreeInFlight(Handle h) {
   free_slots_.push_back(h.index);
 }
 
-void TransactionManagerActor::Submit(ocb::Transaction txn,
+void TransactionManagerActor::Submit(ocb::Transaction& txn,
                                      desp::Scheduler::Action done) {
   VOODB_CHECK_MSG(static_cast<bool>(done), "Submit needs a continuation");
   const Handle h = AllocInFlight();
   InFlight& state = At(h);
-  state.txn = std::move(txn);
+  std::swap(state.txn, txn);
   state.done = std::move(done);
   const double submitted_at = Now();
   // Claim any cross-shard parent now: admission may queue behind other

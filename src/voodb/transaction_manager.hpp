@@ -66,7 +66,14 @@ class TransactionManagerActor : public desp::Actor {
 
   /// Executes `txn` to commit, then calls `done`.  Transactions beyond
   /// the multiprogramming level queue at the database scheduler.
-  void Submit(ocb::Transaction txn, desp::Scheduler::Action done);
+  ///
+  /// The transaction is taken by swap: `txn` comes back holding an
+  /// in-flight slot's recycled buffer, its accesses cleared but its
+  /// capacity kept.  A driver that refills that same object for its next
+  /// submission (`ocb::WorkloadSource::NextInto`) passes access buffers
+  /// back and forth with the pool and allocates none once both have
+  /// grown to the largest transaction.
+  void Submit(ocb::Transaction& txn, desp::Scheduler::Action done);
 
   uint64_t committed() const { return committed_; }
   uint64_t object_operations() const { return object_operations_; }

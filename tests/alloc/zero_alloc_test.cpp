@@ -6,8 +6,11 @@
 /// stays out of the library and out of the main suite, and sanitizer
 /// builds keep their own allocator there.
 ///
-/// Each test runs a model on a pre-generated transaction stream (so
-/// workload generation is outside the count).  The stream notes the
+/// Most tests run a model on a pre-generated transaction stream (so
+/// workload generation is outside the count).  Two draw from a live
+/// `ocb::WorkloadGenerator` instead (`LiveGeneratorContendedWaitDie`,
+/// `GeneratorRefillsEveryTraversalKind`), so generation into recycled
+/// transaction buffers is inside the count.  The source notes the
 /// allocation counter when its `from`-th and its `to`-th transactions
 /// are drawn: after the warm-up the window in between, mid-run, must
 /// allocate nothing at all — no transaction, restart, lock wait, disk
@@ -17,6 +20,7 @@
 /// configuration's warm-up has passed those highs.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -76,15 +80,41 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 namespace voodb::core {
 namespace {
 
-/// A fixed, pre-generated transaction stream that notes the allocation
-/// counter when its `from`-th and `to`-th transactions are drawn.
-/// Forced kinds are ignored: the stream holds the kind its consumer
-/// asks for.
-class StreamSource final : public ocb::WorkloadSource {
+/// A transaction source that notes the allocation counter when its
+/// `from`-th and `to`-th transactions are drawn.
+class WindowSource : public ocb::WorkloadSource {
+ public:
+  WindowSource(uint64_t from, uint64_t to) : from_(from), to_(to) {}
+
+  /// Allocations between the two marked draws.
+  uint64_t WindowAllocations() const {
+    VOODB_CHECK_MSG(drawn_ > to_, "the window was not reached");
+    return at_to_ - at_from_;
+  }
+
+ protected:
+  /// Called once per transaction drawn, before it is produced.
+  void Mark() {
+    if (drawn_ == from_) at_from_ = g_allocations.load();
+    if (drawn_ == to_) at_to_ = g_allocations.load();
+    ++drawn_;
+  }
+
+ private:
+  uint64_t drawn_ = 0;
+  uint64_t from_;
+  uint64_t to_;
+  uint64_t at_from_ = 0;
+  uint64_t at_to_ = 0;
+};
+
+/// A fixed, pre-generated transaction stream.  Forced kinds are
+/// ignored: the stream holds the kind its consumer asks for.
+class StreamSource final : public WindowSource {
  public:
   StreamSource(ocb::WorkloadSource& gen, uint64_t n, uint64_t from,
                uint64_t to, const ocb::TransactionKind* kind = nullptr)
-      : from_(from), to_(to) {
+      : WindowSource(from, to) {
     txns_.reserve(n);
     for (uint64_t i = 0; i < n; ++i) {
       txns_.push_back(kind != nullptr ? gen.NextOfKind(*kind) : gen.Next());
@@ -92,28 +122,46 @@ class StreamSource final : public ocb::WorkloadSource {
   }
   ocb::Transaction Next() override {
     VOODB_CHECK_MSG(next_ < txns_.size(), "pre-generated stream exhausted");
-    if (next_ == from_) at_from_ = g_allocations.load();
-    if (next_ == to_) at_to_ = g_allocations.load();
+    Mark();
     return std::move(txns_[next_++]);
   }
   ocb::Transaction NextOfKind(ocb::TransactionKind) override { return Next(); }
 
-  /// Allocations between the two marked draws.
-  uint64_t WindowAllocations() const {
-    VOODB_CHECK_MSG(next_ > to_, "the window was not reached");
-    return at_to_ - at_from_;
-  }
-
  private:
   std::vector<ocb::Transaction> txns_;
   size_t next_ = 0;
-  uint64_t from_;
-  uint64_t to_;
-  uint64_t at_from_ = 0;
-  uint64_t at_to_ = 0;
 };
 
-TEST(ZeroAlloc, ContendedWaitDieSystem) {
+/// A live generator behind the window marks; NextInto is forwarded, so
+/// the driver's recycled buffer is what the generator fills.
+class LiveSource final : public WindowSource {
+ public:
+  LiveSource(ocb::WorkloadSource& gen, uint64_t from, uint64_t to)
+      : WindowSource(from, to), gen_(gen) {}
+  ocb::Transaction Next() override {
+    ocb::Transaction txn;
+    NextInto(txn, nullptr);
+    return txn;
+  }
+  ocb::Transaction NextOfKind(ocb::TransactionKind kind) override {
+    ocb::Transaction txn;
+    NextInto(txn, &kind);
+    return txn;
+  }
+  void NextInto(ocb::Transaction& txn,
+                const ocb::TransactionKind* kind) override {
+    Mark();
+    gen_.NextInto(txn, kind);
+  }
+
+ private:
+  ocb::WorkloadSource& gen_;
+};
+
+/// The contended wait-die configuration: point accesses of a fixed
+/// count, so every transaction buffer reaches its final size the first
+/// time it is filled.
+ocb::ObjectBase ContendedBase() {
   ocb::OcbParameters p;
   p.num_classes = 20;
   p.num_objects = 4000;
@@ -121,7 +169,10 @@ TEST(ZeroAlloc, ContendedWaitDieSystem) {
   p.p_random_access = 1.0;
   p.random_access_count = 8;
   p.p_update = 0.25;
-  const ocb::ObjectBase base = ocb::ObjectBase::Generate(p);
+  return ocb::ObjectBase::Generate(p);
+}
+
+VoodbConfig ContendedWaitDieConfig() {
   VoodbConfig cfg;
   cfg.system_class = SystemClass::kCentralized;
   cfg.buffer_pages = 256;
@@ -129,13 +180,54 @@ TEST(ZeroAlloc, ContendedWaitDieSystem) {
   cfg.cc_protocol = cc::ProtocolKind::kWaitDie;
   cfg.num_users = 256;
   cfg.multiprogramming_level = 256;
-  VoodbSystem sys(cfg, &base, nullptr, 11);
+  return cfg;
+}
+
+TEST(ZeroAlloc, ContendedWaitDieSystem) {
+  const ocb::ObjectBase base = ContendedBase();
+  VoodbSystem sys(ContendedWaitDieConfig(), &base, nullptr, 11);
   ocb::WorkloadGenerator gen(&base, desp::RandomStream(11));
   StreamSource stream(gen, 6000, 3000, 5000);
   const PhaseMetrics m = sys.RunTransactions(stream, 6000);
   ASSERT_EQ(m.transactions, 6000u);
   EXPECT_GT(m.transaction_restarts, 0u);
   EXPECT_EQ(stream.WindowAllocations(), 0u);
+}
+
+TEST(ZeroAlloc, LiveGeneratorContendedWaitDie) {
+  // As above, with each transaction generated as the run needs it, into
+  // the buffer its user recycles from the Transaction Manager's pool.
+  const ocb::ObjectBase base = ContendedBase();
+  VoodbSystem sys(ContendedWaitDieConfig(), &base, nullptr, 11);
+  ocb::WorkloadGenerator gen(&base, desp::RandomStream(11));
+  LiveSource live(gen, 3000, 5000);
+  const PhaseMetrics m = sys.RunTransactions(live, 6000);
+  ASSERT_EQ(m.transactions, 6000u);
+  EXPECT_GT(m.transaction_restarts, 0u);
+  EXPECT_EQ(gen.GeneratedAccesses(), 6000u * 8u);
+  EXPECT_EQ(live.WindowAllocations(), 0u);
+}
+
+TEST(ZeroAlloc, GeneratorRefillsEveryTraversalKind) {
+  // Generation alone, every kind but the sequential scan: once one
+  // recycled buffer (and the set-oriented walk's queue) has held the
+  // largest transaction, refilling it allocates nothing.
+  ocb::OcbParameters p;
+  p.num_classes = 20;
+  p.num_objects = 4000;
+  p.p_set = p.p_simple = p.p_hierarchy = p.p_stochastic = 0.2;
+  p.p_random_access = 0.2;
+  const ocb::ObjectBase base = ocb::ObjectBase::Generate(p);
+  ocb::WorkloadGenerator gen(&base, desp::RandomStream(3));
+  LiveSource live(gen, 2000, 3000);
+  ocb::Transaction txn;
+  std::array<uint64_t, 6> kinds{};
+  for (int i = 0; i <= 3000; ++i) {
+    live.NextInto(txn, nullptr);
+    ++kinds[static_cast<size_t>(txn.kind)];
+  }
+  for (size_t k = 0; k < 5; ++k) EXPECT_GT(kinds[k], 0u) << k;
+  EXPECT_EQ(live.WindowAllocations(), 0u);
 }
 
 TEST(ZeroAlloc, TexasWithDstcClustering) {

@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "desp/scheduler.hpp"
@@ -365,15 +366,19 @@ TEST_P(SchedulerTest, ActionSurvivesArenaGrowthItCauses) {
   Scheduler s;
   s.Reserve(8);
   const size_t capacity = s.ArenaCapacity();
-  std::array<uint64_t, 6> payload{1, 2, 3, 4, 5, 6};
+  std::array<uint64_t, 2> payload{1, 20};
   uint64_t sum = 0;
   int fired = 0;
-  s.Schedule(1.0, [&s, &sum, &fired, payload] {
+  auto action = [&s, &sum, &fired, payload] {
     for (int i = 0; i < 10000; ++i) {
       s.Schedule(i % 2 == 0 ? 0.0 : 1.0 + i, [&fired] { ++fired; });
     }
     for (uint64_t v : payload) sum += v;
-  });
+  };
+  // In place, not the heap path OversizedCapturesSpillToHeapAndStillFire
+  // covers: only an inline action lives in the chunk storage that grows.
+  static_assert(Scheduler::Action::kFitsInline<decltype(action)>);
+  s.Schedule(1.0, std::move(action));
   s.Run();
   EXPECT_GT(s.ArenaCapacity(), capacity);
   EXPECT_EQ(sum, 21u);
