@@ -3,14 +3,13 @@
 #include <functional>
 #include <iostream>
 
-#include "desp/random.hpp"
 #include "exp/farm.hpp"
 #include "exp/report.hpp"
 #include "harness.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/spans.hpp"
-#include "ocb/workload.hpp"
+#include "ocb/object_base.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -163,9 +162,8 @@ core::PhaseMetrics ProfileCell(const CellRun& run,
       ocb::ObjectBase::Generate(run.cell.config.workload);
   core::VoodbSystem sys(config, &base, exp::MakeClusteringPolicy(run.cell),
                         run.seed);
-  ocb::WorkloadGenerator gen(&base, desp::RandomStream(run.seed).Derive(1));
   const core::PhaseMetrics metrics =
-      exp::RunCellPhases(run.cell, sys, gen).measured;
+      exp::RunCellPhases(run.cell, sys, run.seed).measured;
 
   std::cout << "profiled " << run.cell.transactions << " transactions of '"
             << run.scenario << "' "
@@ -226,9 +224,7 @@ core::PhaseMetrics ExplainCell(const CellRun& run, uint32_t top,
     core::VoodbSystem sys(config, &base, exp::MakeClusteringPolicy(run.cell),
                           run.seed);
     sys.span_tracer()->RecordTrees(true);
-    ocb::WorkloadGenerator gen(&base,
-                               desp::RandomStream(run.seed).Derive(1));
-    metrics = exp::RunCellPhases(run.cell, sys, gen).measured;
+    metrics = exp::RunCellPhases(run.cell, sys, run.seed).measured;
     exemplars = sys.span_tracer()->exemplars();
   }
 

@@ -82,8 +82,7 @@ trace::TraceCounters RecordSimulationTrace(exp::Cell cell,
   cell.config.system.trace_path = path;
   core::VoodbSystem sys(cell.config.system, &base,
                         exp::MakeClusteringPolicy(cell), seed);
-  ocb::WorkloadGenerator gen(&base, desp::RandomStream(seed).Derive(1));
-  exp::RunCellPhases(cell, sys, gen);
+  exp::RunCellPhases(cell, sys, seed);
   const trace::TraceCounters counters =
       sys.buffering_manager().TraceCountersNow();
   sys.FinishTrace();

@@ -162,12 +162,8 @@ void LockTable::Access(uint64_t txn, ocb::Oid oid, bool write, Action granted,
   ++stats_.waits;
   state.waiting = true;
   state.waiting_on = oid;
-  Waiter waiter{txn,
-                mode,
-                scheduler_->Now(),
-                std::move(granted),
-                std::move(aborted),
-                scheduler_->current_trace()};
+  Waiter waiter{std::move(granted), std::move(aborted), txn,
+                scheduler_->Now(), scheduler_->current_trace(), mode};
   if (upgrade) {
     waiters_.PushFront(entry.waiters, std::move(waiter));
   } else {

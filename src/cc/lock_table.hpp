@@ -75,16 +75,20 @@ class LockTable final : public Protocol {
     uint64_t txn;
     LockMode mode;
   };
+  /// Fields in alignment order: the two actions first leave no padding
+  /// hole before the tail.
   struct Waiter {
-    uint64_t txn;
-    LockMode mode;
-    double enqueued_at;
     Action granted;
     Action aborted;
+    uint64_t txn;
+    double enqueued_at;
     /// Requester's ambient trace context, restored around wake/die fires
     /// so they are attributed to the waiter, not the releasing event.
     uint32_t trace;
+    LockMode mode;
   };
+  static_assert(sizeof(Waiter) == 2 * sizeof(Action) + 32,
+                "LockTable::Waiter grew a padding hole");
   /// An object's lock state: two lists in the table's shared pools.
   struct Entry {
     desp::ListPool<Holder>::List holders;  ///< each transaction at most once

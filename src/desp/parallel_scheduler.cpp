@@ -6,61 +6,18 @@
 
 namespace voodb::desp {
 
-ParallelScheduler::ParallelScheduler(Options options)
-    : explicit_window_(options.window) {
-  VOODB_CHECK_MSG(options.partitions >= 1, "need at least one partition");
-  VOODB_CHECK_MSG(options.window >= 0.0,
-                  "window width cannot be negative (window="
-                      << options.window << ")");
-  schedulers_.reserve(options.partitions);
-  for (size_t i = 0; i < options.partitions; ++i) {
+ParallelScheduler::ParallelScheduler(size_t partitions, SimTime lookahead)
+    : lookahead_(partitions > 1 ? lookahead : kInfinity) {
+  VOODB_CHECK_MSG(partitions >= 1, "need at least one partition");
+  VOODB_CHECK_MSG(lookahead > 0.0,
+                  "lookahead must be positive — zero lookahead admits no "
+                  "conservative window (lookahead="
+                      << lookahead << ")");
+  schedulers_.reserve(partitions);
+  for (size_t i = 0; i < partitions; ++i) {
     schedulers_.push_back(std::make_unique<Scheduler>());
   }
-  const size_t n = options.partitions;
-  edge_delay_.assign(n * n, kInfinity);
-  mail_.resize(n * n);
-}
-
-void ParallelScheduler::SetEdgeDelay(size_t from, size_t to,
-                                     SimTime min_delay) {
-  const size_t n = schedulers_.size();
-  VOODB_CHECK_MSG(from < n && to < n, "edge (" << from << " -> " << to
-                                               << ") out of range");
-  VOODB_CHECK_MSG(from != to, "an edge to self has no lookahead to register");
-  VOODB_CHECK_MSG(min_delay > 0.0,
-                  "edge delay must be positive — zero lookahead admits no "
-                  "conservative window (delay="
-                      << min_delay << ")");
-  edge_delay_[from * n + to] = min_delay;
-}
-
-void ParallelScheduler::SetUniformEdgeDelay(SimTime min_delay) {
-  const size_t n = schedulers_.size();
-  for (size_t from = 0; from < n; ++from) {
-    for (size_t to = 0; to < n; ++to) {
-      if (from != to) SetEdgeDelay(from, to, min_delay);
-    }
-  }
-}
-
-SimTime ParallelScheduler::Lookahead() const {
-  SimTime lookahead = kInfinity;
-  for (const SimTime delay : edge_delay_) {
-    lookahead = std::min(lookahead, delay);
-  }
-  return lookahead;
-}
-
-SimTime ParallelScheduler::Window() const {
-  if (explicit_window_ > 0.0) {
-    VOODB_CHECK_MSG(explicit_window_ <= Lookahead(),
-                    "explicit window " << explicit_window_
-                                       << " exceeds the minimum edge delay "
-                                       << Lookahead()
-                                       << " — not conservative");
-    return explicit_window_;
-  }
-  return Lookahead();
+  mail_.resize(partitions * partitions);
 }
 
 void ParallelScheduler::SendTo(size_t from, size_t to, SimTime delay,
@@ -72,14 +29,11 @@ void ParallelScheduler::SendTo(size_t from, size_t to, SimTime delay,
     schedulers_[from]->Schedule(delay, std::move(action), priority);
     return;
   }
-  const SimTime edge = edge_delay_[from * n + to];
-  VOODB_CHECK_MSG(edge < kInfinity, "SendTo on unregistered edge ("
-                                        << from << " -> " << to << ")");
-  VOODB_CHECK_MSG(delay >= edge, "SendTo delay " << delay
-                                                 << " below the registered "
-                                                    "edge delay "
-                                                 << edge << " (" << from
-                                                 << " -> " << to << ")");
+  VOODB_CHECK_MSG(delay >= lookahead_, "SendTo delay "
+                                            << delay
+                                            << " below the lookahead "
+                                            << lookahead_ << " (" << from
+                                            << " -> " << to << ")");
   mail_[from * n + to].push_back(Envelope{
       schedulers_[from]->Now() + delay, priority, std::move(action)});
 }
@@ -119,7 +73,6 @@ void ParallelScheduler::DeliverMail() {
 
 uint64_t ParallelScheduler::Run() {
   const uint64_t executed_before = ExecutedEvents();
-  const SimTime window = Window();
   for (;;) {
     DeliverMail();
     SimTime start = kInfinity;
@@ -128,7 +81,7 @@ uint64_t ParallelScheduler::Run() {
       if (partition->PeekNextTime(&next)) start = std::min(start, next);
     }
     if (start == kInfinity) break;  // drained (DeliverMail ran first)
-    const SimTime end = window == kInfinity ? kInfinity : start + window;
+    const SimTime end = start + lookahead_;
     for (const std::unique_ptr<Scheduler>& partition : schedulers_) {
       partition->RunWindow(end);
     }

@@ -6,11 +6,11 @@
 /// interaction (a remote sub-transaction request, its ack) takes at least
 /// one network page transfer, or one disk service under an infinite
 /// network.  That minimum is guaranteed *lookahead* in the Chandy–Misra
-/// sense, and it licenses a window protocol:
+/// sense, one value for every edge, and it licenses a window protocol:
 ///
 ///   1. Let T be the earliest pending event across all partitions and W
-///      the minimum cross-partition delay.  No partition can receive a
-///      new event with time < T + W.
+///      the lookahead.  No partition can receive a new event with
+///      time < T + W.
 ///   2. Every partition therefore executes its events with time in
 ///      [T, T+W) independently of the others.
 ///   3. Cross-partition sends are buffered in per-edge mailboxes during
@@ -49,43 +49,27 @@ namespace voodb::desp {
 /// own event queue, slab arena, clock, and seq counter.
 class ParallelScheduler {
  public:
-  struct Options {
-    size_t partitions = 1;
-    /// Explicit window width; 0 derives it from the minimum registered
-    /// edge delay.  An explicit window must not exceed that minimum, or
-    /// the protocol would no longer be conservative.
-    SimTime window = 0.0;
-  };
-
-  explicit ParallelScheduler(Options options);
+  /// \param partitions  serial Schedulers to run, >= 1
+  /// \param lookahead   minimum delay of every cross-partition send, > 0;
+  ///                    +inf (the default, and always for one partition)
+  ///                    declares the partitions independent: every Run()
+  ///                    is then one window.
+  explicit ParallelScheduler(
+      size_t partitions,
+      SimTime lookahead = std::numeric_limits<SimTime>::infinity());
 
   size_t partitions() const { return schedulers_.size(); }
   Scheduler& partition(size_t index) { return *schedulers_[index]; }
   const Scheduler& partition(size_t index) const { return *schedulers_[index]; }
 
-  /// Registers the minimum simulated delay of any `from` → `to` send —
-  /// the edge's lookahead, e.g. disk service + network transfer time of
-  /// one page.  Must be > 0 and must be registered before Run(); SendTo
-  /// on an unregistered edge is an error.
-  void SetEdgeDelay(size_t from, size_t to, SimTime min_delay);
-
-  /// Registers `min_delay` on every ordered pair of distinct partitions.
-  void SetUniformEdgeDelay(SimTime min_delay);
-
-  /// Minimum registered edge delay; +inf when no edges are registered
-  /// (fully independent partitions).
-  SimTime Lookahead() const;
-
-  /// Effective window width: the explicit `Options::window` if set,
-  /// otherwise Lookahead().
-  SimTime Window() const;
+  /// The window width.
+  SimTime lookahead() const { return lookahead_; }
 
   /// Sends `action` to partition `to`, firing `delay` after partition
   /// `from`'s current clock.  Must be called from code executing inside
-  /// partition `from`.
-  /// `delay` must be >= the registered edge delay, which keeps delivery
-  /// outside the current window.  `from == to` degenerates to a local
-  /// Schedule().
+  /// partition `from`.  `delay` must be >= the lookahead, which keeps
+  /// delivery outside the current window.  `from == to` degenerates to a
+  /// local Schedule().
   void SendTo(size_t from, size_t to, SimTime delay, Scheduler::Action action,
               int priority = 0);
 
@@ -118,12 +102,11 @@ class ParallelScheduler {
   static constexpr SimTime kInfinity = std::numeric_limits<SimTime>::infinity();
 
   std::vector<std::unique_ptr<Scheduler>> schedulers_;
-  /// Dense n*n matrices indexed [from * n + to].
-  std::vector<SimTime> edge_delay_;    ///< +inf = unregistered
+  SimTime lookahead_;
+  /// Per-edge mailboxes, a dense n*n matrix indexed [from * n + to].
   std::vector<std::vector<Envelope>> mail_;
   std::vector<Envelope> merged_;  ///< DeliverMail's scratch, reused
   std::vector<uint32_t> order_;   ///< DeliverMail's sort order, reused
-  SimTime explicit_window_ = 0.0;
   uint64_t windows_ = 0;
   uint64_t cross_events_ = 0;
 };

@@ -160,7 +160,9 @@ constexpr ocb::TransactionKind kUsage =
 }  // namespace
 
 CellPhases RunCellPhases(const Cell& cell, core::VoodbSystem& sys,
-                         ocb::WorkloadSource& workload) {
+                         uint64_t seed) {
+  ocb::WorkloadGenerator workload(&sys.object_manager().base(),
+                                  desp::RandomStream(seed).Derive(1));
   // COLDN: warm the system up, unmeasured, from the same stream.
   const uint32_t cold = cell.config.workload.cold_transactions;
   if (cold > 0) sys.RunTransactions(workload, cold);
@@ -357,9 +359,7 @@ std::vector<CellResult> RunCells(std::vector<Cell> cells,
           }
           core::VoodbSystem sys(cell.config.system, base,
                                 MakeClusteringPolicy(cell), seed);
-          ocb::WorkloadGenerator gen(base,
-                                     desp::RandomStream(seed).Derive(1));
-          ObserveCell(RunCellPhases(cell, sys, gen), cell.clustering_phases,
+          ObserveCell(RunCellPhases(cell, sys, seed), cell.clustering_phases,
                       sys, sink);
         };
       },

@@ -203,13 +203,15 @@ Cell FindCell(const ScenarioContext& ctx, const std::string& label);
 std::unique_ptr<cluster::ClusteringPolicy> MakeClusteringPolicy(
     const Cell& cell);
 
-/// Runs `cell`'s simulation phases on `sys` (built from the cell's config
-/// and CLUSTP module) over `workload`: first its workload's
+/// Runs replication `seed` of `cell`'s simulation phases on `sys` (built
+/// from the cell's config and CLUSTP module): first its workload's
 /// `cold_transactions` unmeasured, then its transactions or the
-/// clustering phase protocol.  `RunCells` and the tools share it, so a
-/// tool runs the phases a table reports.
+/// clustering phase protocol, all drawn from one `ocb::WorkloadGenerator`
+/// over the system's object base seeded `RandomStream(seed).Derive(1)`.
+/// `RunCells` and the tools share it, so a tool runs the phases a table
+/// reports.
 CellPhases RunCellPhases(const Cell& cell, core::VoodbSystem& sys,
-                         ocb::WorkloadSource& workload);
+                         uint64_t seed);
 
 /// Runs `options.replications` replications of every cell on one pool
 /// (`RunGrid` over the cell index, `options.threads` workers), with the

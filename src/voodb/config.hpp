@@ -151,10 +151,6 @@ struct VoodbConfig {
   /// No effect: the scheduler partitions of one run execute on the
   /// calling thread.  Kept until the next benchmark change.
   uint32_t sim_threads = 1;
-  /// Explicit window width (ms) for the conservative protocol; 0 derives
-  /// it from the minimum cross-shard delay (disk service + network
-  /// transfer of one page).  Must not exceed that minimum.
-  double sim_window = 0.0;
   /// Fraction of transactions that touch a second shard: after the home
   /// shard commits, a request ships through the network actor to a
   /// deterministic remote shard, which runs a sub-transaction and acks.

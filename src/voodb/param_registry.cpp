@@ -7,6 +7,7 @@
 #include <limits>
 #include <sstream>
 #include <type_traits>
+#include <utility>
 
 #include "util/check.hpp"
 #include "util/cli.hpp"
@@ -171,11 +172,19 @@ const ParamDescriptor* ParamRegistry::Find(const std::string& name) const {
 const ParamDescriptor& ParamRegistry::At(const std::string& name) const {
   const ParamDescriptor* d = Find(name);
   if (d == nullptr) {
-    // A retired name gets its replacement: the nearest spelling of
-    // `hot_transactions` is `cold_transactions`, its opposite.
-    VOODB_CHECK_MSG(name != "hot_transactions",
-                    "parameter 'hot_transactions' was retired: HOTN is the "
-                    "run's --transactions flag");
+    // A retired name gets its replacement, not a nearest spelling (that
+    // of `hot_transactions` is `cold_transactions`, its opposite).
+    static const std::pair<const char*, const char*> kRetired[] = {
+        {"hot_transactions", "HOTN is the run's --transactions flag"},
+        {"sim_window",
+         "the conservative window is the cross-shard delay, one network "
+         "page transfer (one disk page service under an infinite network)"},
+    };
+    for (const auto& [retired, replacement] : kRetired) {
+      VOODB_CHECK_MSG(name != retired, "parameter '" << name
+                                                     << "' was retired: "
+                                                     << replacement);
+    }
     const std::string nearest = util::NearestMatch(name, Names());
     VOODB_CHECK_MSG(false, "unknown parameter '"
                                << name << "'"
@@ -491,7 +500,7 @@ class Builder {
 #if defined(__x86_64__) && defined(__linux__)
 static_assert(sizeof(storage::DiskParameters) == 24,
               "DiskParameters changed: update the parameter registry");
-static_assert(sizeof(VoodbConfig) == 328,
+static_assert(sizeof(VoodbConfig) == 320,
               "VoodbConfig changed: update the parameter registry");
 static_assert(sizeof(ocb::OcbParameters) == 232,
               "OcbParameters changed: update the parameter registry");
@@ -624,10 +633,6 @@ ParamRegistry::ParamRegistry() {
   b.System("sim_threads", &VoodbConfig::sim_threads,
            "no effect; kept until the next benchmark change")
       .Range(1);
-  b.System("sim_window", &VoodbConfig::sim_window,
-           "explicit conservative-window width ms; 0 derives it from the "
-           "minimum cross-shard delay")
-      .Range(0.0);
   b.System("multi_partition_pct", &VoodbConfig::multi_partition_pct,
            "fraction of transactions that run a sub-transaction on a "
            "second shard through the network actor")

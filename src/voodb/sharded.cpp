@@ -53,115 +53,28 @@ PhaseMetrics MergeShardMetrics(const std::vector<PhaseMetrics>& per_shard) {
   return m;
 }
 
+/// The conservative lookahead of one cross-shard request: the network
+/// transfer of one page under finite NETTHRU, else one full-page disk
+/// service (search + latency + transfer) — both strictly positive.
+double CrossShardDelayMs(const VoodbConfig& config) {
+  // Finite network: one page on the wire (NetworkActor::TransferTime's
+  // formula: MB/s -> 1000 bytes/ms).  Infinite network: the request
+  // still cannot outrun one full-page disk service at the home shard.
+  const double wire =
+      config.network_throughput_mbps > 0.0
+          ? static_cast<double>(config.page_size) /
+                (config.network_throughput_mbps * 1000.0)
+          : 0.0;
+  const double disk = config.disk.search_ms + config.disk.latency_ms +
+                      config.disk.transfer_ms;
+  const double delay = wire > 0.0 ? wire : disk;
+  VOODB_CHECK_MSG(delay > 0.0,
+                  "cross-shard lookahead degenerated to zero: configure a "
+                  "finite network throughput or non-zero disk timings");
+  return delay;
+}
+
 }  // namespace
-
-/// One shard's Users active resource.  Mirrors VoodbSystem's internal
-/// driver, plus the multi-partition leg: a committed transaction may ship
-/// a request to a remote shard (through the home network actor and the
-/// kernel's mailbox edge) and the issuing user blocks until the remote
-/// sub-transaction's ack returns.  All state is touched only from events
-/// executing on this shard's partition — except `served_remote`, which
-/// the *owning* shard's partition increments when serving, and which is
-/// read only after the kernel drains.
-struct ShardedVoodb::ShardDriver {
-  ShardedVoodb* owner = nullptr;
-  size_t shard = 0;
-  VoodbSystem* sys = nullptr;
-  ocb::WorkloadSource* gen = nullptr;
-  uint64_t to_issue = 0;
-  uint64_t outstanding = 0;
-  desp::RandomStream think_rng;
-  desp::RandomStream mp_rng;  ///< multi-partition coin + remote pick
-  double think_time_ms = 0.0;
-  uint64_t served_remote = 0;  ///< sub-transactions run on this shard
-  /// Recycled transaction buffers, as in VoodbSystem: one per user, and
-  /// one that every remote sub-transaction is generated into (Submit
-  /// swaps it away at once).
-  std::vector<ocb::Transaction> user_txns;
-  ocb::Transaction remote_txn;
-
-  void UserLoop(uint32_t user) {
-    if (to_issue == 0) return;  // natural drain ends the phase
-    --to_issue;
-    ++outstanding;
-    ocb::Transaction& txn = user_txns[user];
-    gen->NextInto(txn, nullptr);
-    sys->RecordTxnBegin(txn.kind, user);
-    auto submit = [this, user] {
-      sys->transaction_manager().Submit(user_txns[user],
-                                        [this, user] { AfterCommit(user); });
-    };
-    if (think_time_ms > 0.0) {
-      sys->scheduler().Schedule(think_rng.Exponential(think_time_ms),
-                                std::move(submit));
-    } else {
-      submit();
-    }
-  }
-
-  void AfterCommit(uint32_t user) {
-    sys->RecordTxnEnd();
-    const size_t n = owner->shards_.size();
-    if (n > 1 && owner->config_.multi_partition_pct > 0.0 &&
-        mp_rng.Bernoulli(owner->config_.multi_partition_pct)) {
-      // The multi-partition leg: ship one page's worth of request bytes
-      // through the home network, then cross the partition boundary with
-      // the registered lookahead.  The user stays outstanding until the
-      // remote ack lands back home.
-      const size_t remote =
-          (shard + 1 +
-           static_cast<size_t>(mp_rng.UniformInt(
-               0, static_cast<int64_t>(n) - 2))) %
-          n;
-      const double hop = owner->CrossShardDelayMs();
-      // The global trace id of the transaction that just committed (0 if
-      // it was not sampled): the remote sub-transaction stitches to it.
-      const uint64_t parent =
-          sys->span_tracer() != nullptr
-              ? sys->span_tracer()->last_finished_global_id()
-              : 0;
-      sys->network().Transfer(
-          owner->config_.page_size, [this, user, remote, hop, parent] {
-            owner->kernel_->SendTo(shard, remote, hop,
-                                   [this, user, remote, hop, parent] {
-                                     owner->drivers_[remote]->ServeRemote(
-                                         shard, user, hop, parent);
-                                   });
-          });
-      return;
-    }
-    FinishTxn(user);
-  }
-
-  /// Runs on the *remote* shard's partition: a forced-kind
-  /// sub-transaction through its own Transaction Manager, acked back to
-  /// the requesting shard when it commits.
-  void ServeRemote(size_t home, uint32_t user, double hop, uint64_t parent) {
-    ++served_remote;
-    const ocb::TransactionKind kind = ocb::TransactionKind::kSimpleTraversal;
-    gen->NextInto(remote_txn, &kind);
-    if (parent != 0) {
-      sys->transaction_manager().SetNextTraceParent(parent);
-    }
-    sys->transaction_manager().Submit(
-        remote_txn, [this, home, user, hop] {
-          owner->kernel_->SendTo(shard, home, hop, [this, home, user] {
-            owner->drivers_[home]->FinishTxn(user);
-          });
-        });
-  }
-
-  void FinishTxn(uint32_t user) {
-    --outstanding;
-    if (sys->config().auto_clustering &&
-        sys->clustering_manager().ShouldTrigger()) {
-      sys->clustering_manager().PerformClustering(
-          [this, user] { UserLoop(user); });
-      return;
-    }
-    UserLoop(user);
-  }
-};
 
 ShardedVoodb::ShardedVoodb(VoodbConfig config, const ocb::ObjectBase* base,
                            uint64_t seed)
@@ -175,11 +88,12 @@ ShardedVoodb::ShardedVoodb(VoodbConfig config, const ocb::ObjectBase* base,
                   "requires shards=1");
   const size_t n = config_.shards;
 
-  desp::ParallelScheduler::Options kernel_options;
-  kernel_options.partitions = n;
-  kernel_options.window = config_.sim_window;
-  kernel_ = std::make_unique<desp::ParallelScheduler>(kernel_options);
-  if (n > 1) kernel_->SetUniformEdgeDelay(CrossShardDelayMs());
+  kernel_ = n > 1 ? std::make_unique<desp::ParallelScheduler>(
+                       n, CrossShardDelayMs(config_))
+                 : std::make_unique<desp::ParallelScheduler>(1);
+  workloads_.resize(n, nullptr);
+  multi_partition_rngs_.resize(n);
+  remote_txns_.resize(n);
 
   // The hash partition oid % shards == s, re-indexed densely: shard s
   // owns |{oid : oid % n == s}| objects, generated as an independent
@@ -204,7 +118,6 @@ ShardedVoodb::ShardedVoodb(VoodbConfig config, const ocb::ObjectBase* base,
   for (size_t s = 0; s < n; ++s) {
     VoodbConfig shard_config = config_;
     shard_config.shards = 1;
-    shard_config.sim_window = 0.0;
     shard_config.multi_partition_pct = 0.0;
     // The aggregate buffer budget matches a single-server run.
     shard_config.buffer_pages =
@@ -235,26 +148,12 @@ ShardedVoodb::~ShardedVoodb() {
 
 void ShardedVoodb::SetWorkload(size_t shard, ocb::WorkloadSource* source) {
   VOODB_CHECK_MSG(shard < shards_.size(), "no shard " << shard);
-  workloads_.resize(shards_.size(), nullptr);
   workloads_[shard] = source;
 }
 
-double ShardedVoodb::CrossShardDelayMs() const {
-  // Finite network: one page on the wire (NetworkActor::TransferTime's
-  // formula: MB/s -> 1000 bytes/ms).  Infinite network: the request
-  // still cannot outrun one full-page disk service at the home shard.
-  const double wire =
-      config_.network_throughput_mbps > 0.0
-          ? static_cast<double>(config_.page_size) /
-                (config_.network_throughput_mbps * 1000.0)
-          : 0.0;
-  const double disk = config_.disk.search_ms + config_.disk.latency_ms +
-                      config_.disk.transfer_ms;
-  const double delay = wire > 0.0 ? wire : disk;
-  VOODB_CHECK_MSG(delay > 0.0,
-                  "cross-shard lookahead degenerated to zero: configure a "
-                  "finite network throughput or non-zero disk timings");
-  return delay;
+ocb::WorkloadSource& ShardedVoodb::Workload(size_t shard) {
+  return workloads_[shard] != nullptr ? *workloads_[shard]
+                                      : *generators_[shard];
 }
 
 PhaseMetrics ShardedVoodb::Run(uint64_t n, exp::ThreadPool* /*pool*/) {
@@ -265,70 +164,79 @@ PhaseMetrics ShardedVoodb::Run(uint64_t n, exp::ThreadPool* /*pool*/) {
   for (size_t s = 0; s < num_shards; ++s) {
     kernel_->partition(s).RunUntil(start);
   }
-
-  std::vector<VoodbSystem::Snapshot> before;
-  before.reserve(num_shards);
-  for (auto& shard : shards_) before.push_back(shard->Take());
-
-  // Fresh drivers per phase, their streams derived from committed counts
-  // so consecutive phases draw fresh-but-deterministic randomness
-  // (mirrors VoodbSystem::Drive).
-  drivers_.clear();
-  for (size_t s = 0; s < num_shards; ++s) {
-    auto driver = std::make_unique<ShardDriver>();
-    driver->owner = this;
-    driver->shard = s;
-    driver->sys = shards_[s].get();
-    driver->to_issue = n;
-    driver->think_rng = rng_.Derive(
-        0x7817 + s * 0x1000 + shards_[s]->transaction_manager().committed());
-    driver->mp_rng = rng_.Derive(
-        0x3417 + s * 0x1000 + shards_[s]->transaction_manager().committed());
-    driver->think_time_ms = partitions_[s].params().think_time_ms;
-    drivers_.push_back(std::move(driver));
-  }
   if (generators_.empty()) {
     for (size_t s = 0; s < num_shards; ++s) {
       generators_.push_back(std::make_unique<ocb::WorkloadGenerator>(
           &partitions_[s], rng_.Derive(0x6E40000 + s)));
     }
   }
-  for (size_t s = 0; s < num_shards; ++s) {
-    drivers_[s]->gen = workloads_.size() > s && workloads_[s] != nullptr
-                           ? workloads_[s]
-                           : generators_[s].get();
-  }
 
   // Per-partition digests, folded in shard order after the drain.
   std::vector<EventDigest> digests(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
     kernel_->partition(s).SetTraceHook(&EventDigest::Hook, &digests[s]);
-  }
-
-  const uint32_t active_users =
-      static_cast<uint32_t>(std::min<uint64_t>(config_.num_users, n));
-  for (size_t s = 0; s < num_shards; ++s) {
-    drivers_[s]->user_txns.resize(active_users);
-    for (uint32_t u = 0; u < active_users; ++u) drivers_[s]->UserLoop(u);
+    // Streams derived from committed counts, so consecutive phases draw
+    // fresh-but-deterministic randomness.
+    const uint64_t committed = shards_[s]->transaction_manager().committed();
+    multi_partition_rngs_[s] = rng_.Derive(0x3417 + s * 0x1000 + committed);
+    shards_[s]->StartPhase(
+        Workload(s), n, rng_.Derive(0x7817 + s * 0x1000 + committed),
+        [this, s](uint32_t user) { return ShipRemote(s, user); });
   }
   kernel_->Run();
-
-  for (size_t s = 0; s < num_shards; ++s) {
-    kernel_->partition(s).SetTraceHook(nullptr, nullptr);
-    VOODB_CHECK_MSG(
-        drivers_[s]->to_issue == 0 && drivers_[s]->outstanding == 0,
-        "shard " << s << " ended the phase with unfinished work");
-    remote_subtxns_ += drivers_[s]->served_remote;
-  }
 
   EventDigest fold;
   shard_metrics_.clear();
   for (size_t s = 0; s < num_shards; ++s) {
-    shard_metrics_.push_back(shards_[s]->Delta(before[s]));
+    kernel_->partition(s).SetTraceHook(nullptr, nullptr);
+    shard_metrics_.push_back(shards_[s]->EndPhase());
     fold.Fold(digests[s].h);
   }
   trace_digest_ = fold.h;
   return MergeShardMetrics(shard_metrics_);
+}
+
+bool ShardedVoodb::ShipRemote(size_t home, uint32_t user) {
+  const size_t n = shards_.size();
+  desp::RandomStream& rng = multi_partition_rngs_[home];
+  if (n == 1 || config_.multi_partition_pct <= 0.0 ||
+      !rng.Bernoulli(config_.multi_partition_pct)) {
+    return false;
+  }
+  const size_t remote =
+      (home + 1 +
+       static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(n) - 2))) %
+      n;
+  // The global trace id of the transaction that just committed (0 if it
+  // was not sampled): the remote sub-transaction stitches to it.
+  VoodbSystem& sys = *shards_[home];
+  const uint64_t parent = sys.span_tracer() != nullptr
+                              ? sys.span_tracer()->last_finished_global_id()
+                              : 0;
+  // One page's worth of request bytes through the home network, then
+  // across the partition boundary with the kernel's lookahead.
+  sys.network().Transfer(
+      config_.page_size, [this, home, user, remote, parent] {
+        kernel_->SendTo(home, remote, kernel_->lookahead(),
+                        [this, home, user, remote, parent] {
+                          ServeRemote(remote, home, user, parent);
+                        });
+      });
+  return true;
+}
+
+void ShardedVoodb::ServeRemote(size_t remote, size_t home, uint32_t user,
+                               uint64_t parent) {
+  ++remote_subtxns_;
+  const ocb::TransactionKind kind = ocb::TransactionKind::kSimpleTraversal;
+  Workload(remote).NextInto(remote_txns_[remote], &kind);
+  TransactionManagerActor& tm = shards_[remote]->transaction_manager();
+  if (parent != 0) tm.SetNextTraceParent(parent);
+  tm.Submit(remote_txns_[remote], [this, remote, home, user] {
+    kernel_->SendTo(remote, home, kernel_->lookahead(), [this, home, user] {
+      shards_[home]->ResumeUser(user);
+    });
+  });
 }
 
 obs::MetricSnapshot ShardedVoodb::MergedMetrics() const {

@@ -9,13 +9,14 @@
 /// transactions*: a configurable fraction of each user's transactions
 /// runs a sub-transaction on a second shard, shipped through the home
 /// shard's network actor and delivered across the partition boundary by
-/// the kernel's mailbox protocol.
+/// the kernel's mailbox protocol.  Each shard's users are its own
+/// `VoodbSystem`'s Users resource; the multi-partition leg is the step it
+/// runs after a commit, before the user goes on.
 ///
 /// The cross-shard lookahead is physical: a remote request cannot arrive
 /// before one network page transfer completes (or, under an infinite
-/// network, before the disk could service a page), so the window the
-/// kernel derives from these edge delays never reorders causally related
-/// events.
+/// network, before the disk could service a page), so the kernel's
+/// window, that one delay, never reorders causally related events.
 ///
 /// Determinism contract: `Run()` is a pure function of (config, base,
 /// seed, earlier phases).  Its `PhaseMetrics` and event digest are pinned
@@ -147,12 +148,16 @@ class ShardedVoodb {
   size_t shards() const { return shards_.size(); }
 
  private:
-  struct ShardDriver;
-
-  /// The conservative lookahead of one cross-shard request: the network
-  /// transfer of one page under finite NETTHRU, else one full-page disk
-  /// service (search + latency + transfer) — both strictly positive.
-  double CrossShardDelayMs() const;
+  /// Shard `shard`'s workload: its SetWorkload override or its generator.
+  ocb::WorkloadSource& Workload(size_t shard);
+  /// The multi-partition leg, run on shard `home` after each commit: a
+  /// `multi_partition_pct` coin decides whether the user ships a request
+  /// to a remote shard (true: the user waits for the ack).
+  bool ShipRemote(size_t home, uint32_t user);
+  /// On the remote shard's partition: a forced-kind sub-transaction
+  /// through its own Transaction Manager, acked back home on commit.
+  void ServeRemote(size_t remote, size_t home, uint32_t user,
+                   uint64_t parent);
 
   VoodbConfig config_;
   const ocb::ObjectBase* base_;
@@ -167,7 +172,11 @@ class ShardedVoodb {
   std::vector<std::unique_ptr<ocb::WorkloadGenerator>> generators_;
   /// SetWorkload overrides (nullptr: the shard's generator).
   std::vector<ocb::WorkloadSource*> workloads_;
-  std::vector<std::unique_ptr<ShardDriver>> drivers_;
+  /// Per-shard multi-partition coin and remote pick of the running phase.
+  std::vector<desp::RandomStream> multi_partition_rngs_;
+  /// Per-shard buffer every remote sub-transaction is generated into
+  /// (Submit swaps it away at once).
+  std::vector<ocb::Transaction> remote_txns_;
   std::unique_ptr<obs::SimProfiler> profiler_;
   std::vector<PhaseMetrics> shard_metrics_;
   uint64_t trace_digest_ = 0;

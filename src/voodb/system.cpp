@@ -201,88 +201,78 @@ PhaseMetrics VoodbSystem::Drive(ocb::WorkloadSource& external_workload,
       : ycsb_workload_ != nullptr
           ? static_cast<ocb::WorkloadSource&>(*ycsb_workload_)
           : external_workload;
-  const Snapshot before = Take();
-  if (n == 0) return Delta(before);
+  StartUsers(workload, forced_kind, n, rng_.Derive(0x7817 + tm_->committed()),
+             nullptr, /*stop_on_drain=*/true);
+  if (n > 0) scheduler_->Run();
+  return EndPhase();
+}
 
-  // The Users active resource: NUSERS independent users draw transactions
-  // from the shared generator, think, submit, and repeat until the phase's
-  // n transactions have been issued.  Each user generates into its own
-  // recycled Transaction (`user_txns_`), which Submit swaps for the
-  // in-flight slot's cleared buffer.
-  struct UsersDriver {
-    VoodbSystem* sys;
-    ocb::WorkloadSource* workload;
-    const ocb::TransactionKind* forced_kind;
-    uint64_t to_issue;
-    uint64_t outstanding = 0;
-    desp::RandomStream think_rng;
-    double think_time_ms;
-
-    void UserLoop(uint32_t user) {
-      if (to_issue == 0) {
-        // Phase exhausted; the user retires.  Once the last in-flight
-        // transaction commits, the phase ends — even if hazard events
-        // are still armed on the scheduler.
-        if (outstanding == 0) sys->scheduler_->Stop();
-        return;
-      }
-      --to_issue;
-      ++outstanding;
-      ocb::Transaction& txn = sys->user_txns_[user];
-      workload->NextInto(txn, forced_kind);
-      // Transaction markers frame the object stream the Object Manager
-      // records, carrying the issuing user's id (format v2) so
-      // concurrent runs replay as per-user transaction streams.
-      sys->RecordTxnBegin(txn.kind, user);
-      auto submit = [this, user]() {
-        sys->tm_->Submit(sys->user_txns_[user],
-                         [this, user]() { AfterCommit(user); });
-      };
-      if (think_time_ms > 0.0) {
-        sys->scheduler_->Schedule(think_rng.Exponential(think_time_ms),
-                                 std::move(submit));
-      } else {
-        submit();
-      }
-    }
-
-    void AfterCommit(uint32_t user) {
-      --outstanding;
-      sys->RecordTxnEnd();
-      // Automatic triggering happens at transaction boundaries.
-      if (sys->config_.auto_clustering &&
-          sys->clustering_->ShouldTrigger()) {
-        sys->clustering_->PerformClustering([this, user] { UserLoop(user); });
-        return;
-      }
-      UserLoop(user);
-    }
-  };
-
-  UsersDriver driver{this,
-                     &workload,
-                     forced_kind,
-                     n,
-                     0,
-                     rng_.Derive(0x7817 + tm_->committed()),
-                     base_->params().think_time_ms};
+void VoodbSystem::StartUsers(ocb::WorkloadSource& workload,
+                             const ocb::TransactionKind* forced_kind,
+                             uint64_t n, desp::RandomStream think_rng,
+                             AfterCommit after_commit, bool stop_on_drain) {
+  phase_start_.emplace(Take());
+  users_ = Users{&workload, forced_kind, n, /*outstanding=*/0, think_rng,
+                 std::move(after_commit), stop_on_drain};
   const uint32_t active_users =
       static_cast<uint32_t>(std::min<uint64_t>(config_.num_users, n));
   if (user_txns_.size() < active_users) user_txns_.resize(active_users);
-  for (uint32_t u = 0; u < active_users; ++u) driver.UserLoop(u);
-  scheduler_->Run();
-  VOODB_CHECK_MSG(driver.to_issue == 0 && driver.outstanding == 0,
-                  "phase ended with unfinished work");
-  return Delta(before);
+  for (uint32_t u = 0; u < active_users; ++u) UserLoop(u);
 }
 
-void VoodbSystem::RecordTxnBegin(ocb::TransactionKind kind, uint32_t user) {
-  if (trace_recorder_ == nullptr) return;
-  trace_recorder_->OnTxnBegin(static_cast<uint64_t>(kind), user);
+void VoodbSystem::UserLoop(uint32_t user) {
+  if (users_.to_issue == 0) {
+    // Phase exhausted; the user retires.
+    if (users_.outstanding == 0 && users_.stop_on_drain) scheduler_->Stop();
+    return;
+  }
+  --users_.to_issue;
+  ++users_.outstanding;
+  // Each user generates into its own recycled Transaction, which Submit
+  // swaps for the in-flight slot's cleared buffer.
+  ocb::Transaction& txn = user_txns_[user];
+  users_.workload->NextInto(txn, users_.forced_kind);
+  // Transaction markers frame the object stream the Object Manager
+  // records, carrying the issuing user's id (format v2) so concurrent
+  // runs replay as per-user transaction streams.
+  if (trace_recorder_ != nullptr) {
+    trace_recorder_->OnTxnBegin(static_cast<uint64_t>(txn.kind), user);
+  }
+  auto submit = [this, user] {
+    tm_->Submit(user_txns_[user], [this, user] { OnCommit(user); });
+  };
+  const double think_time_ms = base_->params().think_time_ms;
+  if (think_time_ms > 0.0) {
+    scheduler_->Schedule(users_.think_rng.Exponential(think_time_ms),
+                         std::move(submit));
+  } else {
+    submit();
+  }
 }
 
-void VoodbSystem::RecordTxnEnd() {
+void VoodbSystem::OnCommit(uint32_t user) {
   if (trace_recorder_ != nullptr) trace_recorder_->OnTxnEnd();
+  if (users_.after_commit && users_.after_commit(user)) return;
+  ResumeUser(user);
+}
+
+void VoodbSystem::ResumeUser(uint32_t user) {
+  --users_.outstanding;
+  // Automatic triggering happens at transaction boundaries.
+  if (config_.auto_clustering && clustering_->ShouldTrigger()) {
+    clustering_->PerformClustering([this, user] { UserLoop(user); });
+    return;
+  }
+  UserLoop(user);
+}
+
+PhaseMetrics VoodbSystem::EndPhase() {
+  VOODB_CHECK_MSG(phase_start_.has_value(), "no phase was started");
+  VOODB_CHECK_MSG(users_.to_issue == 0 && users_.outstanding == 0,
+                  "phase ended with unfinished work");
+  const PhaseMetrics m = Delta(*phase_start_);
+  phase_start_.reset();
+  return m;
 }
 
 ClusteringMetrics VoodbSystem::TriggerClustering() {

@@ -15,7 +15,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "cluster/policy.hpp"
@@ -121,10 +124,31 @@ class VoodbSystem {
   obs::SpanTracer* span_tracer() { return tracer_.get(); }
   const obs::SpanTracer* span_tracer() const { return tracer_.get(); }
 
-  /// Counter snapshot for computing phase deltas.  Public so external
-  /// drivers (ShardedVoodb) can frame their own phases without going
-  /// through RunTransactions.  `Take` starts a phase: the Transaction
-  /// Manager's phase maximum restarts, and `Delta` reports it.
+  // --- phases run by an outside kernel (ShardedVoodb) ----------------------
+  /// Runs when a user's transaction has committed, before the user goes
+  /// on.  Returns false to let the user continue at once, or true after
+  /// taking the user over, promising one later `ResumeUser(user)`.
+  using AfterCommit = std::function<bool(uint32_t user)>;
+
+  /// Starts a phase of `n` transactions drawn from `workload` whose events
+  /// the caller's kernel runs: min(NUSERS, n) users start on this
+  /// system's scheduler, their think times drawn from `think_rng`, and
+  /// `after_commit` (may be empty) runs at every commit.  The scheduler is
+  /// never stopped; the phase is over once it drains.
+  void StartPhase(ocb::WorkloadSource& workload, uint64_t n,
+                  desp::RandomStream think_rng, AfterCommit after_commit) {
+    StartUsers(workload, nullptr, n, think_rng, std::move(after_commit),
+               /*stop_on_drain=*/false);
+  }
+  /// Lets `user` go on after `after_commit` took it over.
+  void ResumeUser(uint32_t user);
+  /// Ends the phase started last: every transaction must have finished.
+  PhaseMetrics EndPhase();
+
+ private:
+  /// Counter snapshot for computing phase deltas.  `Take` starts a phase:
+  /// the Transaction Manager's phase maximum restarts, and `Delta`
+  /// reports it.
   struct Snapshot {
     uint64_t ios = 0;
     uint64_t reads = 0;
@@ -143,17 +167,33 @@ class VoodbSystem {
     desp::LogHistogram disk_service_histogram;
     obs::ComponentHistograms component_histograms;
   };
-  Snapshot Take();
-  PhaseMetrics Delta(const Snapshot& before) const;
 
-  /// Frames the marker stream and, for sharded drivers, per-user
-  /// attribution: the trace's kTxnBegin id column packs (user, kind).
-  void RecordTxnBegin(ocb::TransactionKind kind, uint32_t user);
-  void RecordTxnEnd();
+  /// The Users active resource (knowledge model, Fig. 4) of the running
+  /// phase: each user draws a transaction, thinks, submits it, and after
+  /// its commit (and `after_commit`) repeats until `to_issue` runs out.
+  struct Users {
+    ocb::WorkloadSource* workload = nullptr;
+    const ocb::TransactionKind* forced_kind = nullptr;
+    uint64_t to_issue = 0;
+    uint64_t outstanding = 0;  ///< issued, not yet resumed
+    desp::RandomStream think_rng;
+    AfterCommit after_commit;
+    /// Stop the scheduler once the last transaction finishes, even if
+    /// hazard events are still armed on it.
+    bool stop_on_drain = false;
+  };
 
- private:
   PhaseMetrics Drive(ocb::WorkloadSource& workload,
                      const ocb::TransactionKind* forced_kind, uint64_t n);
+  /// Takes the phase's starting counters and starts its users.
+  void StartUsers(ocb::WorkloadSource& workload,
+                  const ocb::TransactionKind* forced_kind, uint64_t n,
+                  desp::RandomStream think_rng, AfterCommit after_commit,
+                  bool stop_on_drain);
+  void UserLoop(uint32_t user);
+  void OnCommit(uint32_t user);
+  Snapshot Take();
+  PhaseMetrics Delta(const Snapshot& before) const;
   /// The counters now, without starting a phase.
   Snapshot Read() const;
   /// Builds the metric registry from every actor's cells.
@@ -171,6 +211,9 @@ class VoodbSystem {
   std::unique_ptr<ClusteringManagerActor> clustering_;
   std::unique_ptr<TransactionManagerActor> tm_;
   std::unique_ptr<FailureInjectorActor> failures_;
+  Users users_;
+  /// The running phase's starting counters (empty between phases).
+  std::optional<Snapshot> phase_start_;
   /// One transaction buffer per user, kept across phases: a user's next
   /// transaction is generated into it while the previous one's buffer
   /// circulates through the Transaction Manager's in-flight pool.

@@ -36,22 +36,14 @@ TransactionManagerActor::TransactionManagerActor(
 }
 
 TransactionManagerActor::Handle TransactionManagerActor::AllocInFlight() {
-  uint32_t index;
-  if (!free_slots_.empty()) {
-    index = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    index = static_cast<uint32_t>(pool_.size());
-    pool_.emplace_back();
-  }
+  const uint32_t index = pool_.Alloc();
   Slot& slot = pool_[index];
   slot.live = true;
-  ++pool_live_;
   return Handle{index, slot.generation};
 }
 
 TransactionManagerActor::InFlight& TransactionManagerActor::At(Handle h) {
-  VOODB_CHECK_MSG(h.index < pool_.size(), "bad in-flight handle");
+  VOODB_CHECK_MSG(h.index < pool_.capacity(), "bad in-flight handle");
   Slot& slot = pool_[h.index];
   VOODB_CHECK_MSG(slot.live && slot.generation == h.generation,
                   "stale in-flight handle (slot recycled)");
@@ -74,8 +66,7 @@ void TransactionManagerActor::FreeInFlight(Handle h) {
   slot.state.done = nullptr;
   slot.live = false;
   ++slot.generation;  // invalidate any still-outstanding handle
-  --pool_live_;
-  free_slots_.push_back(h.index);
+  pool_.Free(h.index);
 }
 
 void TransactionManagerActor::Submit(ocb::Transaction& txn,

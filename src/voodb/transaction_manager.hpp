@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "cc/protocol.hpp"
 #include "desp/actor.hpp"
@@ -35,6 +34,7 @@
 #include "desp/random.hpp"
 #include "desp/resource.hpp"
 #include "desp/scheduler.hpp"
+#include "desp/slot_pool.hpp"
 #include "desp/stats.hpp"
 #include "ocb/types.hpp"
 #include "voodb/buffering_manager.hpp"
@@ -97,8 +97,8 @@ class TransactionManagerActor : public desp::Actor {
   /// In-flight slot-pool occupancy/capacity — the capacity is bounded by
   /// the concurrency in flight, never by transactions run (micro_cc
   /// asserts this).
-  size_t inflight_pool_live() const { return pool_live_; }
-  size_t inflight_pool_capacity() const { return pool_.size(); }
+  size_t inflight_pool_live() const { return pool_.live(); }
+  size_t inflight_pool_capacity() const { return pool_.capacity(); }
 
   /// Attaches/detaches (nullptr) a trace recorder; aborted attempts are
   /// recorded as kTxnAbort markers so contention runs replay as full
@@ -175,9 +175,7 @@ class TransactionManagerActor : public desp::Actor {
   trace::Recorder* recorder_ = nullptr;
   obs::SpanTracer* tracer_ = nullptr;
   desp::RandomStream backoff_rng_;
-  std::vector<Slot> pool_;
-  std::vector<uint32_t> free_slots_;
-  size_t pool_live_ = 0;
+  desp::SlotPool<Slot> pool_;
   uint64_t next_txn_id_ = 1;
   uint64_t next_age_stamp_ = 1;
   uint64_t committed_ = 0;

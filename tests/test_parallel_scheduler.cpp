@@ -120,63 +120,31 @@ INSTANTIATE_TEST_SUITE_P(AllQueues, RunWindowTest,
 // --- ParallelScheduler ------------------------------------------------------
 
 TEST(ParallelScheduler, IndependentPartitionsDrainInOneWindow) {
-  ParallelScheduler::Options options;
-  options.partitions = 3;
-  ParallelScheduler ps(options);
+  ParallelScheduler ps(3);
   std::vector<int> fired(3, 0);
   for (size_t p = 0; p < 3; ++p) {
     for (int i = 1; i <= 4; ++i) {
       ps.partition(p).Schedule(i * 1.0, [&fired, p] { ++fired[p]; });
     }
   }
-  // No edges registered: lookahead is infinite and everything runs in a
-  // single window.
+  // No lookahead given: it is infinite and everything runs in a single
+  // window.
   EXPECT_EQ(ps.Run(), 12u);
   EXPECT_EQ(ps.Windows(), 1u);
   EXPECT_EQ(fired, (std::vector<int>{4, 4, 4}));
   EXPECT_DOUBLE_EQ(ps.MaxNow(), 4.0);
 }
 
-TEST(ParallelScheduler, WindowDerivesFromMinimumEdgeDelay) {
-  ParallelScheduler::Options options;
-  options.partitions = 2;
-  ParallelScheduler ps(options);
-  ps.SetEdgeDelay(0, 1, 5.0);
-  ps.SetEdgeDelay(1, 0, 3.0);
-  EXPECT_DOUBLE_EQ(ps.Lookahead(), 3.0);
-  EXPECT_DOUBLE_EQ(ps.Window(), 3.0);
-}
-
-TEST(ParallelScheduler, ExplicitWindowMustStayConservative) {
-  ParallelScheduler::Options options;
-  options.partitions = 2;
-  options.window = 10.0;
-  ParallelScheduler ps(options);
-  ps.SetUniformEdgeDelay(3.0);
-  EXPECT_THROW(ps.Window(), util::Error);
-  ParallelScheduler::Options ok = options;
-  ok.window = 2.0;
-  ParallelScheduler ps2(ok);
-  ps2.SetUniformEdgeDelay(3.0);
-  EXPECT_DOUBLE_EQ(ps2.Window(), 2.0);
-}
-
 TEST(ParallelScheduler, SendToValidatesEdgeAndDelay) {
-  ParallelScheduler::Options options;
-  options.partitions = 2;
-  ParallelScheduler ps(options);
-  EXPECT_THROW(ps.SendTo(0, 1, 1.0, [] {}), util::Error);  // unregistered
-  ps.SetEdgeDelay(0, 1, 2.0);
+  EXPECT_THROW(ParallelScheduler(2, 0.0), util::Error);  // zero lookahead
+  ParallelScheduler ps(2, 2.0);
+  EXPECT_THROW(ps.SendTo(0, 2, 2.0, [] {}), util::Error);  // no partition 2
   EXPECT_THROW(ps.SendTo(0, 1, 1.0, [] {}), util::Error);  // below lookahead
-  EXPECT_THROW(ps.SetEdgeDelay(0, 1, 0.0), util::Error);   // zero lookahead
-  ps.SendTo(0, 1, 2.0, [] {});  // exactly the edge delay is legal
+  ps.SendTo(0, 1, 2.0, [] {});  // exactly the lookahead is legal
 }
 
 TEST(ParallelScheduler, CrossPartitionDeliveryHonorsTimePriorityAndSource) {
-  ParallelScheduler::Options options;
-  options.partitions = 3;
-  ParallelScheduler ps(options);
-  ps.SetUniformEdgeDelay(1.0);
+  ParallelScheduler ps(3, 1.0);
   std::vector<std::string> order;
   // Both sources mail partition 2 at the same delivery time; priority
   // breaks the first tie, source index the second.
@@ -193,10 +161,7 @@ TEST(ParallelScheduler, CrossPartitionDeliveryHonorsTimePriorityAndSource) {
 TEST(ParallelScheduler, TiedMailKeepsSourceThenSendOrder) {
   // Enough mail tied on (time, priority) that an unstable sort would
   // shuffle it: delivery must be source-ascending, then per-edge FIFO.
-  ParallelScheduler::Options options;
-  options.partitions = 3;
-  ParallelScheduler ps(options);
-  ps.SetUniformEdgeDelay(1.0);
+  ParallelScheduler ps(3, 1.0);
   std::vector<int> order;
   for (const size_t from : {2u, 1u}) {
     for (int i = 0; i < 20; ++i) {
@@ -297,11 +262,8 @@ struct RingRun {
 /// Runs `rounds` ring workloads back to back on one kernel; each round
 /// is scheduled after the previous Run() drained.
 RingRun RunRing(size_t partitions, EventPath path, int rounds = 1) {
-  ParallelScheduler::Options options;
-  options.partitions = partitions;
-  ParallelScheduler ps(options);
   const double lookahead = 1.5;
-  ps.SetUniformEdgeDelay(lookahead);
+  ParallelScheduler ps(partitions, lookahead);
   std::vector<KeyDigest> digests(partitions);
   for (size_t p = 0; p < partitions; ++p) {
     ps.partition(p).SetTraceHook(&KeyDigest::Hook, &digests[p]);
@@ -402,11 +364,8 @@ TEST(ParallelScheduler, EightPartitionRingMatchesGolden) {
 
 TEST(ParallelScheduler, PooledWindowRethrowsLikeSerial) {
   // Four partitions with pending work, where partitions 1 and 3 each
-  // make a SendTo below the edge delay in the first window.
-  ParallelScheduler::Options options;
-  options.partitions = 4;
-  ParallelScheduler ps(options);
-  ps.SetUniformEdgeDelay(2.0);
+  // make a SendTo below the lookahead in the first window.
+  ParallelScheduler ps(4, 2.0);
   for (size_t p = 0; p < 4; ++p) {
     ps.partition(p).Schedule(1.0, [] {});
   }

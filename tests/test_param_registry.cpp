@@ -32,7 +32,7 @@ void ExpectErrorMentions(Fn&& fn, const std::string& needle) {
 // a field was added or removed: update the descriptor table in
 // param_registry.cpp (its sizeof static_asserts fire first on x86-64
 // Linux) and then these counts.
-constexpr size_t kSystemFields = 43;
+constexpr size_t kSystemFields = 42;
 constexpr size_t kDiskFields = 3;
 constexpr size_t kWorkloadFields = 32;
 

@@ -181,6 +181,31 @@ TEST(ScenarioCells, ExplainAndProfileReproduceTheTableCell) {
   }
 }
 
+TEST(ScenarioCells, ExplainRunsAShardedCell) {
+  // `voodb explain cc_abyss --cell=64/wait_die --set shards=2 --set
+  // multi_partition_pct=0.5`: each shard's users run the cell's
+  // transactions, half of them with a remote sub-transaction.
+  RegisterBenchScenarios();
+  const exp::Scenario& abyss = exp::ScenarioRegistry::Instance().At("cc_abyss");
+  const CellRun run = ResolveCellRun(abyss, "64/wait_die", 32, 42,
+                                     {{"num_users", "64"},
+                                      {"shards", "2"},
+                                      {"multi_partition_pct", "0.5"}});
+  ASSERT_EQ(run.cell.config.system.shards, 2u);
+  testing::internal::CaptureStdout();
+  const core::PhaseMetrics m = ExplainCell(run, 3, "off");
+  const std::string out = testing::internal::GetCapturedStdout();
+  // Every requested transaction committed (a phase with unfinished work
+  // throws), and so did the remote sub-transactions.
+  const uint64_t requested = 2 * run.cell.transactions;
+  EXPECT_GT(m.transactions, requested);
+  EXPECT_LT(m.transactions, 2 * requested);
+  EXPECT_NE(out.find("== 3 slowest transactions (span trees) =="),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("critical path:"), std::string::npos) << out;
+}
+
 TEST(ScenarioCells, ToolsRejectASweptSetLikeRun) {
   RegisterBenchScenarios();
   const exp::Scenario& abyss = exp::ScenarioRegistry::Instance().At("cc_abyss");
@@ -378,6 +403,22 @@ TEST(RunScenario, HotTransactionsIsRejectedByName) {
     // nearest-spelled parameter (which means the opposite).
     EXPECT_NE(message.find("--transactions"), std::string::npos) << message;
     EXPECT_EQ(message.find("cold_transactions"), std::string::npos)
+        << message;
+  }
+}
+
+TEST(RunScenario, SimWindowIsRejectedByName) {
+  // The window is the cross-shard delay; no parameter sets it any more.
+  RegisterBenchScenarios();
+  try {
+    RunScenario(exp::ScenarioRegistry::Instance().At("shard_scale"),
+                SmallOptions(20), {{"sim_window", "1"}});
+    FAIL() << "expected util::Error for --set sim_window";
+  } catch (const util::Error& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("'sim_window' was retired"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("cross-shard delay"), std::string::npos)
         << message;
   }
 }
