@@ -32,11 +32,7 @@ LockTable::LockTable(desp::Scheduler* scheduler, ProtocolKind kind)
 void LockTable::Begin(uint64_t txn, uint64_t age) {
   // Restarted transactions keep their original age, so under wait-die
   // they eventually become the oldest and cannot die forever.
-  TxnState& state = txns_.Begin(txn);
-  state.age = age;
-  // A fresh slot starts with room for a typical transaction's locks:
-  // one allocation instead of a doubling series (the slot keeps it).
-  if (state.held.capacity() == 0) state.held.reserve(16);
+  txns_.Begin(txn).age = age;
   ++stats_.begins;
 }
 
@@ -57,7 +53,8 @@ bool LockTable::Holds(uint64_t txn, ocb::Oid oid, LockMode mode) const {
 size_t LockTable::HeldLocks(uint64_t txn) const {
   const TxnState* state = txns_.Find(txn);
   if (state == nullptr) return 0;
-  std::vector<ocb::Oid> held = state->held;
+  std::vector<ocb::Oid> held;
+  for (const ocb::Oid oid : held_.Of(state->held)) held.push_back(oid);
   std::sort(held.begin(), held.end());
   return static_cast<size_t>(
       std::unique(held.begin(), held.end()) - held.begin());
@@ -94,7 +91,9 @@ bool LockTable::Compatible(const Entry& entry, uint64_t txn,
   return true;
 }
 
-void LockTable::Grant(Entry& entry, uint64_t txn, LockMode mode) {
+void LockTable::Grant(Entry& entry, ocb::Oid oid, uint64_t txn,
+                      TxnState& state, LockMode mode) {
+  held_.PushBack(state.held, oid);
   for (uint32_t n = entry.holders.head; n != kEnd; n = holders_.Next(n)) {
     Holder& h = holders_[n];
     if (h.txn == txn) {
@@ -105,7 +104,7 @@ void LockTable::Grant(Entry& entry, uint64_t txn, LockMode mode) {
       return;
     }
   }
-  holders_.PushBack(entry.holders, Holder{txn, mode});
+  holders_.PushBack(entry.holders, Holder{txn, state.age, mode});
 }
 
 void LockTable::Access(uint64_t txn, ocb::Oid oid, bool write, Action granted,
@@ -122,8 +121,7 @@ void LockTable::Access(uint64_t txn, ocb::Oid oid, bool write, Action granted,
   // Holding the object without holding it strongly enough: S -> X.
   const bool upgrade = HoldsIn(entry, txn, LockMode::kShared);
   if (Compatible(entry, txn, mode) && (upgrade || entry.waiters.empty())) {
-    Grant(entry, txn, mode);
-    state.held.push_back(oid);
+    Grant(entry, oid, txn, state, mode);
     ++stats_.immediate_grants;
     stats_.wait_times.Add(0.0);
     stats_.wait_histogram.Add(0.0);
@@ -143,7 +141,7 @@ void LockTable::Access(uint64_t txn, ocb::Oid oid, bool write, Action granted,
       Fire(std::move(aborted));
       return;
     case ProtocolKind::kWaitDie:
-      if (!MayWait(entry, txn, mode, entry.waiters.size)) {
+      if (!MayWait(entry, txn, state.age, mode, entry.waiters.size)) {
         ++stats_.aborts_wait_die;
         NoteAbort(obs::AbortCause::kWaitDie);
         Fire(std::move(aborted));
@@ -182,8 +180,7 @@ void LockTable::WakeWaiters(ocb::Oid oid, Entry& entry) {
       continue;
     }
     if (!Compatible(entry, head.txn, head.mode)) break;
-    Grant(entry, head.txn, head.mode);
-    waiter_state->held.push_back(oid);
+    Grant(entry, oid, head.txn, *waiter_state, head.mode);
     waiter_state->waiting = false;
     const double waited = scheduler_->Now() - head.enqueued_at;
     stats_.wait_times.Add(waited);
@@ -204,7 +201,8 @@ void LockTable::Release(uint64_t txn) {
   TxnState& state = txns_.At(txn);
   const bool waiting = state.waiting;
   const ocb::Oid waiting_on = state.waiting_on;
-  releasing_.swap(state.held);  // the slot keeps a cleared buffer
+  for (const ocb::Oid oid : held_.Of(state.held)) releasing_.push_back(oid);
+  held_.Clear(state.held);
   // Forget the transaction first: a request it still has parked is stale
   // from here on and is dropped wherever a queue meets it.
   txns_.End(txn);
@@ -243,17 +241,12 @@ void LockTable::Abort(uint64_t txn) { Release(txn); }
 // wait-die
 // ---------------------------------------------------------------------------
 
-bool LockTable::MayWait(const Entry& entry, uint64_t txn, LockMode mode,
-                        size_t ahead_count) const {
-  const TxnState* requester = txns_.Find(txn);
-  VOODB_CHECK_MSG(requester != nullptr, "unknown transaction " << txn);
-  const uint64_t age = requester->age;
+bool LockTable::MayWait(const Entry& entry, uint64_t txn, uint64_t age,
+                        LockMode mode, size_t ahead_count) const {
   for (const Holder& h : holders_.Of(entry.holders)) {
     if (h.txn == txn || !Conflicting(mode, h.mode)) continue;
-    const TxnState* holder = txns_.Find(h.txn);
-    VOODB_CHECK_MSG(holder != nullptr, "holder vanished");
     // The requester may wait only for *younger* holders.
-    if (age >= holder->age) return false;
+    if (age >= h.age) return false;
   }
   size_t position = 0;
   for (const Waiter& w : waiters_.Of(entry.waiters)) {
@@ -278,7 +271,7 @@ void LockTable::EnforceWaitDie(Entry& entry) {
     }
     // Each waiter is re-checked against the holders and the waiters
     // still ahead of it.
-    if (MayWait(entry, w.txn, w.mode, position)) {
+    if (MayWait(entry, w.txn, state->age, w.mode, position)) {
       ++position;
       prev = node;
       node = waiters_.Next(node);

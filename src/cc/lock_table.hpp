@@ -27,6 +27,14 @@
 /// releasing a transaction touches only the objects it holds plus that
 /// one queue.  Object ids are dense, so an object's entry is found by a
 /// direct table load (util::IdIndex), not a hash probe.
+///
+/// No transaction attempt owns heap memory: each one's list of held
+/// objects lives in a third list pool of the table, beside the holders
+/// and the waiters, and its slot in cc::TxnTable's flat arrays.  A holder
+/// record carries its transaction's wait-die age, so a wait-die decision
+/// reads the ages of conflicting holders off the holder list.  Once the
+/// pools have reached their peak occupancy, a fresh or restarted attempt
+/// allocates nothing.
 #pragma once
 
 #include <cstdint>
@@ -71,8 +79,13 @@ class LockTable final : public Protocol {
   size_t HeldLocks(uint64_t txn) const;
 
  private:
+  /// A granted lock.  The holder's wait-die age rides along, so a
+  /// conflict check reads it here instead of looking the holder up (a
+  /// holder is always active: Release erases a transaction's holders
+  /// before it wakes anyone).
   struct Holder {
     uint64_t txn;
+    uint64_t age;
     LockMode mode;
   };
   /// Fields in alignment order: the two actions first leave no padding
@@ -96,16 +109,15 @@ class LockTable final : public Protocol {
   };
   struct TxnState {
     uint64_t age = 0;
-    std::vector<ocb::Oid> held;  // may contain duplicates for upgrades
-    bool waiting = false;        // parked on `waiting_on`
+    /// Objects locked, in the table's `held_` pool; may contain
+    /// duplicates for upgrades.  Release empties it before recycling.
+    desp::ListPool<ocb::Oid>::List held;
+    bool waiting = false;  // parked on `waiting_on`
     ocb::Oid waiting_on = 0;
     /// Cycle-search stamp: search ids strictly increase, so a stale mark
     /// never matches and needs no reset on recycle.
     uint64_t visit_mark = 0;
-    void Recycle() {
-      held.clear();
-      waiting = false;
-    }
+    void Recycle() { waiting = false; }
   };
 
   /// The entry of `oid`, created on first use.  Entries live in a flat
@@ -123,18 +135,21 @@ class LockTable final : public Protocol {
   bool HoldsIn(const Entry& entry, uint64_t txn, LockMode mode) const;
   /// True when `mode` can be granted on `entry` for `txn` right now.
   bool Compatible(const Entry& entry, uint64_t txn, LockMode mode) const;
-  void Grant(Entry& entry, uint64_t txn, LockMode mode);
+  /// Records the grant on `entry` and in `state`'s held list.
+  void Grant(Entry& entry, ocb::Oid oid, uint64_t txn, TxnState& state,
+             LockMode mode);
   /// FIFO wake-up: grants the head while it is compatible (several shared
   /// requests may be granted together).
   void WakeWaiters(ocb::Oid oid, Entry& entry);
   void Release(uint64_t txn);
 
   // --- wait-die ------------------------------------------------------------
-  /// True when `txn` is older than every conflicting holder *and* every
-  /// conflicting waiter among the first `ahead_count` queue entries.
-  /// Queue positions are wait targets too: ignoring them lets cycles form
-  /// through FIFO ordering (an old holder-wait plus a young queue-wait).
-  bool MayWait(const Entry& entry, uint64_t txn, LockMode mode,
+  /// True when `txn`, of wait-die age `age`, is older than every
+  /// conflicting holder *and* every conflicting waiter among the first
+  /// `ahead_count` queue entries.  Queue positions are wait targets too:
+  /// ignoring them lets cycles form through FIFO ordering (an old
+  /// holder-wait plus a young queue-wait).
+  bool MayWait(const Entry& entry, uint64_t txn, uint64_t age, LockMode mode,
                size_t ahead_count) const;
   /// Re-enforces the wait-die invariant after the holder set of an object
   /// grew: every parked waiter that now conflicts with an *older* holder
@@ -159,6 +174,7 @@ class LockTable final : public Protocol {
   util::IdIndex entry_index_;  // oid -> entries_ slot
   desp::ListPool<Holder> holders_;
   desp::ListPool<Waiter> waiters_;
+  desp::ListPool<ocb::Oid> held_;  // every transaction's held list
   TxnTable<TxnState> txns_;
   std::vector<ocb::Oid> releasing_;  // reused by Release
   std::vector<uint64_t> dfs_stack_;  // reused across cycle searches

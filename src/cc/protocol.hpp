@@ -22,14 +22,15 @@
 /// or not.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cc/kind.hpp"
 #include "desp/histogram.hpp"
 #include "desp/scheduler.hpp"
+#include "desp/slot_pool.hpp"
 #include "desp/small_function.hpp"
 #include "desp/stats.hpp"
 #include "ocb/types.hpp"
@@ -75,41 +76,40 @@ struct CcStats {
   }
 };
 
-/// Pooled per-transaction state: a slab of `State` slots recycled through
-/// a free list, so per-attempt registration reuses the previous attempt's
-/// vector capacities instead of allocating (the kernel's zero-allocation
-/// discipline applied to protocol bookkeeping).  The free list holds the
-/// retired index nodes themselves (each still naming its slot), so the
-/// id index allocates nothing either once concurrency has peaked.
-/// `State::Recycle()` must clear the slot for reuse while keeping
-/// capacity.
+/// Pooled per-transaction state: a desp::SlotPool of `State` slots, so
+/// per-attempt registration reuses the previous attempt's vector
+/// capacities instead of allocating (the kernel's zero-allocation
+/// discipline applied to protocol bookkeeping).  Transaction ids map to
+/// slots through a flat open-addressing index of `{txn, slot}` cells:
+/// Fibonacci hashing into a power-of-two array kept at most half full,
+/// linear probing, and backward-shift deletion (no tombstones, so probe
+/// runs stay short however long the churn).  The slot pool and the cell
+/// array grow geometrically with peak concurrency and never shrink, so
+/// once concurrency has peaked registering an attempt allocates nothing
+/// and a lookup is one multiply and a short scan of adjacent cells.  `State::Recycle()` must clear the slot for reuse
+/// while keeping capacity.
 template <typename State>
 class TxnTable {
  public:
   State& Begin(uint64_t txn) {
-    if (free_.empty()) {
-      const auto slot = static_cast<uint32_t>(slots_.size());
-      const bool inserted = index_.emplace(txn, slot).second;
-      VOODB_CHECK_MSG(inserted, "transaction " << txn << " already active");
-      return slots_.emplace_back();
+    if (2 * (slots_.live() + 1) > cells_.size()) Grow();
+    size_t i = Home(txn);
+    for (; cells_[i].slot != kEmpty; i = (i + 1) & mask_) {
+      VOODB_CHECK_MSG(cells_[i].txn != txn,
+                      "transaction " << txn << " already active");
     }
-    Index::node_type node = std::move(free_.back());
-    free_.pop_back();
-    node.key() = txn;
-    auto result = index_.insert(std::move(node));
-    if (!result.inserted) free_.push_back(std::move(result.node));
-    VOODB_CHECK_MSG(result.inserted,
-                    "transaction " << txn << " already active");
-    return slots_[result.position->second];
+    const uint32_t slot = slots_.Alloc();
+    cells_[i] = Cell{txn, slot};
+    return slots_[slot];
   }
 
   State* Find(uint64_t txn) {
-    const auto it = index_.find(txn);
-    return it == index_.end() ? nullptr : &slots_[it->second];
+    const size_t i = Locate(txn);
+    return i == kMissing ? nullptr : &slots_[cells_[i].slot];
   }
   const State* Find(uint64_t txn) const {
-    const auto it = index_.find(txn);
-    return it == index_.end() ? nullptr : &slots_[it->second];
+    const size_t i = Locate(txn);
+    return i == kMissing ? nullptr : &slots_[cells_[i].slot];
   }
 
   State& At(uint64_t txn) {
@@ -120,11 +120,22 @@ class TxnTable {
 
   /// Recycles the slot (keeps its heap capacity for the next Begin).
   void End(uint64_t txn) {
-    const auto it = index_.find(txn);
-    VOODB_CHECK_MSG(it != index_.end(),
+    size_t hole = Locate(txn);
+    VOODB_CHECK_MSG(hole != kMissing,
                     "transaction " << txn << " not active");
-    slots_[it->second].Recycle();
-    free_.push_back(index_.extract(it));
+    const uint32_t slot = cells_[hole].slot;
+    slots_[slot].Recycle();
+    slots_.Free(slot);
+    // Backward shift: pull each later cell of the probe run into the
+    // hole unless its home lies cyclically after the hole.
+    for (size_t j = (hole + 1) & mask_; cells_[j].slot != kEmpty;
+         j = (j + 1) & mask_) {
+      if (((j - Home(cells_[j].txn)) & mask_) >= ((j - hole) & mask_)) {
+        cells_[hole] = cells_[j];
+        hole = j;
+      }
+    }
+    cells_[hole].slot = kEmpty;
   }
 
   /// Applies `fn(txn_id, state)` to every active transaction.  Iteration
@@ -132,20 +143,58 @@ class TxnTable {
   /// (minima, counts), never for anything that can reach the scheduler.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (const auto& [txn, slot] : index_) fn(txn, slots_[slot]);
+    for (const Cell& c : cells_) {
+      if (c.slot != kEmpty) fn(c.txn, slots_[c.slot]);
+    }
   }
 
-  size_t active() const { return index_.size(); }
+  size_t active() const { return slots_.live(); }
   /// Slots ever constructed — bounded by peak concurrency, not by the
   /// number of transactions run (the pooling witness micro_cc asserts).
-  size_t capacity() const { return slots_.size(); }
+  size_t capacity() const { return slots_.capacity(); }
 
  private:
-  using Index = std::unordered_map<uint64_t, uint32_t>;  // txn -> slot
+  static constexpr uint32_t kEmpty = static_cast<uint32_t>(-1);
+  static constexpr size_t kMissing = static_cast<size_t>(-1);
+  static constexpr size_t kMinCells = 16;
 
-  Index index_;
-  std::vector<State> slots_;
-  std::vector<Index::node_type> free_;  // retired nodes, slot kept
+  struct Cell {
+    uint64_t txn = 0;
+    uint32_t slot = kEmpty;
+  };
+
+  size_t Home(uint64_t txn) const {
+    return static_cast<size_t>((txn * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
+  /// The cell holding `txn`, or kMissing.
+  size_t Locate(uint64_t txn) const {
+    if (slots_.live() == 0) return kMissing;
+    for (size_t i = Home(txn); cells_[i].slot != kEmpty;
+         i = (i + 1) & mask_) {
+      if (cells_[i].txn == txn) return i;
+    }
+    return kMissing;
+  }
+
+  /// Doubles the cell array (kMinCells at first use) and reinserts.
+  void Grow() {
+    std::vector<Cell> old(std::max(kMinCells, 2 * cells_.size()));
+    old.swap(cells_);
+    mask_ = cells_.size() - 1;
+    shift_ = 64 - static_cast<unsigned>(__builtin_ctzll(cells_.size()));
+    for (const Cell& c : old) {
+      if (c.slot == kEmpty) continue;
+      size_t i = Home(c.txn);
+      while (cells_[i].slot != kEmpty) i = (i + 1) & mask_;
+      cells_[i] = c;
+    }
+  }
+
+  std::vector<Cell> cells_;  // power-of-two size, at most half full
+  size_t mask_ = 0;          // cells_.size() - 1
+  unsigned shift_ = 64;      // 64 - log2(cells_.size())
+  desp::SlotPool<State> slots_;
 };
 
 /// The protocol interface the Transaction Manager drives.

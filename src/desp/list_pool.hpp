@@ -79,6 +79,17 @@ class ListPool {
 
   void PopFront(List& list) { EraseAfter(list, kEnd); }
 
+  /// Removes every element of `list`.
+  void Clear(List& list) {
+    for (uint32_t node = list.head; node != kEnd;) {
+      const uint32_t next = nodes_[node].next;
+      nodes_[node].value = T();
+      nodes_.Free(node);
+      node = next;
+    }
+    list = List{};
+  }
+
   /// Removes every element matching `pred`, keeping the order of the
   /// others; returns how many were removed.
   template <typename Pred>

@@ -67,12 +67,20 @@ void VoodbConfig::Validate() const {
                   "workload_source=trace: trace_path would be both the "
                   "replay input and the recording output");
   // A sharded run records per-shard interleavings the single trace_path
-  // cannot hold, and trace replay is a serial transaction stream.
-  VOODB_CHECK_MSG(shards == 1 || (!trace_record &&
-                                  workload_source ==
-                                      WorkloadSourceKind::kSynthetic),
-                  "parameter 'shards' > 1 cannot be combined with trace "
-                  "recording or trace replay");
+  // cannot hold.
+  VOODB_CHECK_MSG(shards == 1 || !trace_record,
+                  "parameter 'shards' > 1 cannot be combined with "
+                  "trace_record");
+  // Each shard draws from its own synthetic generator over its partition;
+  // a trace or YCSB source is one serial stream over the whole base.
+  VOODB_CHECK_MSG(shards == 1 ||
+                      workload_source == WorkloadSourceKind::kSynthetic,
+                  "parameter 'shards' > 1 cannot be combined with "
+                  "workload_source="
+                      << ParamRegistry::Instance().FormatValue(
+                             "workload_source",
+                             static_cast<double>(workload_source))
+                      << ": only the synthetic generator runs sharded");
   // Every admitted transaction holds one span-tracer slot.  A user has
   // one transaction live at a time, local or (sharded) a sub-transaction
   // on another shard, so a shard admits at most min(all users, MULTILVL).

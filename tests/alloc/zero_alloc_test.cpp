@@ -29,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "cc/lock_table.hpp"
 #include "cluster/dstc.hpp"
 #include "ocb/object_base.hpp"
 #include "ocb/workload.hpp"
@@ -228,6 +229,37 @@ TEST(ZeroAlloc, GeneratorRefillsEveryTraversalKind) {
   }
   for (size_t k = 0; k < 5; ++k) EXPECT_GT(kinds[k], 0u) << k;
   EXPECT_EQ(live.WindowAllocations(), 0u);
+}
+
+TEST(ZeroAlloc, FreshWaitDieAttemptsGrowTheLockTableGeometrically) {
+  // 1024 wait-die transactions live at once on a new lock table, each
+  // locking 3 objects, then all commit.  Every attempt takes a fresh
+  // transaction slot, held list and holder records, but all of them live
+  // in the table's arrays, which grow by doubling: the count grows with
+  // the logarithm of the concurrency, not by an allocation or two per
+  // attempt.  About seven arrays (index cells, slots, free slots, holder
+  // and held-list nodes and their free lists) double up to 13 times each
+  // to reach 3072 entries, so the window reads about 90; an allocation
+  // per attempt would read over 1024.
+  desp::Scheduler sched;
+  sched.Schedule(0.0, [] {});
+  sched.Run();  // the event list is warm; the window counts the table
+  cc::LockTable table(&sched, cc::ProtocolKind::kWaitDie);
+  constexpr uint64_t kTxns = 1024;
+  const uint64_t before = g_allocations.load();
+  uint64_t granted = 0;
+  for (uint64_t t = 0; t < kTxns; ++t) {
+    table.Begin(t, t);
+    for (ocb::Oid oid = 0; oid < 3; ++oid) {
+      table.Access(t, oid, false, [&granted] { ++granted; }, [] {});
+      sched.Run();
+    }
+  }
+  for (uint64_t t = 0; t < kTxns; ++t) table.Commit(t);
+  const uint64_t window = g_allocations.load() - before;
+  EXPECT_EQ(granted, 3 * kTxns);
+  EXPECT_EQ(table.ActiveTransactions(), 0u);
+  EXPECT_LE(window, 128u);
 }
 
 TEST(ZeroAlloc, TexasWithDstcClustering) {

@@ -5,6 +5,10 @@
 /// golden outputs pinning every protocol's event stream.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_map>
+#include <vector>
+
 #include "cc/lock_table.hpp"
 #include "cc/mvcc.hpp"
 #include "cc/occ.hpp"
@@ -86,6 +90,102 @@ TEST(CcTxnTable, RecycleClearsState) {
   table.End(1);
   EXPECT_TRUE(table.Begin(2).payload.empty());
   table.End(2);
+}
+
+TEST(CcTxnTable, MatchesUnorderedMapUnderRandomChurn) {
+  // Random Begin/End/Find/At interleavings checked step by step against
+  // a std::unordered_map.  Every id shares its low 24 bits, so an index
+  // hashing the low bits would put them all in one probe run.  The
+  // active count sweeps up and down through 0..512, so the index sits
+  // exactly half full (256 of 512 cells, 512 of 1024) again and again,
+  // and ended ids are sometimes begun again (reinsertion after
+  // backward-shift deletion).
+  TxnTable<PooledState> table;
+  std::unordered_map<uint64_t, int> reference;  // id -> payload tag
+  std::vector<uint64_t> live;
+  std::vector<uint64_t> ended;
+  desp::RandomStream rng(28);
+  uint64_t next_serial = 1;
+  size_t peak = 0;
+  size_t target = 512;
+  int tag = 0;
+  auto check_all = [&] {
+    ASSERT_EQ(table.active(), reference.size());
+    std::unordered_map<uint64_t, int> visited;
+    table.ForEach([&](uint64_t txn, const PooledState& state) {
+      ASSERT_EQ(state.payload.size(), 1u);
+      EXPECT_TRUE(visited.emplace(txn, state.payload[0]).second)
+          << "visited twice: " << txn;
+    });
+    EXPECT_EQ(visited, reference);
+  };
+  for (int step = 0; step < 60000; ++step) {
+    if (live.size() == target) {
+      check_all();
+      while (target == live.size()) {
+        target = static_cast<size_t>(rng.UniformInt(0, 2)) * 256;
+      }
+    }
+    const bool grow = live.size() < target;
+    if (grow) {
+      uint64_t txn;
+      const bool reuse = !ended.empty() && rng.NextDouble() < 0.3;
+      if (reuse) {
+        const auto k = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(ended.size()) - 1));
+        txn = ended[k];
+        ended[k] = ended.back();
+        ended.pop_back();
+      } else {
+        txn = (next_serial++ << 24) | 0x5A5A5A;
+      }
+      ASSERT_EQ(table.Find(txn), nullptr);
+      table.Begin(txn).payload.push_back(++tag);
+      reference[txn] = tag;
+      live.push_back(txn);
+      peak = std::max(peak, live.size());
+    } else {
+      const auto k = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
+      const uint64_t txn = live[k];
+      live[k] = live.back();
+      live.pop_back();
+      table.End(txn);
+      reference.erase(txn);
+      ended.push_back(txn);
+    }
+    // Probe one live and one ended id after every step.
+    if (!live.empty()) {
+      const uint64_t txn = live[static_cast<size_t>(rng.UniformInt(
+          0, static_cast<int64_t>(live.size()) - 1))];
+      const PooledState* found = table.Find(txn);
+      ASSERT_NE(found, nullptr) << txn;
+      ASSERT_EQ(found->payload, std::vector<int>{reference.at(txn)});
+      ASSERT_EQ(&table.At(txn), found);
+    }
+    if (!ended.empty()) {
+      const uint64_t txn = ended[static_cast<size_t>(rng.UniformInt(
+          0, static_cast<int64_t>(ended.size()) - 1))];
+      ASSERT_EQ(table.Find(txn), nullptr) << txn;
+      if (step % 64 == 0) {
+        EXPECT_THROW(table.At(txn), util::Error);
+      }
+    }
+  }
+  check_all();
+  EXPECT_EQ(peak, 512u);
+  EXPECT_LE(table.capacity(), peak);
+  // A duplicate Begin and an End of an unknown id are rejected and leave
+  // the table as it was.
+  if (live.empty()) {
+    table.Begin(77).payload.push_back(++tag);
+    reference[77] = tag;
+    live.push_back(77);
+  }
+  const uint64_t txn = live.front();
+  EXPECT_THROW(table.Begin(txn), util::Error);
+  EXPECT_THROW(table.End(next_serial << 24), util::Error);
+  check_all();
 }
 
 // --- 2PL no-wait -------------------------------------------------------------

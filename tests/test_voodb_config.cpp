@@ -84,6 +84,35 @@ TEST(VoodbConfig, TracingRejectsMoreConcurrentTransactionsThanTraceSlots) {
   cfg.Validate();
 }
 
+TEST(VoodbConfig, ShardedRunsNameTheRejectedSetting) {
+  auto message = [](const VoodbConfig& cfg) -> std::string {
+    try {
+      cfg.Validate();
+    } catch (const util::Error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  VoodbConfig cfg;
+  cfg.shards = 2;
+  cfg.Validate();
+  // A non-synthetic source is named with its value; trace is not blamed.
+  cfg.workload_source = WorkloadSourceKind::kYcsbZipf;
+  std::string m = message(cfg);
+  EXPECT_NE(m.find("workload_source=ycsb_zipf"), std::string::npos) << m;
+  EXPECT_NE(m.find("only the synthetic generator runs sharded"),
+            std::string::npos)
+      << m;
+  EXPECT_EQ(m.find("trace"), std::string::npos) << m;
+  // Recording names trace_record.
+  cfg.workload_source = WorkloadSourceKind::kSynthetic;
+  cfg.trace_record = true;
+  cfg.trace_path = "run.trace";
+  m = message(cfg);
+  EXPECT_NE(m.find("trace_record"), std::string::npos) << m;
+  EXPECT_EQ(m.find("workload_source"), std::string::npos) << m;
+}
+
 TEST(SystemCatalog, O2MatchesTable4) {
   const VoodbConfig o2 = SystemCatalog::O2();
   o2.Validate();
