@@ -1,7 +1,6 @@
 #include "cluster/dstc.hpp"
 
 #include <algorithm>
-#include <queue>
 
 #include "util/check.hpp"
 
@@ -49,101 +48,106 @@ bool DstcPolicy::ShouldTrigger() const {
          params_.trigger_min_links;
 }
 
-DstcPolicy::SelectedLinks DstcPolicy::SelectLinks(uint64_t num_objects) const {
-  SelectedLinks selected;
-  selected.row_of.assign(num_objects, SelectedLinks::kNoRow);
+void DstcPolicy::SelectLinks(uint64_t num_objects) {
+  row_of_.assign(num_objects, kNoRow);
+  row_begin_.clear();
+  candidates_.clear();
+  // ForEachLink groups links by source, so each source's survivors form
+  // one contiguous row.
   stats_.ForEachLink([&](ocb::Oid from, ocb::Oid to, uint32_t weight) {
     if (weight < params_.min_link_weight) return;
     if (stats_.Frequency(from) < params_.min_object_frequency ||
         stats_.Frequency(to) < params_.min_object_frequency) {
       return;
     }
-    uint32_t row = selected.row_of[from];
-    if (row == SelectedLinks::kNoRow) {
-      row = static_cast<uint32_t>(selected.rows.size());
-      selected.row_of[from] = row;
-      selected.sources.push_back(from);
-      selected.rows.emplace_back();
+    if (row_of_[from] == kNoRow) {
+      row_of_[from] = static_cast<uint32_t>(row_begin_.size());
+      row_begin_.push_back(static_cast<uint32_t>(candidates_.size()));
     }
-    selected.rows[row].push_back(Candidate{to, weight});
+    candidates_.push_back(Candidate{to, weight});
   });
+  row_begin_.push_back(static_cast<uint32_t>(candidates_.size()));
   // Deterministic strongest-first order (ties by OID).
-  for (std::vector<Candidate>& row : selected.rows) {
-    std::sort(row.begin(), row.end(),
+  for (size_t row = 0; row + 1 < row_begin_.size(); ++row) {
+    std::sort(candidates_.begin() + row_begin_[row],
+              candidates_.begin() + row_begin_[row + 1],
               [](const Candidate& a, const Candidate& b) {
                 if (a.weight != b.weight) return a.weight > b.weight;
                 return a.target < b.target;
               });
   }
-  return selected;
 }
 
-ClusteringOutcome DstcPolicy::Recluster(const ocb::ObjectBase& base,
-                                        const storage::Placement& current) {
-  const SelectedLinks selected = SelectLinks(base.NumObjects());
+ClusteringOutcome DstcPolicy::Recluster(
+    const ocb::ObjectBase& base, const storage::Placement& /*current*/) {
+  SelectLinks(base.NumObjects());
 
   // Seed order: hottest objects first (deterministic; ties by OID).
-  std::vector<std::pair<ocb::Oid, uint32_t>> seeds;
-  seeds.reserve(stats_.TrackedObjects());
+  seeds_.clear();
   for (ocb::Oid oid : stats_.TouchedObjects()) {
     const uint32_t freq = stats_.Frequency(oid);
-    if (freq >= params_.min_object_frequency) seeds.emplace_back(oid, freq);
+    if (freq >= params_.min_object_frequency) seeds_.emplace_back(oid, freq);
   }
-  std::sort(seeds.begin(), seeds.end(), [](const auto& a, const auto& b) {
+  std::sort(seeds_.begin(), seeds_.end(), [](const auto& a, const auto& b) {
     if (a.second != b.second) return a.second > b.second;
     return a.first < b.first;
   });
 
-  std::vector<char> clustered(base.NumObjects(), 0);
-  std::vector<std::vector<ocb::Oid>> clusters;
-  for (const auto& [seed, freq] : seeds) {
-    if (clustered[seed]) continue;
+  // Fragments are grown back to back in one flat array, then each is
+  // copied out once, at its exact size.
+  clustered_.assign(base.NumObjects(), 0);
+  fragments_.clear();
+  fragment_ends_.clear();
+  for (const auto& [seed, freq] : seeds_) {
+    if (clustered_[seed]) continue;
     // Grow a fragment by repeatedly absorbing the strongest surviving link
     // out of *any* fragment member (DSTC builds its clustering units from
     // the whole web of links around the seed, not a single chain).
-    std::vector<ocb::Oid> fragment;
-    fragment.push_back(seed);
-    clustered[seed] = 1;
-    // Max-heap of frontier links: (weight, -order stability via seq).
-    struct Frontier {
-      uint32_t weight;
-      uint64_t seq;
-      ocb::Oid target;
-      bool operator<(const Frontier& o) const {
-        if (weight != o.weight) return weight < o.weight;
-        return seq > o.seq;  // earlier-pushed first among equals
-      }
-    };
-    std::priority_queue<Frontier> frontier;
+    const size_t begin = fragments_.size();
+    fragments_.push_back(seed);
+    clustered_[seed] = 1;
+    frontier_.clear();
     uint64_t seq = 0;
     auto push_links = [&](ocb::Oid from) {
-      const std::vector<Candidate>* row = selected.RowOf(from);
-      if (row == nullptr) return;
-      for (const Candidate& c : *row) {
+      const uint32_t row = row_of_[from];
+      if (row == kNoRow) return;
+      for (uint32_t i = row_begin_[row]; i < row_begin_[row + 1]; ++i) {
+        const Candidate& c = candidates_[i];
         if (c.weight < params_.extension_threshold) break;  // sorted desc
-        if (!clustered[c.target]) {
-          frontier.push(Frontier{c.weight, seq++, c.target});
+        if (!clustered_[c.target]) {
+          frontier_.push_back(Frontier{c.weight, seq++, c.target});
+          std::push_heap(frontier_.begin(), frontier_.end());
         }
       }
     };
     push_links(seed);
-    while (fragment.size() < params_.max_cluster_size && !frontier.empty()) {
-      const Frontier f = frontier.top();
-      frontier.pop();
-      if (clustered[f.target]) continue;  // claimed since it was pushed
-      fragment.push_back(f.target);
-      clustered[f.target] = 1;
+    while (fragments_.size() - begin < params_.max_cluster_size &&
+           !frontier_.empty()) {
+      std::pop_heap(frontier_.begin(), frontier_.end());
+      const Frontier f = frontier_.back();
+      frontier_.pop_back();
+      if (clustered_[f.target]) continue;  // claimed since it was pushed
+      fragments_.push_back(f.target);
+      clustered_[f.target] = 1;
       push_links(f.target);
     }
-    if (fragment.size() >= 2) {
-      clusters.push_back(std::move(fragment));
+    if (fragments_.size() - begin >= 2) {
+      fragment_ends_.push_back(fragments_.size());
     } else {
-      clustered[seed] = 0;  // singleton: stays where it is
+      fragments_.pop_back();
+      clustered_[seed] = 0;  // singleton: stays where it is
     }
   }
 
-  ClusteringOutcome outcome = FinalizeOutcome(std::move(clusters), base,
-                                              current);
+  std::vector<std::vector<ocb::Oid>> clusters;
+  clusters.reserve(fragment_ends_.size());
+  size_t begin = 0;
+  for (const size_t end : fragment_ends_) {
+    clusters.emplace_back(fragments_.begin() + begin,
+                          fragments_.begin() + end);
+    begin = end;
+  }
+  ClusteringOutcome outcome = FinalizeOutcome(std::move(clusters), base);
   // Statistics are consumed: a new observation phase starts.
   Reset();
   return outcome;

@@ -33,6 +33,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "cluster/dense_stats.hpp"
@@ -86,31 +87,41 @@ class DstcPolicy final : public ClusteringPolicy {
   const DstcParameters& params() const { return params_; }
 
  private:
-  /// Links surviving the Tfc filter, grouped by source object.
+  /// A link surviving the Tfc filter.
   struct Candidate {
     ocb::Oid target;
     uint32_t weight;
   };
-  /// Surviving candidates per source, strongest first.  `rows` is
-  /// parallel to `sources`; `row_of` is a dense Oid-indexed lookup
-  /// (one O(base) assign per selection — selection runs once per
-  /// reorganization, not per access).
-  struct SelectedLinks {
-    std::vector<ocb::Oid> sources;  ///< sources with >= 1 candidate
-    std::vector<std::vector<Candidate>> rows;  ///< parallel to sources
-    std::vector<uint32_t> row_of;  ///< dense Oid -> row index (or kNoRow)
-    static constexpr uint32_t kNoRow = static_cast<uint32_t>(-1);
-
-    const std::vector<Candidate>* RowOf(ocb::Oid oid) const {
-      if (oid >= row_of.size() || row_of[oid] == kNoRow) return nullptr;
-      return &rows[row_of[oid]];
+  /// A frontier link of the fragment being grown; max-heap order by
+  /// weight, earlier-pushed first among equals.
+  struct Frontier {
+    uint32_t weight;
+    uint64_t seq;
+    ocb::Oid target;
+    bool operator<(const Frontier& o) const {
+      if (weight != o.weight) return weight < o.weight;
+      return seq > o.seq;
     }
   };
-  SelectedLinks SelectLinks(uint64_t num_objects) const;
+  static constexpr uint32_t kNoRow = static_cast<uint32_t>(-1);
+
+  /// Fills the candidate CSR (`row_begin_`, `candidates_`, `row_of_`):
+  /// each source's surviving links, strongest first.
+  void SelectLinks(uint64_t num_objects);
 
   DstcParameters params_;
   /// Dense access-frequency and directed-transition statistics.
   DenseStats stats_;
+  // Recluster scratch, kept between reorganizations so a trigger
+  // allocates only the clusters it returns.
+  std::vector<uint32_t> row_begin_;    ///< CSR row starts, one past the end
+  std::vector<Candidate> candidates_;  ///< all rows, back to back
+  std::vector<uint32_t> row_of_;       ///< dense Oid -> row (or kNoRow)
+  std::vector<std::pair<ocb::Oid, uint32_t>> seeds_;  ///< (oid, frequency)
+  std::vector<char> clustered_;        ///< dense Oid -> in a fragment
+  std::vector<ocb::Oid> fragments_;    ///< fragments, back to back
+  std::vector<size_t> fragment_ends_;  ///< one past each fragment's end
+  std::vector<Frontier> frontier_;     ///< growing fragment's links (heap)
   ocb::Oid previous_in_txn_ = ocb::kNullOid;
   bool in_transaction_ = false;
   uint64_t observed_transactions_ = 0;

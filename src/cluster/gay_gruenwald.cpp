@@ -33,7 +33,7 @@ bool GayGruenwaldPolicy::ShouldTrigger() const {
 }
 
 ClusteringOutcome GayGruenwaldPolicy::Recluster(
-    const ocb::ObjectBase& base, const storage::Placement& current) {
+    const ocb::ObjectBase& base, const storage::Placement& /*current*/) {
   std::vector<std::pair<ocb::Oid, uint32_t>> seeds;
   seeds.reserve(heat_.TrackedObjects());
   for (ocb::Oid oid : heat_.TouchedObjects()) {
@@ -76,8 +76,7 @@ ClusteringOutcome GayGruenwaldPolicy::Recluster(
     }
   }
 
-  ClusteringOutcome outcome =
-      FinalizeOutcome(std::move(clusters), base, current);
+  ClusteringOutcome outcome = FinalizeOutcome(std::move(clusters), base);
   Reset();
   return outcome;
 }

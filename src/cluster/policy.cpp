@@ -12,41 +12,29 @@ double ClusteringOutcome::MeanClusterSize() const {
 }
 
 ClusteringOutcome FinalizeOutcome(
-    std::vector<std::vector<ocb::Oid>> clusters, const ocb::ObjectBase& base,
-    const storage::Placement& current) {
+    std::vector<std::vector<ocb::Oid>> clusters, const ocb::ObjectBase& base) {
   ClusteringOutcome outcome;
   outcome.clusters = std::move(clusters);
   if (outcome.clusters.empty()) return outcome;
   outcome.reorganized = true;
 
+  // Moved set: exactly the clustered objects.  A logical-OID system
+  // relocates cluster fragments into fresh pages and leaves unclustered
+  // objects where they are; a physical-OID system additionally rewrites
+  // every page to patch references (charged by the host, not here).
   const uint64_t no = base.NumObjects();
+  size_t total = 0;
+  for (const auto& cluster : outcome.clusters) total += cluster.size();
+  outcome.moved_objects.reserve(total);
   std::vector<char> in_cluster(no, 0);
-  outcome.new_order.reserve(no);
   for (const auto& cluster : outcome.clusters) {
     VOODB_CHECK_MSG(cluster.size() >= 2, "clusters must have >= 2 objects");
     for (ocb::Oid oid : cluster) {
       VOODB_CHECK_MSG(oid < no, "cluster oid out of range");
       VOODB_CHECK_MSG(!in_cluster[oid], "object in two clusters");
       in_cluster[oid] = 1;
-      outcome.new_order.push_back(oid);
+      outcome.moved_objects.push_back(oid);
     }
-  }
-  // Remaining objects keep their current relative order.
-  for (storage::PageId page = 0; page < current.NumPages(); ++page) {
-    for (ocb::Oid oid : current.ObjectsOn(page)) {
-      if (!in_cluster[oid]) outcome.new_order.push_back(oid);
-    }
-  }
-  VOODB_CHECK_MSG(outcome.new_order.size() == no,
-                  "new order must be a permutation of all OIDs");
-
-  // Moved set: exactly the clustered objects.  A logical-OID system
-  // relocates cluster fragments into fresh pages and leaves unclustered
-  // objects where they are; a physical-OID system additionally rewrites
-  // every page to patch references (charged by the host, not here).
-  for (const auto& cluster : outcome.clusters) {
-    outcome.moved_objects.insert(outcome.moved_objects.end(), cluster.begin(),
-                                 cluster.end());
   }
   return outcome;
 }

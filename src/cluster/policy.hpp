@@ -8,11 +8,12 @@
 /// * "Perform treatment related to clustering (statistics collection)" —
 ///   the On* observation callbacks, invoked after each object operation;
 /// * automatic / external triggering — ShouldTrigger();
-/// * "Perform Clustering" — Recluster(), which computes a new object
-///   order.  The *cost* of applying that order is charged by the host
-///   system (the DES model or an emulator), because it depends on the
-///   host's OID scheme: logical OIDs touch only moved pages, physical
-///   OIDs force a full database scan to patch references (paper §4.4).
+/// * "Perform Clustering" — Recluster(), which computes the cluster
+///   fragments to relocate.  The *cost* of relocating them is charged by
+///   the host system (the DES model or an emulator), because it depends
+///   on the host's OID scheme: logical OIDs touch only moved pages,
+///   physical OIDs force a full database scan to patch references (paper
+///   §4.4).
 #pragma once
 
 #include <cstdint>
@@ -31,10 +32,9 @@ struct ClusteringOutcome {
   bool reorganized = false;
   /// The cluster fragments built (ordered object sequences, size >= 2).
   std::vector<std::vector<ocb::Oid>> clusters;
-  /// Complete new storage order: clusters first, then remaining objects
-  /// in their previous order.  A permutation of all OIDs.
-  std::vector<ocb::Oid> new_order;
-  /// Objects that changed position w.r.t. the previous placement.
+  /// Objects that changed position w.r.t. the previous placement: the
+  /// cluster objects in cluster order, each exactly once.  Unclustered
+  /// objects stay where they are.
   std::vector<ocb::Oid> moved_objects;
 
   uint64_t NumClusters() const { return clusters.size(); }
@@ -79,11 +79,9 @@ class NoClustering final : public ClusteringPolicy {
   }
 };
 
-/// Helper shared by policies: completes `clusters` into a full storage
-/// order (clusters first, then every unclustered object in its current
-/// placement order) and computes the moved set.
+/// Helper shared by policies: checks `clusters` (each of >= 2 objects of
+/// `base`, no object in two clusters) and computes the moved set.
 ClusteringOutcome FinalizeOutcome(
-    std::vector<std::vector<ocb::Oid>> clusters,
-    const ocb::ObjectBase& base, const storage::Placement& current);
+    std::vector<std::vector<ocb::Oid>> clusters, const ocb::ObjectBase& base);
 
 }  // namespace voodb::cluster

@@ -22,11 +22,16 @@ LogHistogram::LogHistogram(double min_value, double max_value,
 
 void LogHistogram::Add(double value) {
   tally_.Add(value);
-  if (value <= 0.0 || std::log10(value) < log_min_) {
+  if (value <= 0.0) {
     ++underflow_;
     return;
   }
-  const double offset = (std::log10(value) - log_min_) * buckets_per_decade_;
+  const double log_value = std::log10(value);
+  if (log_value < log_min_) {
+    ++underflow_;
+    return;
+  }
+  const double offset = (log_value - log_min_) * buckets_per_decade_;
   if (offset >= static_cast<double>(buckets_.size())) {
     ++overflow_;
     return;

@@ -160,7 +160,7 @@ TexasClusteringMetrics TexasEmulator::PerformClustering() {
   reads_ += metrics.scan_reads;
   writes_ += metrics.patch_writes + metrics.cluster_writes;
 
-  // The page space changed: rebuild adjacency and restart the mapping.
+  // The page space changed: re-point adjacency and restart the mapping.
   RebuildAdjacency();
   vm_->DropAll();
   return metrics;

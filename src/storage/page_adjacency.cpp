@@ -7,35 +7,40 @@ namespace voodb::storage {
 
 void PageAdjacency::Rebuild(const ocb::ObjectBase& base,
                             const Placement& placement) {
-  // One CSR row per page, appended in place.  `stamp[q] == page + 1`
-  // marks q as already in row `page` (or q == page), so each row is
-  // deduplicated as it is gathered and only its distinct pages are
-  // sorted.
+  base_ = &base;
+  placement_ = &placement;
   const uint64_t num_pages = placement.NumPages();
-  offsets_.clear();
-  offsets_.reserve(num_pages + 1);
+  rows_.assign(num_pages, Row{});
   pages_.clear();
-  std::vector<PageId> stamp(num_pages, 0);
-  for (PageId page = 0; page < num_pages; ++page) {
-    const uint64_t begin = pages_.size();
-    offsets_.push_back(begin);
-    stamp[page] = page + 1;
-    for (ocb::Oid oid : placement.ObjectsOn(page)) {
-      for (ocb::Oid ref : base.References(oid)) {
-        if (ref == ocb::kNullOid) continue;
-        const PageSpan span = placement.spans()[ref];
-        for (uint32_t i = 0; i < span.count; ++i) {
-          const PageId target = span.first + i;
-          if (stamp[target] == page + 1) continue;
-          stamp[target] = page + 1;
-          pages_.push_back(target);
-        }
+  // Stamps only ever hold past generations, so growing is the only reset
+  // they need.
+  if (stamp_.size() < num_pages) stamp_.resize(num_pages, 0);
+}
+
+PageIdSpan PageAdjacency::BuildRow(PageId page) {
+  // The row is appended in place, deduplicated as it is gathered, and
+  // only its distinct pages are sorted.
+  const uint64_t begin = pages_.size();
+  const uint64_t generation = ++generation_;
+  stamp_[page] = generation;
+  const PageSpan* spans = placement_->spans().data();
+  for (ocb::Oid oid : placement_->ObjectsOn(page)) {
+    for (ocb::Oid ref : base_->References(oid)) {
+      if (ref == ocb::kNullOid) continue;
+      const PageSpan span = spans[ref];
+      for (uint32_t i = 0; i < span.count; ++i) {
+        const PageId target = span.first + i;
+        if (stamp_[target] == generation) continue;
+        stamp_[target] = generation;
+        pages_.push_back(target);
       }
     }
-    std::sort(pages_.begin() + static_cast<std::ptrdiff_t>(begin),
-              pages_.end());
   }
-  offsets_.push_back(pages_.size());
+  std::sort(pages_.begin() + static_cast<std::ptrdiff_t>(begin),
+            pages_.end());
+  const uint64_t count = pages_.size() - begin;
+  rows_[page] = Row{begin, count};
+  return PageIdSpan(pages_.data() + begin, static_cast<size_t>(count));
 }
 
 }  // namespace voodb::storage

@@ -69,9 +69,10 @@ class ObjectManagerActor : public desp::Actor {
 
   /// Pages holding the objects referenced from any object on `page`
   /// (deduplicated, excluding `page` itself).  Drives the VM model's
-  /// page-granular reserve-on-swizzle behaviour; lazily rebuilt after a
-  /// relocation changes the page space.  Returned as a CSR row view into
-  /// the flat adjacency index (valid until the next relocation).
+  /// page-granular reserve-on-swizzle behaviour.  A row is computed on
+  /// the page's first fault and memoized until a relocation changes the
+  /// page space.  Returned as a view into the adjacency index (valid
+  /// until the next ReferencedPages call or relocation).
   storage::PageIdSpan ReferencedPages(storage::PageId page);
 
   /// Registers the placement gauges with `registry`.

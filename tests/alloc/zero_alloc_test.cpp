@@ -33,6 +33,7 @@
 #include "cluster/dstc.hpp"
 #include "ocb/object_base.hpp"
 #include "ocb/workload.hpp"
+#include "storage/placement.hpp"
 #include "util/check.hpp"
 #include "voodb/catalog.hpp"
 #include "voodb/sharded.hpp"
@@ -286,6 +287,43 @@ TEST(ZeroAlloc, TexasWithDstcClustering) {
   EXPECT_GT(m.reads, 0u);
   EXPECT_GT(m.writes, 0u);
   EXPECT_EQ(stream.WindowAllocations(), 0u);
+}
+
+TEST(ZeroAlloc, DstcTriggerAllocatesPerClusterOnly) {
+  // A DSTC trigger builds its candidate links, seeds and fragments in
+  // scratch arrays it keeps between triggers; what it allocates is its
+  // outcome: each cluster once at its exact size, plus the cluster list,
+  // the moved set and the overlap marks (clusters + 3 here, where a
+  // container per source and per seed read about 6,000).  Two warm-up
+  // triggers size the scratch; the third, on a stream of the same shape,
+  // is counted.
+  ocb::OcbParameters p;
+  p.num_classes = 20;
+  p.num_objects = 3000;
+  const ocb::ObjectBase base = ocb::ObjectBase::Generate(p);
+  const storage::Placement pl = storage::Placement::Build(
+      base, 4096, storage::PlacementPolicy::kOptimizedSequential);
+  ocb::WorkloadGenerator gen(&base, desp::RandomStream(7));
+  std::vector<ocb::Transaction> txns;
+  for (int i = 0; i < 600; ++i) txns.push_back(gen.Next());
+  cluster::DstcPolicy dstc;
+  uint64_t window = 0;
+  cluster::ClusteringOutcome outcome;
+  for (size_t phase = 0; phase < 3; ++phase) {
+    for (size_t i = phase * 200; i < (phase + 1) * 200; ++i) {
+      dstc.OnTransactionStart();
+      for (const ocb::ObjectAccess& a : txns[i].accesses) {
+        dstc.OnObjectAccess(a.oid, a.is_write);
+      }
+      dstc.OnTransactionEnd();
+    }
+    const uint64_t before = g_allocations.load();
+    outcome = dstc.Recluster(base, pl);
+    window = g_allocations.load() - before;
+  }
+  ASSERT_TRUE(outcome.reorganized);
+  EXPECT_GT(outcome.NumClusters(), 100u);
+  EXPECT_LE(window, outcome.NumClusters() + 8);
 }
 
 TEST(ZeroAlloc, TwoShardSerialShardedVoodb) {

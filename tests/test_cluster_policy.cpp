@@ -35,55 +35,42 @@ TEST(NoClustering, IsInert) {
 
 TEST(FinalizeOutcome, EmptyClustersMeanNoReorganization) {
   const ocb::ObjectBase base = SmallBase();
-  const storage::Placement pl = storage::Placement::Build(
-      base, 1024, storage::PlacementPolicy::kSequential);
-  const ClusteringOutcome outcome = FinalizeOutcome({}, base, pl);
+  const ClusteringOutcome outcome = FinalizeOutcome({}, base);
   EXPECT_FALSE(outcome.reorganized);
-  EXPECT_TRUE(outcome.new_order.empty());
   EXPECT_TRUE(outcome.moved_objects.empty());
 }
 
-TEST(FinalizeOutcome, BuildsPermutationWithClustersFirst) {
+TEST(FinalizeOutcome, MovedSetListsClusterObjectsInClusterOrder) {
   const ocb::ObjectBase base = SmallBase();
-  const storage::Placement pl = storage::Placement::Build(
-      base, 1024, storage::PlacementPolicy::kSequential);
   std::vector<std::vector<ocb::Oid>> clusters = {{10, 11, 12}, {50, 40}};
-  const ClusteringOutcome outcome =
-      FinalizeOutcome(std::move(clusters), base, pl);
+  const ClusteringOutcome outcome = FinalizeOutcome(std::move(clusters), base);
   EXPECT_TRUE(outcome.reorganized);
   EXPECT_EQ(outcome.NumClusters(), 2u);
   EXPECT_DOUBLE_EQ(outcome.MeanClusterSize(), 2.5);
-  // new_order is a permutation of all OIDs, clusters first.
-  ASSERT_EQ(outcome.new_order.size(), base.NumObjects());
-  EXPECT_EQ(outcome.new_order[0], 10u);
-  EXPECT_EQ(outcome.new_order[4], 40u);
-  std::set<ocb::Oid> unique(outcome.new_order.begin(),
-                            outcome.new_order.end());
-  EXPECT_EQ(unique.size(), base.NumObjects());
-  // moved = exactly the clustered objects, in cluster order.
+  // moved = the cluster objects, clusters in order, each exactly once.
+  ASSERT_EQ(outcome.moved_objects.size(), 5u);
+  EXPECT_EQ(outcome.moved_objects[0], 10u);
+  EXPECT_EQ(outcome.moved_objects[4], 40u);
+  std::set<ocb::Oid> unique(outcome.moved_objects.begin(),
+                            outcome.moved_objects.end());
+  EXPECT_EQ(unique.size(), outcome.moved_objects.size());
   EXPECT_EQ(outcome.moved_objects,
             (std::vector<ocb::Oid>{10, 11, 12, 50, 40}));
 }
 
 TEST(FinalizeOutcome, RejectsSingletonClusters) {
   const ocb::ObjectBase base = SmallBase();
-  const storage::Placement pl = storage::Placement::Build(
-      base, 1024, storage::PlacementPolicy::kSequential);
-  EXPECT_THROW(FinalizeOutcome({{7}}, base, pl), util::Error);
+  EXPECT_THROW(FinalizeOutcome({{7}}, base), util::Error);
 }
 
 TEST(FinalizeOutcome, RejectsOverlappingClusters) {
   const ocb::ObjectBase base = SmallBase();
-  const storage::Placement pl = storage::Placement::Build(
-      base, 1024, storage::PlacementPolicy::kSequential);
-  EXPECT_THROW(FinalizeOutcome({{1, 2}, {2, 3}}, base, pl), util::Error);
+  EXPECT_THROW(FinalizeOutcome({{1, 2}, {2, 3}}, base), util::Error);
 }
 
 TEST(FinalizeOutcome, RejectsOutOfRangeOids) {
   const ocb::ObjectBase base = SmallBase();
-  const storage::Placement pl = storage::Placement::Build(
-      base, 1024, storage::PlacementPolicy::kSequential);
-  EXPECT_THROW(FinalizeOutcome({{1, 99999}}, base, pl), util::Error);
+  EXPECT_THROW(FinalizeOutcome({{1, 99999}}, base), util::Error);
 }
 
 }  // namespace

@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "cluster/dstc.hpp"
+#include "ocb/workload.hpp"
 #include "util/check.hpp"
 
 namespace voodb::cluster {
@@ -203,6 +205,65 @@ TEST(Dstc, DeterministicClustering) {
     return dstc.Recluster(base, pl).clusters;
   };
   EXPECT_EQ(run(), run());
+}
+
+/// FNV-1a over a sequence of integers.
+template <typename Seq>
+uint64_t Fnv1a(const Seq& seq) {
+  uint64_t h = 1469598103934665603ull;
+  for (const auto v : seq) {
+    h ^= static_cast<uint64_t>(v);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(Dstc, SeededTriggersMatchRecordedOutcomes) {
+  // Three observation phases of a seeded OCB workload, each consumed by
+  // one trigger (the later triggers reuse the earlier ones' scratch).
+  // The expected values were recorded from the implementation that
+  // grouped candidates in one vector per source and grew each fragment
+  // with a fresh std::priority_queue: the flat selection must pick the
+  // same clusters in the same order.
+  struct Recorded {
+    size_t clusters;
+    size_t moved;
+    uint64_t sizes_digest;
+    uint64_t moved_digest;
+  };
+  const Recorded recorded[] = {
+      {399, 1933, 0x39a7a397b9e7fd1cull, 0xb4f8be203013d4afull},
+      {373, 2016, 0xa1e7a623f0db0a23ull, 0x586ef8521c28f35cull},
+      {402, 2014, 0x7e85ca6cfe3c86cfull, 0x3bc9033107687aa2ull},
+  };
+  ocb::OcbParameters p;
+  p.num_classes = 20;
+  p.num_objects = 3000;
+  p.seed = 29;
+  const ocb::ObjectBase base = ocb::ObjectBase::Generate(p);
+  const storage::Placement pl = storage::Placement::Build(
+      base, 4096, storage::PlacementPolicy::kOptimizedSequential);
+  ocb::WorkloadGenerator gen(&base, desp::RandomStream(31));
+  DstcPolicy dstc;
+  for (const Recorded& want : recorded) {
+    for (int t = 0; t < 200; ++t) {
+      const ocb::Transaction txn = gen.Next();
+      dstc.OnTransactionStart();
+      for (const ocb::ObjectAccess& a : txn.accesses) {
+        dstc.OnObjectAccess(a.oid, a.is_write);
+      }
+      dstc.OnTransactionEnd();
+    }
+    const ClusteringOutcome outcome = dstc.Recluster(base, pl);
+    std::vector<size_t> sizes;
+    for (const auto& cluster : outcome.clusters) {
+      sizes.push_back(cluster.size());
+    }
+    EXPECT_EQ(outcome.NumClusters(), want.clusters);
+    EXPECT_EQ(outcome.moved_objects.size(), want.moved);
+    EXPECT_EQ(Fnv1a(sizes), want.sizes_digest);
+    EXPECT_EQ(Fnv1a(outcome.moved_objects), want.moved_digest);
+  }
 }
 
 /// Parameter sweep: thresholds monotonically shrink the clustered set.

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "cluster/dstc.hpp"
 #include "cluster/gay_gruenwald.hpp"
@@ -93,16 +94,17 @@ void ExercisePolicy(cluster::ClusteringPolicy& policy) {
   const cluster::ClusteringOutcome outcome =
       policy.Recluster(base, placement);
   std::set<Oid> seen;
+  std::vector<Oid> in_cluster_order;
   for (const auto& fragment : outcome.clusters) {
     for (Oid oid : fragment) {
       EXPECT_NE(oid, ocb::kNullOid);
       EXPECT_LT(oid, base.NumObjects());
       EXPECT_TRUE(seen.insert(oid).second);
+      in_cluster_order.push_back(oid);
     }
   }
-  if (outcome.reorganized) {
-    EXPECT_EQ(outcome.new_order.size(), base.NumObjects());
-  }
+  // The moved set is the cluster objects in cluster order, each once.
+  EXPECT_EQ(outcome.moved_objects, in_cluster_order);
 }
 
 TEST(NullOidSparsity, DstcCollectsNoNullLinks) {

@@ -1,10 +1,12 @@
 /// \file test_page_adjacency.cpp
-/// \brief Dedicated unit tests for storage::PageAdjacency and
-/// util::IdSpan edge cases (both previously covered only indirectly
-/// through the Texas emulator and the VM object manager).
+/// \brief Dedicated unit tests for storage::PageAdjacency (rows computed
+/// on first read, in any order, and after a relocation re-point) and
+/// util::IdSpan edge cases.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <random>
 #include <set>
 #include <vector>
 
@@ -141,6 +143,61 @@ TEST(PageAdjacency, OutOfRangeRowIdThrows) {
   PageAdjacency fresh;
   EXPECT_EQ(fresh.NumPages(), 0u);
   EXPECT_THROW(fresh.RowOf(0), util::Error);
+}
+
+/// Reads the rows of `pages` in the given order and compares each
+/// against the brute-force recomputation (copying the row first: a span
+/// is only valid until the next RowOf).
+void CheckRowsInOrder(const ocb::ObjectBase& base, const Placement& placement,
+                      PageAdjacency& adjacency,
+                      const std::vector<PageId>& pages) {
+  for (const PageId p : pages) {
+    const PageIdSpan row = adjacency.RowOf(p);
+    const std::vector<PageId> got(row.begin(), row.end());
+    EXPECT_EQ(got, ExpectedRow(base, placement, p)) << "page " << p;
+  }
+}
+
+TEST(PageAdjacency, RowsReadInShuffledOrderMatchBruteForce) {
+  const ocb::ObjectBase base = SmallBase();
+  const Placement placement = Placement::Build(
+      base, /*page_size=*/4096, PlacementPolicy::kOptimizedSequential, 1.0);
+  PageAdjacency adjacency;
+  adjacency.Rebuild(base, placement);
+  std::vector<PageId> pages(placement.NumPages());
+  std::iota(pages.begin(), pages.end(), PageId{0});
+  std::mt19937 rng(29);
+  std::shuffle(pages.begin(), pages.end(), rng);
+  CheckRowsInOrder(base, placement, adjacency, pages);
+  // Memoized rows read back the same, in yet another order.
+  std::shuffle(pages.begin(), pages.end(), rng);
+  CheckRowsInOrder(base, placement, adjacency, pages);
+}
+
+TEST(PageAdjacency, RePointAfterRelocationMatchesBruteForceIncludingTail) {
+  const ocb::ObjectBase base = SmallBase();
+  const Placement before = Placement::Build(
+      base, /*page_size=*/4096, PlacementPolicy::kOptimizedSequential, 1.0);
+  PageAdjacency adjacency;
+  adjacency.Rebuild(base, before);
+  // Memoize some rows of the old page space first: the re-point must
+  // drop them.
+  for (PageId p = 0; p < before.NumPages(); p += 3) adjacency.RowOf(p);
+
+  std::vector<ocb::Oid> moved;
+  for (ocb::Oid oid = 0; oid < base.NumObjects(); oid += 7) {
+    moved.push_back(oid);
+  }
+  const Placement after =
+      Placement::RelocateToTail(before, base, moved, 1.0);
+  ASSERT_GT(after.NumPages(), before.NumPages());
+  adjacency.Rebuild(base, after);
+  EXPECT_EQ(adjacency.NumPages(), after.NumPages());
+  std::vector<PageId> pages(after.NumPages());
+  std::iota(pages.begin(), pages.end(), PageId{0});
+  std::shuffle(pages.begin(), pages.end(), std::mt19937(31));
+  CheckRowsInOrder(base, after, adjacency, pages);
+  EXPECT_THROW(adjacency.RowOf(after.NumPages()), util::Error);
 }
 
 TEST(IdSpan, EmptySpanEdgeCases) {
