@@ -115,7 +115,7 @@ void LockTable::Access(uint64_t txn, ocb::Oid oid, bool write, Action granted,
   Entry& entry = EntryFor(oid);
   if (HoldsIn(entry, txn, mode)) {
     ++stats_.immediate_grants;
-    Fire(std::move(granted));
+    granted();
     return;
   }
   // Holding the object without holding it strongly enough: S -> X.
@@ -125,9 +125,11 @@ void LockTable::Access(uint64_t txn, ocb::Oid oid, bool write, Action granted,
     ++stats_.immediate_grants;
     stats_.wait_times.Add(0.0);
     stats_.wait_histogram.Add(0.0);
-    Fire(std::move(granted));
     // The strengthened hold may newly conflict with older parked waiters.
+    // Enforced before the grant runs: `granted` may reach Commit, and so
+    // Release, which can retire `entry`.
     if (upgrade && kind_ == ProtocolKind::kWaitDie) EnforceWaitDie(entry);
+    granted();
     return;
   }
   // The conflict policy: the one place the three protocols differ on a
@@ -138,13 +140,13 @@ void LockTable::Access(uint64_t txn, ocb::Oid oid, bool write, Action granted,
     case ProtocolKind::kNoWait:
       ++stats_.aborts_no_wait;
       NoteAbort(obs::AbortCause::kNoWait);
-      Fire(std::move(aborted));
+      aborted();
       return;
     case ProtocolKind::kWaitDie:
       if (!MayWait(entry, txn, state.age, mode, entry.waiters.size)) {
         ++stats_.aborts_wait_die;
         NoteAbort(obs::AbortCause::kWaitDie);
-        Fire(std::move(aborted));
+        aborted();
         return;
       }
       break;
@@ -152,7 +154,7 @@ void LockTable::Access(uint64_t txn, ocb::Oid oid, bool write, Action granted,
       if (WouldDeadlock(entry, txn, mode, upgrade)) {
         ++stats_.aborts_deadlock;
         NoteAbort(obs::AbortCause::kDeadlock);
-        Fire(std::move(aborted));
+        aborted();
         return;
       }
       break;
@@ -186,8 +188,9 @@ void LockTable::WakeWaiters(ocb::Oid oid, Entry& entry) {
     stats_.wait_times.Add(waited);
     stats_.wait_histogram.Add(waited);
     {
-      // Wake-ups fire from the releasing transaction's event; restore the
-      // waiter's trace context so downstream work is attributed to it.
+      // Scheduled, not inline: the releaser decides for another
+      // transaction (inline would nest its whole run on this stack), and
+      // the event carries the waiter's trace context, not the releaser's.
       desp::TraceScope trace(scheduler_, head.trace);
       Fire(std::move(head.granted));
     }
@@ -280,6 +283,8 @@ void LockTable::EnforceWaitDie(Entry& entry) {
     ++stats_.aborts_wait_die;
     state->waiting = false;
     {
+      // Scheduled, not inline: the kill is decided on another
+      // transaction's stack, and carries the waiter's trace context.
       desp::TraceScope trace(scheduler_, w.trace);
       NoteAbort(obs::AbortCause::kWaitDie);
       Fire(std::move(w.aborted));

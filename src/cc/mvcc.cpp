@@ -33,7 +33,7 @@ void Mvcc::Access(uint64_t txn, ocb::Oid oid, bool write, Action granted,
         static_cast<double>(VersionChainLength(oid)));
     stats_.wait_times.Add(0.0);
     stats_.wait_histogram.Add(0.0);
-    Fire(std::move(granted));
+    granted();
     return;
   }
   const auto [it, inserted] = intents_.emplace(oid, txn);
@@ -43,14 +43,14 @@ void Mvcc::Access(uint64_t txn, ocb::Oid oid, bool write, Action granted,
     // writer now instead of letting it run to a doomed validation.
     ++stats_.aborts_write_conflict;
     NoteAbort(obs::AbortCause::kWriteConflict);
-    Fire(std::move(aborted));
+    aborted();
     return;
   }
   if (inserted) state.writes.push_back(oid);
   ++stats_.immediate_grants;
   stats_.wait_times.Add(0.0);
   stats_.wait_histogram.Add(0.0);
-  Fire(std::move(granted));
+  granted();
 }
 
 bool Mvcc::ValidateCommit(uint64_t txn) {

@@ -51,7 +51,7 @@ void Occ::Access(uint64_t txn, ocb::Oid oid, bool write, Action granted,
   (write ? state.writes : state.reads).push_back(oid);
   stats_.wait_times.Add(0.0);
   stats_.wait_histogram.Add(0.0);
-  Fire(std::move(granted));
+  granted();
 }
 
 bool Occ::ValidateCommit(uint64_t txn) {

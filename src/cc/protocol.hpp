@@ -16,10 +16,13 @@
 /// validate-at-commit with backward validation.
 ///
 /// Determinism contract: a protocol may interact with the run only
-/// through its scheduler (decisions fire as zero-delay scheduled events)
-/// and must never iterate an unordered container where the order can leak
-/// into event order — so a run stays a pure function of its seed, sharded
-/// or not.
+/// through its continuations and its scheduler, and must never iterate an
+/// unordered container where the order can leak into event order — so a
+/// run stays a pure function of its seed, sharded or not.  A decision
+/// taken inside `Access`, on the requester's own stack, runs its
+/// continuation inline as the last statement of `Access`; a decision one
+/// transaction's `Commit`/`Abort` takes for another (a wake-up, a
+/// wait-die kill) fires as a zero-delay scheduled event.
 #pragma once
 
 #include <algorithm>
@@ -219,10 +222,14 @@ class Protocol {
   /// `txn` is fresh per attempt.
   virtual void Begin(uint64_t txn, uint64_t age) = 0;
 
-  /// Decides one object access.  Exactly one continuation fires, always
-  /// as a scheduled event: `granted` once the access may proceed
-  /// (possibly after waiting), `aborted` if the protocol kills the
-  /// attempt (the caller releases with Abort() and retries).
+  /// Decides one object access.  Exactly one continuation runs: `granted`
+  /// once the access may proceed, `aborted` if the protocol kills the
+  /// attempt (the caller releases with Abort() and retries).  A decision
+  /// reached at once (an immediate grant, a no-wait, wait-die, deadlock
+  /// or write-conflict abort) calls its continuation before `Access`
+  /// returns, with nothing scheduled; the continuation may go on to
+  /// Commit() or Abort() the same transaction.  A parked request's
+  /// decision arrives later as one scheduled event.
   virtual void Access(uint64_t txn, ocb::Oid oid, bool write,
                       Action granted, Action aborted) = 0;
 
@@ -256,9 +263,10 @@ class Protocol {
   /// Annotates the ambient trace (the requester's, at decision sites)
   /// with `cause`; no-op without a tracer.
   void NoteAbort(obs::AbortCause cause);
-  /// Fires a decision continuation as a zero-delay event (decisions
-  /// never run inline, so event order is independent of the protocol's
-  /// internal control flow).
+  /// Fires a decision continuation as a zero-delay event.  Only for a
+  /// decision one transaction's release takes for another: inline, the
+  /// woken transaction would run nested on the releaser's stack,
+  /// re-entering the table while the release still walks its lists.
   void Fire(Action action) { scheduler_->Schedule(0.0, std::move(action)); }
 
   desp::Scheduler* scheduler_;

@@ -65,6 +65,8 @@ void TransactionManagerActor::FreeInFlight(Handle h) {
   slot.state.backoff_started = 0.0;
   slot.state.done = nullptr;
   slot.live = false;
+  slot.stepping = false;
+  slot.again = false;
   ++slot.generation;  // invalidate any still-outstanding handle
   pool_.Free(h.index);
 }
@@ -115,6 +117,27 @@ void TransactionManagerActor::Submit(ocb::Transaction& txn,
 }
 
 void TransactionManagerActor::ProcessNext(Handle h) {
+  At(h);  // validates the handle
+  if (pool_[h.index].stepping) {
+    pool_[h.index].again = true;
+    return;
+  }
+  pool_[h.index].stepping = true;
+  for (;;) {
+    pool_[h.index].again = false;
+    Step(h);
+    // Re-resolve: the step may have grown the pool, or committed and
+    // recycled the slot (FreeInFlight clears its flags).
+    Slot& slot = pool_[h.index];
+    if (!slot.live || slot.generation != h.generation) return;
+    if (!slot.again) {
+      slot.stepping = false;
+      return;
+    }
+  }
+}
+
+void TransactionManagerActor::Step(Handle h) {
   InFlight& state = At(h);
   desp::TraceScope trace_scope(&scheduler(), state.trace);
   if (state.next_access >= state.txn.accesses.size()) {

@@ -145,13 +145,23 @@ class TransactionManagerActor : public desp::Actor {
     InFlight state;
     uint32_t generation = 0;
     bool live = false;
+    /// ProcessNext's loop is on the stack for this transaction; a nested
+    /// ProcessNext only sets `again` and returns to it.
+    bool stepping = false;
+    bool again = false;
   };
 
   Handle AllocInFlight();
   InFlight& At(Handle h);
   void FreeInFlight(Handle h);
 
+  /// Runs the transaction's next steps.  A step whose continuation comes
+  /// back synchronously (an inline cc grant, a buffer hit) asks for the
+  /// next one instead of recursing, so an all-hit transaction runs in
+  /// constant stack depth however many accesses it makes.
   void ProcessNext(Handle h);
+  /// One step: the next object operation, or Commit once none is left.
+  void Step(Handle h);
   /// CPU slice for the access bookkeeping done: emit the span, go on.
   void OnCpuReady(Handle h, double cpu_start);
   void AccessObject(Handle h);

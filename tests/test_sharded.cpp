@@ -218,15 +218,15 @@ TEST(ShardedVoodb, CcAbyssProtocolsReproduceTheirShardedGoldens) {
     double sim_time_ms;
   };
   const Golden goldens[] = {
-      {cc::ProtocolKind::kNoWait, 0x42769a4ebcec5c40ull, 51,
+      {cc::ProtocolKind::kNoWait, 0x88e3c26817186e3dull, 51,
        0x1.6a2900000003ep+13},
-      {cc::ProtocolKind::kWaitDie, 0xddab75fce9fc6e8cull, 9,
+      {cc::ProtocolKind::kWaitDie, 0xb2fc0ec16d541859ull, 9,
        0x1.6922851eb855dp+13},
-      {cc::ProtocolKind::kDeadlockDetect, 0xe165087e9457ce9bull, 0,
+      {cc::ProtocolKind::kDeadlockDetect, 0xe15670c1cd40bdf4ull, 0,
        0x1.6922851eb855dp+13},
-      {cc::ProtocolKind::kMvcc, 0x74c8dc7c1ea84bf6ull, 4,
+      {cc::ProtocolKind::kMvcc, 0xa6d6dae8e8288b63ull, 4,
        0x1.6ac5ccccccd0cp+13},
-      {cc::ProtocolKind::kOcc, 0xe2e41a9cb4b707f2ull, 7,
+      {cc::ProtocolKind::kOcc, 0x5bfe18afcb9173a8ull, 7,
        0x1.693751eb8522ap+13},
   };
   for (const Golden& golden : goldens) {
