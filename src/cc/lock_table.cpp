@@ -60,6 +60,16 @@ size_t LockTable::HeldLocks(uint64_t txn) const {
       std::unique(held.begin(), held.end()) - held.begin());
 }
 
+std::vector<LockTable::ParkedRequest> LockTable::Parked(ocb::Oid oid) const {
+  std::vector<ParkedRequest> parked;
+  const uint32_t slot = entry_index_.Find(oid);
+  if (slot == util::kNoIndex) return parked;
+  for (const Waiter& w : waiters_.Of(entries_[slot].waiters)) {
+    parked.push_back(ParkedRequest{w.txn, w.mode});
+  }
+  return parked;
+}
+
 LockTable::Entry& LockTable::EntryFor(ocb::Oid oid) {
   uint32_t slot = entry_index_.Find(oid);
   if (slot == util::kNoIndex) {
@@ -125,10 +135,6 @@ void LockTable::Access(uint64_t txn, ocb::Oid oid, bool write, Action granted,
     ++stats_.immediate_grants;
     stats_.wait_times.Add(0.0);
     stats_.wait_histogram.Add(0.0);
-    // The strengthened hold may newly conflict with older parked waiters.
-    // Enforced before the grant runs: `granted` may reach Commit, and so
-    // Release, which can retire `entry`.
-    if (upgrade && kind_ == ProtocolKind::kWaitDie) EnforceWaitDie(entry);
     granted();
     return;
   }
@@ -162,8 +168,8 @@ void LockTable::Access(uint64_t txn, ocb::Oid oid, bool write, Action granted,
   ++stats_.waits;
   state.waiting = true;
   state.waiting_on = oid;
-  Waiter waiter{std::move(granted), std::move(aborted), txn,
-                scheduler_->Now(), scheduler_->current_trace(), mode};
+  Waiter waiter{std::move(granted), txn, scheduler_->Now(),
+                scheduler_->current_trace(), mode};
   if (upgrade) {
     waiters_.PushFront(entry.waiters, std::move(waiter));
   } else {
@@ -172,7 +178,6 @@ void LockTable::Access(uint64_t txn, ocb::Oid oid, bool write, Action granted,
 }
 
 void LockTable::WakeWaiters(ocb::Oid oid, Entry& entry) {
-  bool granted_any = false;
   while (!entry.waiters.empty()) {
     Waiter& head = waiters_.Front(entry.waiters);
     TxnState* waiter_state = txns_.Find(head.txn);
@@ -195,9 +200,7 @@ void LockTable::WakeWaiters(ocb::Oid oid, Entry& entry) {
       Fire(std::move(head.granted));
     }
     waiters_.PopFront(entry.waiters);
-    granted_any = true;
   }
-  if (granted_any && kind_ == ProtocolKind::kWaitDie) EnforceWaitDie(entry);
 }
 
 void LockTable::Release(uint64_t txn) {
@@ -260,37 +263,6 @@ bool LockTable::MayWait(const Entry& entry, uint64_t txn, uint64_t age,
     if (age >= ahead->age) return false;
   }
   return true;
-}
-
-void LockTable::EnforceWaitDie(Entry& entry) {
-  size_t position = 0;
-  uint32_t prev = kEnd;
-  for (uint32_t node = entry.waiters.head; node != kEnd;) {
-    Waiter& w = waiters_[node];
-    TxnState* state = txns_.Find(w.txn);
-    if (state == nullptr) {
-      node = waiters_.EraseAfter(entry.waiters, prev);
-      continue;
-    }
-    // Each waiter is re-checked against the holders and the waiters
-    // still ahead of it.
-    if (MayWait(entry, w.txn, state->age, w.mode, position)) {
-      ++position;
-      prev = node;
-      node = waiters_.Next(node);
-      continue;
-    }
-    ++stats_.aborts_wait_die;
-    state->waiting = false;
-    {
-      // Scheduled, not inline: the kill is decided on another
-      // transaction's stack, and carries the waiter's trace context.
-      desp::TraceScope trace(scheduler_, w.trace);
-      NoteAbort(obs::AbortCause::kWaitDie);
-      Fire(std::move(w.aborted));
-    }
-    node = waiters_.EraseAfter(entry.waiters, prev);
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -11,9 +11,13 @@
 ///  - **no_wait** aborts the requester immediately — no queue at all,
 ///    the highest abort rate under contention;
 ///  - **wait_die** lets a requester park only when it is older than
-///    every conflicting holder and every conflicting waiter ahead of it,
-///    and re-checks the parked waiters whenever the holder set of an
-///    object grows (EnforceWaitDie) — deterministic, no cycle search;
+///    every conflicting holder and every conflicting waiter ahead of it
+///    — deterministic, no cycle search.  Waits therefore only go from
+///    older to younger, so a parked waiter never meets an older conflict
+///    ahead of it later: a waiter granted from the queue was older than
+///    everything it overtakes, and an immediate S->X upgrade is younger
+///    than every waiter it conflicts with.  The check at enqueue time is
+///    the whole policy;
 ///  - **deadlock_detect** parks every conflicting request FIFO and aborts
 ///    the requester only when parking it would close a waits-for cycle —
 ///    fewer aborts than wait-die, at the cost of the graph walk.
@@ -77,6 +81,13 @@ class LockTable final : public Protocol {
   bool Holds(uint64_t txn, ocb::Oid oid, LockMode mode) const;
   /// Distinct objects `txn` currently holds locks on.
   size_t HeldLocks(uint64_t txn) const;
+  /// A parked request, as `Parked` lists it.
+  struct ParkedRequest {
+    uint64_t txn;
+    LockMode mode;
+  };
+  /// The requests parked on `oid`, front of the queue first.
+  std::vector<ParkedRequest> Parked(ocb::Oid oid) const;
 
  private:
   /// A granted lock.  The holder's wait-die age rides along, so a
@@ -88,19 +99,20 @@ class LockTable final : public Protocol {
     uint64_t age;
     LockMode mode;
   };
-  /// Fields in alignment order: the two actions first leave no padding
-  /// hole before the tail.
+  /// A parked request.  Only a grant ever reaches it: every abort is
+  /// decided before a request parks, and a parked request whose
+  /// transaction ends is dropped.  Fields in alignment order: the action
+  /// first leaves no padding hole before the tail.
   struct Waiter {
     Action granted;
-    Action aborted;
     uint64_t txn;
     double enqueued_at;
-    /// Requester's ambient trace context, restored around wake/die fires
-    /// so they are attributed to the waiter, not the releasing event.
+    /// Requester's ambient trace context, restored around the wake-up
+    /// fire so it is attributed to the waiter, not the releasing event.
     uint32_t trace;
     LockMode mode;
   };
-  static_assert(sizeof(Waiter) == 2 * sizeof(Action) + 32,
+  static_assert(sizeof(Waiter) == sizeof(Action) + 32,
                 "LockTable::Waiter grew a padding hole");
   /// An object's lock state: two lists in the table's shared pools.
   struct Entry {
@@ -151,12 +163,6 @@ class LockTable final : public Protocol {
   /// holder-wait plus a young queue-wait).
   bool MayWait(const Entry& entry, uint64_t txn, uint64_t age, LockMode mode,
                size_t ahead_count) const;
-  /// Re-enforces the wait-die invariant after the holder set of an object
-  /// grew: every parked waiter that now conflicts with an *older* holder
-  /// or waiter ahead dies.  Without this, a waiter granted from the queue
-  /// can become an older holder in front of younger waiters and an
-  /// old-young wait cycle forms that enqueue-time wait-die cannot see.
-  void EnforceWaitDie(Entry& entry);
 
   // --- deadlock detection ----------------------------------------------------
   /// True when parking `txn` on `entry` (at the queue front for upgrades,

@@ -48,18 +48,24 @@ double RandomStream::Uniform(double lo, double hi) {
   return lo + (hi - lo) * NextDouble();
 }
 
-int64_t RandomStream::UniformInt(int64_t lo, int64_t hi) {
-  VOODB_CHECK_MSG(lo <= hi, "UniformInt: empty range [" << lo << ", " << hi
-                                                        << "]");
-  const uint64_t range = static_cast<uint64_t>(hi - lo) + 1;
-  if (range == 0) return static_cast<int64_t>(NextU64());  // full 64-bit range
-  // Unbiased rejection sampling (Lemire-style threshold).
-  const uint64_t threshold = (0 - range) % range;
+uint64_t RandomStream::Below(const UniformBelow& bound) {
   uint64_t r;
   do {
     r = NextU64();
-  } while (r < threshold);
-  return lo + static_cast<int64_t>(r % range);
+  } while (r < bound.threshold_);
+  return bound.range_.Mod(r);
+}
+
+int64_t RandomStream::UniformInt(int64_t lo, int64_t hi) {
+  VOODB_CHECK_MSG(lo <= hi, "UniformInt: empty range [" << lo << ", " << hi
+                                                        << "]");
+  // Unsigned arithmetic: the span of [INT64_MIN, INT64_MAX] wraps to 0
+  // (2^64), and lo + r may pass INT64_MAX on the way into the range.
+  const uint64_t range =
+      static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) + 1;
+  if (range == 0) return static_cast<int64_t>(NextU64());  // full 64-bit range
+  return static_cast<int64_t>(static_cast<uint64_t>(lo) +
+                              Below(UniformBelow(range)));
 }
 
 bool RandomStream::Bernoulli(double p) {

@@ -20,10 +20,28 @@
 #include <utility>
 #include <vector>
 
+#include "util/divisor.hpp"
+
 namespace voodb::desp {
 
 /// SplitMix64 step; used for seeding and stream derivation.
 uint64_t SplitMix64(uint64_t& state);
+
+/// Uniform integers in [0, n) for `RandomStream::Below`: the rejection
+/// threshold and the divisor computed once, for loops that draw many
+/// times from one range.
+class UniformBelow {
+ public:
+  /// `n` must be >= 1.
+  explicit UniformBelow(uint64_t n)
+      : range_(n), threshold_(range_.Mod(0 - n)) {}
+
+ private:
+  friend class RandomStream;
+  util::Divisor range_;
+  /// 2^64 mod n: raw values below it would bias the remainder.
+  uint64_t threshold_;
+};
 
 /// A deterministic pseudo-random stream (xoshiro256**).
 class RandomStream {
@@ -44,7 +62,13 @@ class RandomStream {
   /// Uniform double in [lo, hi).
   double Uniform(double lo, double hi);
 
-  /// Uniform integer in the inclusive range [lo, hi] (unbiased).
+  /// Uniform integer in [0, n) for the `n` that `bound` was built with
+  /// (unbiased): rejection sampling with a Lemire-style threshold, then
+  /// one remainder.
+  uint64_t Below(const UniformBelow& bound);
+
+  /// Uniform integer in the inclusive range [lo, hi] (unbiased); the same
+  /// draws as `lo + Below(UniformBelow(hi - lo + 1))`.
   int64_t UniformInt(int64_t lo, int64_t hi);
 
   /// Bernoulli trial with success probability `p`.

@@ -1,5 +1,6 @@
 #include "ocb/object_base.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/check.hpp"
@@ -17,7 +18,7 @@ ObjectBase ObjectBase::Generate(const OcbParameters& params) {
   const uint64_t no = params.num_objects;
   const uint32_t nc = params.num_classes;
   base.num_objects_ = no;
-  base.num_classes_ = nc;
+  base.classes_ = util::Divisor(nc);
   base.instances_per_class_.assign(nc, 0);
   base.class_sizes_.resize(nc);
   for (ClassId c = 0; c < nc; ++c) {
@@ -30,47 +31,58 @@ ObjectBase ObjectBase::Generate(const OcbParameters& params) {
   // snap a locality-window candidate to the demanded target class in O(1).
   // The round-robin rule also makes class and size pure functions of the
   // OID, so the SoA layout needs no per-object class/size arrays at all.
+  // Both walks below carry the class as a running residue.
   base.ref_offsets_.resize(no + 1);
   uint64_t total_slots = 0;
+  ClassId cls = 0;
   for (Oid i = 0; i < no; ++i) {
-    const ClassId cls = static_cast<ClassId>(i % nc);
     base.ref_offsets_[i] = total_slots;
     total_slots += base.schema_.Class(cls).references.size();
     base.total_bytes_ += base.class_sizes_[cls];
     ++base.instances_per_class_[cls];
+    if (++cls == nc) cls = 0;
   }
   base.ref_offsets_[no] = total_slots;
   base.ref_targets_.assign(total_slots, kNullOid);
 
-  const auto window_limit = static_cast<int64_t>(
-      std::min<uint64_t>(params.object_locality, no));
+  // Every division left in the slot loop is by an invariant (the window,
+  // NC) and runs as a multiply (util::Divisor); the wrap at NO is a
+  // compare, because i + offset < 2 NO.
+  const uint64_t window_limit =
+      std::min<uint64_t>(params.object_locality, no);
+  const desp::UniformBelow window(window_limit);
+  const util::Divisor& classes = base.classes_;
+  cls = 0;
   for (Oid i = 0; i < no; ++i) {
-    const ClassDef& cls = base.schema_.Class(base.ClassOf(i));
+    const ClassDef& def = base.schema_.Class(cls);
+    if (++cls == nc) cls = 0;
     Oid* row = base.ref_targets_.data() + base.ref_offsets_[i];
-    for (size_t slot = 0; slot < cls.references.size(); ++slot) {
-      const ClassId target_class = cls.references[slot].target_class;
+    for (size_t slot = 0; slot < def.references.size(); ++slot) {
+      const ClassId target_class = def.references[slot].target_class;
       if (base.instances_per_class_[target_class] == 0) continue;  // dangling
-      int64_t offset = 0;
+      uint64_t offset = 0;
       switch (params.reference_distribution) {
         case Distribution::kUniform:
-          offset = ref_stream.UniformInt(0, window_limit - 1);
+          offset = ref_stream.Below(window);
           break;
         case Distribution::kZipf:
-          offset = ref_stream.Zipf(window_limit, params.zipf_skew);
+          offset = static_cast<uint64_t>(ref_stream.Zipf(
+              static_cast<int64_t>(window_limit), params.zipf_skew));
           break;
         case Distribution::kNormal: {
           const double raw = ref_stream.Normal(
               0.0, static_cast<double>(window_limit) / 4.0);
-          offset = static_cast<int64_t>(std::llround(std::fabs(raw))) %
-                   window_limit;
+          offset = static_cast<uint64_t>(
+              std::llround(std::fabs(raw)) %
+              static_cast<int64_t>(window_limit));
           break;
         }
       }
       // Candidate inside the locality window, snapped to the residue of
       // the demanded class (round-robin assignment, see above).
-      const uint64_t candidate = (i + static_cast<uint64_t>(offset)) % no;
-      uint64_t snapped =
-          candidate - (candidate % nc) + target_class;
+      const uint64_t candidate =
+          offset >= no - i ? offset - (no - i) : i + offset;
+      uint64_t snapped = candidate - classes.Mod(candidate) + target_class;
       if (snapped >= no) {
         snapped = target_class;  // wrap to the first instance of the class
       }

@@ -17,6 +17,7 @@
 #include "ocb/parameters.hpp"
 #include "ocb/schema.hpp"
 #include "ocb/types.hpp"
+#include "util/divisor.hpp"
 
 namespace voodb::ocb {
 
@@ -47,7 +48,7 @@ class ObjectBase {
 
   /// Class of `oid` (unchecked fast path; round-robin assignment).
   ClassId ClassOf(Oid oid) const {
-    return static_cast<ClassId>(oid % num_classes_);
+    return static_cast<ClassId>(classes_.Mod(oid));
   }
   /// Instance size of `oid` in bytes (unchecked fast path).
   uint32_t SizeOf(Oid oid) const { return class_sizes_[ClassOf(oid)]; }
@@ -73,7 +74,8 @@ class ObjectBase {
   OcbParameters params_;
   Schema schema_;
   uint64_t num_objects_ = 0;
-  uint32_t num_classes_ = 1;
+  /// Division by NC: ClassOf is a remainder, taken without a `div`.
+  util::Divisor classes_;
   /// Instance size per class (instances of a class all share one size).
   std::vector<uint32_t> class_sizes_;
   /// CSR reference graph: row `oid` is

@@ -215,9 +215,9 @@ void WorkloadGenerator::GenerateRandomAccess(Transaction& txn,
   // dictionary lookups).
   txn.accesses.reserve(count == 0 ? 1 : count);
   AppendAccess(txn, txn.root);
-  const auto no = static_cast<int64_t>(base_->NumObjects());
+  const desp::UniformBelow any_object(base_->NumObjects());
   for (uint32_t i = 1; i < count; ++i) {
-    AppendAccess(txn, static_cast<Oid>(stream_.UniformInt(0, no - 1)));
+    AppendAccess(txn, stream_.Below(any_object));
   }
 }
 

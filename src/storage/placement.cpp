@@ -125,6 +125,14 @@ Placement Placement::Pack(const ocb::ObjectBase& base, uint32_t page_size,
   placement.page_offsets_.clear();
   placement.page_objects_.reserve(base.NumObjects());
   std::vector<char> placed(base.NumObjects(), 0);
+  // Instances of a class share one size, so each class's stored size
+  // ceil(size * overhead) is computed once, not once per object.
+  const uint32_t nc = base.schema().NumClasses();
+  std::vector<uint64_t> stored_size(nc);
+  for (ocb::ClassId c = 0; c < nc; ++c) {
+    const auto raw = static_cast<double>(base.schema().Class(c).instance_size);
+    stored_size[c] = static_cast<uint64_t>(std::ceil(raw * overhead_factor));
+  }
 
   uint64_t current_page = 0;
   uint32_t used_in_page = 0;
@@ -147,9 +155,7 @@ Placement Placement::Pack(const ocb::ObjectBase& base, uint32_t page_size,
     VOODB_CHECK_MSG(oid < base.NumObjects(), "oid " << oid << " out of range");
     VOODB_CHECK_MSG(!placed[oid], "oid " << oid << " appears twice in order");
     placed[oid] = 1;
-    const auto raw = static_cast<double>(base.SizeOf(oid));
-    const auto stored =
-        static_cast<uint64_t>(std::ceil(raw * overhead_factor));
+    const uint64_t stored = stored_size[base.ClassOf(oid)];
     if (stored > page_size) {
       // Large object: dedicated contiguous span.
       close_page();

@@ -621,9 +621,9 @@ TEST(CcDecisions, OnStackDecisionsRunBeforeAccessReturns) {
 TEST(CcDecisions, ReleaseDecisionsArriveAsOneScheduledEvent) {
   // The protocols that park a request.  A wake-up is decided on the
   // releaser's stack, so it reaches the waiter as one zero-delay event.
-  // EnforceWaitDie's kills take the same Fire path; no call sequence
-  // through this interface reaches one, because enqueue-time wait-die
-  // already checks every conflicting waiter ahead.
+  // It is the only decision a parked request ever receives: wait-die and
+  // deadlock detection abort a requester before it parks, never after
+  // (LockTable.WaitDieParkedWaitersStayOlderThanConflictsAhead).
   for (const ProtocolKind kind :
        {ProtocolKind::kWaitDie, ProtocolKind::kDeadlockDetect}) {
     SCOPED_TRACE(ToString(kind));
@@ -664,8 +664,8 @@ TEST(CcDecisions, GrantThatCommitsInsideAccessLeavesNothingActive) {
     cc->Access(1, 10, false, commit(1), [] { FAIL(); });
     EXPECT_EQ(cc->ActiveTransactions(), 0u);
     // An upgrade (a write intent under MVCC) with an older writer parked
-    // on the object: under wait-die the upgrade re-checks that waiter
-    // before its grant runs, and so before the commit releases the entry.
+    // on the object: the grant commits inside Access, and the release
+    // wakes the waiter as a scheduled event.
     cc->Begin(5, 5);
     cc->Begin(3, 3);
     EXPECT_EQ(DecideInline(sched, *cc, 5, 10, false), 'g');

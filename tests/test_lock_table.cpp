@@ -4,7 +4,11 @@
 /// manager these semantics were first specified against.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "cc/lock_table.hpp"
+#include "desp/random.hpp"
 #include "util/check.hpp"
 
 namespace voodb::cc {
@@ -293,6 +297,132 @@ TEST_F(LockManagerTest, UsageErrors) {
   EXPECT_THROW(lm_.Begin(5, 2), util::Error);
   EXPECT_THROW(lm_.Abort(6), util::Error);
   EXPECT_EQ(lm_.HeldLocks(6), 0u);
+}
+
+/// Random Begin/Access/Commit/Abort interleavings under wait-die.  After
+/// every call, every parked request must satisfy the wait-die rule
+/// against everything ahead of it: it is older than every conflicting
+/// holder and every conflicting request ahead in the queue.  Wait-die
+/// decides at enqueue time only; this pins that no later grant from the
+/// queue or immediate S->X upgrade puts an older conflict in front of a
+/// parked request.  A parked request also only ever receives a grant, as
+/// a scheduled event.
+TEST(LockTable, WaitDieParkedWaitersStayOlderThanConflictsAhead) {
+  constexpr uint64_t kTxns = 4;
+  constexpr ocb::Oid kObjects[] = {10, 11};
+  enum class Phase { kIdle, kReady, kParked, kDecided, kAborted };
+  struct Txn {
+    Phase phase = Phase::kIdle;
+    uint64_t age = 0;
+  };
+  uint64_t parked_checks = 0;
+  for (uint64_t seed = 0; seed < 4000; ++seed) {
+    std::array<Txn, kTxns + 1> txns{};  // ids 1..kTxns
+    bool in_access = false;
+    desp::Scheduler sched;
+    LockTable lm(&sched, ProtocolKind::kWaitDie);
+    desp::RandomStream rng(seed);
+    uint64_t clock = 0;
+    const auto is_parked = [&](uint64_t txn) {
+      for (const ocb::Oid oid : kObjects) {
+        for (const auto& w : lm.Parked(oid)) {
+          if (w.txn == txn) return true;
+        }
+      }
+      return false;
+    };
+    const auto mode_of = [&](uint64_t txn, ocb::Oid oid) {
+      if (lm.Holds(txn, oid, LockMode::kExclusive)) return 2;
+      return lm.Holds(txn, oid, LockMode::kShared) ? 1 : 0;
+    };
+    const auto check = [&] {
+      for (const ocb::Oid oid : kObjects) {
+        const std::vector<LockTable::ParkedRequest> queue = lm.Parked(oid);
+        for (size_t pos = 0; pos < queue.size(); ++pos) {
+          const LockTable::ParkedRequest& w = queue[pos];
+          ASSERT_EQ(txns[w.txn].phase, Phase::kParked) << "txn " << w.txn;
+          const bool x = w.mode == LockMode::kExclusive;
+          const uint64_t age = txns[w.txn].age;
+          for (uint64_t h = 1; h <= kTxns; ++h) {
+            const int held = h == w.txn ? 0 : mode_of(h, oid);
+            if (held == 0 || (!x && held == 1)) continue;
+            EXPECT_LT(age, txns[h].age)
+                << "seed " << seed << ": txn " << w.txn
+                << " parked behind older holder " << h;
+          }
+          for (size_t ahead = 0; ahead < pos; ++ahead) {
+            const LockTable::ParkedRequest& q = queue[ahead];
+            if (q.txn == w.txn) continue;
+            if (!x && q.mode == LockMode::kShared) continue;
+            EXPECT_LT(age, txns[q.txn].age)
+                << "seed " << seed << ": txn " << w.txn
+                << " parked behind older request " << q.txn;
+          }
+          ++parked_checks;
+        }
+      }
+    };
+    for (int step = 0; step < 60; ++step) {
+      const uint64_t t = 1 + static_cast<uint64_t>(rng.UniformInt(0, 3));
+      Txn& txn = txns[t];
+      switch (txn.phase) {
+        case Phase::kIdle:
+          // Half the time a restart, which keeps its age; otherwise a
+          // new transaction.
+          if (txn.age == 0 || rng.Bernoulli(0.5)) txn.age = ++clock;
+          lm.Begin(t, txn.age);
+          txn.phase = Phase::kReady;
+          break;
+        case Phase::kReady: {
+          const int action = static_cast<int>(rng.UniformInt(0, 5));
+          if (action == 0) {
+            lm.Commit(t);
+            txn.phase = Phase::kIdle;
+          } else if (action == 1) {
+            lm.Abort(t);
+            txn.phase = Phase::kIdle;
+          } else {
+            in_access = true;
+            lm.Access(
+                t, kObjects[rng.UniformInt(0, 1)], rng.Bernoulli(0.5),
+                [&txns, &in_access, t] {
+                  txns[t].phase = in_access ? Phase::kReady : Phase::kDecided;
+                },
+                [&txns, &in_access, t] {
+                  ASSERT_TRUE(in_access) << "a parked request was killed";
+                  txns[t].phase = Phase::kAborted;
+                });
+            in_access = false;
+            if (is_parked(t)) txn.phase = Phase::kParked;
+          }
+          break;
+        }
+        case Phase::kParked:
+          // An external abort (a failure, say) of a request still parked;
+          // one whose grant is on its way waits for it.
+          if (is_parked(t) && rng.Bernoulli(0.25)) {
+            lm.Abort(t);
+            txn.phase = Phase::kIdle;
+          }
+          break;
+        case Phase::kDecided:
+          txn.phase = Phase::kReady;
+          break;
+        case Phase::kAborted:
+          lm.Abort(t);  // the TM's abort path
+          txn.phase = Phase::kIdle;
+          break;
+      }
+      check();
+      // Deliver the scheduled wake-ups now and then.
+      if (rng.Bernoulli(0.5)) {
+        sched.Run();
+        check();
+      }
+      if (HasFailure()) return;
+    }
+  }
+  EXPECT_GT(parked_checks, 10000u);
 }
 
 TEST(LockModeNames, ToString) {

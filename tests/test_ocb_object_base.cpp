@@ -118,6 +118,71 @@ TEST(ObjectBase, OutOfRangeAccessThrows) {
   EXPECT_THROW(base.InstancesOf(10), util::Error);
 }
 
+/// FNV-1a over every reference row of `base`: each row's length, then its
+/// slots in order.
+uint64_t ReferenceGraphDigest(const ObjectBase& base) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  const auto fold = [&h](uint64_t v) {
+    h ^= v;
+    h *= 0x100000001b3ull;
+  };
+  for (Oid oid = 0; oid < base.NumObjects(); ++oid) {
+    const OidSpan row = base.References(oid);
+    fold(row.size());
+    for (const Oid target : row) fold(target);
+  }
+  return h;
+}
+
+TEST(ObjectBase, ReferenceGraphMatchesGolden) {
+  // Recorded from the generator that drew each slot with UniformInt and
+  // wrapped and snapped candidates with `%`: the divisions are gone, the
+  // graph must not move.
+  struct Case {
+    const char* name;
+    uint64_t objects;
+    uint32_t classes;
+    uint64_t locality;
+    Distribution distribution;
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      // The perfbench shapes (contention, ycsb_hot, dstc).
+      {"20000/20", 20000, 20, 100, Distribution::kUniform,
+       0xd57548f8bfc273ad},
+      {"8000/10", 8000, 10, 100, Distribution::kUniform,
+       0x949cd7011558ff7d},
+      {"20000/50", 20000, 50, 100, Distribution::kUniform,
+       0x2ab80abee92fc3d9},
+      {"zipf", 5000, 20, 100, Distribution::kZipf,
+       0x8483801eeb7997e1},
+      {"normal", 5000, 20, 100, Distribution::kNormal,
+       0x03d964daa5097691},
+      // OLOCREF at and past NO: the window is the whole base.
+      {"locality=NO", 600, 7, 600, Distribution::kUniform,
+       0xb2524cb89e4b287a},
+      {"locality>NO", 600, 7, 5000, Distribution::kUniform,
+       0xb2524cb89e4b287a},
+      // NC not dividing NO: the last round-robin row is partial, so some
+      // snapped candidates land past NO and wrap.
+      {"1000/7", 1000, 7, 40, Distribution::kUniform,
+       0xd2c58333ede0e4a0},
+      // NC > NO: classes 30..49 have no instances (dangling slots).
+      {"30/50", 30, 50, 100, Distribution::kUniform,
+       0x5cbae16322891c80},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    OcbParameters p;
+    p.num_objects = c.objects;
+    p.num_classes = c.classes;
+    p.object_locality = c.locality;
+    p.reference_distribution = c.distribution;
+    const ObjectBase base = ObjectBase::Generate(p);
+    EXPECT_EQ(ReferenceGraphDigest(base), c.digest);
+  }
+}
+
 /// Property sweep over distributions: generated references stay valid.
 class ObjectBaseDistributions
     : public ::testing::TestWithParam<Distribution> {};

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "desp/random.hpp"
@@ -66,6 +67,78 @@ TEST(RandomStream, UniformIntDegenerateRange) {
   RandomStream rng(5);
   EXPECT_EQ(rng.UniformInt(9, 9), 9);
   EXPECT_THROW(rng.UniformInt(2, 1), util::Error);
+}
+
+TEST(RandomStream, UniformIntSpansTheWholeInt64Range) {
+  constexpr int64_t kMin = INT64_MIN;
+  constexpr int64_t kMax = INT64_MAX;
+  // The full range is the raw stream.
+  RandomStream rng(3);
+  RandomStream raw(3);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(rng.UniformInt(kMin, kMax), static_cast<int64_t>(raw.NextU64()));
+  }
+  // Spans above 2^63: the sum lo + r passes INT64_MAX on its way into
+  // range, and neither half of the range is ever left out.
+  for (const auto& [lo, hi] : {std::pair<int64_t, int64_t>{-10, kMax},
+                               std::pair<int64_t, int64_t>{kMin, 5},
+                               std::pair<int64_t, int64_t>{kMin + 1, kMax}}) {
+    SCOPED_TRACE(lo);
+    bool low_half = false;
+    bool high_half = false;
+    for (int i = 0; i < 1000; ++i) {
+      const int64_t v = rng.UniformInt(lo, hi);
+      ASSERT_GE(v, lo);
+      ASSERT_LE(v, hi);
+      (v < lo / 2 + hi / 2 ? low_half : high_half) = true;
+    }
+    EXPECT_TRUE(low_half);
+    EXPECT_TRUE(high_half);
+  }
+}
+
+/// The draw UniformInt made while it divided with `%`: the reference that
+/// RandomStream::Below and UniformInt must match draw for draw.
+uint64_t ReferenceBelow(RandomStream& rng, uint64_t range) {
+  const uint64_t threshold = (0 - range) % range;
+  uint64_t r;
+  do {
+    r = rng.NextU64();
+  } while (r < threshold);
+  return r % range;
+}
+
+TEST(RandomStream, BelowMatchesTheDivisionFormulaDrawForDraw) {
+  std::vector<uint64_t> ranges = {1,
+                                  2,
+                                  3,
+                                  7,
+                                  100,
+                                  (uint64_t{1} << 32) - 1,
+                                  (uint64_t{1} << 32) + 1,
+                                  (uint64_t{1} << 63) + 1,
+                                  UINT64_MAX};
+  RandomStream pick(17);
+  for (int i = 0; i < 200; ++i) {
+    ranges.push_back(1 + (pick.NextU64() >> pick.UniformInt(0, 63)));
+  }
+  for (const uint64_t range : ranges) {
+    SCOPED_TRACE(range);
+    RandomStream a(range);
+    RandomStream b(range);
+    const UniformBelow bound(range);
+    for (int i = 0; i < 500; ++i) {
+      ASSERT_EQ(a.Below(bound), ReferenceBelow(b, range));
+    }
+    // UniformInt over a range of the same width draws the same values.
+    if (range <= static_cast<uint64_t>(INT64_MAX)) {
+      const int64_t hi = static_cast<int64_t>(range) - 1 - 7;
+      for (int i = 0; i < 100; ++i) {
+        ASSERT_EQ(a.UniformInt(-7, hi),
+                  -7 + static_cast<int64_t>(ReferenceBelow(b, range)));
+      }
+    }
+  }
 }
 
 TEST(RandomStream, UniformIntIsApproximatelyUniform) {

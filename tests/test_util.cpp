@@ -2,10 +2,14 @@
 /// \brief Tests for the utility layer (checks, tables, CLI parsing).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
 #include <sstream>
+#include <vector>
 
 #include "util/check.hpp"
 #include "util/cli.hpp"
+#include "util/divisor.hpp"
 #include "util/table.hpp"
 
 namespace voodb::util {
@@ -25,6 +29,39 @@ TEST(Check, ThrowsWithContext) {
 TEST(Check, PassesSilently) {
   VOODB_CHECK(true);
   VOODB_CHECK_MSG(2 + 2 == 4, "never shown");
+}
+
+TEST(Divisor, MatchesHardwareDivision) {
+  const uint64_t divisors[] = {1,
+                               2,
+                               3,
+                               7,
+                               100,
+                               (uint64_t{1} << 32) - 1,
+                               (uint64_t{1} << 32) + 1,
+                               uint64_t{1} << 63,
+                               UINT64_MAX};
+  std::mt19937_64 rng(31);
+  for (const uint64_t d : divisors) {
+    SCOPED_TRACE(d);
+    const Divisor div(d);
+    std::vector<uint64_t> numerators = {0, d - 1, d, d + 1, UINT64_MAX};
+    for (int i = 0; i < 100000; ++i) numerators.push_back(rng());
+    for (const uint64_t n : numerators) {
+      if (div.Div(n) != n / d || div.Mod(n) != n % d) {
+        ADD_FAILURE() << n << " / " << d << ": got " << div.Div(n) << " rem "
+                      << div.Mod(n);
+        break;
+      }
+    }
+  }
+}
+
+TEST(Divisor, DefaultsToOneAndRejectsZero) {
+  const Divisor one;
+  EXPECT_EQ(one.Div(UINT64_MAX), UINT64_MAX);
+  EXPECT_EQ(one.Mod(UINT64_MAX), 0u);
+  EXPECT_THROW(Divisor(0), Error);
 }
 
 TEST(TextTable, AlignsColumns) {
